@@ -1,6 +1,6 @@
 // Microbenchmarks for the scanner's hot paths (google-benchmark):
 // address permutation, probe-MAC computation, packet serialization and
-// parsing, blocklist lookups, and the end-to-end probe exchange.
+// parsing, blocklist lookups, and the batched probe pipeline.
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -132,79 +132,11 @@ static void BM_BlocklistLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_BlocklistLookup);
 
-static void BM_EndToEndProbe(benchmark::State& state) {
-  static const sim::World world = [] {
-    sim::ScenarioConfig config;
-    config.universe_size = 1u << 15;
-    return sim::build_world(config, sim::paper_origins(config.universe_size));
-  }();
-  sim::PersistentState persistent;
-  sim::TrialContext context;
-  context.experiment_seed = world.seed;
-  sim::Internet internet(&world, context, &persistent);
-  const scan::ProbeValidator validator(net::SipHash::key_from_seed(3), 32768,
-                                       28232);
-
-  std::uint32_t addr = 0;
-  for (auto _ : state) {
-    const net::Ipv4Addr dst(addr++ % world.universe_size);
-    const auto fields =
-        validator.fields_for(world.origins[0].source_ips[0], dst, 80);
-    net::TcpPacket syn;
-    syn.ip.src = world.origins[0].source_ips[0];
-    syn.ip.dst = dst;
-    syn.tcp.src_port = fields.src_port;
-    syn.tcp.dst_port = 80;
-    syn.tcp.seq = fields.seq;
-    syn.tcp.flags.syn = true;
-    auto response = internet.handle_probe(0, syn.serialize(),
-                                          net::VirtualTime{}, 0);
-    benchmark::DoNotOptimize(response);
-  }
-}
-BENCHMARK(BM_EndToEndProbe);
-
-static void BM_HandleProbeFast(benchmark::State& state) {
-  // The struct-level twin of BM_EndToEndProbe: same decisions, no wire
-  // encode/decode. The gap between the two is the serialize+parse tax the
-  // scanner hot path no longer pays.
-  static const sim::World world = [] {
-    sim::ScenarioConfig config;
-    config.universe_size = 1u << 15;
-    return sim::build_world(config, sim::paper_origins(config.universe_size));
-  }();
-  sim::PersistentState persistent;
-  sim::TrialContext context;
-  context.experiment_seed = world.seed;
-  sim::Internet internet(&world, context, &persistent);
-  internet.prewarm(0, proto::Protocol::kHttp);
-  const scan::ProbeValidator validator(net::SipHash::key_from_seed(3), 32768,
-                                       28232);
-
-  std::uint32_t addr = 0;
-  for (auto _ : state) {
-    const net::Ipv4Addr dst(addr++ % world.universe_size);
-    const auto fields =
-        validator.fields_for(world.origins[0].source_ips[0], dst, 80);
-    net::TcpPacket syn;
-    syn.ip.src = world.origins[0].source_ips[0];
-    syn.ip.dst = dst;
-    syn.tcp.src_port = fields.src_port;
-    syn.tcp.dst_port = 80;
-    syn.tcp.seq = fields.seq;
-    syn.tcp.flags.syn = true;
-    auto response =
-        internet.handle_probe_fast(0, syn, net::VirtualTime{}, 0);
-    benchmark::DoNotOptimize(response);
-  }
-}
-BENCHMARK(BM_HandleProbeFast);
-
 static void probe_target_loop(benchmark::State& state,
                               obsv::MetricBlock* metrics) {
-  // The full scanner inner loop over a pre-built schedule: MAC fields,
-  // once-per-target resolution, ProbeContext probes, and response
-  // validation, exactly as run_scheduled drives it in production.
+  // The full scanner inner loop over a pre-built schedule: batch fill,
+  // resolve_batch, handle_probe_batch, and the live-probe step, exactly
+  // as run_scheduled drives it in production.
   static const sim::World world = [] {
     sim::ScenarioConfig config;
     config.universe_size = 1u << 15;
@@ -273,30 +205,6 @@ static void BM_ProceduralLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_ProceduralLookup);
 
-static void BM_BlockCacheHit(benchmark::State& state) {
-  // Hot-path procedural resolution through ProbeContext's lane-private
-  // /24 cache: sequential addresses hit the cached block facts 255
-  // times out of 256, so this approximates the per-probe cost the 2^32
-  // sweep actually pays.
-  static const sim::World world = [] {
-    auto config = sim::ScenarioConfig::full_internet(22);
-    return sim::build_world(config, sim::paper_origins(config.universe_size));
-  }();
-  sim::PersistentState persistent;
-  sim::TrialContext context;
-  context.experiment_seed = world.seed;
-  sim::Internet internet(&world, context, &persistent);
-  auto probe_context = internet.probe_context(0, proto::Protocol::kHttp);
-
-  const std::uint32_t first = world.procedural.first_addr();
-  std::uint32_t addr = first;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(probe_context.resolve(net::Ipv4Addr(addr)));
-    if (++addr >= world.universe_size) addr = first;
-  }
-}
-BENCHMARK(BM_BlockCacheHit);
-
 static void BM_LossModelLookup(benchmark::State& state) {
   // Steady-state loss decision through the flat ProbeContext table: one
   // indexed load to the model plus the per-packet drop draw. This is the
@@ -344,8 +252,7 @@ BENCHMARK(BM_MixBatch4);
 static void BM_ResolveBatch(benchmark::State& state) {
   // SoA target resolution over one 256-address batch of sequential
   // procedural addresses: the /24 facts are fetched once per block run
-  // instead of consulted per address. The per-item delta against
-  // BM_BlockCacheHit is what the run-sharing buys.
+  // instead of consulted per address.
   static const sim::World world = [] {
     auto config = sim::ScenarioConfig::full_internet(22);
     return sim::build_world(config, sim::paper_origins(config.universe_size));

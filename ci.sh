@@ -24,10 +24,13 @@
 #             exercise the parallel executor, the cell supervisor, the
 #             multi-process worker pool, and the fault-injected
 #             differential harness under thread sanitizer
+#   asan      ORIGINSCAN_SANITIZE=address build (ASan + UBSan, any
+#             undefined behavior aborts); runs the whole suite except
+#             the scale lane
 #   coverage  -DOSN_COVERAGE=ON build, full suite, gcov aggregation
-#   all       unit + full + tsan (default; coverage stays opt-in)
+#   all       unit + full + tsan + asan (default; coverage stays opt-in)
 #
-# Usage: ./ci.sh [unit|full|bench|chaos|service|docs|tsan|coverage|all]
+# Usage: ./ci.sh [unit|full|bench|chaos|service|docs|tsan|asan|coverage|all]
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -133,6 +136,11 @@ run_tsan() {
       --output-on-failure)
 }
 
+run_asan() {
+  configure_and_build build-asan -DORIGINSCAN_SANITIZE=address
+  (cd build-asan && ctest -LE scale --output-on-failure)
+}
+
 run_coverage() {
   configure_and_build build-coverage -DOSN_COVERAGE=ON \
     -DCMAKE_BUILD_TYPE=Debug
@@ -148,14 +156,16 @@ case "$STAGE" in
   service) run_service ;;
   docs) run_docs ;;
   tsan) run_tsan ;;
+  asan) run_asan ;;
   coverage) run_coverage ;;
   all)
     run_unit
     run_full
     run_tsan
+    run_asan
     ;;
   *)
-    echo "usage: $0 [unit|full|bench|chaos|service|docs|tsan|coverage|all]" >&2
+    echo "usage: $0 [unit|full|bench|chaos|service|docs|tsan|asan|coverage|all]" >&2
     exit 2
     ;;
 esac

@@ -235,7 +235,7 @@ class FaultInjector {
   [[nodiscard]] bool drop_at_slot(std::uint64_t slot,
                                   net::Ipv4Addr dst) const;
   // Number of consecutive transient send failures for this probe (the
-  // scanner's send loop retries in place; see ZMapScanner::probe_target).
+  // scanner's send loop retries in place; see ZMapScanner::probe_batch).
   [[nodiscard]] int send_failures(std::uint64_t slot,
                                   net::Ipv4Addr dst) const;
   // The response to this probe arrives with corrupted bytes.

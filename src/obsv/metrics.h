@@ -39,39 +39,39 @@ namespace originscan::obsv {
 // X(symbol, "dotted.name", "unit", "incremented-by site")
 #define OSN_COUNTER_METRICS(X)                                                \
   X(kZmapTargetsProbed, "zmap.targets_probed", "targets",                     \
-    "src/scanner/zmap.cc:probe_target")                                       \
+    "src/scanner/zmap.cc:probe_batch")                                        \
   X(kZmapProbesSent, "zmap.probes_sent", "packets",                           \
-    "src/scanner/zmap.cc:probe_target")                                       \
+    "src/scanner/zmap.cc:probe_batch")                                        \
   X(kZmapBlocklistedSkipped, "zmap.blocklisted_skipped", "targets",           \
     "src/scanner/zmap.cc:run + src/scanner/orchestrator.cc:run_scan")         \
   X(kZmapSendRetries, "zmap.send_retries", "retries",                         \
-    "src/scanner/zmap.cc:probe_target")                                       \
+    "src/scanner/zmap.cc:probe_batch")                                        \
   X(kZmapResponsesSynack, "zmap.responses_synack", "packets",                 \
-    "src/scanner/zmap.cc:probe_target")                                       \
+    "src/scanner/zmap.cc:probe_batch")                                        \
   X(kZmapResponsesRst, "zmap.responses_rst", "packets",                       \
-    "src/scanner/zmap.cc:probe_target")                                       \
+    "src/scanner/zmap.cc:probe_batch")                                        \
   X(kZmapValidationFailures, "zmap.validation_failures", "packets",           \
-    "src/scanner/zmap.cc:probe_target")                                       \
+    "src/scanner/zmap.cc:probe_batch")                                        \
   X(kZmapCooldownResponses, "zmap.cooldown_responses", "packets",             \
-    "src/scanner/zmap.cc:probe_target")                                       \
+    "src/scanner/zmap.cc:probe_batch")                                        \
   X(kSimProbesRouted, "sim.probes_routed", "packets",                         \
-    "src/sim/internet.cc:probe_impl")                                         \
+    "src/sim/internet.cc:handle_probe_batch")                                 \
   X(kSimDropsUnrouted, "sim.drops.unrouted", "packets",                       \
-    "src/sim/internet.cc:ProbeContext::probe")                                \
+    "src/sim/internet.cc:handle_probe_batch")                                 \
   X(kSimDropsFault, "sim.drops.fault", "packets",                             \
-    "src/sim/internet.cc:probe_impl")                                         \
+    "src/sim/internet.cc:handle_probe_batch")                                 \
   X(kSimDropsOutage, "sim.drops.outage", "packets",                           \
-    "src/sim/internet.cc:probe_impl")                                         \
+    "src/sim/internet.cc:handle_probe_batch")                                 \
   X(kSimDropsLossModel, "sim.drops.loss_model", "packets",                    \
-    "src/sim/internet.cc:probe_impl")                                         \
+    "src/sim/internet.cc:handle_probe_batch + ProbeContext::respond")         \
   X(kSimDropsNoHost, "sim.drops.no_host", "packets",                          \
-    "src/sim/internet.cc:probe_impl")                                         \
+    "src/sim/internet.cc:handle_probe_batch")                                 \
   X(kSimDropsIds, "sim.drops.ids", "packets",                                 \
-    "src/sim/internet.cc:probe_impl")                                         \
+    "src/sim/internet.cc:ProbeContext::respond")                              \
   X(kSimResponsesSynack, "sim.responses_synack", "packets",                   \
-    "src/sim/internet.cc:probe_impl")                                         \
+    "src/sim/internet.cc:ProbeContext::respond")                              \
   X(kSimResponsesRst, "sim.responses_rst", "packets",                         \
-    "src/sim/internet.cc:probe_impl")                                         \
+    "src/sim/internet.cc:ProbeContext::respond")                              \
   X(kZgrabGrabs, "zgrab.grabs", "handshakes",                                 \
     "src/scanner/zgrab.cc:grab")                                              \
   X(kZgrabRetries, "zgrab.retries", "retries",                                \
@@ -81,13 +81,14 @@ namespace originscan::obsv {
   X(kZgrabCompleted, "zgrab.completed", "handshakes",                         \
     "src/scanner/zgrab.cc:grab")                                              \
   X(kFaultProbeDrop, "fault.probe_drop", "hits",                              \
-    "src/scanner/zmap.cc:probe_target + src/sim/internet.cc:probe_impl")      \
+    "src/scanner/zmap.cc:probe_batch + "                                      \
+    "src/sim/internet.cc:handle_probe_batch")                                 \
   X(kFaultOutage, "fault.outage", "hits",                                     \
-    "src/sim/internet.cc:probe_impl")                                         \
+    "src/sim/internet.cc:handle_probe_batch")                                 \
   X(kFaultSendFail, "fault.send_fail", "hits",                                \
-    "src/scanner/zmap.cc:probe_target")                                       \
+    "src/scanner/zmap.cc:probe_batch")                                        \
   X(kFaultMacCorrupt, "fault.mac_corrupt", "hits",                            \
-    "src/scanner/zmap.cc:probe_target")                                       \
+    "src/scanner/zmap.cc:probe_batch")                                        \
   X(kFaultConnectRst, "fault.connect_rst", "hits",                            \
     "src/scanner/zgrab.cc:attempt")                                           \
   X(kFaultBannerTrunc, "fault.banner_trunc", "hits",                          \

@@ -25,6 +25,21 @@ struct LaneOutput {
   obsv::MetricBlock metrics;
 };
 
+// The deferral predicate shared by run_scan, its trace, and run_l4_sweep:
+// whether probes to `dst` feed a rate-IDS counter for `protocol`. Those
+// counters are the simulation's one order-sensitive state, so such targets
+// run on one serial lane in global permutation order. Procedural catalog
+// networks carry no rate IDS (scenario.cc:build_catalog), so addresses
+// above the override boundary short-circuit without a derivation.
+auto rate_ids_defer(const sim::Internet& internet, proto::Protocol protocol) {
+  return [&world = internet.world(), &policy = internet.policy_engine(),
+          protocol](net::Ipv4Addr dst) {
+    if (world.procedural.covers(dst)) return false;
+    const auto as = world.topology.as_of(dst);
+    return as && policy.rate_ids_applies(*as, protocol);
+  };
+}
+
 // Bumps the bucket for a grab that took `attempts` handshake attempts.
 void record_attempts(std::vector<std::uint64_t>& histogram, int attempts) {
   if (attempts <= 0) return;
@@ -126,14 +141,8 @@ void emit_scan_trace(const ScanOptions& options, const ZMapConfig& zmap_config,
                      const sim::Internet& internet, proto::Protocol protocol,
                      const ScanResult& result) {
   constexpr std::uint32_t kTraceLanes = 4;
-  const sim::World& world = internet.world();
-  const sim::PolicyEngine& policy = internet.policy_engine();
-  const auto defer = [&world, &policy, protocol](net::Ipv4Addr dst) {
-    const auto as = world.as_of(dst);
-    return as && policy.rate_ids_applies(*as, protocol);
-  };
-  const ScanSchedule schedule =
-      ZMapScanner::build_schedule(zmap_config, kTraceLanes, defer);
+  const ScanSchedule schedule = ZMapScanner::build_schedule(
+      zmap_config, kTraceLanes, rate_ids_defer(internet, protocol));
   const double spp = 1.0 / zmap_config.effective_pps(zmap_config.universe_size);
   const auto slot_time = [spp](std::uint64_t slot) {
     return net::VirtualTime::from_seconds(static_cast<double>(slot) * spp);
@@ -258,13 +267,9 @@ ScanResult run_scan(sim::Internet& internet, sim::OriginId origin,
   // the simulation — see DESIGN.md). Every lane stamps probes from the
   // same global virtual clock, so the merged, address-sorted result is
   // bit-identical to the serial sweep.
-  const sim::PolicyEngine& policy = internet.policy_engine();
-  const auto defer = [&world, &policy, protocol](net::Ipv4Addr dst) {
-    const auto as = world.as_of(dst);
-    return as && policy.rate_ids_applies(*as, protocol);
-  };
   const ScanSchedule schedule = ZMapScanner::build_schedule(
-      zmap_config, static_cast<std::uint32_t>(jobs), defer);
+      zmap_config, static_cast<std::uint32_t>(jobs),
+      rate_ids_defer(internet, protocol));
 
   // Build the loss/outage caches up front so the lanes never contend on
   // the cache writer lock.
@@ -274,9 +279,9 @@ ScanResult run_scan(sim::Internet& internet, sim::OriginId origin,
   std::vector<std::function<void()>> tasks;
   tasks.reserve(lanes.size());
   const auto make_lane_task = [&](std::span<const ScheduledTarget> targets,
-                                  LaneOutput& lane, bool serial) {
+                                  LaneOutput& lane) {
     return [&internet, origin, &zmap_config, &zgrab_config, &options,
-            targets, &lane, serial] {
+            targets, &lane] {
       // Each lane scans through config copies pointing at its own metric
       // shard, keeping the blocks single-writer (nullptr when disabled).
       ZMapConfig lane_zmap = zmap_config;
@@ -287,22 +292,17 @@ ScanResult run_scan(sim::Internet& internet, sim::OriginId origin,
       }
       ZMapScanner zmap(lane_zmap, &internet, origin);
       ZGrabEngine zgrab(lane_zgrab, &internet, origin);
-      const auto collect =
-          make_collector(internet, origin, zgrab, options, lane.records,
-                         lane.banners, lane.attempt_histogram);
-      // The deferred rate-IDS lane stays on the scalar reference path
-      // (DESIGN.md §13); shard lanes ride the SoA batch pipeline.
-      lane.stats = serial ? zmap.run_scheduled_serial(targets, collect)
-                          : zmap.run_scheduled(targets, collect);
+      lane.stats = zmap.run_scheduled(
+          targets, make_collector(internet, origin, zgrab, options,
+                                  lane.records, lane.banners,
+                                  lane.attempt_histogram));
     };
   };
   // The deferred lane goes first: it is the one lane that cannot be
   // split, so it should never sit behind shard lanes in the queue.
-  tasks.push_back(
-      make_lane_task(schedule.deferred, lanes.back(), /*serial=*/true));
+  tasks.push_back(make_lane_task(schedule.deferred, lanes.back()));
   for (std::size_t i = 0; i < schedule.shards.size(); ++i) {
-    tasks.push_back(
-        make_lane_task(schedule.shards[i], lanes[i], /*serial=*/false));
+    tasks.push_back(make_lane_task(schedule.shards[i], lanes[i]));
   }
   core::run_parallel(jobs, std::move(tasks));
 
@@ -425,15 +425,8 @@ SweepResult run_l4_sweep(sim::Internet& internet, sim::OriginId origin,
   // reuses the vectors — peak memory is one window, not the universe.
   // Rate-IDS targets go to a dedicated serial lane; windows execute in
   // permutation order, so that lane sees them in global order exactly as
-  // the serial sweep would. Procedural catalog networks carry only
-  // stateless policies (scenario.cc:build_catalog), so the deferred
-  // check needs no per-address derivation above the override boundary.
-  const sim::PolicyEngine& policy = internet.policy_engine();
-  const auto defer = [&world, &policy, protocol](net::Ipv4Addr dst) {
-    if (world.procedural.covers(dst)) return false;
-    const auto as = world.topology.as_of(dst);
-    return as && policy.rate_ids_applies(*as, protocol);
-  };
+  // the serial sweep would.
+  const auto defer = rate_ids_defer(internet, protocol);
 
   internet.prewarm(origin, protocol);
 
@@ -491,23 +484,16 @@ SweepResult run_l4_sweep(sim::Internet& internet, sim::OriginId origin,
 
     std::vector<std::function<void()>> tasks;
     tasks.reserve(lanes.size());
-    const auto add_task = [&tasks](SweepLane& lane, bool serial) {
+    const auto add_task = [&tasks](SweepLane& lane) {
       if (lane.targets.empty()) return;
-      tasks.push_back([&lane, serial] {
-        // The deferred rate-IDS lane keeps the scalar reference path;
-        // shard lanes ride the SoA batch pipeline (DESIGN.md §13).
-        lane.stats +=
-            serial ? lane.scanner->run_scheduled_serial(lane.targets,
-                                                        lane.collect)
-                   : lane.scanner->run_scheduled(lane.targets, lane.collect);
+      tasks.push_back([&lane] {
+        lane.stats += lane.scanner->run_scheduled(lane.targets, lane.collect);
       });
     };
     // Deferred lane first: it cannot be split, so it must not queue
     // behind shard lanes.
-    add_task(lanes.back(), /*serial=*/true);
-    for (std::size_t i = 0; i + 1 < lanes.size(); ++i) {
-      add_task(lanes[i], /*serial=*/false);
-    }
+    add_task(lanes.back());
+    for (std::size_t i = 0; i + 1 < lanes.size(); ++i) add_task(lanes[i]);
     if (!tasks.empty()) core::run_parallel(jobs, std::move(tasks));
   }
 

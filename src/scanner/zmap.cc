@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
-#include "netbase/headers.h"
 #include "netbase/rng.h"
 
 namespace originscan::scan {
@@ -18,15 +19,18 @@ ZMapScanner::ZMapScanner(const ZMapConfig& config, sim::Internet* internet,
     : config_(config),
       internet_(internet),
       origin_(origin),
-      validator_(net::SipHash::key_from_seed(
-                     net::mix_u64(config.seed, 0x2A9u, origin)),
-                 config.source_port_base, config.source_port_count),
       // Resolving the lock-free context here (prewarming the caches if
       // needed) keeps every per-packet step of run()/run_scheduled()
       // synchronization-free.
       context_(internet->probe_context(origin, config.protocol)) {
   assert(!config_.source_ips.empty());
   assert(config_.universe_size > 0);
+  if (config_.probes < 1 || config_.probes > sim::ProbeBatch::kMaxProbes) {
+    throw std::invalid_argument(
+        "ZMapConfig::probes must be in [1, " +
+        std::to_string(sim::ProbeBatch::kMaxProbes) + "], got " +
+        std::to_string(config_.probes));
+  }
   // The scanner and its probe context share one lane-owned block; both
   // run on this lane's thread, so single-writer discipline holds.
   context_.set_metrics(config_.metrics);
@@ -49,124 +53,13 @@ net::Ipv4Addr ZMapScanner::source_ip_for(net::Ipv4Addr dst) const {
   return config_.source_ips[index];
 }
 
-void ZMapScanner::probe_target(
-    net::Ipv4Addr dst, std::uint64_t first_slot, std::uint64_t slot_stride,
-    double seconds_per_packet, std::uint16_t dst_port, Stats& stats,
-    const std::function<void(const L4Result&)>& on_result) {
-  ++stats.targets_probed;
-  obsv::MetricBlock* const metrics = config_.metrics;
-  if (metrics != nullptr) metrics->add(obsv::Counter::kZmapTargetsProbed);
-
-  const net::Ipv4Addr src_ip = source_ip_for(dst);
-  const auto fields = validator_.fields_for(src_ip, dst, dst_port);
-  // AS, host, liveness, and flaky state are pure per-target facts; the
-  // follow-up probes reuse probe 0's resolution.
-  const sim::ResolvedTarget target = context_.resolve(dst);
-
-  L4Result result;
-  result.addr = dst;
-  result.source_ip = src_ip;
-  result.probe_time = net::VirtualTime::from_seconds(
-      static_cast<double>(first_slot) * seconds_per_packet);
-
-  net::TcpPacket syn;
-  syn.ip.src = src_ip;
-  syn.ip.dst = dst;
-  syn.ip.ttl = 255;
-  syn.tcp.src_port = fields.src_port;
-  syn.tcp.dst_port = dst_port;
-  syn.tcp.seq = fields.seq;
-  syn.tcp.flags.syn = true;
-
-  for (int probe = 0; probe < config_.probes; ++probe) {
-    // The virtual clock is a pure function of the packet's slot in the
-    // global send schedule, so a shard executing a subset of slots stamps
-    // its packets exactly as the serial sweep does.
-    const std::uint64_t slot =
-        first_slot + static_cast<std::uint64_t>(probe) * slot_stride;
-    net::VirtualTime t = net::VirtualTime::from_seconds(
-        static_cast<double>(slot) * seconds_per_packet);
-    if (probe > 0) {
-      // A delayed follow-up probe is emitted later in the sweep; the
-      // rate limiter accounts only for the send itself.
-      t += net::VirtualTime::from_micros(
-          config_.probe_interval.micros() * probe);
-    }
-
-    if (config_.faults != nullptr) {
-      // Transient send failure (the sendto EAGAIN analog): retry in
-      // place. The injector never reports more consecutive failures
-      // than kSendRetries, so a send_fail plan is always recoverable;
-      // diagnostics live in the injector's hit counters, keeping Stats
-      // byte-identical to a fault-free run.
-      const int failures = config_.faults->send_failures(slot, dst);
-      if (failures > kSendRetries) continue;  // unreachable by contract
-      if (failures > 0 && metrics != nullptr) {
-        metrics->add(obsv::Counter::kZmapSendRetries,
-                     static_cast<std::uint64_t>(failures));
-        metrics->add(obsv::Counter::kFaultSendFail,
-                     static_cast<std::uint64_t>(failures));
-      }
-    }
-    ++stats.packets_sent;
-    if (metrics != nullptr) metrics->add(obsv::Counter::kZmapProbesSent);
-
-    if (config_.faults != nullptr && config_.faults->drop_at_slot(slot, dst)) {
-      if (metrics != nullptr) metrics->add(obsv::Counter::kFaultProbeDrop);
-      continue;  // lost in flight; the send itself still counted
-    }
-
-    auto response = context_.probe(target, syn, t, probe);
-    if (!response) continue;
-    if (config_.faults != nullptr &&
-        config_.faults->corrupt_response(slot, dst)) {
-      // Corrupt the validation MAC material: flip the low bit of the
-      // acknowledgment number so the SipHash-based validator rejects
-      // the response as not ours.
-      response->tcp.ack ^= 1u;
-      if (metrics != nullptr) metrics->add(obsv::Counter::kFaultMacCorrupt);
-    }
-    if (response->ip.src != dst || response->ip.dst != src_ip ||
-        !validator_.validate(*response)) {
-      ++stats.validation_failures;
-      if (metrics != nullptr) {
-        metrics->add(obsv::Counter::kZmapValidationFailures);
-      }
-      continue;
-    }
-    if (response->tcp.flags.syn && response->tcp.flags.ack) {
-      result.synack_mask |= static_cast<std::uint8_t>(1u << probe);
-      ++stats.synacks;
-      if (metrics != nullptr) metrics->add(obsv::Counter::kZmapResponsesSynack);
-    } else if (response->tcp.flags.rst) {
-      result.rst_mask |= static_cast<std::uint8_t>(1u << probe);
-      ++stats.rsts;
-      if (metrics != nullptr) metrics->add(obsv::Counter::kZmapResponsesRst);
-    }
-    // ZMap keeps listening after the last probe leaves ("cooldown");
-    // our virtual-clock analog is any validated answer to the final
-    // probe of a target — the response that would have arrived during
-    // the cooldown window of a real scan.
-    if (metrics != nullptr && probe == config_.probes - 1 &&
-        (response->tcp.flags.rst ||
-         (response->tcp.flags.syn && response->tcp.flags.ack))) {
-      metrics->add(obsv::Counter::kZmapCooldownResponses);
-    }
-  }
-
-  if (result.synack_mask != 0 || result.rst_mask != 0) {
-    on_result(result);
-  }
-}
-
 void ZMapScanner::probe_batch(
     std::span<const ScheduledTarget> targets, std::uint64_t slot_stride,
-    double seconds_per_packet, std::uint16_t dst_port, Stats& stats,
+    double seconds_per_packet, Stats& stats,
     const std::function<void(const L4Result&)>& on_result) {
   const int count = static_cast<int>(targets.size());
   const int probes = config_.probes;
   assert(count <= sim::ProbeBatch::kCapacity);
-  assert(probes <= sim::ProbeBatch::kMaxProbes);
   obsv::MetricBlock* const metrics = config_.metrics;
   sim::ProbeBatch& batch = batch_;
   batch.size = count;
@@ -179,8 +72,14 @@ void ZMapScanner::probe_batch(
   }
 
   // Fill pass: addresses, per-probe send times (the virtual clock is a
-  // pure function of the global schedule slot, computed exactly as the
-  // scalar path does), and the delivered mask after send-layer faults.
+  // pure function of the global schedule slot, so a shard stamps its
+  // packets exactly as the serial sweep does; a delayed follow-up probe
+  // leaves probe_interval later, outside the rate limiter's accounting),
+  // and the delivered mask after send-layer faults. A transient send
+  // failure (the sendto EAGAIN analog) is retried in place; the injector
+  // never reports more consecutive failures than kSendRetries, and its
+  // hit counters carry the diagnostics, so Stats stay byte-identical to a
+  // fault-free run.
   std::uint64_t send_failures_total = 0;
   std::uint64_t send_drops = 0;
   const std::uint8_t all_probes_mask =
@@ -231,30 +130,21 @@ void ZMapScanner::probe_batch(
   context_.resolve_batch(batch);
   internet_->handle_probe_batch(context_, batch);
 
-  // Emission pass: only live probes re-enter the scalar path, in the
-  // exact (target, probe) order of the serial sweep — the policy
-  // engine's rate-IDS state is the one order-sensitive consumer. The
-  // replayed ladder decisions are deterministic and pass by
-  // construction; probe() continues to IDS, response build, and reverse
-  // loss.
+  // Emission pass: each live probe takes its policy verdict and reply in
+  // the exact (target, probe) order of the sweep, and each target's
+  // result reaches on_result before the next target is answered — the
+  // policy engine's rate-IDS counters are the one order-sensitive state,
+  // and the collector's connects feed them too.
   //
-  // The SYN carries zeroed seq/src_port: the simulated responder echoes
-  // the SYN's MAC material back, so validator_.validate() on an
-  // uncorrupted in-sim response always succeeds and its outcome here is
-  // exactly !corrupt_response — the fields_for/validate pair is skipped
-  // wholesale. (The differential harness checks real MAC validation on
-  // the wire-level scalar path.)
+  // The simulated responder echoes the SYN's MAC material back, so
+  // validating an uncorrupted in-sim response always succeeds: the
+  // validation outcome is exactly !corrupt_response, and the SYN's MAC
+  // fields are never computed.
   for (int i = 0; i < count; ++i) {
     const std::uint8_t live = batch.live_mask[i];
     if (live == 0) continue;
     const net::Ipv4Addr dst = batch.addr[i];
     const net::Ipv4Addr src_ip = source_ip_for(dst);
-
-    sim::ResolvedTarget target;
-    target.addr = dst;
-    target.as = batch.as[i];
-    target.host = batch.host[i];
-    target.has_host = true;
 
     L4Result result;
     result.addr = dst;
@@ -262,22 +152,14 @@ void ZMapScanner::probe_batch(
     result.probe_time = net::VirtualTime::from_seconds(
         static_cast<double>(targets[i].first_packet) * seconds_per_packet);
 
-    net::TcpPacket syn;
-    syn.ip.src = src_ip;
-    syn.ip.dst = dst;
-    syn.ip.ttl = 255;
-    syn.tcp.dst_port = dst_port;
-    syn.tcp.flags.syn = true;
-
     for (int p = 0; p < probes; ++p) {
       if (((live >> p) & 1) == 0) continue;
       const std::uint64_t slot =
           targets[i].first_packet +
           static_cast<std::uint64_t>(p) * slot_stride;
-      const auto t = net::VirtualTime::from_micros(
-          batch.time_us[p * sim::ProbeBatch::kCapacity + i]);
-      auto response = context_.probe(target, syn, t, p);
-      if (!response) continue;  // IDS verdict or reverse-direction loss
+      const sim::ProbeContext::Reply reply =
+          context_.respond(batch, i, p, src_ip);
+      if (reply == sim::ProbeContext::Reply::kNone) continue;
       if (config_.faults != nullptr &&
           config_.faults->corrupt_response(slot, dst)) {
         ++stats.validation_failures;
@@ -287,20 +169,21 @@ void ZMapScanner::probe_batch(
         }
         continue;
       }
-      if (response->tcp.flags.syn && response->tcp.flags.ack) {
+      if (reply == sim::ProbeContext::Reply::kSynAck) {
         result.synack_mask |= static_cast<std::uint8_t>(1u << p);
         ++stats.synacks;
         if (metrics != nullptr) {
           metrics->add(obsv::Counter::kZmapResponsesSynack);
         }
-      } else if (response->tcp.flags.rst) {
+      } else {
         result.rst_mask |= static_cast<std::uint8_t>(1u << p);
         ++stats.rsts;
         if (metrics != nullptr) metrics->add(obsv::Counter::kZmapResponsesRst);
       }
-      if (metrics != nullptr && p == probes - 1 &&
-          (response->tcp.flags.rst ||
-           (response->tcp.flags.syn && response->tcp.flags.ack))) {
+      // ZMap keeps listening after the last probe leaves ("cooldown");
+      // the virtual-clock analog is any validated answer to a target's
+      // final probe.
+      if (metrics != nullptr && p == probes - 1) {
         metrics->add(obsv::Counter::kZmapCooldownResponses);
       }
     }
@@ -319,10 +202,6 @@ ZMapScanner::Stats ZMapScanner::run(
 
   const double seconds_per_packet =
       1.0 / config_.effective_pps(config_.universe_size);
-  const std::uint16_t dst_port = proto::port_of(config_.protocol);
-  // A probe count past the result masks' width falls back to the scalar
-  // path (nothing ships such a config; the masks are 8 bits).
-  const bool batched = config_.probes <= sim::ProbeBatch::kMaxProbes;
 
   std::uint64_t targets_sent = 0;
 
@@ -357,18 +236,12 @@ ZMapScanner::Stats ZMapScanner::run(
           config_.shard_index + targets_sent *
                                     static_cast<std::uint64_t>(config_.probes) *
                                     config_.shard_count;
-      if (batched) {
-        chunk[chunk_size++] = ScheduledTarget{dst, first_slot};
-      } else {
-        probe_target(dst, first_slot, config_.shard_count, seconds_per_packet,
-                     dst_port, stats, on_result);
-      }
+      chunk[chunk_size++] = ScheduledTarget{dst, first_slot};
       ++targets_sent;
     }
     if (chunk_size != 0) {
       probe_batch(std::span<const ScheduledTarget>(chunk.data(), chunk_size),
-                  config_.shard_count, seconds_per_packet, dst_port, stats,
-                  on_result);
+                  config_.shard_count, seconds_per_packet, stats, on_result);
     }
   }
   return stats;
@@ -377,15 +250,10 @@ ZMapScanner::Stats ZMapScanner::run(
 ZMapScanner::Stats ZMapScanner::run_scheduled(
     std::span<const ScheduledTarget> targets,
     const std::function<void(const L4Result&)>& on_result) {
-  if (config_.probes > sim::ProbeBatch::kMaxProbes) {
-    return run_scheduled_serial(targets, on_result);
-  }
   Stats stats;
   const double seconds_per_packet =
       1.0 / config_.effective_pps(config_.universe_size);
-  const std::uint16_t dst_port = proto::port_of(config_.protocol);
-  // Chunked over the SoA pipeline; cancellation polls once per chunk,
-  // the same granularity as the scalar path's every-256-targets check.
+  // Chunked over the SoA pipeline; cancellation polls once per chunk.
   std::size_t offset = 0;
   while (offset < targets.size()) {
     if (config_.cancel != nullptr && config_.cancel->cancelled()) break;
@@ -393,31 +261,9 @@ ZMapScanner::Stats ZMapScanner::run_scheduled(
         std::min<std::size_t>(kRunBatch, targets.size() - offset);
     // Slot stride 1: a target's probes occupy consecutive slots of the
     // global schedule, matching the serial sweep's back-to-back sends.
-    probe_batch(targets.subspan(offset, chunk), 1, seconds_per_packet,
-                dst_port, stats, on_result);
+    probe_batch(targets.subspan(offset, chunk), 1, seconds_per_packet, stats,
+                on_result);
     offset += chunk;
-  }
-  return stats;
-}
-
-ZMapScanner::Stats ZMapScanner::run_scheduled_serial(
-    std::span<const ScheduledTarget> targets,
-    const std::function<void(const L4Result&)>& on_result) {
-  Stats stats;
-  const double seconds_per_packet =
-      1.0 / config_.effective_pps(config_.universe_size);
-  const std::uint16_t dst_port = proto::port_of(config_.protocol);
-  std::uint64_t processed = 0;
-  for (const auto& target : targets) {
-    if ((processed & 0xFFu) == 0 && config_.cancel != nullptr &&
-        config_.cancel->cancelled()) {
-      break;
-    }
-    ++processed;
-    // Slot stride 1: a target's probes occupy consecutive slots of the
-    // global schedule, matching the serial sweep's back-to-back sends.
-    probe_target(target.addr, target.first_packet, 1, seconds_per_packet,
-                 dst_port, stats, on_result);
   }
   return stats;
 }

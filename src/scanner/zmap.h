@@ -1,7 +1,7 @@
 // The stateless SYN scanner: iterates the address permutation, emits
 // `probes` back-to-back SYN packets per target at a configured rate,
-// validates responses with the probe MAC, and reports per-target L4
-// results (which probes were answered and how).
+// rejects responses whose validation MAC was corrupted in flight, and
+// reports per-target L4 results (which probes were answered and how).
 //
 // Probe timestamps come from a *virtual clock*: packet n of the global
 // send schedule goes out at t = n / pps, a pure function of the packet's
@@ -20,14 +20,12 @@
 
 #include "faultinject/faultinject.h"
 #include "netbase/ipv4.h"
-#include "netbase/siphash.h"
 #include "netbase/vtime.h"
 #include "obsv/metrics.h"
 #include "proto/protocol.h"
 #include "scanner/blocklist.h"
 #include "scanner/cancel.h"
 #include "scanner/permutation.h"
-#include "scanner/validation.h"
 #include "sim/internet.h"
 
 namespace originscan::scan {
@@ -36,7 +34,8 @@ struct ZMapConfig {
   std::uint64_t seed = 0;          // shared across synchronized origins
   std::uint32_t universe_size = 0;  // scan space [0, universe_size)
   proto::Protocol protocol = proto::Protocol::kHttp;
-  int probes = 2;                   // back-to-back SYNs per target
+  // Back-to-back SYNs per target, in [1, sim::ProbeBatch::kMaxProbes].
+  int probes = 2;
   // Delay between the probes to one target. Zero reproduces ZMap's
   // back-to-back retransmission; Bano et al. propose spacing them so a
   // Bad period cannot swallow both.
@@ -50,8 +49,6 @@ struct ZMapConfig {
   // When set, only addresses inside this prefix are probed (the
   // Section-6 per-subnet retry experiment); others are skipped silently.
   std::optional<net::Prefix> allowlist;
-  std::uint16_t source_port_base = 32768;
-  std::uint16_t source_port_count = 28232;
   // Deterministic fault injection (core/faultinject layer): transient
   // send failures are retried in place (up to kSendRetries), slot-window
   // drops lose the packet in flight, and MAC corruption mangles the
@@ -127,6 +124,8 @@ class ZMapScanner {
   // enough to amortize the per-call iterator state save/restore.
   static constexpr std::size_t kRunBatch = 256;
 
+  // Throws std::invalid_argument when config.probes is outside
+  // [1, sim::ProbeBatch::kMaxProbes].
   ZMapScanner(const ZMapConfig& config, sim::Internet* internet,
               sim::OriginId origin);
 
@@ -149,20 +148,12 @@ class ZMapScanner {
   Stats run(const std::function<void(const L4Result&)>& on_result);
 
   // Probes exactly the given pre-scheduled targets, stamping each probe
-  // from its recorded global packet slot. Used by the parallel executor;
-  // blocklist/allowlist filtering already happened in build_schedule.
-  // Batched: targets flow through the SoA probe pipeline in kRunBatch
-  // chunks, byte-identical to run_scheduled_serial.
+  // from its recorded global packet slot. Used by the parallel executor's
+  // shard lanes and its deferred rate-IDS lane; blocklist/allowlist
+  // filtering already happened in build_schedule. Targets flow through
+  // the SoA probe pipeline in kRunBatch chunks.
   Stats run_scheduled(std::span<const ScheduledTarget> targets,
                       const std::function<void(const L4Result&)>& on_result);
-
-  // The scalar reference path: one probe_target call per target, no
-  // batching. The deferred rate-IDS lane runs on it (order-sensitive
-  // policy state wants the simplest possible execution), and the batch
-  // equivalence tests use it as the determinism oracle.
-  Stats run_scheduled_serial(
-      std::span<const ScheduledTarget> targets,
-      const std::function<void(const L4Result&)>& on_result);
 
   // Walks the full permutation once (cheap: no simulation work) and
   // partitions the surviving targets into `shard_count` concurrent lanes
@@ -180,33 +171,21 @@ class ZMapScanner {
   [[nodiscard]] net::Ipv4Addr source_ip_for(net::Ipv4Addr dst) const;
 
  private:
-  // Emits the `probes` SYNs for one target whose probe p occupies global
-  // schedule slot first_slot + p * slot_stride, and reports the L4Result
-  // if anything answered. Probes travel as structs through the lock-free
-  // ProbeContext (no wire encode/decode); the target's AS, host,
-  // liveness, and flaky state are resolved once and shared by all its
-  // probes.
-  void probe_target(net::Ipv4Addr dst, std::uint64_t first_slot,
-                    std::uint64_t slot_stride, double seconds_per_packet,
-                    std::uint16_t dst_port, Stats& stats,
-                    const std::function<void(const L4Result&)>& on_result);
-
   // Runs up to ProbeBatch::kCapacity targets through the SoA pipeline:
   // fills the batch (addresses, per-probe send times, delivered mask
   // after send-fault handling), resolves and classifies it in the sim,
-  // then replays only the live probes through the scalar probe path to
-  // produce responses. Byte-identical Stats, metrics, and L4Results to
-  // probe_target over the same targets; dead targets never materialize
-  // a ResolvedTarget or a TcpPacket.
+  // then steps each live probe through ProbeContext::respond in
+  // (target, probe) order, reporting each target's L4Result before the
+  // next target's probes are answered. Dead targets never produce a
+  // reply.
   void probe_batch(std::span<const ScheduledTarget> targets,
                    std::uint64_t slot_stride, double seconds_per_packet,
-                   std::uint16_t dst_port, Stats& stats,
+                   Stats& stats,
                    const std::function<void(const L4Result&)>& on_result);
 
   ZMapConfig config_;
   sim::Internet* internet_;
   sim::OriginId origin_;
-  ProbeValidator validator_;
   sim::ProbeContext context_;
   // Reused across probe_batch calls; lane-private like the context.
   sim::ProbeBatch batch_;

@@ -245,36 +245,9 @@ net::VirtualTime Internet::rtt(OriginId origin, AsId as) const {
       static_cast<std::int64_t>(profile.latency_ms * 1000.0));
 }
 
-std::optional<std::vector<std::uint8_t>> Internet::handle_probe(
-    OriginId origin, std::span<const std::uint8_t> packet, net::VirtualTime t,
-    int probe_index) {
-  auto parsed = net::TcpPacket::parse(packet);
-  if (!parsed) return std::nullopt;  // malformed: dropped on the floor
-  auto response = handle_probe_fast(origin, *parsed, t, probe_index);
-  if (!response) return std::nullopt;
-  return response->serialize();
-}
-
-std::optional<net::TcpPacket> Internet::handle_probe_fast(
-    OriginId origin, const net::TcpPacket& syn, net::VirtualTime t,
-    int probe_index) {
-  const std::optional<proto::Protocol> protocol =
-      proto::protocol_for_port(syn.tcp.dst_port);
-  if (!protocol) return std::nullopt;  // port outside the study
-
-  const ResolvedTarget target = resolve_target(syn.ip.dst, origin);
-  if (!target.as) return std::nullopt;  // unrouted space
-
-  return probe_impl(origin, *protocol, outage_schedule(origin, *protocol),
-                    loss_model(origin, *target.as, *protocol),
-                    world_->policies.find(*target.as), target, syn, t,
-                    probe_index, /*metrics=*/nullptr);
-}
-
 ResolvedTarget Internet::resolve_target(net::Ipv4Addr dst,
                                         OriginId origin) const {
   ResolvedTarget target;
-  target.addr = dst;
   target.as = world_->as_of(dst);
   if (!target.as) return target;
   const std::optional<Host> host = world_->host_at(dst);
@@ -289,94 +262,6 @@ ResolvedTarget Internet::resolve_target(net::Ipv4Addr dst,
   target.host = *host;
   target.has_host = true;
   return target;
-}
-
-std::optional<net::TcpPacket> Internet::probe_impl(
-    OriginId origin, proto::Protocol protocol, const OutageSchedule& outages,
-    const PathLossModel& loss, const AsPolicies* policies,
-    const ResolvedTarget& target, const net::TcpPacket& syn,
-    net::VirtualTime t, int probe_index, obsv::MetricBlock* metrics) {
-  if (!syn.tcp.flags.syn || syn.tcp.flags.ack) {
-    return std::nullopt;  // not a bare SYN: dropped on the floor
-  }
-  const net::Ipv4Addr dst = target.addr;
-  if (metrics != nullptr) metrics->add(obsv::Counter::kSimProbesRouted);
-
-  // Injected faults first: an injected outage or loss spike is a
-  // property of the scan run's environment, just like the scheduled
-  // ones below.
-  if (faults_ != nullptr) {
-    const bool fault_outage = faults_->outage_at(t, static_cast<int>(origin));
-    if (fault_outage || faults_->drop_at_time(t, dst, probe_index)) {
-      if (metrics != nullptr) {
-        metrics->add(obsv::Counter::kSimDropsFault);
-        metrics->add(fault_outage ? obsv::Counter::kFaultOutage
-                                  : obsv::Counter::kFaultProbeDrop);
-      }
-      return std::nullopt;
-    }
-  }
-
-  if (outages.in_outage(*target.as, t)) {
-    if (metrics != nullptr) metrics->add(obsv::Counter::kSimDropsOutage);
-    return std::nullopt;
-  }
-
-  // Forward direction.
-  if (loss.drop(t, net::mix_u64(dst.value(), probe_index, origin, 0xF0D0u))) {
-    if (metrics != nullptr) metrics->add(obsv::Counter::kSimDropsLossModel);
-    return std::nullopt;
-  }
-
-  const Host* host = target.host_or_null();
-  if (host == nullptr) {
-    if (metrics != nullptr) metrics->add(obsv::Counter::kSimDropsNoHost);
-    return std::nullopt;
-  }
-
-  // Only probes that reached a listening host feed the policy layer
-  // (IDS counters); everything above is side-effect free.
-  if (policies != nullptr &&
-      policy_engine_.on_probe(policies, origin, syn.ip.src, *target.as, dst,
-                              protocol, t) == PolicyEngine::L4Decision::kDrop) {
-    if (metrics != nullptr) metrics->add(obsv::Counter::kSimDropsIds);
-    return std::nullopt;
-  }
-
-  const bool answers = host->middlebox || host->runs(protocol);
-
-  net::TcpPacket response;
-  response.ip.src = dst;
-  response.ip.dst = syn.ip.src;
-  response.tcp.src_port = syn.tcp.dst_port;
-  response.tcp.dst_port = syn.tcp.src_port;
-  response.tcp.ack = syn.tcp.seq + 1;
-  if (answers) {
-    response.tcp.flags.syn = true;
-    response.tcp.flags.ack = true;
-    response.tcp.seq = static_cast<std::uint32_t>(
-        net::mix_u64(host->seed, context_.trial, probe_index, 0x15Bu));
-  } else {
-    // Live host, closed port: RST.
-    response.tcp.flags.rst = true;
-    response.tcp.flags.ack = true;
-    response.tcp.seq = 0;
-  }
-
-  // Reverse direction.
-  if (loss.drop(t, net::mix_u64(dst.value(), probe_index, origin, 0x0BACu))) {
-    if (metrics != nullptr) metrics->add(obsv::Counter::kSimDropsLossModel);
-    return std::nullopt;
-  }
-  // Counted only when delivered, so every routed probe lands in exactly
-  // one bucket: probes_routed == drops.{fault,outage,loss_model,no_host,
-  // ids} + responses_synack + responses_rst (unrouted probes are counted
-  // separately, before routing).
-  if (metrics != nullptr) {
-    metrics->add(answers ? obsv::Counter::kSimResponsesSynack
-                         : obsv::Counter::kSimResponsesRst);
-  }
-  return response;
 }
 
 ProbeContext Internet::probe_context(OriginId origin,
@@ -404,47 +289,6 @@ ProbeContext Internet::probe_context(OriginId origin,
     context.block_cache_.assign(ProbeContext::kBlockCacheSlots, {});
   }
   return context;
-}
-
-ResolvedTarget ProbeContext::resolve(net::Ipv4Addr dst) const {
-  const ProceduralWorld& procedural = internet_->world_->procedural;
-  if (!procedural.covers(dst)) return internet_->resolve_target(dst, origin_);
-
-  // Procedural fast path: one /24 derivation serves 256 addresses via
-  // the lane-private direct-mapped cache; everything else is a pure
-  // per-address derivation. No table, no lock, no shared state.
-  const std::uint32_t block = dst.value() >> 8;
-  BlockCacheSlot& slot = block_cache_[block & (kBlockCacheSlots - 1)];
-  if (slot.block == block) {
-    if (metrics_ != nullptr) {
-      metrics_->add(obsv::Counter::kUniverseBlockCacheHit);
-    }
-  } else {
-    slot.block = block;
-    slot.facts = procedural.block_facts(block);
-    if (metrics_ != nullptr) {
-      metrics_->add(obsv::Counter::kUniverseBlockCacheMiss);
-    }
-  }
-
-  ResolvedTarget target;
-  target.addr = dst;
-  if (slot.facts.as == kNoAs) return target;  // unrouted block
-  target.as = slot.facts.as;
-
-  const std::optional<Host> host = procedural.derive_host(dst, slot.facts);
-  if (metrics_ != nullptr) {
-    metrics_->add(obsv::Counter::kUniverseProceduralDerivations);
-  }
-  if (!host ||
-      !HostTable::live_in_trial(*host, internet_->context_.trial,
-                                internet_->context_.experiment_seed)) {
-    return target;
-  }
-  if (host->flaky && internet_->flaky_miss(*host, origin_)) return target;
-  target.host = *host;
-  target.has_host = true;
-  return target;
 }
 
 void ProbeContext::resolve_batch(ProbeBatch& batch) const {
@@ -569,18 +413,17 @@ void Internet::handle_probe_batch(ProbeContext& context, ProbeBatch& batch) {
     }
   }
 
-  // Pass 2: the scalar decision ladder per sent probe, in probe_impl's
-  // exact order (fault, outage, forward loss, liveness), accumulating
-  // drop counts batch-locally. Probes that clear the ladder are marked
-  // live; the caller replays them through the scalar path, which makes
-  // the same (deterministic) decisions and continues to IDS + response.
+  // Pass 2: the decision ladder per sent probe (fault, outage, forward
+  // loss, liveness), accumulating drop counts batch-locally. Probes that
+  // clear it are marked live; the caller steps each one through
+  // ProbeContext::respond for policy admission and the reply.
   std::uint64_t n_unrouted = 0;
   std::uint64_t n_fault_outage = 0;
   std::uint64_t n_fault_drop = 0;
   std::uint64_t n_outage = 0;
   std::uint64_t n_loss = 0;
   std::uint64_t n_nohost = 0;
-  std::uint64_t n_routed_dead = 0;
+  std::uint64_t n_routed = 0;
   for (int i = 0; i < n; ++i) {
     batch.live_mask[i] = 0;
     const std::uint8_t sent = batch.sent_mask[i];
@@ -595,13 +438,13 @@ void Internet::handle_probe_batch(ProbeContext& context, ProbeBatch& batch) {
     std::uint8_t live = 0;
     for (int p = 0; p < probes; ++p) {
       if (!((sent >> p) & 1)) continue;
+      ++n_routed;
       const auto t = net::VirtualTime::from_micros(
           batch.time_us[p * ProbeBatch::kCapacity + i]);
       if (faults_ != nullptr) {
         const bool fault_outage =
             faults_->outage_at(t, static_cast<int>(context.origin_));
         if (fault_outage || faults_->drop_at_time(t, batch.addr[i], p)) {
-          ++n_routed_dead;
           if (fault_outage) {
             ++n_fault_outage;
           } else {
@@ -612,7 +455,6 @@ void Internet::handle_probe_batch(ProbeContext& context, ProbeBatch& batch) {
       }
       if (context.outage_possible_by_as_[as] &&
           context.outage_->in_outage(as, t)) {
-        ++n_routed_dead;
         ++n_outage;
         continue;
       }
@@ -620,12 +462,10 @@ void Internet::handle_probe_batch(ProbeContext& context, ProbeBatch& batch) {
       if (!window.contains(t)) window = context.loss_by_as_[as]->loss_window(t);
       if (window.p > 0.0 &&
           batch.fwd_draw[p * ProbeBatch::kCapacity + i] < window.p) {
-        ++n_routed_dead;
         ++n_loss;
         continue;
       }
       if (batch.has_host[i] == 0) {
-        ++n_routed_dead;
         ++n_nohost;
         continue;
       }
@@ -634,18 +474,16 @@ void Internet::handle_probe_batch(ProbeContext& context, ProbeBatch& batch) {
     batch.live_mask[i] = live;
   }
 
-  // One flush per non-zero reason. kSimProbesRouted covers only the
-  // routed probes that die here — live probes are counted by probe_impl
-  // when the caller replays them, so every routed probe lands in the
-  // fate invariant exactly once.
+  // One flush per non-zero reason. Live probes count as routed here and
+  // land in their final bucket (drops.ids, drops.loss_model, or a
+  // response) in respond, so every routed probe meets the fate invariant
+  // exactly once.
   obsv::MetricBlock* metrics = context.metrics_;
   if (metrics != nullptr) {
     if (n_unrouted != 0) {
       metrics->add(obsv::Counter::kSimDropsUnrouted, n_unrouted);
     }
-    if (n_routed_dead != 0) {
-      metrics->add(obsv::Counter::kSimProbesRouted, n_routed_dead);
-    }
+    if (n_routed != 0) metrics->add(obsv::Counter::kSimProbesRouted, n_routed);
     const std::uint64_t n_fault = n_fault_outage + n_fault_drop;
     if (n_fault != 0) metrics->add(obsv::Counter::kSimDropsFault, n_fault);
     if (n_fault_outage != 0) {
@@ -660,19 +498,37 @@ void Internet::handle_probe_batch(ProbeContext& context, ProbeBatch& batch) {
   }
 }
 
-std::optional<net::TcpPacket> ProbeContext::probe(const ResolvedTarget& target,
-                                                  const net::TcpPacket& syn,
-                                                  net::VirtualTime t,
-                                                  int probe_index) {
-  assert(syn.tcp.dst_port == proto::port_of(protocol_));
-  if (!target.as) {
-    if (metrics_ != nullptr) metrics_->add(obsv::Counter::kSimDropsUnrouted);
-    return std::nullopt;  // unrouted space
+ProbeContext::Reply ProbeContext::respond(const ProbeBatch& batch, int i,
+                                         int p, net::Ipv4Addr src_ip) {
+  const net::Ipv4Addr dst = batch.addr[i];
+  const AsId as = batch.as[i];
+  const auto t = net::VirtualTime::from_micros(
+      batch.time_us[p * ProbeBatch::kCapacity + i]);
+  // Only probes that reached a listening host feed the policy layer (IDS
+  // counters); every decision before this one is side-effect free.
+  const AsPolicies* policies = policies_by_as_[as];
+  if (policies != nullptr &&
+      internet_->policy_engine_.on_probe(policies, origin_, src_ip, as, dst,
+                                         protocol_, t) ==
+          PolicyEngine::L4Decision::kDrop) {
+    if (metrics_ != nullptr) metrics_->add(obsv::Counter::kSimDropsIds);
+    return Reply::kNone;
   }
-  return internet_->probe_impl(origin_, protocol_, *outage_,
-                               *loss_by_as_[*target.as],
-                               policies_by_as_[*target.as], target, syn, t,
-                               probe_index, metrics_);
+  // Reverse direction.
+  if (loss_by_as_[as]->drop(t, net::mix_u64(dst.value(), p, origin_,
+                                            0x0BACu))) {
+    if (metrics_ != nullptr) metrics_->add(obsv::Counter::kSimDropsLossModel);
+    return Reply::kNone;
+  }
+  // A live host with the port closed answers RST; a middlebox accepts
+  // every port.
+  const Host& host = batch.host[i];
+  const bool answers = host.middlebox || host.runs(protocol_);
+  if (metrics_ != nullptr) {
+    metrics_->add(answers ? obsv::Counter::kSimResponsesSynack
+                          : obsv::Counter::kSimResponsesRst);
+  }
+  return answers ? Reply::kSynAck : Reply::kRst;
 }
 
 bool Internet::flaky_miss(const Host& host, OriginId origin) const {
@@ -720,16 +576,17 @@ std::unique_ptr<Connection> Internet::connect(OriginId origin,
                                               proto::Protocol protocol,
                                               net::VirtualTime t,
                                               int attempt) {
-  const auto as = world_->as_of(dst);
-  if (!as) return nullptr;
+  const ResolvedTarget target = resolve_target(dst, origin);
+  if (!target.as) return nullptr;
+  const AsId as = *target.as;
 
   if (faults_ != nullptr && faults_->outage_at(t, static_cast<int>(origin))) {
     return nullptr;
   }
 
-  if (outage_schedule(origin, protocol).in_outage(*as, t)) return nullptr;
+  if (outage_schedule(origin, protocol).in_outage(as, t)) return nullptr;
 
-  const PathLossModel& loss = loss_model(origin, *as, protocol);
+  const PathLossModel& loss = loss_model(origin, as, protocol);
   const double p_fail = connect_failure_probability(loss.loss_probability(t));
   if (p_fail > 0.0 &&
       hash01(net::mix_u64(world_->seed ^ origin, dst.value(), attempt, 0xC0DEu)) <
@@ -737,23 +594,18 @@ std::unique_ptr<Connection> Internet::connect(OriginId origin,
     return nullptr;
   }
 
-  const std::optional<Host> host = world_->host_at(dst);
-  if (!host ||
-      !HostTable::live_in_trial(*host, context_.trial,
-                                context_.experiment_seed)) {
-    return nullptr;
-  }
-  if (host->flaky && flaky_miss(*host, origin)) return nullptr;
+  const Host* host = target.host_or_null();
+  if (host == nullptr) return nullptr;
 
   // L4 policies also gate the connect's SYN.
-  if (policy_engine_.on_probe(origin, src_ip, *as, dst, protocol, t) ==
+  if (policy_engine_.on_probe(origin, src_ip, as, dst, protocol, t) ==
       PolicyEngine::L4Decision::kDrop) {
     return nullptr;
   }
 
   auto connection = std::unique_ptr<Connection>(new Connection());
 
-  switch (policy_engine_.on_connection(origin, src_ip, *as, dst, protocol,
+  switch (policy_engine_.on_connection(origin, src_ip, as, dst, protocol,
                                        t)) {
     case PolicyEngine::L7Decision::kRstAfterAccept:
       connection->peer_reset_ = true;

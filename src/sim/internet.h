@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "faultinject/faultinject.h"
-#include "netbase/headers.h"
+#include "netbase/ipv4.h"
 #include "netbase/vtime.h"
 #include "obsv/metrics.h"
 #include "proto/protocol.h"
@@ -79,7 +79,6 @@ class Internet;
 // effects, so hoisting it out of the per-probe loop cannot change any
 // decision.
 struct ResolvedTarget {
-  net::Ipv4Addr addr;
   std::optional<AsId> as;
   Host host{};  // meaningful only when has_host
   bool has_host = false;
@@ -103,9 +102,9 @@ struct ResolvedTarget {
 // fwd_draw as scratch). A set bit p of sent_mask means probe p was
 // delivered to the network (send retries exhausted and injected
 // send-drops already excluded); a set bit of live_mask means the probe
-// reaches a listening host — only those re-enter the scalar per-target
-// path to produce a response. Dead targets never materialize a
-// ResolvedTarget or a TcpPacket.
+// reaches a listening host — only those go on to ProbeContext::respond
+// for the policy verdict and the reply. Dead targets never materialize
+// a reply.
 struct ProbeBatch {
   static constexpr int kCapacity = 256;
   static constexpr int kMaxProbes = 8;
@@ -146,9 +145,10 @@ bool fwd_draws_vectorized(const net::Ipv4Addr* addr, const AsId* as,
 // Lock-free per-(origin, protocol) view of the Internet for the scan hot
 // loop: the outage schedule and every per-AS loss model and policy set,
 // resolved once (after prewarm) into flat vectors indexed by AsId. The
-// per-packet path through probe() then does zero synchronization and
-// zero hashing. Holds raw pointers into the owning Internet's caches —
-// valid for the Internet's lifetime; build one per scan lane.
+// per-packet path through resolve_batch/handle_probe_batch/respond then
+// does zero synchronization and zero hashing. Holds raw pointers into the
+// owning Internet's caches — valid for the Internet's lifetime; build one
+// per scan lane.
 class ProbeContext {
  public:
   ProbeContext() = default;
@@ -161,26 +161,26 @@ class ProbeContext {
     return *loss_by_as_[as];
   }
 
-  // Per-target resolution (AS, host, liveness, flaky-miss), done once
-  // per target instead of once per probe.
-  [[nodiscard]] ResolvedTarget resolve(net::Ipv4Addr dst) const;
-
-  // Batched resolution of batch.addr[0..size): fills as/has_host/host.
-  // Semantically identical to calling resolve() per address; the win is
-  // the /24 grouping invariant — a consecutive run of addresses in the
-  // same /24 consults the lane-private block cache once for the whole
-  // run (permutation batches are internally sequential, so runs are
-  // long). Block-cache hit/miss counters count these per-fetch consults,
-  // not per-address lookups (docs/METRICS.md).
+  // Batched per-target resolution of batch.addr[0..size): fills
+  // as/has_host/host with the facts Internet::resolve_target derives
+  // (AS, host, liveness, flaky-miss), once per target rather than once
+  // per probe. In procedural worlds a consecutive run of addresses in the
+  // same /24 consults the lane-private block cache once for the whole run
+  // (permutation batches are internally sequential, so runs are long).
+  // Block-cache hit/miss counters count these per-fetch consults, not
+  // per-address lookups (docs/METRICS.md).
   void resolve_batch(ProbeBatch& batch) const;
 
-  // Struct-level probe exchange against the pre-resolved target: the
-  // same decisions as Internet::handle_probe, minus the wire
-  // encode/decode and the cache locks. `syn` must be addressed to this
-  // context's protocol port.
-  std::optional<net::TcpPacket> probe(const ResolvedTarget& target,
-                                      const net::TcpPacket& syn,
-                                      net::VirtualTime t, int probe_index);
+  // What the network sends back for one probe.
+  enum class Reply : std::uint8_t { kNone, kSynAck, kRst };
+
+  // The live-probe step for probe p of target i, whose live_mask bit
+  // handle_probe_batch set: the three decisions left once a probe reaches
+  // a listening host — policy admission (which feeds the rate-IDS
+  // counters), SYN-ACK vs RST, and reverse-direction loss. Admission is
+  // the simulation's one order-sensitive decision, so callers step live
+  // probes in global (target, probe) emission order.
+  Reply respond(const ProbeBatch& batch, int i, int p, net::Ipv4Addr src_ip);
 
   // Attaches a single-writer metric block for drop-reason accounting
   // (sim.probes_routed, sim.drops.*, sim.responses_*). The block must be
@@ -193,7 +193,7 @@ class ProbeContext {
   friend class Internet;
 
   // One slot of the per-lane /24 facts cache (procedural worlds only).
-  // Direct-mapped and lane-private scratch: resolve() is const to
+  // Direct-mapped and lane-private scratch: resolve_batch() is const to
   // callers but may refill slots, which is safe because derivation is
   // pure — any refill writes the same facts. No other lane ever sees
   // this memory, so the zero-lock hot-path invariant (and the
@@ -235,27 +235,6 @@ class Internet {
            PersistentState* persistent);
 
   // ---- Layer 4 -----------------------------------------------------
-  // Processes one probe packet (serialized IPv4+TCP bytes) sent by
-  // `origin` at virtual time `t`; `probe_index` distinguishes the
-  // back-to-back probes of a multi-probe scan. Returns the response
-  // packet bytes (SYN-ACK or RST), or nullopt for silence.
-  //
-  // This is a thin wrapper over handle_probe_fast that keeps the wire
-  // encoding in the loop: parse, decide, serialize. Byte-level fault
-  // points and the golden-trace differential harness enter here.
-  std::optional<std::vector<std::uint8_t>> handle_probe(
-      OriginId origin, std::span<const std::uint8_t> packet, net::VirtualTime t,
-      int probe_index);
-
-  // Struct-level handoff for the scanner hot path: identical decisions
-  // to handle_probe without the serialize/parse round trips. Malformed
-  // probes (not a bare SYN, port outside the study) return nullopt,
-  // exactly as their serialized form would.
-  std::optional<net::TcpPacket> handle_probe_fast(OriginId origin,
-                                                  const net::TcpPacket& syn,
-                                                  net::VirtualTime t,
-                                                  int probe_index);
-
   // Builds the lock-free hot-path view for one (origin, protocol) scan
   // lane. Prewarms the caches, so construction may take the cache lock;
   // the returned context never does.
@@ -263,16 +242,14 @@ class Internet {
 
   // Classifies every sent probe of a resolved batch: computes the
   // forward-loss draws in a branch-minimized four-wide pass, then walks
-  // the scalar decision ladder (faults, outage, forward loss, liveness)
-  // per probe, accumulating drop-reason counts batch-locally and
-  // flushing one metric add per reason. Sets batch.live_mask; the caller
-  // re-runs only live probes through the scalar ProbeContext::probe path
-  // (which recomputes the same decisions, deterministically passing, and
-  // then handles IDS + response + reverse loss). Byte-identical counters
-  // and responses to the scalar path — the scalar path is the oracle.
+  // the decision ladder (faults, outage, forward loss, liveness) per
+  // probe, accumulating drop-reason counts batch-locally and flushing one
+  // metric add per reason. Sets batch.live_mask; the caller hands each
+  // live probe to ProbeContext::respond.
   void handle_probe_batch(ProbeContext& context, ProbeBatch& batch);
 
-  // Per-target resolution shared by handle_probe_fast and ProbeContext.
+  // Per-target resolution: the routed AS and the host that answers this
+  // (origin, trial), if any. Used for materialized addresses and connects.
   [[nodiscard]] ResolvedTarget resolve_target(net::Ipv4Addr dst,
                                               OriginId origin) const;
 
@@ -330,18 +307,6 @@ class Internet {
                                   proto::Protocol protocol);
   const OutageSchedule& outage_schedule(OriginId origin,
                                         proto::Protocol protocol);
-
-  // The shared decision core of the probe path. Every input that needs a
-  // lookup (loss model, outage schedule, policies, target) arrives
-  // pre-resolved; the lock-free and byte-level paths differ only in how
-  // they resolve them. `metrics` attributes each probe's fate to exactly
-  // one drop/response counter (nullptr from the byte-level path, so
-  // ProbeContext lanes stay the single writers of their blocks).
-  std::optional<net::TcpPacket> probe_impl(
-      OriginId origin, proto::Protocol protocol, const OutageSchedule& outages,
-      const PathLossModel& loss, const AsPolicies* policies,
-      const ResolvedTarget& target, const net::TcpPacket& syn,
-      net::VirtualTime t, int probe_index, obsv::MetricBlock* metrics);
 
   // Deterministic MaxStartups refusal decision for one attempt.
   [[nodiscard]] bool maxstartups_refuses(const Host& host, OriginId origin,

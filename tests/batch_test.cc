@@ -1,17 +1,22 @@
-// Batch/scalar equivalence for the SoA probe pipeline (DESIGN.md §13).
+// The SoA probe pipeline (DESIGN.md §13) against a reference model.
 //
-// The batched path (ZMapScanner::run / run_scheduled → probe_batch →
-// ProbeContext::resolve_batch → Internet::handle_probe_batch) must be
-// byte-identical to the scalar reference path (run_scheduled_serial →
-// probe_target): same L4Results in the same order, same Stats, same
-// metric counters outside the documented universe.* bookkeeping
-// exception. These tests randomize worlds, probe counts, fault plans,
-// and chunk sizes, and straddle both resolution boundaries — the
-// procedural override region (2^19) and kDirectMapLimit (2^25).
+// The pipeline (ZMapScanner::run / run_scheduled → probe_batch →
+// ProbeContext::resolve_batch → Internet::handle_probe_batch →
+// ProbeContext::respond) must produce exactly what a short
+// per-(target, probe) reference model written here produces: same
+// L4Results in the same order, same Stats, same metric counters outside
+// the documented universe.* bookkeeping. The model works straight from
+// World facts and the public loss, outage, and policy APIs, and shares no
+// code with the pipeline. These tests randomize worlds, probe counts,
+// fault plans, and chunk sizes, straddle both resolution boundaries — the
+// procedural override region (2^19) and kDirectMapLimit (2^25) — and pin
+// the rate-IDS admission order against a collector that connects.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <tuple>
@@ -26,6 +31,7 @@
 #include "sim/path.h"
 #include "sim/procedural.h"
 #include "sim/scenario.h"
+#include "tests/test_world.h"
 
 namespace originscan::sim {
 namespace {
@@ -132,30 +138,203 @@ TEST(BatchKernel, LossWindowMatchesPointwiseProbability) {
   }
 }
 
-// ---- Batch vs scalar equivalence ------------------------------------
+// ---- The reference model -------------------------------------------
 
 struct RunOutput {
+  // (addr, synack_mask, rst_mask, probe_time_us, source_ip, connect
+  // outcome) per reported target, in report order.
   std::vector<std::tuple<std::uint32_t, int, int, std::int64_t,
-                         std::uint32_t>>
+                         std::uint32_t, int>>
       results;
   scan::ZMapScanner::Stats stats;
   obsv::MetricBlock metrics;
 };
 
-void record(RunOutput& out, const scan::L4Result& r) {
+// The collector both sides share, shaped like run_scan's: every target
+// that answered with a SYN-ACK gets an L4 connect right away, so its
+// policy admission lands between the target's probes and the next
+// target's. Records the connect's outcome (-1 = none attempted).
+void collect(Internet& internet, OriginId origin, proto::Protocol protocol,
+             const scan::L4Result& r, RunOutput& out) {
+  int connect = -1;
+  if (r.any_synack()) {
+    const auto connection = internet.connect(
+        origin, r.source_ip, r.addr, protocol,
+        r.probe_time + net::VirtualTime::from_millis(5), 0);
+    connect = connection == nullptr ? 0
+              : connection->peer_reset() ? 1
+              : connection->hung()       ? 2
+                                         : 3;
+  }
   out.results.emplace_back(r.addr.value(), r.synack_mask, r.rst_mask,
-                           r.probe_time.micros(), r.source_ip.value());
+                           r.probe_time.micros(), r.source_ip.value(),
+                           connect);
 }
 
+// ZMap and the simulated network, one (target, probe) at a time: target
+// facts from World, loss and outage models from a ProbeContext's public
+// accessors, admission from PolicyEngine::on_probe. Slot-scoped faults
+// come from the scanner config, time-scoped ones from the Internet's
+// injector. A target's probe p occupies schedule slot first_packet + p,
+// as on the parallel lanes.
+class ReferenceModel {
+ public:
+  ReferenceModel(Internet& internet, OriginId origin,
+                 const scan::ZMapConfig& config)
+      : world_(internet.world()),
+        internet_(internet),
+        origin_(origin),
+        config_(config),
+        models_(internet.probe_context(origin, config.protocol)) {}
+
+  void run(std::span<const scan::ScheduledTarget> targets, RunOutput& out) {
+    using obsv::Counter;
+    obsv::MetricBlock& m = out.metrics;
+    const fault::FaultInjector* faults = config_.faults;
+    const fault::FaultInjector* net_faults = internet_.fault_injector();
+    const proto::Protocol protocol = config_.protocol;
+    const double seconds_per_packet =
+        1.0 / config_.effective_pps(config_.universe_size);
+    for (const scan::ScheduledTarget& target : targets) {
+      const net::Ipv4Addr dst = target.addr;
+      ++out.stats.targets_probed;
+      m.add(Counter::kZmapTargetsProbed);
+      const net::Ipv4Addr src_ip = source_ip_for(dst);
+      const std::optional<AsId> as = world_.as_of(dst);
+      const std::optional<Host> host = listening_host(dst);
+
+      scan::L4Result result;
+      result.addr = dst;
+      result.source_ip = src_ip;
+      result.probe_time = net::VirtualTime::from_seconds(
+          static_cast<double>(target.first_packet) * seconds_per_packet);
+      for (int p = 0; p < config_.probes; ++p) {
+        const std::uint64_t slot = target.first_packet + p;
+        const auto t = net::VirtualTime::from_micros(
+            net::VirtualTime::from_seconds(static_cast<double>(slot) *
+                                           seconds_per_packet)
+                .micros() +
+            config_.probe_interval.micros() * p);
+        ++out.stats.packets_sent;
+        m.add(Counter::kZmapProbesSent);
+        if (faults != nullptr) {
+          const auto failures =
+              static_cast<std::uint64_t>(faults->send_failures(slot, dst));
+          m.add(Counter::kZmapSendRetries, failures);
+          m.add(Counter::kFaultSendFail, failures);
+          if (faults->drop_at_slot(slot, dst)) {
+            m.add(Counter::kFaultProbeDrop);
+            continue;
+          }
+        }
+        if (!as) {
+          m.add(Counter::kSimDropsUnrouted);
+          continue;
+        }
+        m.add(Counter::kSimProbesRouted);
+        if (net_faults != nullptr) {
+          const bool outage =
+              net_faults->outage_at(t, static_cast<int>(origin_));
+          if (outage || net_faults->drop_at_time(t, dst, p)) {
+            m.add(Counter::kSimDropsFault);
+            m.add(outage ? Counter::kFaultOutage : Counter::kFaultProbeDrop);
+            continue;
+          }
+        }
+        if (models_.outage().in_outage(*as, t)) {
+          m.add(Counter::kSimDropsOutage);
+          continue;
+        }
+        const PathLossModel& loss = models_.loss(*as);
+        if (loss.drop(t, net::mix_u64(dst.value(), p, origin_, 0xF0D0u))) {
+          m.add(Counter::kSimDropsLossModel);
+          continue;
+        }
+        if (!host) {
+          m.add(Counter::kSimDropsNoHost);
+          continue;
+        }
+        if (internet_.policy_engine().on_probe(origin_, src_ip, *as, dst,
+                                               protocol, t) ==
+            PolicyEngine::L4Decision::kDrop) {
+          m.add(Counter::kSimDropsIds);
+          continue;
+        }
+        if (loss.drop(t, net::mix_u64(dst.value(), p, origin_, 0x0BACu))) {
+          m.add(Counter::kSimDropsLossModel);
+          continue;
+        }
+        const bool synack = host->middlebox || host->runs(protocol);
+        m.add(synack ? Counter::kSimResponsesSynack
+                     : Counter::kSimResponsesRst);
+        if (faults != nullptr && faults->corrupt_response(slot, dst)) {
+          ++out.stats.validation_failures;
+          m.add(Counter::kFaultMacCorrupt);
+          m.add(Counter::kZmapValidationFailures);
+          continue;
+        }
+        const auto bit = static_cast<std::uint8_t>(1u << p);
+        if (synack) {
+          result.synack_mask |= bit;
+          ++out.stats.synacks;
+          m.add(Counter::kZmapResponsesSynack);
+        } else {
+          result.rst_mask |= bit;
+          ++out.stats.rsts;
+          m.add(Counter::kZmapResponsesRst);
+        }
+        if (p == config_.probes - 1) m.add(Counter::kZmapCooldownResponses);
+      }
+      if (result.synack_mask != 0 || result.rst_mask != 0) {
+        collect(internet_, origin_, protocol, result, out);
+      }
+    }
+  }
+
+ private:
+  net::Ipv4Addr source_ip_for(net::Ipv4Addr dst) const {
+    const auto& ips = config_.source_ips;
+    if (ips.size() == 1) return ips.front();
+    return ips[net::mix_u64(dst.value(), 0x5AC1Fu) % ips.size()];
+  }
+
+  // The host answering this trial, if any: it exists, is live this
+  // trial, and — if flaky — is not dark for this origin.
+  std::optional<Host> listening_host(net::Ipv4Addr dst) const {
+    const std::optional<Host> host = world_.host_at(dst);
+    const TrialContext& trial = internet_.context();
+    if (!host ||
+        !HostTable::live_in_trial(*host, trial.trial, trial.experiment_seed)) {
+      return std::nullopt;
+    }
+    if (host->flaky) {
+      const std::uint64_t coin =
+          net::mix_u64(host->seed, origin_,
+                       static_cast<std::uint64_t>(trial.trial), 0xF1A6ULL);
+      if (static_cast<double>(coin >> 11) * 0x1.0p-53 <
+          world_.flaky_miss_probability) {
+        return std::nullopt;
+      }
+    }
+    return host;
+  }
+
+  const World& world_;
+  Internet& internet_;
+  OriginId origin_;
+  scan::ZMapConfig config_;
+  ProbeContext models_;  // read only for its loss and outage models
+};
+
 // Counters outside the documented universe.* exception must match
-// exactly between the batched run and the scalar oracle.
-void expect_non_universe_counters_equal(const obsv::MetricBlock& batched,
-                                        const obsv::MetricBlock& scalar) {
+// exactly between the pipeline and the model.
+void expect_non_universe_counters_equal(const obsv::MetricBlock& pipeline,
+                                        const obsv::MetricBlock& model) {
   for (int i = 0; i < obsv::kCounterCount; ++i) {
     const auto c = static_cast<obsv::Counter>(i);
     const std::string_view name = obsv::counter_name(c);
     if (name.substr(0, 9) == "universe.") continue;
-    EXPECT_EQ(batched.counter(c), scalar.counter(c)) << name;
+    EXPECT_EQ(pipeline.counter(c), model.counter(c)) << name;
   }
 }
 
@@ -166,13 +345,38 @@ fault::FaultInjector make_faults(std::string_view spec) {
   return fault::FaultInjector(plan.value_or(fault::FaultPlan{}), 0x0FA017ull);
 }
 
-// Runs the full sweep through the batched run() and through the scalar
-// oracle (build_schedule + run_scheduled_serial) on fresh Internet
-// instances over the same world, and demands byte-identity. The world
-// straddles the procedural override boundary (2^19 inside a 2^20
-// universe), and the fault plan keeps every ladder rung of the batch
-// classifier busy.
-TEST(BatchScalarEquivalence, FullSweepMatchesSerialOracle) {
+// Runs `targets` through run_scheduled and through the model, each on a
+// fresh Internet over `world` carrying the scanner's fault injector.
+void run_both(const World& world, const TrialContext& context,
+              OriginId origin, const scan::ZMapConfig& zconfig,
+              std::span<const scan::ScheduledTarget> targets,
+              RunOutput& pipeline, RunOutput& model) {
+  {
+    PersistentState persistent;
+    Internet internet(&world, context, &persistent);
+    internet.set_fault_injector(zconfig.faults);
+    auto cfg = zconfig;
+    cfg.metrics = &pipeline.metrics;
+    scan::ZMapScanner scanner(cfg, &internet, origin);
+    pipeline.stats = scanner.run_scheduled(
+        targets, [&](const scan::L4Result& r) {
+          collect(internet, origin, cfg.protocol, r, pipeline);
+        });
+  }
+  PersistentState persistent;
+  Internet internet(&world, context, &persistent);
+  internet.set_fault_injector(zconfig.faults);
+  ReferenceModel(internet, origin, zconfig).run(targets, model);
+}
+
+// ---- Pipeline vs the reference model --------------------------------
+
+// The full sweep through run() against the model over the same
+// permutation (build_schedule with one shard), on fresh Internet
+// instances over the same world. The world straddles the procedural
+// override boundary (2^19 inside a 2^20 universe), and the fault plan
+// keeps every rung of the batch classifier busy.
+TEST(BatchModelEquivalence, FullSweepMatchesReferenceModel) {
   for (std::uint64_t seed : {0x5CA7171ull, 0xBEEFD00Dull}) {
     ScenarioConfig config = ScenarioConfig::full_internet(20);
     config.seed = seed;
@@ -203,62 +407,52 @@ TEST(BatchScalarEquivalence, FullSweepMatchesSerialOracle) {
     zconfig.blocklist.block("0.1.0.0/16");
     zconfig.blocklist.block(net::Prefix(net::Ipv4Addr(1u << 19), 20));
 
-    RunOutput batched;
+    RunOutput pipeline;
     {
       PersistentState persistent;
       Internet internet(&world, context, &persistent);
+      internet.set_fault_injector(&faults);
       auto cfg = zconfig;
-      cfg.metrics = &batched.metrics;
+      cfg.metrics = &pipeline.metrics;
       scan::ZMapScanner scanner(cfg, &internet, origin);
-      batched.stats = scanner.run(
-          [&](const scan::L4Result& r) { record(batched, r); });
+      pipeline.stats = scanner.run([&](const scan::L4Result& r) {
+        collect(internet, origin, cfg.protocol, r, pipeline);
+      });
     }
 
-    RunOutput scalar;
+    RunOutput model;
+    const scan::ScanSchedule schedule =
+        scan::ZMapScanner::build_schedule(zconfig, 1);
+    ASSERT_TRUE(schedule.deferred.empty());
+    EXPECT_GT(schedule.blocklisted_skipped, 0u);
     {
       PersistentState persistent;
       Internet internet(&world, context, &persistent);
-      auto cfg = zconfig;
-      cfg.metrics = &scalar.metrics;
-      scan::ZMapScanner scanner(cfg, &internet, origin);
-      const scan::ScanSchedule schedule =
-          scan::ZMapScanner::build_schedule(cfg, 1);
-      ASSERT_TRUE(schedule.deferred.empty());
-      EXPECT_GT(schedule.blocklisted_skipped, 0u);
-      scalar.stats = scanner.run_scheduled_serial(
-          schedule.shards[0],
-          [&](const scan::L4Result& r) { record(scalar, r); });
-      // run() filters the blocklist inline; the oracle filtered it in
-      // build_schedule. Fold the schedule's count in so Stats compare
-      // whole. build_schedule takes no metrics, so the batched lane's
-      // blocklist counter is checked directly instead.
-      scalar.stats.blocklisted_skipped = schedule.blocklisted_skipped;
+      internet.set_fault_injector(&faults);
+      ReferenceModel(internet, origin, zconfig).run(schedule.shards[0], model);
     }
+    // run() filters the blocklist inline; the model's schedule filtered
+    // it in build_schedule.
+    model.stats.blocklisted_skipped = schedule.blocklisted_skipped;
+    model.metrics.add(obsv::Counter::kZmapBlocklistedSkipped,
+                      schedule.blocklisted_skipped);
 
-    EXPECT_EQ(batched.stats, scalar.stats) << seed;
-    EXPECT_GT(batched.stats.targets_probed, 0u);
-    EXPECT_GT(batched.stats.blocklisted_skipped, 0u);
-    EXPECT_GT(batched.results.size(), 0u);
-    EXPECT_EQ(batched.results, scalar.results) << seed;
-    EXPECT_EQ(batched.metrics.counter(obsv::Counter::kZmapBlocklistedSkipped),
-              batched.stats.blocklisted_skipped);
-    // The oracle never touched run()'s inline filter, so zero there.
-    auto scalar_no_blocklist = scalar.metrics;
-    EXPECT_EQ(scalar_no_blocklist.counter(
-                  obsv::Counter::kZmapBlocklistedSkipped),
-              0u);
-    scalar_no_blocklist.add(obsv::Counter::kZmapBlocklistedSkipped,
-                            batched.stats.blocklisted_skipped);
-    expect_non_universe_counters_equal(batched.metrics, scalar_no_blocklist);
+    EXPECT_EQ(pipeline.stats, model.stats) << seed;
+    EXPECT_GT(pipeline.stats.targets_probed, 0u);
+    EXPECT_GT(pipeline.stats.validation_failures, 0u);
+    EXPECT_GT(pipeline.metrics.counter(obsv::Counter::kFaultOutage), 0u);
+    EXPECT_GT(pipeline.results.size(), 0u);
+    EXPECT_EQ(pipeline.results, model.results) << seed;
+    expect_non_universe_counters_equal(pipeline.metrics, model.metrics);
   }
 }
 
 // Partial tail batches (1..255 targets) and the kDirectMapLimit
 // resolution boundary: random-sized spans of scheduled targets sampled
 // around 2^19 (materialized/procedural seam) and 2^25 (direct-map/
-// binary-search seam) in a 2^26 universe must run identically through
-// run_scheduled (batched, chunked) and run_scheduled_serial.
-TEST(BatchScalarEquivalence, TailBatchesMatchSerialAcrossBoundaries) {
+// binary-search seam) in a 2^26 universe must run through
+// run_scheduled (batched, chunked) exactly as through the model.
+TEST(BatchModelEquivalence, TailBatchesMatchReferenceModelAcrossBoundaries) {
   ScenarioConfig config = ScenarioConfig::full_internet(26);
   config.seed = 0x7A11BA7ull;
   const World world =
@@ -314,77 +508,85 @@ TEST(BatchScalarEquivalence, TailBatchesMatchSerialAcrossBoundaries) {
     }
     slot += count * static_cast<std::uint64_t>(zconfig.probes);
 
-    RunOutput batched;
-    {
-      PersistentState persistent;
-      Internet internet(&world, context, &persistent);
-      auto cfg = zconfig;
-      cfg.metrics = &batched.metrics;
-      scan::ZMapScanner scanner(cfg, &internet, origin);
-      batched.stats = scanner.run_scheduled(
-          targets, [&](const scan::L4Result& r) { record(batched, r); });
-    }
-    RunOutput scalar;
-    {
-      PersistentState persistent;
-      Internet internet(&world, context, &persistent);
-      auto cfg = zconfig;
-      cfg.metrics = &scalar.metrics;
-      scan::ZMapScanner scanner(cfg, &internet, origin);
-      scalar.stats = scanner.run_scheduled_serial(
-          targets, [&](const scan::L4Result& r) { record(scalar, r); });
-    }
-
-    EXPECT_EQ(batched.stats, scalar.stats) << iter;
-    EXPECT_EQ(batched.results, scalar.results) << iter;
-    expect_non_universe_counters_equal(batched.metrics, scalar.metrics);
+    RunOutput pipeline;
+    RunOutput model;
+    run_both(world, context, origin, zconfig, targets, pipeline, model);
+    EXPECT_EQ(pipeline.stats, model.stats) << iter;
+    EXPECT_EQ(pipeline.results, model.results) << iter;
+    expect_non_universe_counters_equal(pipeline.metrics, model.metrics);
   }
 }
 
-// Probe counts past ProbeBatch::kMaxProbes fall back to the scalar path
-// inside run_scheduled — results must still match the serial oracle.
-TEST(BatchScalarEquivalence, OversizedProbeCountFallsBackToScalar) {
+// The deferred rate-IDS lane: every target sits in one low-threshold
+// rate-IDS network, scanned from a single source IP, and the collector
+// connects after each SYN-ACK target. The IDS trips part-way through the
+// first batch, so the pipeline matches the model only if each live probe
+// is admitted in (target, probe) order with the collector's connects
+// interleaved between targets — admitting a whole batch ahead of its
+// collector moves the trip point.
+TEST(BatchModelEquivalence, RateIdsAdmissionFollowsEmissionOrder) {
   ScenarioConfig config = ScenarioConfig::full_internet(20);
-  config.seed = 0x0B19ull;
-  const World world =
-      build_world(config, paper_origins(config.universe_size));
+  config.seed = 0x1D5ull;
+  World world = build_world(config, paper_origins(config.universe_size));
+  const AsId bochum = world.topology.find_as("Ruhr-Universitaet Bochum");
+  ASSERT_NE(bochum, kNoAs);
+  ASSERT_TRUE(world.policies.edit(bochum).rate_ids.has_value());
+  world.policies.edit(bochum).rate_ids->probe_threshold = 60;
 
   TrialContext context;
   context.experiment_seed = config.seed;
   context.simultaneous_origins = static_cast<int>(world.origins.size());
   const OriginId origin = world.origin_id("US1");
+  ASSERT_NE(origin, ~OriginId{0});
+  ASSERT_EQ(world.origins[origin].source_ips.size(), 1u);
 
   scan::ZMapConfig zconfig;
   zconfig.seed = config.seed;
   zconfig.universe_size = config.universe_size;
-  zconfig.probes = ProbeBatch::kMaxProbes + 2;
-  zconfig.packets_per_second = 100000;
+  zconfig.protocol = proto::Protocol::kHttp;
+  zconfig.probes = 2;
   zconfig.source_ips = world.origins[origin].source_ips;
 
-  std::vector<scan::ScheduledTarget> targets;
-  for (std::uint32_t j = 0; j < 700; ++j) {
-    targets.push_back({net::Ipv4Addr((1u << 19) - 350 + j),
-                       j * static_cast<std::uint64_t>(zconfig.probes)});
-  }
+  // The deferred lane, exactly as run_scan partitions it.
+  const scan::ScanSchedule schedule = scan::ZMapScanner::build_schedule(
+      zconfig, 4, [&world, bochum](net::Ipv4Addr dst) {
+        return world.as_of(dst) == bochum;
+      });
+  ASSERT_GT(schedule.deferred.size(), 2 * sim::ProbeBatch::kCapacity);
 
-  RunOutput batched;
-  RunOutput scalar;
-  for (auto* out : {&batched, &scalar}) {
-    PersistentState persistent;
-    Internet internet(&world, context, &persistent);
-    auto cfg = zconfig;
-    cfg.metrics = &out->metrics;
-    scan::ZMapScanner scanner(cfg, &internet, origin);
-    const auto on_result = [&](const scan::L4Result& r) {
-      record(*out, r);
-    };
-    out->stats = (out == &batched)
-                     ? scanner.run_scheduled(targets, on_result)
-                     : scanner.run_scheduled_serial(targets, on_result);
+  RunOutput pipeline;
+  RunOutput model;
+  run_both(world, context, origin, zconfig, schedule.deferred, pipeline,
+           model);
+  EXPECT_EQ(pipeline.stats, model.stats);
+  EXPECT_EQ(pipeline.results, model.results);
+  expect_non_universe_counters_equal(pipeline.metrics, model.metrics);
+  // The IDS tripped: some probes were dropped, and some connects made it.
+  EXPECT_GT(pipeline.metrics.counter(obsv::Counter::kSimDropsIds), 0u);
+  EXPECT_GT(pipeline.stats.synacks, 0u);
+}
+
+// The batch is the only probe path, so a probe count past its width is a
+// configuration error the scanner refuses up front.
+TEST(BatchModelEquivalence, ConstructorRejectsProbeCountsOutsideBatch) {
+  const World world = originscan::testing::make_mini_world();
+  TrialContext context;
+  context.experiment_seed = world.seed;
+  PersistentState persistent;
+  Internet internet(&world, context, &persistent);
+
+  scan::ZMapConfig zconfig;
+  zconfig.seed = world.seed;
+  zconfig.universe_size = world.universe_size;
+  zconfig.source_ips = world.origins[0].source_ips;
+  for (int probes : {0, -1, ProbeBatch::kMaxProbes + 1}) {
+    zconfig.probes = probes;
+    EXPECT_THROW(scan::ZMapScanner(zconfig, &internet, 0),
+                 std::invalid_argument)
+        << probes;
   }
-  EXPECT_EQ(batched.stats, scalar.stats);
-  EXPECT_EQ(batched.results, scalar.results);
-  expect_non_universe_counters_equal(batched.metrics, scalar.metrics);
+  zconfig.probes = ProbeBatch::kMaxProbes;
+  EXPECT_NO_THROW(scan::ZMapScanner(zconfig, &internet, 0));
 }
 
 }  // namespace

@@ -79,50 +79,6 @@ TEST(Fuzz, TcpPacketParserSurvivesMutations) {
   }
 }
 
-TEST(Fuzz, HandleProbeFastSurvivesMalformedStructs) {
-  // The struct-level probe entry point skips the wire parser, so it must
-  // tolerate arbitrary field garbage directly: absurd TTLs, non-TCP
-  // protocol numbers, lying total_length, every flag combination, junk
-  // payloads, unrouted destinations. It must never crash, and whatever
-  // it decides must match what the byte path decides for the same packet
-  // put on the wire.
-  auto world = originscan::testing::make_mini_world();
-  sim::TrialContext context;
-  context.experiment_seed = world.seed;
-  sim::PersistentState persistent_fast;
-  sim::PersistentState persistent_bytes;
-  sim::Internet fast(&world, context, &persistent_fast);
-  sim::Internet bytes(&world, context, &persistent_bytes);
-
-  net::Rng rng(113);
-  for (int i = 0; i < 5000; ++i) {
-    net::TcpPacket packet;
-    packet.ip.src = net::Ipv4Addr(static_cast<std::uint32_t>(rng()));
-    packet.ip.dst = net::Ipv4Addr(static_cast<std::uint32_t>(
-        rng.below(2 * world.universe_size)));
-    packet.ip.ttl = static_cast<std::uint8_t>(rng());
-    packet.ip.protocol = static_cast<std::uint8_t>(rng());
-    packet.ip.identification = static_cast<std::uint16_t>(rng());
-    packet.ip.total_length = static_cast<std::uint16_t>(rng());
-    packet.tcp.src_port = static_cast<std::uint16_t>(rng());
-    packet.tcp.dst_port = rng.below(2) == 0
-                              ? static_cast<std::uint16_t>(rng())
-                              : std::uint16_t{80};
-    packet.tcp.seq = static_cast<std::uint32_t>(rng());
-    packet.tcp.ack = static_cast<std::uint32_t>(rng());
-    packet.tcp.window = static_cast<std::uint16_t>(rng());
-    packet.tcp.flags = net::TcpFlags::from_byte(static_cast<std::uint8_t>(rng()));
-    packet.payload = random_bytes(rng, 16);
-
-    const auto t = net::VirtualTime::from_seconds(
-        static_cast<double>(rng.below(75600)));
-    const auto from_fast = fast.handle_probe_fast(0, packet, t, 0);
-    const auto from_bytes = bytes.handle_probe(0, packet.serialize(), t, 0);
-    ASSERT_EQ(from_fast.has_value(), from_bytes.has_value()) << "i=" << i;
-    if (from_fast) EXPECT_EQ(from_fast->serialize(), *from_bytes);
-  }
-}
-
 TEST(Fuzz, HandleProbeBatchSurvivesGarbageBatches) {
   // The batch classifier consumes whatever the resolver left in the SoA
   // arrays; feed it arbitrary garbage instead — out-of-range AS ids,

@@ -4,6 +4,7 @@
 // over the procedural branch.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -260,8 +261,8 @@ TEST(ProceduralEquivalence, SweepDigestInvariantAcrossJobs) {
 }
 
 // The procedural resolve path must preserve the hot loop's zero-lock
-// invariant: once a ProbeContext exists, resolving and probing
-// procedural targets takes the Internet's cache lock exactly zero times
+// invariant: once a ProbeContext exists, resolving procedural targets
+// takes the Internet's cache lock exactly zero times
 // (the /24 block cache is lane-private scratch, not shared state).
 TEST(ProceduralEquivalence, BlockCacheTakesNoLocks) {
   ScenarioConfig config = ScenarioConfig::full_internet(20);
@@ -281,13 +282,57 @@ TEST(ProceduralEquivalence, BlockCacheTakesNoLocks) {
 
   std::uint64_t resolved = 0;
   const std::uint32_t first = 1u << 19;  // start of the procedural region
-  for (std::uint32_t addr = first; addr < first + 65536; ++addr) {
-    const ResolvedTarget target =
-        probe_context.resolve(net::Ipv4Addr(addr));
-    if (target.has_host) ++resolved;
+  auto batch = std::make_unique<ProbeBatch>();
+  for (std::uint32_t base = first; base < first + 65536;
+       base += ProbeBatch::kCapacity) {
+    batch->size = ProbeBatch::kCapacity;
+    for (int i = 0; i < batch->size; ++i) {
+      batch->addr[i] = net::Ipv4Addr(base + static_cast<std::uint32_t>(i));
+    }
+    probe_context.resolve_batch(*batch);
+    for (int i = 0; i < batch->size; ++i) resolved += batch->has_host[i];
   }
   EXPECT_GT(resolved, 0u);
   EXPECT_EQ(internet.cache_lock_count(), locks_before);
+}
+
+// Every probed target rides resolve_batch — the deferred rate-IDS lane
+// included — so universe.batch.targets equals zmap.targets_probed at any
+// --jobs. Bochum (must_exist, rate IDS on every protocol) keeps the
+// deferred lane busy.
+TEST(ProceduralEquivalence, BatchTargetsCountEveryProbedTarget) {
+  ScenarioConfig config = ScenarioConfig::full_internet(20);
+  config.seed = 0xBA7C7ull;
+  const World world =
+      build_world(config, paper_origins(config.universe_size));
+  const AsId bochum = world.topology.find_as("Ruhr-Universitaet Bochum");
+  ASSERT_NE(bochum, kNoAs);
+  ASSERT_NE(world.policies.find(bochum), nullptr);
+  ASSERT_TRUE(world.policies.find(bochum)->rate_ids.has_value());
+
+  TrialContext context;
+  context.experiment_seed = config.seed;
+  context.simultaneous_origins = static_cast<int>(world.origins.size());
+  const OriginId origin = world.origin_id("US1");
+  ASSERT_NE(origin, ~OriginId{0});
+
+  using obsv::Counter;
+  for (int jobs : {1, 4}) {
+    PersistentState persistent;
+    Internet internet(&world, context, &persistent);
+    obsv::MetricBlock metrics;
+    scan::SweepOptions options;
+    options.jobs = jobs;
+    options.metrics = &metrics;
+    const scan::SweepResult result =
+        scan::run_l4_sweep(internet, origin, proto::Protocol::kHttp, options);
+    EXPECT_GT(result.l4_stats.targets_probed, 0u);
+    EXPECT_EQ(metrics.counter(Counter::kZmapTargetsProbed),
+              result.l4_stats.targets_probed);
+    EXPECT_EQ(metrics.counter(Counter::kUniverseBatchTargets),
+              metrics.counter(Counter::kZmapTargetsProbed))
+        << "jobs=" << jobs;
+  }
 }
 
 }  // namespace

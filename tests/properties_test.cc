@@ -145,135 +145,6 @@ TEST(SipHashProperties, SingleBitFlipAvalanches) {
   EXPECT_LT(mean_flipped, 36.0);
 }
 
-// ---- Fast path == byte path ------------------------------------------------
-
-// The struct-level hot path (handle_probe_fast) must make byte-for-byte
-// the same decisions as the wire-level path (handle_probe): a response
-// from one serializes to exactly what the other returns, and silence
-// (nullopt) agrees too. Each path runs on its own Internet instance over
-// the same world, so any hidden state divergence would also surface.
-TEST(FastPathEquivalence, AgreesWithBytePathOnRandomizedProbes) {
-  auto world = make_mini_world({.blocks_per_as = 2, .density = 0.6});
-  // Re-enable loss and outages (the mini world defaults both off) so the
-  // drop/outage branches of both paths are exercised, not just the happy
-  // answer path.
-  world.paths.set_default_profile(sim::PathProfile{});
-  world.outages.pair_rate = 0.5;
-  world.outages.wide_event_probability = 1.0;
-
-  sim::TrialContext context;
-  context.experiment_seed = world.seed;
-  sim::PersistentState persistent_fast;
-  sim::PersistentState persistent_bytes;
-  sim::Internet fast(&world, context, &persistent_fast);
-  sim::Internet bytes(&world, context, &persistent_bytes);
-
-  net::Rng rng(83);
-  int responses = 0;
-  int silences = 0;
-  for (int i = 0; i < 4000; ++i) {
-    const auto origin =
-        static_cast<sim::OriginId>(rng.below(world.origins.size()));
-    const auto protocol =
-        proto::kAllProtocols[rng.below(proto::kAllProtocols.size())];
-
-    net::TcpPacket syn;
-    syn.ip.src = world.origins[origin].source_ips[0];
-    // Mostly routed addresses, sometimes unrouted space.
-    syn.ip.dst = net::Ipv4Addr(static_cast<std::uint32_t>(
-        rng.below(world.universe_size + world.universe_size / 4)));
-    syn.ip.ttl = 255;
-    syn.tcp.src_port = static_cast<std::uint16_t>(32768 + rng.below(28232));
-    syn.tcp.dst_port = rng.below(10) == 0
-                           ? static_cast<std::uint16_t>(rng.below(65536))
-                           : proto::port_of(protocol);
-    syn.tcp.seq = static_cast<std::uint32_t>(rng());
-    syn.tcp.flags.syn = rng.below(20) != 0;   // occasionally not a SYN
-    syn.tcp.flags.ack = rng.below(20) == 0;   // occasionally SYN-ACK
-    const auto t = net::VirtualTime::from_seconds(
-        static_cast<double>(rng.below(75600)));
-    const int probe_index = static_cast<int>(rng.below(3));
-
-    const auto from_fast = fast.handle_probe_fast(origin, syn, t, probe_index);
-    const auto from_bytes =
-        bytes.handle_probe(origin, syn.serialize(), t, probe_index);
-    ASSERT_EQ(from_fast.has_value(), from_bytes.has_value())
-        << "dst=" << syn.ip.dst.to_string() << " port=" << syn.tcp.dst_port
-        << " i=" << i;
-    if (from_fast) {
-      EXPECT_EQ(from_fast->serialize(), *from_bytes) << "i=" << i;
-      ++responses;
-    } else {
-      ++silences;
-    }
-  }
-  // The sweep must have exercised both outcomes to mean anything.
-  EXPECT_GT(responses, 100);
-  EXPECT_GT(silences, 100);
-}
-
-TEST(FastPathEquivalence, AgreesWithBytePathOnMutatedWireProbes) {
-  // Fuzz-mutated wire bytes: whenever the mutant still parses, the fast
-  // path fed the parsed struct must agree with the byte path fed the raw
-  // bytes; whenever it doesn't parse, the byte path must answer nullopt.
-  auto world = make_mini_world();
-  sim::TrialContext context;
-  context.experiment_seed = world.seed;
-  sim::PersistentState persistent_fast;
-  sim::PersistentState persistent_bytes;
-  sim::Internet fast(&world, context, &persistent_fast);
-  sim::Internet bytes(&world, context, &persistent_bytes);
-
-  net::Rng rng(84);
-  int parsed_mutants = 0;
-  for (int i = 0; i < 4000; ++i) {
-    net::TcpPacket syn;
-    syn.ip.src = world.origins[0].source_ips[0];
-    syn.ip.dst = net::Ipv4Addr(static_cast<std::uint32_t>(
-        rng.below(world.universe_size)));
-    syn.tcp.src_port = static_cast<std::uint16_t>(32768 + rng.below(28232));
-    syn.tcp.dst_port = 80;
-    syn.tcp.seq = static_cast<std::uint32_t>(rng());
-    syn.tcp.flags.syn = true;
-    auto wire = syn.serialize();
-
-    // A few byte-level mutations (bit flips, truncation, growth).
-    const int mutations = 1 + static_cast<int>(rng.below(4));
-    for (int m = 0; m < mutations && !wire.empty(); ++m) {
-      switch (rng.below(3)) {
-        case 0:
-          wire[rng.below(wire.size())] ^=
-              static_cast<std::uint8_t>(1u << rng.below(8));
-          break;
-        case 1:
-          wire.resize(rng.below(wire.size() + 1));
-          break;
-        default:
-          wire.push_back(static_cast<std::uint8_t>(rng()));
-          break;
-      }
-    }
-
-    const auto t = net::VirtualTime::from_seconds(
-        static_cast<double>(rng.below(75600)));
-    const auto from_bytes = bytes.handle_probe(0, wire, t, 0);
-    const auto reparsed = net::TcpPacket::parse(wire);
-    if (!reparsed) {
-      // Unparseable on the wire: the byte path must be silent (there is
-      // no struct to feed the fast path).
-      EXPECT_FALSE(from_bytes.has_value()) << "i=" << i;
-      continue;
-    }
-    ++parsed_mutants;
-    const auto from_fast = fast.handle_probe_fast(0, *reparsed, t, 0);
-    ASSERT_EQ(from_fast.has_value(), from_bytes.has_value()) << "i=" << i;
-    if (from_fast) EXPECT_EQ(from_fast->serialize(), *from_bytes);
-  }
-  // Mutated-but-parseable probes must actually occur for this to test
-  // the malformed-struct frontier.
-  EXPECT_GT(parsed_mutants, 50);
-}
-
 // ---- Scan-record invariants ------------------------------------------------
 
 TEST(ScanInvariants, L7OnlyAttemptedAfterSynAck) {

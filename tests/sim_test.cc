@@ -14,6 +14,7 @@ namespace {
 
 using originscan::testing::MiniWorldOptions;
 using originscan::testing::make_mini_world;
+using originscan::testing::probe_one;
 
 // --------------------------------------------------------------- country --
 
@@ -235,57 +236,41 @@ TEST(Server, NullForMissingService) {
 // -------------------------------------------------------------- internet --
 
 TEST(Internet, ProbeLifecycle) {
-  auto world = make_mini_world();
+  auto world = make_mini_world({.all_services = false});  // HTTP only
   PersistentState persistent;
   TrialContext context;
   context.experiment_seed = world.seed;
   Internet internet(&world, context, &persistent);
 
-  // Build a genuine SYN probe by hand.
-  net::TcpPacket syn;
-  syn.ip.src = world.origins[0].source_ips[0];
-  syn.ip.dst = net::Ipv4Addr(5);  // a host in AS Alpha
-  syn.tcp.src_port = 40000;
-  syn.tcp.dst_port = 80;
-  syn.tcp.seq = 12345;
-  syn.tcp.flags.syn = true;
-
-  auto response_bytes =
-      internet.handle_probe(0, syn.serialize(), net::VirtualTime{}, 0);
-  ASSERT_TRUE(response_bytes.has_value());
-  auto response = net::TcpPacket::parse(*response_bytes);
-  ASSERT_TRUE(response.has_value());
-  EXPECT_TRUE(response->tcp.flags.syn);
-  EXPECT_TRUE(response->tcp.flags.ack);
-  EXPECT_EQ(response->tcp.ack, 12346u);
-  EXPECT_EQ(response->ip.src, syn.ip.dst);
-  EXPECT_EQ(response->tcp.src_port, 80);
-  EXPECT_EQ(response->tcp.dst_port, 40000);
+  // A host in AS Alpha: SYN-ACK on its open port, RST on a closed one.
+  const net::Ipv4Addr dst(5);
+  EXPECT_EQ(probe_one(internet, 0, dst), ProbeContext::Reply::kSynAck);
+  EXPECT_EQ(probe_one(internet, 0, dst, proto::Protocol::kSsh),
+            ProbeContext::Reply::kRst);
+  // Follow-up probes take the same path.
+  EXPECT_EQ(probe_one(internet, 0, dst, proto::Protocol::kHttp, {}, 1),
+            ProbeContext::Reply::kSynAck);
 }
 
-TEST(Internet, SilenceForUnroutedAndNonSyn) {
-  auto world = make_mini_world();
+TEST(Internet, SilenceForUnroutedAndAbsentHosts) {
+  MiniWorldOptions options;
+  options.density = 0.5;
+  auto world = make_mini_world(options);
   PersistentState persistent;
   TrialContext context;
   context.experiment_seed = world.seed;
   Internet internet(&world, context, &persistent);
 
-  net::TcpPacket probe;
-  probe.ip.src = world.origins[0].source_ips[0];
-  probe.ip.dst = net::Ipv4Addr(world.universe_size + 5000);  // unrouted
-  probe.tcp.dst_port = 80;
-  probe.tcp.flags.syn = true;
-  EXPECT_FALSE(internet.handle_probe(0, probe.serialize(), {}, 0));
-
-  probe.ip.dst = net::Ipv4Addr(5);
-  probe.tcp.flags.syn = false;
-  probe.tcp.flags.ack = true;
-  EXPECT_FALSE(internet.handle_probe(0, probe.serialize(), {}, 0));
-
-  probe.tcp.flags.syn = true;
-  probe.tcp.flags.ack = false;
-  probe.tcp.dst_port = 8080;  // port outside the study
-  EXPECT_FALSE(internet.handle_probe(0, probe.serialize(), {}, 0));
+  EXPECT_EQ(probe_one(internet, 0, net::Ipv4Addr(world.universe_size + 5000)),
+            ProbeContext::Reply::kNone);  // unrouted
+  int absent = 0;
+  for (std::uint32_t addr = 0; addr < world.universe_size; ++addr) {
+    if (world.hosts.find(net::Ipv4Addr(addr)) != nullptr) continue;
+    EXPECT_EQ(probe_one(internet, 0, net::Ipv4Addr(addr)),
+              ProbeContext::Reply::kNone);
+    if (++absent == 16) break;
+  }
+  EXPECT_EQ(absent, 16);
 }
 
 TEST(Internet, ConnectRunsHttpExchange) {
@@ -365,21 +350,15 @@ TEST(Policy, StaticL4BlockDropsProbes) {
   context.experiment_seed = world.seed;
   Internet internet(&world, context, &persistent);
 
-  net::TcpPacket syn;
-  syn.ip.src = world.origins[0].source_ips[0];
-  syn.ip.dst = net::Ipv4Addr(5);  // in Alpha
-  syn.tcp.dst_port = 80;
-  syn.tcp.flags.syn = true;
-  EXPECT_FALSE(internet.handle_probe(0, syn.serialize(), {}, 0).has_value());
+  const net::Ipv4Addr in_alpha(5);
+  EXPECT_EQ(probe_one(internet, 0, in_alpha), ProbeContext::Reply::kNone);
 
   // Origin 1 is unaffected.
-  syn.ip.src = world.origins[1].source_ips[0];
-  EXPECT_TRUE(internet.handle_probe(1, syn.serialize(), {}, 0).has_value());
+  EXPECT_NE(probe_one(internet, 1, in_alpha), ProbeContext::Reply::kNone);
 
   // Another AS is unaffected for origin 0.
-  syn.ip.src = world.origins[0].source_ips[0];
-  syn.ip.dst = net::Ipv4Addr(256 + 5);  // in Beta
-  EXPECT_TRUE(internet.handle_probe(0, syn.serialize(), {}, 0).has_value());
+  EXPECT_NE(probe_one(internet, 0, net::Ipv4Addr(256 + 5)),  // in Beta
+            ProbeContext::Reply::kNone);
 }
 
 TEST(Policy, RstAfterAcceptAndL7Drop) {
@@ -426,16 +405,10 @@ TEST(Policy, GeoRestrictionAllowsOnlyInCountry) {
   context.experiment_seed = world.seed;
   Internet internet(&world, context, &persistent);
 
-  net::TcpPacket syn;
-  syn.tcp.dst_port = 80;
-  syn.tcp.flags.syn = true;
-  syn.ip.dst = net::Ipv4Addr(256 + 5);
-
   // Origin 0 is US: blocked. Origin 1 is JP: allowed.
-  syn.ip.src = world.origins[0].source_ips[0];
-  EXPECT_FALSE(internet.handle_probe(0, syn.serialize(), {}, 0).has_value());
-  syn.ip.src = world.origins[1].source_ips[0];
-  EXPECT_TRUE(internet.handle_probe(1, syn.serialize(), {}, 0).has_value());
+  const net::Ipv4Addr in_beta(256 + 5);
+  EXPECT_EQ(probe_one(internet, 0, in_beta), ProbeContext::Reply::kNone);
+  EXPECT_NE(probe_one(internet, 1, in_beta), ProbeContext::Reply::kNone);
 }
 
 TEST(Policy, RateIdsTripsAndPersists) {
@@ -451,14 +424,12 @@ TEST(Policy, RateIdsTripsAndPersists) {
 
   {
     Internet internet(&world, context, &persistent);
-    net::TcpPacket syn;
-    syn.ip.src = world.origins[0].source_ips[0];
-    syn.tcp.dst_port = 80;
-    syn.tcp.flags.syn = true;
     int answered = 0;
     for (int i = 0; i < 30; ++i) {
-      syn.ip.dst = net::Ipv4Addr(static_cast<std::uint32_t>(i % 200));
-      if (internet.handle_probe(0, syn.serialize(), {}, 0)) ++answered;
+      const net::Ipv4Addr dst(static_cast<std::uint32_t>(i % 200));
+      if (probe_one(internet, 0, dst) != ProbeContext::Reply::kNone) {
+        ++answered;
+      }
     }
     EXPECT_LE(answered, 10);
     EXPECT_GE(answered, 8);  // first probes must get through
@@ -467,16 +438,12 @@ TEST(Policy, RateIdsTripsAndPersists) {
   // Next trial: the block persists from probe one.
   context.trial = 1;
   Internet internet(&world, context, &persistent);
-  net::TcpPacket syn;
-  syn.ip.src = world.origins[0].source_ips[0];
-  syn.ip.dst = net::Ipv4Addr(3);
-  syn.tcp.dst_port = 80;
-  syn.tcp.flags.syn = true;
-  EXPECT_FALSE(internet.handle_probe(0, syn.serialize(), {}, 0).has_value());
+  EXPECT_EQ(probe_one(internet, 0, net::Ipv4Addr(3)),
+            ProbeContext::Reply::kNone);
 
   // A different source IP (origin 1) is not blocked.
-  syn.ip.src = world.origins[1].source_ips[0];
-  EXPECT_TRUE(internet.handle_probe(1, syn.serialize(), {}, 0).has_value());
+  EXPECT_NE(probe_one(internet, 1, net::Ipv4Addr(3)),
+            ProbeContext::Reply::kNone);
 }
 
 TEST(Policy, TemporalRstKicksInMidScan) {
@@ -530,19 +497,13 @@ TEST(Policy, BlockRuleStartTrialPhaseIn) {
   world.policies.edit(alpha).blocks.push_back(rule);
 
   PersistentState persistent;
-  net::TcpPacket syn;
-  syn.ip.src = world.origins[0].source_ips[0];
-  syn.ip.dst = net::Ipv4Addr(5);
-  syn.tcp.dst_port = 80;
-  syn.tcp.flags.syn = true;
-
   for (int trial = 0; trial < 3; ++trial) {
     TrialContext context;
     context.trial = trial;
     context.experiment_seed = world.seed;
     Internet internet(&world, context, &persistent);
     const bool answered =
-        internet.handle_probe(0, syn.serialize(), {}, 0).has_value();
+        probe_one(internet, 0, net::Ipv4Addr(5)) != ProbeContext::Reply::kNone;
     EXPECT_EQ(answered, trial < 2) << "trial " << trial;
   }
 }

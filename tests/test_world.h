@@ -2,11 +2,13 @@
 // path loss, no outages, no policies unless a test adds them.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <vector>
 
 #include "netbase/rng.h"
 #include "proto/ssh.h"
+#include "sim/internet.h"
 #include "sim/world.h"
 
 namespace originscan::testing {
@@ -89,6 +91,30 @@ inline sim::World make_mini_world(const MiniWorldOptions& options = {}) {
   world.outages.pair_rate = 0;
   world.outages.wide_event_probability = 0;
   return world;
+}
+
+// Sends probe `probe_index` of one target from `origin`'s first source IP
+// at time `t` through the scanner's pipeline as a batch of one:
+// resolve_batch, handle_probe_batch, then — if the probe reaches a
+// listening host — ProbeContext::respond, which feeds the policy engine.
+inline sim::ProbeContext::Reply probe_one(
+    sim::Internet& internet, sim::OriginId origin, net::Ipv4Addr dst,
+    proto::Protocol protocol = proto::Protocol::kHttp,
+    net::VirtualTime t = {}, int probe_index = 0) {
+  sim::ProbeContext context = internet.probe_context(origin, protocol);
+  auto batch = std::make_unique<sim::ProbeBatch>();
+  batch->size = 1;
+  batch->probes = probe_index + 1;
+  batch->addr[0] = dst;
+  batch->sent_mask[0] = static_cast<std::uint8_t>(1u << probe_index);
+  batch->time_us[probe_index * sim::ProbeBatch::kCapacity] = t.micros();
+  context.resolve_batch(*batch);
+  internet.handle_probe_batch(context, *batch);
+  if (((batch->live_mask[0] >> probe_index) & 1) == 0) {
+    return sim::ProbeContext::Reply::kNone;
+  }
+  return context.respond(*batch, 0, probe_index,
+                         internet.world().origins[origin].source_ips[0]);
 }
 
 }  // namespace originscan::testing
