@@ -21,9 +21,10 @@
 #             service loadgen p99 gate against BENCH_wall.json's
 #             loadgen_p99_us (>25% regression fails)
 #   tsan      ORIGINSCAN_SANITIZE=thread build; runs the suites that
-#             exercise the parallel executor, the cell supervisor, the
-#             multi-process worker pool, and the fault-injected
-#             differential harness under thread sanitizer
+#             exercise the parallel executor, the windowed lane executor
+#             (procedural_test: multi-window sweeps and scans at jobs > 1),
+#             the cell supervisor, the multi-process worker pool, and the
+#             fault-injected differential harness under thread sanitizer
 #   asan      ORIGINSCAN_SANITIZE=address build (ASan + UBSan, any
 #             undefined behavior aborts); runs the whole suite except
 #             the scale lane
@@ -40,6 +41,11 @@ JOBS=$(nproc 2>/dev/null || echo 4)
 configure_and_build() { # <dir> [cmake args...]
   local dir=$1
   shift
+  # The default and ASan+UBSan builds are warning-free; -Werror keeps them
+  # so. (The TSan and coverage builds keep warnings non-fatal.)
+  case "$dir" in
+    build | build-asan) set -- "$@" -DCMAKE_CXX_FLAGS=-Werror ;;
+  esac
   cmake -S . -B "$dir" "$@" >/dev/null
   cmake --build "$dir" -j "$JOBS"
 }
@@ -132,7 +138,7 @@ run_bench() {
 run_tsan() {
   configure_and_build build-tsan -DORIGINSCAN_SANITIZE=thread
   (cd build-tsan &&
-    ctest -R 'parallel_test|scanner_test|sim_test|core_test|journal_test|crash_resume_test|differential_test|dist_test|chaos_test|batch_test|service_test' \
+    ctest -R 'parallel_test|scanner_test|sim_test|core_test|journal_test|crash_resume_test|differential_test|dist_test|chaos_test|batch_test|service_test|procedural_test' \
       --output-on-failure)
 }
 

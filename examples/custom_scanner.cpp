@@ -1,5 +1,5 @@
 // Low-level API tour: build a custom mini Internet by hand (no paper
-// scenario), configure a ZMap sweep with a blocklist and shards, run the
+// scenario), configure a ZMap sweep with a blocklist, run the
 // ZGrab handshakes yourself, and print the observed banners — the
 // building blocks a downstream user would assemble for their own study.
 #include <cstdio>
@@ -64,29 +64,22 @@ int main() {
   context.experiment_seed = world.seed;
   sim::Internet internet(&world, context, &persistent);
 
-  // ---- 2. a ZMap sweep with an explicit blocklist, split in 2 shards.
-  scan::Blocklist blocklist;
-  blocklist.block("0.0.0.0/30");  // pretend these asked to be excluded
+  // ---- 2. a ZMap sweep with an explicit blocklist.
+  scan::ZMapConfig config;
+  config.seed = 99;
+  config.universe_size = world.universe_size;
+  config.protocol = proto::Protocol::kHttp;
+  config.source_ips = world.origins[0].source_ips;
+  config.blocklist.block("0.0.0.0/30");  // pretend these asked to be excluded
 
   std::vector<scan::L4Result> responsive;
-  for (std::uint32_t shard = 0; shard < 2; ++shard) {
-    scan::ZMapConfig config;
-    config.seed = 99;
-    config.universe_size = world.universe_size;
-    config.protocol = proto::Protocol::kHttp;
-    config.source_ips = world.origins[0].source_ips;
-    config.shard_index = shard;
-    config.shard_count = 2;
-    config.blocklist = blocklist;
-    scan::ZMapScanner zmap(config, &internet, 0);
-    const auto stats = zmap.run(
-        [&](const scan::L4Result& result) { responsive.push_back(result); });
-    std::printf("shard %u: probed %llu targets, %llu SYN-ACKs, %llu "
-                "blocklisted\n",
-                shard, static_cast<unsigned long long>(stats.targets_probed),
-                static_cast<unsigned long long>(stats.synacks),
-                static_cast<unsigned long long>(stats.blocklisted_skipped));
-  }
+  scan::ZMapScanner zmap(config, &internet, 0);
+  const auto stats = zmap.run(
+      [&](const scan::L4Result& result) { responsive.push_back(result); });
+  std::printf("probed %llu targets, %llu SYN-ACKs, %llu blocklisted\n",
+              static_cast<unsigned long long>(stats.targets_probed),
+              static_cast<unsigned long long>(stats.synacks),
+              static_cast<unsigned long long>(stats.blocklisted_skipped));
 
   // ---- 3. ZGrab the responders and tally outcomes per AS.
   scan::ZGrabEngine zgrab({.protocol = proto::Protocol::kHttp}, &internet, 0);

@@ -31,9 +31,11 @@ struct ExperimentConfig {
   Roster roster = Roster::kPaper;
 
   int trials = 3;
-  std::vector<proto::Protocol> protocols = {proto::Protocol::kHttp,
-                                            proto::Protocol::kHttps,
-                                            proto::Protocol::kSsh};
+  // Copied from the constexpr table rather than an initializer list:
+  // GCC 12 misreads the list's backing array as maybe-uninitialized
+  // (-Wmaybe-uninitialized) once this default is inlined.
+  std::vector<proto::Protocol> protocols = std::vector<proto::Protocol>(
+      proto::kAllProtocols.begin(), proto::kAllProtocols.end());
   int probes = 2;
   net::VirtualTime probe_interval;  // delay between probes to one target
   int l7_retries = 0;

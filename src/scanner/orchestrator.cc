@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -12,20 +13,7 @@
 namespace originscan::scan {
 namespace {
 
-// One lane's share of a parallel scan: records and banners accumulate
-// independently, then merge into the final ScanResult.
-struct LaneOutput {
-  std::vector<ScanRecord> records;
-  std::vector<std::string> banners;
-  std::vector<std::uint64_t> attempt_histogram;
-  ZMapScanner::Stats stats;
-  // This lane's single-writer metric shard; merged (commutatively) into
-  // ScanOptions::metrics after the parallel join, so the aggregate is
-  // independent of lane count and completion order.
-  obsv::MetricBlock metrics;
-};
-
-// The deferral predicate shared by run_scan, its trace, and run_l4_sweep:
+// The deferral predicate shared by the lane executor and the scan trace:
 // whether probes to `dst` feed a rate-IDS counter for `protocol`. Those
 // counters are the simulation's one order-sensitive state, so such targets
 // run on one serial lane in global permutation order. Procedural catalog
@@ -38,6 +26,135 @@ auto rate_ids_defer(const sim::Internet& internet, proto::Protocol protocol) {
     const auto as = world.topology.as_of(dst);
     return as && policy.rate_ids_applies(*as, protocol);
   };
+}
+
+// The sweep configuration run_scan and run_l4_sweep share (their options
+// structs name these fields alike). One permutation seed per trial,
+// shared by every synchronized origin.
+template <typename Options>
+ZMapConfig make_zmap_config(const sim::Internet& internet,
+                            sim::OriginId origin, proto::Protocol protocol,
+                            const Options& options) {
+  const sim::World& world = internet.world();
+  ZMapConfig config;
+  config.seed = net::mix_u64(internet.context().experiment_seed,
+                             internet.context().trial, 0x5EEDAULL);
+  config.universe_size = world.universe_size;
+  config.protocol = protocol;
+  config.probes = options.probes;
+  config.probe_interval = options.probe_interval;
+  config.scan_duration = options.scan_duration;
+  config.source_ips = world.origins[origin].source_ips;
+  config.blocklist = options.blocklist;
+  config.cancel = options.cancel;
+  return config;
+}
+
+// Targets dealt out per window when lanes run concurrently. The window's
+// lane vectors are the sweep's only per-target buffer (16 bytes a
+// target), so peak memory is one window whatever the universe size; each
+// window ends at a join, so smaller windows trade join overhead for
+// memory. A single lane has no join to amortize, so its window is one
+// probe batch.
+constexpr std::size_t kWindowTargets = std::size_t{1} << 18;
+
+// The one lane executor behind run_scan and run_l4_sweep. It walks the
+// permutation (TargetWalk: filter, then global first-packet slot) in
+// windows (see kWindowTargets) and deals each window's targets
+// round-robin to `jobs` lanes. When lanes run concurrently, rate-IDS
+// targets go instead to one extra deferred lane, which runs first in each
+// window; a single lane takes every target in permutation order, so the
+// deferral predicate runs only when lanes are concurrent. Windows run in
+// permutation order and join at their end, so the deferred lane sees its
+// targets in global order exactly as a single lane would. Every other
+// probe decision is a pure function of the target and its global slot,
+// so any dealing yields the same per-target results.
+//
+// `outputs` gets one entry per lane. `make_collector(output, metrics)`
+// builds each lane's result callback once, before the sweep, from the
+// lane's output and its single-writer metric block (null when `metrics`
+// is); the lane blocks merge (commutatively) into `metrics` after the
+// sweep. Returns the lanes' summed Stats, blocklist skips included.
+template <typename Output, typename MakeCollector>
+ZMapScanner::Stats run_lanes(sim::Internet& internet, sim::OriginId origin,
+                               const ZMapConfig& config, int jobs,
+                               obsv::MetricBlock* metrics,
+                               std::vector<Output>& outputs,
+                               const MakeCollector& make_collector) {
+  // A scanner is built once per lane, so its probe context, block cache
+  // and metric shard live for the whole sweep; building the first one
+  // prewarms the Internet's caches before any lane runs.
+  struct Lane {
+    obsv::MetricBlock metrics;
+    std::optional<ZMapScanner> scanner;
+    std::function<void(const L4Result&)> collect;
+    std::vector<ScheduledTarget> targets;  // this window's share
+    ZMapScanner::Stats stats;
+  };
+  const auto shards = static_cast<std::size_t>(std::max(1, jobs));
+  const bool concurrent = shards > 1;
+  const std::size_t window =
+      concurrent ? kWindowTargets : ZMapScanner::kRunBatch;
+  // lanes[0..shards) deal round-robin; when concurrent, lanes.back() is
+  // the deferred lane.
+  std::vector<Lane> lanes(concurrent ? shards + 1 : 1);
+  outputs.resize(lanes.size());
+  for (std::size_t i = 0; i < lanes.size(); ++i) {
+    ZMapConfig lane_config = config;
+    lane_config.metrics = metrics != nullptr ? &lanes[i].metrics : nullptr;
+    lanes[i].scanner.emplace(lane_config, &internet, origin);
+    lanes[i].collect = make_collector(outputs[i], lane_config.metrics);
+  }
+  if (metrics != nullptr) {
+    metrics->gauge_max(obsv::Gauge::kScanUniverseSize, config.universe_size);
+  }
+
+  const auto defer = rate_ids_defer(internet, config.protocol);
+  TargetWalk walk(config);
+  std::array<ScheduledTarget, ZMapScanner::kRunBatch> chunk;
+  std::size_t next_lane = 0;
+  while (!walk.done()) {
+    if (config.cancel != nullptr && config.cancel->cancelled()) break;
+    for (Lane& lane : lanes) lane.targets.clear();
+    for (std::size_t in_window = 0;
+         in_window < window && !walk.done();) {
+      const std::size_t count = walk.next(chunk);
+      for (std::size_t i = 0; i < count; ++i) {
+        if (concurrent && defer(chunk[i].addr)) {
+          lanes.back().targets.push_back(chunk[i]);
+        } else {
+          lanes[next_lane].targets.push_back(chunk[i]);
+          next_lane = (next_lane + 1) % shards;
+        }
+      }
+      in_window += count;
+    }
+
+    std::vector<std::function<void()>> tasks;
+    tasks.reserve(lanes.size());
+    const auto add_task = [&tasks](Lane& lane) {
+      if (lane.targets.empty()) return;
+      tasks.push_back([&lane] {
+        lane.stats += lane.scanner->run_scheduled(lane.targets, lane.collect);
+      });
+    };
+    // The deferred lane goes first: it cannot be split, so it must not
+    // queue behind the shard lanes.
+    add_task(lanes.back());
+    for (std::size_t i = 0; i + 1 < lanes.size(); ++i) add_task(lanes[i]);
+    core::run_parallel(jobs, std::move(tasks));
+  }
+
+  ZMapScanner::Stats stats;
+  for (const Lane& lane : lanes) {
+    stats += lane.stats;
+    if (metrics != nullptr) metrics->merge_from(lane.metrics);
+  }
+  stats.blocklisted_skipped = walk.blocklisted();
+  if (metrics != nullptr) {
+    metrics->add(obsv::Counter::kZmapBlocklistedSkipped, walk.blocklisted());
+  }
+  return stats;
 }
 
 // Bumps the bucket for a grab that took `attempts` handshake attempts.
@@ -56,18 +173,15 @@ void merge_histograms(std::vector<std::uint64_t>& into,
   for (std::size_t i = 0; i < from.size(); ++i) into[i] += from[i];
 }
 
-// Builds the L4 callback: record the probe result and, if a SYN-ACK
-// arrived, schedule the ZGrab follow-up. Shared verbatim by the serial
-// sweep and every parallel lane so their per-record behavior cannot
-// diverge.
+// Builds one lane's L4 callback: record the probe result into `lane`
+// and, if a SYN-ACK arrived, run the ZGrab follow-up on the lane's own
+// engine. Every lane uses it, so their per-record behavior cannot diverge.
 std::function<void(const L4Result&)> make_collector(
-    sim::Internet& internet, sim::OriginId origin, ZGrabEngine& zgrab,
-    const ScanOptions& options, std::vector<ScanRecord>& records,
-    std::vector<std::string>& banners,
-    std::vector<std::uint64_t>& attempt_histogram) {
+    sim::Internet& internet, sim::OriginId origin, ZGrabEngine zgrab,
+    const ScanOptions& options, ScanResult& lane) {
   const sim::World& world = internet.world();
-  return [&internet, &zgrab, &options, &records, &banners,
-          &attempt_histogram, &world, origin](const L4Result& l4) {
+  return [&internet, zgrab = std::move(zgrab), &options, &lane, &world,
+          origin](const L4Result& l4) mutable {
     ScanRecord record;
     record.addr = l4.addr;
     record.synack_mask = l4.synack_mask;
@@ -92,10 +206,10 @@ std::function<void(const L4Result&)> make_collector(
       record.l7 = l7.outcome;
       record.explicit_close = l7.explicit_close;
       banner = l7.banner;
-      record_attempts(attempt_histogram, l7.attempts);
+      record_attempts(lane.attempt_histogram, l7.attempts);
     }
-    records.push_back(record);
-    if (options.keep_banners) banners.push_back(std::move(banner));
+    lane.records.push_back(record);
+    if (options.keep_banners) lane.banners.push_back(std::move(banner));
   };
 }
 
@@ -131,18 +245,37 @@ void finalize(ScanResult& result, bool keep_banners) {
 }
 
 // Emits the scan's virtual-clock phase spans. The shard-lane spans come
-// from a canonical 4-way slot partition built here, NOT from the lanes
-// that actually executed — the partition is a pure function of the
-// permutation, so the trace is byte-identical for any --jobs value (the
-// determinism contract in DESIGN.md §9). Runs once per scan, after the
-// sweep, and only when tracing is enabled; its extra permutation walk
-// never touches the disabled path.
+// from a canonical 4-way partition (permutation position mod 4, rate-IDS
+// targets apart) computed here, NOT from the lanes that actually executed
+// — the partition is a pure function of the permutation, so the trace is
+// byte-identical for any --jobs value (the determinism contract in
+// DESIGN.md §9). Runs once per scan, after the sweep, and only when
+// tracing is enabled; its extra permutation walk never touches the
+// disabled path.
 void emit_scan_trace(const ScanOptions& options, const ZMapConfig& zmap_config,
-                     const sim::Internet& internet, proto::Protocol protocol,
-                     const ScanResult& result) {
-  constexpr std::uint32_t kTraceLanes = 4;
-  const ScanSchedule schedule = ZMapScanner::build_schedule(
-      zmap_config, kTraceLanes, rate_ids_defer(internet, protocol));
+                     const sim::Internet& internet, const ScanResult& result) {
+  constexpr std::size_t kTraceLanes = 4;
+  // A running count, first and last first-packet slot per lane; slots
+  // grow along the walk. lanes[kTraceLanes] is the deferred lane.
+  struct LaneSpan {
+    std::uint64_t targets = 0;
+    std::uint64_t first = 0;
+    std::uint64_t last = 0;
+  };
+  std::array<LaneSpan, kTraceLanes + 1> lanes;
+  const auto defer = rate_ids_defer(internet, zmap_config.protocol);
+  TargetWalk walk(zmap_config);
+  ScheduledTarget target;
+  while (!walk.done()) {
+    // One entry per pull, so last_position() is this target's position.
+    if (walk.next(std::span<ScheduledTarget>(&target, 1)) == 0) continue;
+    LaneSpan& lane = defer(target.addr)
+                         ? lanes.back()
+                         : lanes[walk.last_position() % kTraceLanes];
+    if (lane.targets++ == 0) lane.first = target.first_packet;
+    lane.last = target.first_packet;
+  }
+
   const double spp = 1.0 / zmap_config.effective_pps(zmap_config.universe_size);
   const auto slot_time = [spp](std::uint64_t slot) {
     return net::VirtualTime::from_seconds(static_cast<double>(slot) * spp);
@@ -151,30 +284,28 @@ void emit_scan_trace(const ScanOptions& options, const ZMapConfig& zmap_config,
   obsv::TraceRecorder& trace = *options.trace;
   const std::string& track = options.trace_track;
 
-  trace.instant(
-      track, "permutation.build", net::VirtualTime{},
-      {{"targets", std::to_string(schedule.target_count())},
-       {"blocklisted", std::to_string(schedule.blocklisted_skipped)},
-       {"deferred", std::to_string(schedule.deferred.size())}});
+  trace.instant(track, "permutation.build", net::VirtualTime{},
+                {{"targets", std::to_string(walk.targets())},
+                 {"blocklisted", std::to_string(walk.blocklisted())},
+                 {"deferred", std::to_string(lanes.back().targets)}});
 
-  const auto lane_span = [&](const std::vector<ScheduledTarget>& lane,
+  const auto lane_span = [&](const LaneSpan& lane,
                              const std::string& lane_track,
                              const std::string& name) {
-    if (lane.empty()) return;
-    trace.span(lane_track, name, slot_time(lane.front().first_packet),
-               slot_time(lane.back().first_packet + probes - 1),
-               {{"targets", std::to_string(lane.size())}});
+    if (lane.targets == 0) return;
+    trace.span(lane_track, name, slot_time(lane.first),
+               slot_time(lane.last + probes - 1),
+               {{"targets", std::to_string(lane.targets)}});
   };
-  for (std::size_t i = 0; i < schedule.shards.size(); ++i) {
-    lane_span(schedule.shards[i], track + "/lane" + std::to_string(i),
-              "zmap.lane");
+  for (std::size_t i = 0; i < kTraceLanes; ++i) {
+    lane_span(lanes[i], track + "/lane" + std::to_string(i), "zmap.lane");
   }
-  lane_span(schedule.deferred, track + "/deferred", "zmap.lane.deferred");
+  lane_span(lanes.back(), track + "/deferred", "zmap.lane.deferred");
 
   // ZMap's cooldown: after the last packet leaves, the receive thread
   // keeps listening (8 s by default) for stragglers. Our virtual-clock
   // analog is a fixed window after the final schedule slot.
-  const std::uint64_t total_packets = schedule.target_count() * probes;
+  const std::uint64_t total_packets = walk.targets() * probes;
   if (total_packets > 0) {
     const net::VirtualTime sweep_end = slot_time(total_packets - 1);
     trace.span(track, "zmap.cooldown", sweep_end,
@@ -211,22 +342,10 @@ void emit_scan_trace(const ScanOptions& options, const ZMapConfig& zmap_config,
 
 ScanResult run_scan(sim::Internet& internet, sim::OriginId origin,
                     proto::Protocol protocol, const ScanOptions& options) {
-  const sim::World& world = internet.world();
-
-  ZMapConfig zmap_config;
-  // One permutation seed per trial, shared by every synchronized origin.
-  zmap_config.seed = net::mix_u64(internet.context().experiment_seed,
-                                  internet.context().trial, 0x5EEDAULL);
-  zmap_config.universe_size = world.universe_size;
-  zmap_config.protocol = protocol;
-  zmap_config.probes = options.probes;
-  zmap_config.probe_interval = options.probe_interval;
-  zmap_config.scan_duration = options.scan_duration;
-  zmap_config.source_ips = world.origins[origin].source_ips;
-  zmap_config.blocklist = options.blocklist;
+  ZMapConfig zmap_config =
+      make_zmap_config(internet, origin, protocol, options);
   zmap_config.allowlist = options.target_prefix;
   zmap_config.faults = options.faults;
-  zmap_config.cancel = options.cancel;
 
   ZGrabConfig zgrab_config;
   zgrab_config.protocol = protocol;
@@ -235,278 +354,79 @@ ScanResult run_scan(sim::Internet& internet, sim::OriginId origin,
   zgrab_config.faults = options.faults;
 
   ScanResult result;
-  result.origin_code = world.origins[origin].code;
+  result.origin_code = internet.world().origins[origin].code;
   result.protocol = protocol;
   result.trial = internet.context().trial;
 
-  if (options.metrics != nullptr) {
-    options.metrics->gauge_max(obsv::Gauge::kScanUniverseSize,
-                               world.universe_size);
-  }
-
-  const int jobs = std::max(1, options.jobs);
-  if (jobs == 1) {
-    // Serial path: the one lane writes straight into the caller's block.
-    zmap_config.metrics = options.metrics;
-    zgrab_config.metrics = options.metrics;
-    ZMapScanner zmap(zmap_config, &internet, origin);
-    ZGrabEngine zgrab(zgrab_config, &internet, origin);
-    result.l4_stats = zmap.run(
-        make_collector(internet, origin, zgrab, options, result.records,
-                       result.banners, result.attempt_histogram));
-    result.aborted = options.cancel != nullptr && options.cancel->cancelled();
-    finalize(result, options.keep_banners);
-    if (options.trace != nullptr && !result.aborted) {
-      emit_scan_trace(options, zmap_config, internet, protocol, result);
-    }
-    return result;
-  }
-
-  // Parallel path: split the sweep into `jobs` shard lanes plus one
-  // serial lane for rate-IDS networks (the only order-sensitive state in
-  // the simulation — see DESIGN.md). Every lane stamps probes from the
-  // same global virtual clock, so the merged, address-sorted result is
-  // bit-identical to the serial sweep.
-  const ScanSchedule schedule = ZMapScanner::build_schedule(
-      zmap_config, static_cast<std::uint32_t>(jobs),
-      rate_ids_defer(internet, protocol));
-
-  // Build the loss/outage caches up front so the lanes never contend on
-  // the cache writer lock.
-  internet.prewarm(origin, protocol);
-
-  std::vector<LaneOutput> lanes(schedule.shards.size() + 1);
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(lanes.size());
-  const auto make_lane_task = [&](std::span<const ScheduledTarget> targets,
-                                  LaneOutput& lane) {
-    return [&internet, origin, &zmap_config, &zgrab_config, &options,
-            targets, &lane] {
-      // Each lane scans through config copies pointing at its own metric
-      // shard, keeping the blocks single-writer (nullptr when disabled).
-      ZMapConfig lane_zmap = zmap_config;
-      ZGrabConfig lane_zgrab = zgrab_config;
-      if (options.metrics != nullptr) {
-        lane_zmap.metrics = &lane.metrics;
-        lane_zgrab.metrics = &lane.metrics;
-      }
-      ZMapScanner zmap(lane_zmap, &internet, origin);
-      ZGrabEngine zgrab(lane_zgrab, &internet, origin);
-      lane.stats = zmap.run_scheduled(
-          targets, make_collector(internet, origin, zgrab, options,
-                                  lane.records, lane.banners,
-                                  lane.attempt_histogram));
-    };
-  };
-  // The deferred lane goes first: it is the one lane that cannot be
-  // split, so it should never sit behind shard lanes in the queue.
-  tasks.push_back(make_lane_task(schedule.deferred, lanes.back()));
-  for (std::size_t i = 0; i < schedule.shards.size(); ++i) {
-    tasks.push_back(make_lane_task(schedule.shards[i], lanes[i]));
-  }
-  core::run_parallel(jobs, std::move(tasks));
-
+  // Each lane gathers its records, banners and attempt counts into its
+  // own ScanResult; they merge into the canonical address-sorted result.
+  std::vector<ScanResult> lanes;
+  result.l4_stats = run_lanes(
+      internet, origin, zmap_config, options.jobs, options.metrics, lanes,
+      [&](ScanResult& lane, obsv::MetricBlock* metrics) {
+        ZGrabConfig lane_zgrab = zgrab_config;
+        lane_zgrab.metrics = metrics;
+        return make_collector(internet, origin,
+                              ZGrabEngine(lane_zgrab, &internet, origin),
+                              options, lane);
+      });
   result.aborted = options.cancel != nullptr && options.cancel->cancelled();
-  result.l4_stats.blocklisted_skipped = schedule.blocklisted_skipped;
-  if (options.metrics != nullptr) {
-    // The parallel path filters blocklisted targets in build_schedule
-    // rather than per lane, so the counter is credited here, matching
-    // what run() counts on the serial path.
-    options.metrics->add(obsv::Counter::kZmapBlocklistedSkipped,
-                         schedule.blocklisted_skipped);
-  }
+
   std::size_t total_records = 0;
-  for (const LaneOutput& lane : lanes) total_records += lane.records.size();
+  for (const ScanResult& lane : lanes) total_records += lane.records.size();
   result.records.reserve(total_records);
-  for (LaneOutput& lane : lanes) {
-    result.l4_stats += lane.stats;
+  for (ScanResult& lane : lanes) {
     merge_histograms(result.attempt_histogram, lane.attempt_histogram);
-    if (options.metrics != nullptr) options.metrics->merge_from(lane.metrics);
     result.records.insert(result.records.end(), lane.records.begin(),
                           lane.records.end());
     result.banners.insert(result.banners.end(),
                           std::make_move_iterator(lane.banners.begin()),
                           std::make_move_iterator(lane.banners.end()));
   }
+  lanes.clear();
   finalize(result, options.keep_banners);
   if (options.trace != nullptr && !result.aborted) {
-    emit_scan_trace(options, zmap_config, internet, protocol, result);
+    emit_scan_trace(options, zmap_config, internet, result);
   }
   return result;
 }
 
-namespace {
-
-// One lane of a windowed sweep: a scanner constructed once (so its probe
-// context, block cache, and metric shard live for the whole sweep) plus
-// the lane's commutative accumulators. Folding a result is addition
-// only, so the merged totals are independent of lane count and order.
-struct SweepLane {
-  std::vector<ScheduledTarget> targets;  // this window's share
-  ZMapScanner::Stats stats;
-  std::uint64_t digest = 0;
-  std::uint64_t responsive = 0;
-  std::uint64_t synack_targets = 0;
-  std::uint64_t rst_only_targets = 0;
-  obsv::MetricBlock metrics;
-  std::optional<ZMapScanner> scanner;
-  std::function<void(const L4Result&)> collect;
-};
-
-std::function<void(const L4Result&)> make_sweep_collector(SweepLane& lane) {
-  return [&lane](const L4Result& l4) {
-    const auto probe_second =
-        static_cast<std::uint32_t>(l4.probe_time.seconds());
-    lane.digest += net::mix_u64(
-        l4.addr.value(),
-        (static_cast<std::uint64_t>(l4.synack_mask) << 8) | l4.rst_mask,
-        probe_second);
-    ++lane.responsive;
-    if (l4.synack_mask != 0) {
-      ++lane.synack_targets;
-    } else {
-      ++lane.rst_only_targets;
-    }
-  };
-}
-
-void merge_lane(SweepResult& result, const SweepLane& lane,
-                obsv::MetricBlock* metrics) {
-  result.l4_stats += lane.stats;
-  result.digest += lane.digest;
-  result.responsive += lane.responsive;
-  result.synack_targets += lane.synack_targets;
-  result.rst_only_targets += lane.rst_only_targets;
-  if (metrics != nullptr) metrics->merge_from(lane.metrics);
-}
-
-}  // namespace
-
 SweepResult run_l4_sweep(sim::Internet& internet, sim::OriginId origin,
                          proto::Protocol protocol,
                          const SweepOptions& options) {
-  const sim::World& world = internet.world();
+  const ZMapConfig zmap_config =
+      make_zmap_config(internet, origin, protocol, options);
 
-  ZMapConfig zmap_config;
-  zmap_config.seed = net::mix_u64(internet.context().experiment_seed,
-                                  internet.context().trial, 0x5EEDAULL);
-  zmap_config.universe_size = world.universe_size;
-  zmap_config.protocol = protocol;
-  zmap_config.probes = options.probes;
-  zmap_config.probe_interval = options.probe_interval;
-  zmap_config.scan_duration = options.scan_duration;
-  zmap_config.source_ips = world.origins[origin].source_ips;
-  zmap_config.blocklist = options.blocklist;
-  zmap_config.cancel = options.cancel;
-
+  // Each lane folds its results into its own SweepResult. Folding is
+  // addition only, so the merged totals are independent of lane count and
+  // order.
+  std::vector<SweepResult> lanes;
   SweepResult result;
-  if (options.metrics != nullptr) {
-    options.metrics->gauge_max(obsv::Gauge::kScanUniverseSize,
-                               world.universe_size);
-  }
-
-  const int jobs = std::max(1, options.jobs);
-  if (jobs == 1) {
-    // Serial path: ZMapScanner::run already streams the permutation in
-    // batches with O(1) state; fold its results directly.
-    SweepLane lane;
-    zmap_config.metrics = options.metrics;
-    lane.scanner.emplace(zmap_config, &internet, origin);
-    lane.stats = lane.scanner->run(make_sweep_collector(lane));
-    merge_lane(result, lane, nullptr);  // metrics already wrote through
-    result.aborted = options.cancel != nullptr && options.cancel->cancelled();
-    return result;
-  }
-
-  // Parallel path: consume the permutation in fixed-size windows. Each
-  // window fills per-lane target vectors (round-robin; any assignment
-  // yields the same result because per-target decisions depend only on
-  // the target and its global slot), runs the lanes to a barrier, and
-  // reuses the vectors — peak memory is one window, not the universe.
-  // Rate-IDS targets go to a dedicated serial lane; windows execute in
-  // permutation order, so that lane sees them in global order exactly as
-  // the serial sweep would.
-  const auto defer = rate_ids_defer(internet, protocol);
-
-  internet.prewarm(origin, protocol);
-
-  // lanes[0..jobs) are shard lanes; lanes[jobs] is the deferred lane.
-  std::vector<SweepLane> lanes(static_cast<std::size_t>(jobs) + 1);
-  for (SweepLane& lane : lanes) {
-    ZMapConfig lane_config = zmap_config;
-    if (options.metrics != nullptr) lane_config.metrics = &lane.metrics;
-    lane.scanner.emplace(lane_config, &internet, origin);
-    lane.collect = make_sweep_collector(lane);
-  }
-
-  auto group = CyclicGroup::for_size(zmap_config.universe_size,
-                                     zmap_config.seed);
-  auto iterator = group.all();
-  std::array<std::uint32_t, 4096> buffer;
-  const std::uint64_t probes = static_cast<std::uint64_t>(zmap_config.probes);
-  std::uint64_t emitted = 0;
-  std::uint64_t blocklisted = 0;
-  std::size_t next_lane = 0;
-  bool exhausted = false;
-
-  while (!exhausted) {
-    if (options.cancel != nullptr && options.cancel->cancelled()) {
-      result.aborted = true;
-      break;
-    }
-    for (SweepLane& lane : lanes) lane.targets.clear();
-    std::uint32_t in_window = 0;
-    while (in_window < options.window_targets) {
-      const std::size_t filled = iterator.next_batch(buffer);
-      if (filled == 0) {
-        exhausted = true;
-        break;
-      }
-      for (std::size_t i = 0; i < filled; ++i) {
-        const net::Ipv4Addr dst(buffer[i]);
-        if (zmap_config.blocklist.is_blocked(dst)) {
-          ++blocklisted;
-          continue;
-        }
-        // Global slot of this target's first probe: identical to the
-        // serial sweep's targets_sent * probes, stride 1.
-        const ScheduledTarget target{dst, emitted * probes};
-        ++emitted;
-        ++in_window;
-        if (defer(dst)) {
-          lanes.back().targets.push_back(target);
-        } else {
-          lanes[next_lane].targets.push_back(target);
-          next_lane = (next_lane + 1) % static_cast<std::size_t>(jobs);
-        }
-      }
-    }
-
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(lanes.size());
-    const auto add_task = [&tasks](SweepLane& lane) {
-      if (lane.targets.empty()) return;
-      tasks.push_back([&lane] {
-        lane.stats += lane.scanner->run_scheduled(lane.targets, lane.collect);
+  result.l4_stats = run_lanes(
+      internet, origin, zmap_config, options.jobs, options.metrics, lanes,
+      [](SweepResult& lane, obsv::MetricBlock*) {
+        return [&lane](const L4Result& l4) {
+          const auto probe_second =
+              static_cast<std::uint32_t>(l4.probe_time.seconds());
+          lane.digest += net::mix_u64(
+              l4.addr.value(),
+              (static_cast<std::uint64_t>(l4.synack_mask) << 8) | l4.rst_mask,
+              probe_second);
+          ++lane.responsive;
+          if (l4.synack_mask != 0) {
+            ++lane.synack_targets;
+          } else {
+            ++lane.rst_only_targets;
+          }
+        };
       });
-    };
-    // Deferred lane first: it cannot be split, so it must not queue
-    // behind shard lanes.
-    add_task(lanes.back());
-    for (std::size_t i = 0; i + 1 < lanes.size(); ++i) add_task(lanes[i]);
-    if (!tasks.empty()) core::run_parallel(jobs, std::move(tasks));
+  for (const SweepResult& lane : lanes) {
+    result.digest += lane.digest;
+    result.responsive += lane.responsive;
+    result.synack_targets += lane.synack_targets;
+    result.rst_only_targets += lane.rst_only_targets;
   }
-
-  if (options.cancel != nullptr && options.cancel->cancelled()) {
-    result.aborted = true;
-  }
-  for (const SweepLane& lane : lanes) {
-    merge_lane(result, lane, options.metrics);
-  }
-  result.l4_stats.blocklisted_skipped = blocklisted;
-  if (options.metrics != nullptr && blocklisted > 0) {
-    options.metrics->add(obsv::Counter::kZmapBlocklistedSkipped, blocklisted);
-  }
+  result.aborted = options.cancel != nullptr && options.cancel->cancelled();
   return result;
 }
 

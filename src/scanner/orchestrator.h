@@ -83,8 +83,8 @@ struct ScanOptions {
   std::optional<net::Prefix> target_prefix;
   // Record L7 banners (page titles / TLS suites / SSH versions).
   bool keep_banners = false;
-  // Worker threads for this one scan. With jobs > 1 the sweep is split
-  // into shard lanes that run concurrently and merge into the canonical
+  // Worker threads for this one scan. With jobs > 1 the sweep is dealt
+  // to lanes that run concurrently and merge into the canonical
   // address-sorted result; the output is bit-identical to jobs == 1 (see
   // "Parallel execution" in DESIGN.md).
   int jobs = 1;
@@ -95,18 +95,17 @@ struct ScanOptions {
   // Fault decisions are pure functions of (seed, slot/host), so they
   // commute with the parallel lanes. Null = no faults.
   const fault::FaultInjector* faults = nullptr;
-  // Cooperative cancellation: every shard lane polls this token per
-  // target batch, and a tripped token marks the result aborted. Null =
+  // Cooperative cancellation: every lane polls this token per target
+  // batch, and a tripped token marks the result aborted. Null =
   // uncancellable.
   const CancelToken* cancel = nullptr;
   // Observability (both null by default = disabled at zero cost).
-  // `metrics` receives this scan's counters: the serial path writes into
-  // it directly; the parallel path gives each lane its own single-writer
-  // block and merges them (commutatively) after the join, so the totals
-  // are byte-identical for any jobs value.
+  // `metrics` receives this scan's counters: each lane writes its own
+  // single-writer block, and the blocks merge (commutatively) after the
+  // sweep, so the totals are byte-identical for any jobs value.
   obsv::MetricBlock* metrics = nullptr;
   // `trace` receives virtual-clock phase spans (permutation build, the
-  // canonical 4-way shard-lane partition, cooldown, zgrab wave). The
+  // canonical 4-way lane partition, cooldown, zgrab wave). The
   // trace describes the scan's logical schedule — a pure function of
   // (world, config, seed) — so it too is identical for any jobs value.
   obsv::TraceRecorder* trace = nullptr;
@@ -119,14 +118,14 @@ ScanResult run_scan(sim::Internet& internet, sim::OriginId origin,
                     proto::Protocol protocol, const ScanOptions& options = {});
 
 // ---- Full-universe L4 sweep -----------------------------------------
-// run_scan materializes one ScanRecord per responsive target and (with
-// jobs > 1) a full precomputed schedule — both O(universe) in memory,
-// fine up to ~2^24 but hopeless for a 4.3-billion-address sweep.
-// run_l4_sweep is the bounded-RSS alternative for procedural universes:
-// L4 only (no ZGrab wave), results folded into commutative aggregates
-// (counts and an order-independent digest) instead of being stored, and
-// the parallel path consumes the permutation in fixed-size windows so
-// peak memory is O(jobs * window_targets) regardless of universe size.
+// run_scan materializes one ScanRecord per responsive target — O(universe)
+// in memory, fine up to ~2^24 but hopeless for a 4.3-billion-address
+// sweep. run_l4_sweep is the bounded-RSS alternative for procedural
+// universes: L4 only (no ZGrab wave), results folded into commutative
+// aggregates (counts and an order-independent digest) instead of being
+// stored. Both run through the same lane executor, which consumes the
+// permutation in fixed-size windows, so the sweep's own peak memory is
+// one window regardless of universe size.
 //
 // Determinism: every probe decision is a pure function of its target
 // and global schedule slot, and both are identical for any `jobs`; only
@@ -140,9 +139,6 @@ struct SweepOptions {
   Blocklist blocklist;
   net::VirtualTime scan_duration = net::VirtualTime::from_hours(21);
   int jobs = 1;
-  // Targets dispatched per parallel window (the RSS knob). Each window
-  // barriers, so smaller windows trade join overhead for memory.
-  std::uint32_t window_targets = 1u << 18;
   const CancelToken* cancel = nullptr;
   obsv::MetricBlock* metrics = nullptr;
 };

@@ -108,19 +108,18 @@ CyclicGroup CyclicGroup::for_size(std::uint64_t size, std::uint64_t seed) {
   return CyclicGroup(prime, generator, start, size);
 }
 
-CyclicGroup::Iterator CyclicGroup::shard(std::uint32_t shard_index,
-                                         std::uint32_t shard_count) const {
-  assert(shard_count >= 1 && shard_index < shard_count);
+CyclicGroup::Iterator CyclicGroup::shard(std::uint32_t index,
+                                         std::uint32_t count) const {
+  assert(count >= 1 && index < count);
   const std::uint64_t shard_start =
-      mulmod_u64(start_, powmod_u64(generator_, shard_index, prime_), prime_);
-  const std::uint64_t step = powmod_u64(generator_, shard_count, prime_);
+      mulmod_u64(start_, powmod_u64(generator_, index, prime_), prime_);
+  const std::uint64_t step = powmod_u64(generator_, count, prime_);
   // Positions 0 .. p-2 of the full sequence; this shard owns those
-  // congruent to shard_index mod shard_count.
+  // congruent to index mod count.
   const std::uint64_t total = prime_ - 1;
-  const std::uint64_t count =
-      shard_index < total ? (total - 1 - shard_index) / shard_count + 1 : 0;
-  return Iterator(shard_start, step, prime_, size_, count, shard_index,
-                  shard_count);
+  const std::uint64_t emitted =
+      index < total ? (total - 1 - index) / count + 1 : 0;
+  return Iterator(shard_start, step, prime_, size_, emitted, index, count);
 }
 
 std::optional<std::uint64_t> CyclicGroup::Iterator::next() {

@@ -51,15 +51,15 @@ class CyclicGroup {
     // in registers across the batch instead of bouncing the iterator
     // state through memory once per address — the send loop consumes
     // these by the few-hundred. Note: last_position() reflects the final
-    // address of the batch, so callers that interleave shards by
-    // position (the schedule builder) must use scalar next().
+    // address of the batch, so a caller that needs each address's
+    // position pulls one address per call.
     std::size_t next_batch(std::span<std::uint32_t> out);
 
     // Position in the *full* sequence (0-based over [0, p-2]) of the
     // address most recently returned by next(). Shard i of k emits only
     // positions congruent to i mod k, so interleaving shards by position
-    // reconstructs the serial scan order — the property the parallel
-    // executor's schedule builder relies on. Undefined before the first
+    // reconstructs the serial scan order; the scan trace's canonical lane
+    // partition is this position mod 4. Undefined before the first
     // successful next().
     [[nodiscard]] std::uint64_t last_position() const {
       return first_position_ + (consumed_ - 1) * position_stride_;
@@ -88,8 +88,8 @@ class CyclicGroup {
     std::uint64_t consumed_ = 0;  // sequence slots stepped past, incl. skips
   };
 
-  [[nodiscard]] Iterator shard(std::uint32_t shard_index,
-                               std::uint32_t shard_count) const;
+  [[nodiscard]] Iterator shard(std::uint32_t index,
+                               std::uint32_t count) const;
   [[nodiscard]] Iterator all() const { return shard(0, 1); }
 
  private:

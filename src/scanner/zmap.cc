@@ -54,9 +54,8 @@ net::Ipv4Addr ZMapScanner::source_ip_for(net::Ipv4Addr dst) const {
 }
 
 void ZMapScanner::probe_batch(
-    std::span<const ScheduledTarget> targets, std::uint64_t slot_stride,
-    double seconds_per_packet, Stats& stats,
-    const std::function<void(const L4Result&)>& on_result) {
+    std::span<const ScheduledTarget> targets, double seconds_per_packet,
+    Stats& stats, const std::function<void(const L4Result&)>& on_result) {
   const int count = static_cast<int>(targets.size());
   const int probes = config_.probes;
   assert(count <= sim::ProbeBatch::kCapacity);
@@ -72,8 +71,8 @@ void ZMapScanner::probe_batch(
   }
 
   // Fill pass: addresses, per-probe send times (the virtual clock is a
-  // pure function of the global schedule slot, so a shard stamps its
-  // packets exactly as the serial sweep does; a delayed follow-up probe
+  // pure function of the global schedule slot, so any lane stamps its
+  // packets exactly as the single-lane sweep does; a delayed follow-up probe
   // leaves probe_interval later, outside the rate limiter's accounting),
   // and the delivered mask after send-layer faults. A transient send
   // failure (the sendto EAGAIN analog) is retried in place; the injector
@@ -89,9 +88,9 @@ void ZMapScanner::probe_batch(
     batch.addr[i] = dst;
     std::uint8_t sent = all_probes_mask;
     for (int p = 0; p < probes; ++p) {
+      // A target's probes occupy consecutive slots: back-to-back sends.
       const std::uint64_t slot =
-          targets[i].first_packet +
-          static_cast<std::uint64_t>(p) * slot_stride;
+          targets[i].first_packet + static_cast<std::uint64_t>(p);
       std::int64_t us = net::VirtualTime::from_seconds(
                             static_cast<double>(slot) * seconds_per_packet)
                             .micros();
@@ -155,8 +154,7 @@ void ZMapScanner::probe_batch(
     for (int p = 0; p < probes; ++p) {
       if (((live >> p) & 1) == 0) continue;
       const std::uint64_t slot =
-          targets[i].first_packet +
-          static_cast<std::uint64_t>(p) * slot_stride;
+          targets[i].first_packet + static_cast<std::uint64_t>(p);
       const sim::ProbeContext::Reply reply =
           context_.respond(batch, i, p, src_ip);
       if (reply == sim::ProbeContext::Reply::kNone) continue;
@@ -197,52 +195,28 @@ void ZMapScanner::probe_batch(
 ZMapScanner::Stats ZMapScanner::run(
     const std::function<void(const L4Result&)>& on_result) {
   Stats stats;
-  auto group = CyclicGroup::for_size(config_.universe_size, config_.seed);
-  auto iterator = group.shard(config_.shard_index, config_.shard_count);
-
   const double seconds_per_packet =
       1.0 / config_.effective_pps(config_.universe_size);
 
-  std::uint64_t targets_sent = 0;
-
-  // The permutation is consumed in batches: one next_batch call refills
-  // the buffer with kRunBatch addresses in exactly the scalar next()
-  // order, keeping the modmul recurrence in registers, and cancellation
-  // is polled once per refill — cheap enough to stay out of the
-  // per-packet path, frequent enough that a tripped token stops the
-  // sweep long before its next checkpoint. Surviving targets ride the
-  // SoA pipeline chunk-for-chunk with the refill.
-  std::array<std::uint32_t, kRunBatch> batch;
+  // The walk is consumed one kRunBatch refill at a time, and each refill's
+  // surviving targets ride the SoA pipeline as one batch. Cancellation is
+  // polled once per refill — cheap enough to stay out of the per-packet
+  // path, frequent enough that a tripped token stops the sweep long
+  // before its next checkpoint.
+  TargetWalk walk(config_);
   std::array<ScheduledTarget, kRunBatch> chunk;
-  for (;;) {
+  while (!walk.done()) {
     if (config_.cancel != nullptr && config_.cancel->cancelled()) break;
-    const std::size_t filled = iterator.next_batch(batch);
-    if (filled == 0) break;
-    std::size_t chunk_size = 0;
-    for (std::size_t i = 0; i < filled; ++i) {
-      const net::Ipv4Addr dst(batch[i]);
-      if (config_.allowlist && !config_.allowlist->contains(dst)) continue;
-      if (config_.blocklist.is_blocked(dst)) {
-        ++stats.blocklisted_skipped;
-        if (config_.metrics != nullptr) {
-          config_.metrics->add(obsv::Counter::kZmapBlocklistedSkipped);
-        }
-        continue;
-      }
-      // Shard i of k owns virtual-clock slots congruent to i mod k; this
-      // target's first probe is the shard's (targets_sent * probes)-th
-      // packet.
-      const std::uint64_t first_slot =
-          config_.shard_index + targets_sent *
-                                    static_cast<std::uint64_t>(config_.probes) *
-                                    config_.shard_count;
-      chunk[chunk_size++] = ScheduledTarget{dst, first_slot};
-      ++targets_sent;
+    const std::size_t count = walk.next(chunk);
+    if (count != 0) {
+      probe_batch(std::span<const ScheduledTarget>(chunk.data(), count),
+                  seconds_per_packet, stats, on_result);
     }
-    if (chunk_size != 0) {
-      probe_batch(std::span<const ScheduledTarget>(chunk.data(), chunk_size),
-                  config_.shard_count, seconds_per_packet, stats, on_result);
-    }
+  }
+  stats.blocklisted_skipped = walk.blocklisted();
+  if (config_.metrics != nullptr) {
+    config_.metrics->add(obsv::Counter::kZmapBlocklistedSkipped,
+                         walk.blocklisted());
   }
   return stats;
 }
@@ -259,50 +233,38 @@ ZMapScanner::Stats ZMapScanner::run_scheduled(
     if (config_.cancel != nullptr && config_.cancel->cancelled()) break;
     const std::size_t chunk =
         std::min<std::size_t>(kRunBatch, targets.size() - offset);
-    // Slot stride 1: a target's probes occupy consecutive slots of the
-    // global schedule, matching the serial sweep's back-to-back sends.
-    probe_batch(targets.subspan(offset, chunk), 1, seconds_per_packet, stats,
+    probe_batch(targets.subspan(offset, chunk), seconds_per_packet, stats,
                 on_result);
     offset += chunk;
   }
   return stats;
 }
 
-ScanSchedule ZMapScanner::build_schedule(
-    const ZMapConfig& config, std::uint32_t shard_count,
-    const std::function<bool(net::Ipv4Addr)>& defer) {
-  if (shard_count == 0) shard_count = 1;
-  ScanSchedule schedule;
-  schedule.shards.resize(shard_count);
-  // Each shard receives ~1/shard_count of the surviving targets; one
-  // up-front reserve replaces the log2 growth reallocations per shard.
-  for (auto& shard : schedule.shards) {
-    shard.reserve(config.universe_size / shard_count + 1);
-  }
+TargetWalk::TargetWalk(const ZMapConfig& config)
+    : config_(config),
+      iterator_(CyclicGroup::for_size(config.universe_size, config.seed)
+                    .all()) {}
 
-  auto group = CyclicGroup::for_size(config.universe_size, config.seed);
-  auto iterator = group.all();
-  std::uint64_t emitted = 0;
-  while (auto value = iterator.next()) {
-    const net::Ipv4Addr dst(static_cast<std::uint32_t>(*value));
-    if (config.allowlist && !config.allowlist->contains(dst)) continue;
-    if (config.blocklist.is_blocked(dst)) {
-      ++schedule.blocklisted_skipped;
+std::size_t TargetWalk::next(std::span<ScheduledTarget> out) {
+  assert(out.size() <= buffer_.size());
+  // One next_batch call keeps the modmul recurrence in registers across
+  // the refill, in exactly the scalar next() order.
+  const std::size_t filled = iterator_.next_batch(
+      std::span<std::uint32_t>(buffer_.data(), out.size()));
+  if (filled < out.size()) done_ = true;
+  const auto probes = static_cast<std::uint64_t>(config_.probes);
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < filled; ++i) {
+    const net::Ipv4Addr dst(buffer_[i]);
+    if (config_.allowlist && !config_.allowlist->contains(dst)) continue;
+    if (config_.blocklist.is_blocked(dst)) {
+      ++blocklisted_;
       continue;
     }
-    const ScheduledTarget target{
-        dst, emitted * static_cast<std::uint64_t>(config.probes)};
-    ++emitted;
-    if (defer && defer(dst)) {
-      // Order-sensitive targets keep their serial slots but execute on
-      // the single deferred lane, in global permutation order.
-      schedule.deferred.push_back(target);
-    } else {
-      schedule.shards[iterator.last_position() % shard_count].push_back(
-          target);
-    }
+    out[kept++] = ScheduledTarget{dst, targets_ * probes};
+    ++targets_;
   }
-  return schedule;
+  return kept;
 }
 
 }  // namespace originscan::scan

@@ -5,12 +5,13 @@
 //
 // Probe timestamps come from a *virtual clock*: packet n of the global
 // send schedule goes out at t = n / pps, a pure function of the packet's
-// schedule slot. A shard therefore stamps its packets exactly as the
-// serial sweep would — shard i of k owns slots congruent to i mod k —
-// which is what lets a sharded scan merge into a bit-identical result
-// (see ScanSchedule and orchestrator.h).
+// schedule slot. TargetWalk stamps every target with its global slot, so
+// a lane that probes any subset of the walk stamps its packets exactly as
+// the single-lane sweep would — which is what lets the orchestrator's
+// lanes merge into a bit-identical result (see orchestrator.h).
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -43,8 +44,6 @@ struct ZMapConfig {
   double packets_per_second = 0;    // 0 = derive from scan_duration
   net::VirtualTime scan_duration = net::VirtualTime::from_hours(21);
   std::vector<net::Ipv4Addr> source_ips;
-  std::uint32_t shard_index = 0;
-  std::uint32_t shard_count = 1;
   Blocklist blocklist;
   // When set, only addresses inside this prefix are probed (the
   // Section-6 per-subnet retry experiment); others are skipped silently.
@@ -86,29 +85,11 @@ struct L4Result {
   }
 };
 
-// One entry of a precomputed send schedule: a target plus the global
-// packet slot of its first probe (its follow-up probes occupy the next
-// `probes - 1` slots, exactly as in the serial sweep).
+// One target of the send schedule plus the global packet slot of its
+// first probe (its follow-up probes occupy the next `probes - 1` slots).
 struct ScheduledTarget {
   net::Ipv4Addr addr;
   std::uint64_t first_packet = 0;
-};
-
-// A full scan, partitioned for parallel execution. `shards` follow the
-// CyclicGroup::shard partition (sequence position mod shard_count) and
-// may run concurrently in any order; `deferred` holds the targets the
-// caller marked order-sensitive (rate-IDS networks), in global
-// permutation order, to be executed serially.
-struct ScanSchedule {
-  std::vector<std::vector<ScheduledTarget>> shards;
-  std::vector<ScheduledTarget> deferred;
-  std::uint64_t blocklisted_skipped = 0;
-
-  [[nodiscard]] std::uint64_t target_count() const {
-    std::uint64_t count = deferred.size();
-    for (const auto& shard : shards) count += shard.size();
-    return count;
-  }
 };
 
 class ZMapScanner {
@@ -141,29 +122,19 @@ class ZMapScanner {
     friend bool operator==(const Stats&, const Stats&) = default;
   };
 
-  // Runs the sweep; invokes `on_result` for every target that produced at
-  // least one (validated) response. Results arrive in probe order. Honors
-  // config.shard_index/shard_count: shard i stamps its n-th packet with
-  // virtual-clock slot i + n * shard_count (ZMap's interleaved schedule).
+  // Runs the whole sweep on this one lane, streaming the TargetWalk
+  // through the probe pipeline; invokes `on_result` for every target that
+  // produced at least one (validated) response. Results arrive in probe
+  // order.
   Stats run(const std::function<void(const L4Result&)>& on_result);
 
-  // Probes exactly the given pre-scheduled targets, stamping each probe
-  // from its recorded global packet slot. Used by the parallel executor's
-  // shard lanes and its deferred rate-IDS lane; blocklist/allowlist
-  // filtering already happened in build_schedule. Targets flow through
-  // the SoA probe pipeline in kRunBatch chunks.
+  // Probes exactly the given targets, stamping each probe from its
+  // recorded global packet slot. Used by the orchestrator's lanes, which
+  // take their targets from a TargetWalk (filtering already happened
+  // there). Targets flow through the SoA probe pipeline in kRunBatch
+  // chunks.
   Stats run_scheduled(std::span<const ScheduledTarget> targets,
                       const std::function<void(const L4Result&)>& on_result);
-
-  // Walks the full permutation once (cheap: no simulation work) and
-  // partitions the surviving targets into `shard_count` concurrent lanes
-  // plus one order-sensitive lane (targets for which `defer` returns
-  // true). Packet slots recorded in the schedule are identical to the
-  // serial sweep's virtual clock, so executing the lanes in any
-  // interleaving reproduces serial timestamps exactly.
-  static ScanSchedule build_schedule(
-      const ZMapConfig& config, std::uint32_t shard_count,
-      const std::function<bool(net::Ipv4Addr)>& defer = {});
 
   // The source IP used for a destination: stable per target so that both
   // probes (and retries) come from the same address, and so that a
@@ -179,8 +150,7 @@ class ZMapScanner {
   // next target's probes are answered. Dead targets never produce a
   // reply.
   void probe_batch(std::span<const ScheduledTarget> targets,
-                   std::uint64_t slot_stride, double seconds_per_packet,
-                   Stats& stats,
+                   double seconds_per_packet, Stats& stats,
                    const std::function<void(const L4Result&)>& on_result);
 
   ZMapConfig config_;
@@ -189,6 +159,41 @@ class ZMapScanner {
   sim::ProbeContext context_;
   // Reused across probe_batch calls; lane-private like the context.
   sim::ProbeBatch batch_;
+};
+
+// The one "permutation -> filter -> slot" walk: yields a sweep's targets
+// in permutation order, after the allowlist and the blocklist, each
+// stamped with the global slot of its first probe (target n of the walk
+// sends its first probe in slot n * probes). ZMapScanner::run and the
+// orchestrator's lane executor both draw their targets from here. Cheap:
+// no simulation work. `config` must outlive the walk.
+class TargetWalk {
+ public:
+  explicit TargetWalk(const ZMapConfig& config);
+
+  // Pulls the next out.size() (at most ZMapScanner::kRunBatch)
+  // permutation entries — fewer only at the end — and writes the ones
+  // that survive filtering to `out`, in order. Returns how many survived.
+  std::size_t next(std::span<ScheduledTarget> out);
+
+  // True once the permutation is exhausted.
+  [[nodiscard]] bool done() const { return done_; }
+  // Full-sequence position of the last entry pulled (see
+  // CyclicGroup::Iterator::last_position); with one-entry pulls, the
+  // position of the target just returned.
+  [[nodiscard]] std::uint64_t last_position() const {
+    return iterator_.last_position();
+  }
+  [[nodiscard]] std::uint64_t targets() const { return targets_; }
+  [[nodiscard]] std::uint64_t blocklisted() const { return blocklisted_; }
+
+ private:
+  const ZMapConfig& config_;
+  CyclicGroup::Iterator iterator_;
+  std::uint64_t targets_ = 0;
+  std::uint64_t blocklisted_ = 0;
+  bool done_ = false;
+  std::array<std::uint32_t, ZMapScanner::kRunBatch> buffer_;
 };
 
 }  // namespace originscan::scan

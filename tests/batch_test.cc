@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -26,6 +27,7 @@
 #include "netbase/rng.h"
 #include "netbase/vtime.h"
 #include "obsv/metrics.h"
+#include "scanner/permutation.h"
 #include "scanner/zmap.h"
 #include "sim/internet.h"
 #include "sim/path.h"
@@ -345,6 +347,36 @@ fault::FaultInjector make_faults(std::string_view spec) {
   return fault::FaultInjector(plan.value_or(fault::FaultPlan{}), 0x0FA017ull);
 }
 
+// The test's own permutation walk: the targets a sweep probes, in
+// permutation order, each stamped with the global slot of its first
+// probe, and how many the blocklist skipped. Only targets `keep` accepts
+// are returned; the slots still count every target.
+struct PermutationWalk {
+  std::vector<scan::ScheduledTarget> targets;
+  std::uint64_t blocklisted = 0;
+};
+
+PermutationWalk walk_permutation(
+    const scan::ZMapConfig& zconfig,
+    const std::function<bool(net::Ipv4Addr)>& keep = {}) {
+  PermutationWalk walk;
+  auto iterator =
+      scan::CyclicGroup::for_size(zconfig.universe_size, zconfig.seed).all();
+  std::uint64_t emitted = 0;
+  while (const auto value = iterator.next()) {
+    const net::Ipv4Addr dst(static_cast<std::uint32_t>(*value));
+    if (zconfig.allowlist && !zconfig.allowlist->contains(dst)) continue;
+    if (zconfig.blocklist.is_blocked(dst)) {
+      ++walk.blocklisted;
+      continue;
+    }
+    const scan::ScheduledTarget target{
+        dst, emitted++ * static_cast<std::uint64_t>(zconfig.probes)};
+    if (!keep || keep(dst)) walk.targets.push_back(target);
+  }
+  return walk;
+}
+
 // Runs `targets` through run_scheduled and through the model, each on a
 // fresh Internet over `world` carrying the scanner's fault injector.
 void run_both(const World& world, const TrialContext& context,
@@ -372,7 +404,7 @@ void run_both(const World& world, const TrialContext& context,
 // ---- Pipeline vs the reference model --------------------------------
 
 // The full sweep through run() against the model over the same
-// permutation (build_schedule with one shard), on fresh Internet
+// permutation (the test's own walk_permutation), on fresh Internet
 // instances over the same world. The world straddles the procedural
 // override boundary (2^19 inside a 2^20 universe), and the fault plan
 // keeps every rung of the batch classifier busy.
@@ -421,21 +453,19 @@ TEST(BatchModelEquivalence, FullSweepMatchesReferenceModel) {
     }
 
     RunOutput model;
-    const scan::ScanSchedule schedule =
-        scan::ZMapScanner::build_schedule(zconfig, 1);
-    ASSERT_TRUE(schedule.deferred.empty());
-    EXPECT_GT(schedule.blocklisted_skipped, 0u);
+    const PermutationWalk walk = walk_permutation(zconfig);
+    EXPECT_GT(walk.blocklisted, 0u);
     {
       PersistentState persistent;
       Internet internet(&world, context, &persistent);
       internet.set_fault_injector(&faults);
-      ReferenceModel(internet, origin, zconfig).run(schedule.shards[0], model);
+      ReferenceModel(internet, origin, zconfig).run(walk.targets, model);
     }
-    // run() filters the blocklist inline; the model's schedule filtered
-    // it in build_schedule.
-    model.stats.blocklisted_skipped = schedule.blocklisted_skipped;
+    // run() filters the blocklist itself; the model's targets were
+    // filtered by walk_permutation.
+    model.stats.blocklisted_skipped = walk.blocklisted;
     model.metrics.add(obsv::Counter::kZmapBlocklistedSkipped,
-                      schedule.blocklisted_skipped);
+                      walk.blocklisted);
 
     EXPECT_EQ(pipeline.stats, model.stats) << seed;
     EXPECT_GT(pipeline.stats.targets_probed, 0u);
@@ -547,16 +577,17 @@ TEST(BatchModelEquivalence, RateIdsAdmissionFollowsEmissionOrder) {
   zconfig.probes = 2;
   zconfig.source_ips = world.origins[origin].source_ips;
 
-  // The deferred lane, exactly as run_scan partitions it.
-  const scan::ScanSchedule schedule = scan::ZMapScanner::build_schedule(
-      zconfig, 4, [&world, bochum](net::Ipv4Addr dst) {
+  // The deferred lane: Bochum's targets in permutation order, with their
+  // global slots, as the orchestrator deals them.
+  const PermutationWalk deferred =
+      walk_permutation(zconfig, [&world, bochum](net::Ipv4Addr dst) {
         return world.as_of(dst) == bochum;
       });
-  ASSERT_GT(schedule.deferred.size(), 2 * sim::ProbeBatch::kCapacity);
+  ASSERT_GT(deferred.targets.size(), 2 * sim::ProbeBatch::kCapacity);
 
   RunOutput pipeline;
   RunOutput model;
-  run_both(world, context, origin, zconfig, schedule.deferred, pipeline,
+  run_both(world, context, origin, zconfig, deferred.targets, pipeline,
            model);
   EXPECT_EQ(pipeline.stats, model.stats);
   EXPECT_EQ(pipeline.results, model.results);

@@ -110,8 +110,8 @@ INSTANTIATE_TEST_SUITE_P(Counts, ShardUnion, ::testing::Values(2, 3, 8));
 
 // Property: Iterator::last_position reports each address's slot in the
 // full sequence — interleaving shard outputs by position reconstructs
-// the serial order exactly. The parallel executor's schedule builder
-// rests on this.
+// the serial order exactly. The scan trace's canonical lane partition
+// (position mod 4) rests on this.
 TEST(Permutation, PositionsInterleaveToSerialOrder) {
   constexpr std::uint64_t kSize = 3000;
   const auto group = CyclicGroup::for_size(kSize, /*seed=*/42);

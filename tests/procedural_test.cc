@@ -8,8 +8,11 @@
 #include <optional>
 #include <vector>
 
+#include "netbase/ipv4.h"
 #include "netbase/rng.h"
+#include "obsv/metrics.h"
 #include "scanner/orchestrator.h"
+#include "scanner/zmap.h"
 #include "sim/hostgen.h"
 #include "sim/internet.h"
 #include "sim/procedural.h"
@@ -189,7 +192,7 @@ TEST(ProceduralEquivalence, MaterializedTwinScansIdentically) {
 
   scan::ScanOptions options;
   options.keep_banners = true;
-  options.jobs = 2;  // also exercises the schedule/deferred-lane path
+  options.jobs = 2;  // also exercises the deferred lane
   const scan::ScanResult from_procedural =
       scan::run_scan(internet_p, origin, proto::Protocol::kHttp, options);
   options.jobs = 1;
@@ -219,8 +222,7 @@ TEST(ProceduralEquivalence, SweepDigestInvariantAcrossJobs) {
     PersistentState persistent;
     Internet internet(&world, context, &persistent);
     scan::SweepOptions options;
-    options.jobs = jobs;
-    options.window_targets = 1u << 14;  // several windows at 2^20
+    options.jobs = jobs;  // 2^20 targets span four sweep windows
     options.metrics = metrics;
     return scan::run_l4_sweep(internet, origin, proto::Protocol::kHttps,
                               options);
@@ -331,6 +333,79 @@ TEST(ProceduralEquivalence, BatchTargetsCountEveryProbedTarget) {
               result.l4_stats.targets_probed);
     EXPECT_EQ(metrics.counter(Counter::kUniverseBatchTargets),
               metrics.counter(Counter::kZmapTargetsProbed))
+        << "jobs=" << jobs;
+  }
+}
+
+// The lane executor against an independent serial oracle: ZMapScanner::run
+// streams the whole sweep on one lane, and folding its results here must
+// give exactly what run_l4_sweep reports at jobs 1 and 4 (2^20 targets
+// span four sweep windows). A blocklist keeps the walk's filter busy, and
+// Bochum's rate IDS, with its threshold lowered so it trips for the
+// single-IP US1 origin, keeps the deferred lane busy.
+TEST(ProceduralEquivalence, SweepMatchesSerialRunOracle) {
+  ScenarioConfig config = ScenarioConfig::full_internet(20);
+  config.seed = 0x0AC1Eull;
+  World world = build_world(config, paper_origins(config.universe_size));
+  const AsId bochum = world.topology.find_as("Ruhr-Universitaet Bochum");
+  ASSERT_NE(bochum, kNoAs);
+  ASSERT_TRUE(world.policies.edit(bochum).rate_ids.has_value());
+  world.policies.edit(bochum).rate_ids->probe_threshold = 60;
+
+  TrialContext context;
+  context.trial = 1;
+  context.experiment_seed = config.seed;
+  context.simultaneous_origins = static_cast<int>(world.origins.size());
+  const OriginId origin = world.origin_id("US1");
+  ASSERT_NE(origin, ~OriginId{0});
+  ASSERT_EQ(world.origins[origin].source_ips.size(), 1u);
+
+  scan::Blocklist blocklist;
+  blocklist.block("0.2.0.0/16");
+  blocklist.block(net::Prefix(net::Ipv4Addr(3u << 18), 18));
+
+  // The oracle: one scanner, configured as run_l4_sweep configures it,
+  // folded by hand.
+  scan::SweepResult oracle;
+  obsv::MetricBlock oracle_metrics;
+  {
+    PersistentState persistent;
+    Internet internet(&world, context, &persistent);
+    scan::ZMapConfig zconfig;
+    zconfig.seed = net::mix_u64(context.experiment_seed, context.trial,
+                                0x5EEDAULL);
+    zconfig.universe_size = world.universe_size;
+    zconfig.protocol = proto::Protocol::kHttp;
+    zconfig.source_ips = world.origins[origin].source_ips;
+    zconfig.blocklist = blocklist;
+    zconfig.metrics = &oracle_metrics;
+    scan::ZMapScanner scanner(zconfig, &internet, origin);
+    oracle.l4_stats = scanner.run([&oracle](const scan::L4Result& l4) {
+      oracle.digest += net::mix_u64(
+          l4.addr.value(),
+          (static_cast<std::uint64_t>(l4.synack_mask) << 8) | l4.rst_mask,
+          static_cast<std::uint32_t>(l4.probe_time.seconds()));
+      ++oracle.responsive;
+      if (l4.synack_mask != 0) {
+        ++oracle.synack_targets;
+      } else {
+        ++oracle.rst_only_targets;
+      }
+    });
+  }
+  EXPECT_GT(oracle.responsive, 0u);
+  EXPECT_GT(oracle.l4_stats.blocklisted_skipped, 0u);
+  EXPECT_GT(oracle_metrics.counter(obsv::Counter::kSimDropsIds), 0u);
+
+  for (int jobs : {1, 4}) {
+    PersistentState persistent;
+    Internet internet(&world, context, &persistent);
+    scan::SweepOptions options;
+    options.blocklist = blocklist;
+    options.jobs = jobs;
+    EXPECT_EQ(
+        scan::run_l4_sweep(internet, origin, proto::Protocol::kHttp, options),
+        oracle)
         << "jobs=" << jobs;
   }
 }

@@ -3,12 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <set>
 
 #include "netbase/rng.h"
 #include "netbase/siphash.h"
 #include "scanner/orchestrator.h"
-#include "scanner/zmap.h"
 #include "stats/descriptive.h"
 #include "stats/ecdf.h"
 #include "stats/hypothesis.h"
@@ -18,46 +16,6 @@ namespace originscan {
 namespace {
 
 using originscan::testing::make_mini_world;
-
-// ---- Sharding: the union of shard scans equals the full scan ----------
-
-class ShardEquivalence : public ::testing::TestWithParam<std::uint32_t> {};
-
-TEST_P(ShardEquivalence, ShardedSweepFindsTheSameHosts) {
-  const std::uint32_t shards = GetParam();
-  auto world = make_mini_world();
-  sim::PersistentState persistent;
-  sim::TrialContext context;
-  context.experiment_seed = world.seed;
-  sim::Internet internet(&world, context, &persistent);
-
-  auto run_with = [&](std::uint32_t shard_index, std::uint32_t shard_count,
-                      std::set<std::uint32_t>& seen) {
-    scan::ZMapConfig config;
-    config.seed = 4242;
-    config.universe_size = world.universe_size;
-    config.protocol = proto::Protocol::kHttp;
-    config.source_ips = world.origins[0].source_ips;
-    config.shard_index = shard_index;
-    config.shard_count = shard_count;
-    scan::ZMapScanner scanner(config, &internet, 0);
-    scanner.run([&](const scan::L4Result& result) {
-      EXPECT_TRUE(seen.insert(result.addr.value()).second)
-          << "host seen by two shards: " << result.addr.to_string();
-    });
-  };
-
-  std::set<std::uint32_t> full;
-  run_with(0, 1, full);
-
-  std::set<std::uint32_t> sharded;
-  for (std::uint32_t s = 0; s < shards; ++s) run_with(s, shards, sharded);
-
-  EXPECT_EQ(full, sharded);
-}
-
-INSTANTIATE_TEST_SUITE_P(Counts, ShardEquivalence,
-                         ::testing::Values(2, 3, 5, 8));
 
 // ---- Quantiles -----------------------------------------------------------
 

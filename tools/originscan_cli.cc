@@ -120,7 +120,7 @@ void usage() {
       "  --protocol P   scan/sweep: http|https|ssh (default http)\n"
       "  --trial N      scan/sweep: trial number 1..3 (default 1)\n"
       "  --retries N    scan: L7 retry budget (default 0)\n"
-      "  --jobs N       worker threads for experiment/scan (default 1;\n"
+      "  --jobs N       worker threads for experiment/scan/sweep (default 1;\n"
       "                 results are bit-identical for any value)\n"
       "  --workers N    experiment: distribute the grid over N worker\n"
       "                 processes (default 0 = run in-process). Output is\n"
@@ -133,7 +133,7 @@ void usage() {
       "                 killed run from it (byte-identical to a run that\n"
       "                 was never interrupted, at any --jobs)\n"
       "  --faults SPEC  experiment: fault plan (see faultinject/)\n"
-      "  --metrics-out F  experiment/scan: write the deterministic metrics\n"
+      "  --metrics-out F  experiment/scan/sweep: write the deterministic metrics\n"
       "                 snapshot (JSON; byte-identical for any --jobs and\n"
       "                 across kill/resume — see docs/METRICS.md)\n"
       "  --trace-out F  experiment/scan: write a Chrome trace_event JSON\n"
@@ -640,6 +640,15 @@ int cmd_scan(const Args& args) {
 // per-target outcomes, so comparing digests across --jobs values checks
 // parallel determinism at full scale.
 int cmd_sweep(const Args& args) {
+  // The sweep writes no trace and takes no fault plan: refuse the flags
+  // rather than accept and drop them.
+  const char* unsupported = !args.trace_out.empty() ? "--trace-out"
+                            : !args.faults.empty()  ? "--faults"
+                                                    : nullptr;
+  if (unsupported != nullptr) {
+    std::fprintf(stderr, "sweep does not support %s\n", unsupported);
+    return cli::kUsage;
+  }
   const auto protocol = protocol_from(args.protocol);
   if (!protocol) {
     std::fprintf(stderr, "unknown protocol: %s\n", args.protocol.c_str());
