@@ -38,7 +38,7 @@ int main() {
     if (addr % 3 != 0) continue;  // every third address hosts something
     sim::Host host;
     host.addr = net::Ipv4Addr(addr);
-    host.as = *world.topology.as_of(host.addr);
+    host.as = *world.as_of(host.addr);
     host.services = 0b011;  // HTTP + HTTPS
     host.seed = net::mix_u64(world.seed, addr, 0x5EEDu);
     world.hosts.add(host);
@@ -88,7 +88,7 @@ int main() {
   for (const auto& l4 : responsive) {
     const auto result = zgrab.grab(l4.source_ip, l4.addr, l4.probe_time);
     const auto& as_name =
-        world.topology.as_info(*world.topology.as_of(l4.addr)).name;
+        world.topology.as_info(*world.as_of(l4.addr)).name;
     ++outcomes[as_name][std::string(sim::to_string(result.outcome))];
     if (sample_banner.empty() && !result.banner.empty()) {
       sample_banner = result.banner;

@@ -46,10 +46,10 @@ AccessMatrix AccessMatrix::build(const Experiment& experiment,
   const std::size_t n = m.hosts_.size();
   m.host_as_.resize(n, sim::kNoAs);
   m.host_country_.resize(n);
-  const auto& topology = experiment.world().topology;
+  const sim::World& world = experiment.world();
   for (std::size_t i = 0; i < n; ++i) {
-    if (auto as = topology.as_of(m.hosts_[i])) m.host_as_[i] = *as;
-    m.host_country_[i] = topology.country_of(m.hosts_[i]);
+    if (auto as = world.as_of(m.hosts_[i])) m.host_as_[i] = *as;
+    m.host_country_[i] = world.country_of(m.hosts_[i]);
   }
 
   m.present_.assign(m.trials_, std::vector<bool>(n, false));

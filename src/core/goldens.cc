@@ -70,7 +70,7 @@ sim::World build_clean_world() {
     if (static_cast<double>(h >> 11) * 0x1.0p-53 >= kDensity) continue;
     sim::Host host;
     host.addr = net::Ipv4Addr(addr);
-    host.as = *world.topology.as_of(host.addr);
+    host.as = *world.as_of(host.addr);
     host.services = 0b111;
     host.seed = net::mix_u64(world.seed, addr, 0x5EEDu);
     world.hosts.add(host);

@@ -164,18 +164,17 @@ std::optional<JournalEntry> parse_manifest_line(std::string_view line) {
 }
 
 // Reads a sidecar file written as one shared-codec frame
-// (netbase/frame.h), returning the framed payload. Files from before
-// framing existed carry the raw payload with its own CRC footer — those
-// fall back to the whole buffer, which the payload parser's CRC then
-// vets. The frame path is what enforces "never over-read a lying length
-// prefix" for sidecars.
-std::span<const std::uint8_t> unframe_sidecar(
+// (netbase/frame.h), returning the framed payload; nullopt when the file
+// is not exactly one intact frame, which load_cell reports as corruption.
+// The frame is what enforces "never over-read a lying length prefix" for
+// sidecars.
+std::optional<std::span<const std::uint8_t>> unframe_sidecar(
     std::span<const std::uint8_t> data) {
   std::span<const std::uint8_t> payload;
-  if (net::parse_single_frame(data, payload) == net::FrameError::kNone) {
-    return payload;
+  if (net::parse_single_frame(data, payload) != net::FrameError::kNone) {
+    return std::nullopt;
   }
-  return data;  // legacy raw sidecar; inner CRC still applies
+  return payload;
 }
 
 }  // namespace
@@ -202,10 +201,9 @@ std::vector<std::uint8_t> serialize_cell_sidecar(
   return out;
 }
 
-bool parse_cell_sidecar(std::span<const std::uint8_t> raw, IdsSnapshot& ids,
+bool parse_cell_sidecar(std::span<const std::uint8_t> data, IdsSnapshot& ids,
                         scan::ZMapScanner::Stats& stats,
                         std::vector<std::uint64_t>& histogram) {
-  const std::span<const std::uint8_t> data = unframe_sidecar(raw);
   if (data.size() < 16) return false;
   const std::uint32_t want = net::crc32(data.subspan(0, data.size() - 4));
   net::ByteReader footer(data.subspan(data.size() - 4));
@@ -606,7 +604,9 @@ std::optional<scan::ScanResult> ExperimentJournal::load_cell(
     return std::nullopt;
   }
   IdsSnapshot sidecar_ids;
-  if (!parse_cell_sidecar(*ids_bytes, sidecar_ids, result.l4_stats,
+  const auto ids_payload = unframe_sidecar(*ids_bytes);
+  if (!ids_payload.has_value() ||
+      !parse_cell_sidecar(*ids_payload, sidecar_ids, result.l4_stats,
                           result.attempt_histogram)) {
     set_error(error, "corrupt sidecar " + ids_path);
     return std::nullopt;
@@ -620,7 +620,9 @@ std::optional<scan::ScanResult> ExperimentJournal::load_cell(
       // Pre-metrics journal: the cell simply carries a zero delta.
       *metrics = obsv::MetricBlock{};
     } else {
-      auto parsed = obsv::MetricBlock::parse(unframe_sidecar(*metrics_bytes));
+      const auto payload = unframe_sidecar(*metrics_bytes);
+      auto parsed = payload.has_value() ? obsv::MetricBlock::parse(*payload)
+                                        : std::nullopt;
       if (!parsed.has_value()) {
         set_error(error, "corrupt metrics sidecar " + metrics_path);
         return std::nullopt;

@@ -21,8 +21,7 @@
 // (netbase/frame.h) — the same codec the distributed worker protocol
 // streams segments with. The frame's length check means a reader never
 // trusts a corrupt length prefix and over-reads past the end of the
-// file; sidecars written before framing existed (raw payload, own CRC
-// footer) are still accepted as a legacy fallback.
+// file; a sidecar that is not exactly one intact frame is corrupt.
 //
 // The manifest line is appended only *after* both sidecar files are
 // durably written, so a crash between cell completion and manifest

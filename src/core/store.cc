@@ -1,6 +1,5 @@
 #include "core/store.h"
 
-#include <cassert>
 #include <cstdio>
 
 #include "netbase/byteio.h"
@@ -14,12 +13,11 @@ constexpr std::uint32_t kMagic = 0x4F534E52;  // "OSNR"
 }  // namespace
 
 std::vector<std::uint8_t> serialize_results(
-    const std::vector<scan::ScanResult>& results, std::uint32_t version) {
-  assert(version == kStoreVersionNoCrc || version == kStoreVersion);
+    const std::vector<scan::ScanResult>& results) {
   std::vector<std::uint8_t> out;
   net::ByteWriter w(out);
   w.u32(kMagic);
-  w.u32(version);
+  w.u32(kStoreVersion);
   w.u32(static_cast<std::uint32_t>(results.size()));
   for (const auto& result : results) {
     const std::size_t block_start = out.size();
@@ -38,10 +36,8 @@ std::vector<std::uint8_t> serialize_results(
       w.u8(record.explicit_close ? 1 : 0);
       w.u32(record.probe_second);
     }
-    if (version >= kStoreVersion) {
-      w.u32(net::crc32(
-          std::span(out.data() + block_start, out.size() - block_start)));
-    }
+    w.u32(net::crc32(
+        std::span(out.data() + block_start, out.size() - block_start)));
   }
   return out;
 }
@@ -50,9 +46,7 @@ std::optional<std::vector<scan::ScanResult>> parse_results(
     std::span<const std::uint8_t> data) {
   net::ByteReader r(data);
   if (r.u32() != kMagic) return std::nullopt;
-  const std::uint32_t version = r.u32();
-  if (version != kStoreVersionNoCrc && version != kStoreVersion)
-    return std::nullopt;
+  if (r.u32() != kStoreVersion) return std::nullopt;
   const std::uint32_t count = r.u32();
   if (!r.ok()) return std::nullopt;
   // Each result needs at least its 15-byte header; bound the allocation
@@ -89,11 +83,9 @@ std::optional<std::vector<scan::ScanResult>> parse_results(
       result.records.push_back(record);
     }
     if (!r.ok()) return std::nullopt;
-    if (version >= kStoreVersion) {
-      const std::uint32_t want = net::crc32(
-          data.subspan(block_start, r.position() - block_start));
-      if (r.u32() != want || !r.ok()) return std::nullopt;
-    }
+    const std::uint32_t want =
+        net::crc32(data.subspan(block_start, r.position() - block_start));
+    if (r.u32() != want || !r.ok()) return std::nullopt;
     results.push_back(std::move(result));
   }
   if (r.remaining() != 0) return std::nullopt;

@@ -2,17 +2,17 @@
 // records to disk and reload them later for analysis without re-running
 // the scans (the Scans.io-repository analog for this library).
 //
-// Format (network byte order, versioned):
+// Format (network byte order, version 2):
 //   magic "OSNR" | u32 version | u32 result_count
 //   per result:
 //     u16 origin_code_len | bytes | u8 protocol | u32 trial
 //     u64 record_count | packed records (addr u32, synack u8, rst u8,
 //                        l7 u8, explicit u8, probe_second u32)
-//     u32 crc32 over the result block (v2 only)
+//     u32 crc32 over the result block
 //
-// Version 2 appends a CRC32 footer to every result block so bit-rot and
-// mid-record truncation are detected instead of parsing into garbage;
-// v1 streams (no footers) still parse for old saved files and goldens.
+// The CRC32 footer on every result block means bit-rot and mid-record
+// truncation are detected instead of parsing into garbage. Any other
+// version (including the footer-less version 1) fails to parse.
 #pragma once
 
 #include <optional>
@@ -37,15 +37,12 @@ struct SaveStats {
   bool storage_exhausted = false;
 };
 
-// The current (default) and oldest-still-parseable format versions.
+// The one format version written and read.
 inline constexpr std::uint32_t kStoreVersion = 2;
-inline constexpr std::uint32_t kStoreVersionNoCrc = 1;
 
-// Serializes results to the on-disk format. `version` must be 1 or 2;
-// writing v1 exists for back-compat tests and migration tooling only.
+// Serializes results to the on-disk format.
 std::vector<std::uint8_t> serialize_results(
-    const std::vector<scan::ScanResult>& results,
-    std::uint32_t version = kStoreVersion);
+    const std::vector<scan::ScanResult>& results);
 
 // Parses results; nullopt on any structural error (bad magic, truncated
 // stream, unknown version).

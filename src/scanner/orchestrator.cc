@@ -23,7 +23,7 @@ auto rate_ids_defer(const sim::Internet& internet, proto::Protocol protocol) {
   return [&world = internet.world(), &policy = internet.policy_engine(),
           protocol](net::Ipv4Addr dst) {
     if (world.procedural.covers(dst)) return false;
-    const auto as = world.topology.as_of(dst);
+    const auto as = world.as_of(dst);
     return as && policy.rate_ids_applies(*as, protocol);
   };
 }

@@ -20,15 +20,17 @@ void HostTable::freeze() {
       std::abort();
     }
   }
-  direct_.clear();
-  if (!hosts_.empty() &&
-      static_cast<std::uint64_t>(hosts_.back().addr.value()) + 1 <=
-          kDirectMapLimit) {
-    direct_.assign(static_cast<std::size_t>(hosts_.back().addr.value()) + 1,
-                   0);
-    for (std::size_t i = 0; i < hosts_.size(); ++i) {
-      direct_[hosts_[i].addr.value()] = static_cast<std::uint32_t>(i + 1);
-    }
+  if (!hosts_.empty() && hosts_.back().addr.value() >= kDirectMapLimit) {
+    std::fprintf(stderr,
+                 "HostTable::freeze: host %s is beyond the 2^25-address "
+                 "direct map; larger universes must be procedural\n",
+                 hosts_.back().addr.to_string().c_str());
+    std::abort();
+  }
+  direct_.assign(
+      hosts_.empty() ? 0 : std::size_t{hosts_.back().addr.value()} + 1, 0);
+  for (std::size_t i = 0; i < hosts_.size(); ++i) {
+    direct_[hosts_[i].addr.value()] = static_cast<std::uint32_t>(i + 1);
   }
   frozen_ = true;
 }
@@ -36,16 +38,9 @@ void HostTable::freeze() {
 const Host* HostTable::find(net::Ipv4Addr addr) const {
   assert(frozen_);
   const std::uint32_t value = addr.value();
-  if (!direct_.empty()) {
-    if (value >= direct_.size()) return nullptr;
-    const std::uint32_t slot = direct_[value];
-    return slot == 0 ? nullptr : &hosts_[slot - 1];
-  }
-  auto it = std::lower_bound(
-      hosts_.begin(), hosts_.end(), addr,
-      [](const Host& h, net::Ipv4Addr a) { return h.addr < a; });
-  if (it == hosts_.end() || it->addr != addr) return nullptr;
-  return &*it;
+  if (value >= direct_.size()) return nullptr;
+  const std::uint32_t slot = direct_[value];
+  return slot == 0 ? nullptr : &hosts_[slot - 1];
 }
 
 bool HostTable::live_in_trial(const Host& host, int trial,

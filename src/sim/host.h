@@ -51,12 +51,18 @@ struct Host {
   }
 };
 
+// Cap on the host table's direct map (addr -> row): 2^25 addresses, or
+// 128 MiB of uint32 slots. Larger universes are procedural above the
+// override region (ScenarioConfig::full_internet) and keep no host rows
+// there.
+inline constexpr std::uint64_t kDirectMapLimit = 1ull << 25;
+
 class HostTable {
  public:
   void add(Host host) { hosts_.push_back(host); }
 
-  // Sorts by address and builds the lookup index. Duplicate addresses are
-  // a scenario bug and abort.
+  // Sorts by address and builds the direct map. Duplicate addresses and
+  // hosts at or above kDirectMapLimit are scenario bugs and abort.
   void freeze();
 
   [[nodiscard]] const Host* find(net::Ipv4Addr addr) const;
@@ -73,10 +79,7 @@ class HostTable {
 
  private:
   std::vector<Host> hosts_;
-  // addr -> index into hosts_ plus one (0 = no host), built by freeze()
-  // when the populated span fits sim::kDirectMapLimit (types.h, same cap
-  // as Topology's direct map); find() falls back to binary search
-  // otherwise.
+  // addr -> index into hosts_ plus one (0 = no host), built by freeze().
   std::vector<std::uint32_t> direct_;
   bool frozen_ = false;
 };

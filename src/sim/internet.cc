@@ -251,14 +251,7 @@ ResolvedTarget Internet::resolve_target(net::Ipv4Addr dst,
   target.as = world_->as_of(dst);
   if (!target.as) return target;
   const std::optional<Host> host = world_->host_at(dst);
-  if (!host ||
-      !HostTable::live_in_trial(*host, context_.trial,
-                                context_.experiment_seed)) {
-    return target;  // nothing listening this trial: silence
-  }
-  if (host->flaky && flaky_miss(*host, origin)) {
-    return target;  // marginal host: dark for this origin this trial
-  }
+  if (!host || !listening(*host, origin)) return target;
   target.host = *host;
   target.has_host = true;
   return target;
@@ -292,53 +285,53 @@ ProbeContext Internet::probe_context(OriginId origin,
 }
 
 void ProbeContext::resolve_batch(ProbeBatch& batch) const {
-  const ProceduralWorld& procedural = internet_->world_->procedural;
+  const World& world = *internet_->world_;
+  const ProceduralWorld& procedural = world.procedural;
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t derivations = 0;
   // The /24 grouping invariant: a consecutive run of same-/24 addresses
-  // shares one block-cache consult. Permutation batches are sequential
-  // inside each next_batch window, so runs span up to 256 addresses; a
-  // materialized (non-procedural) address breaks the run.
+  // shares one facts fetch (a block-cache consult for procedural blocks,
+  // a table read for materialized ones). Permutation batches are
+  // sequential inside each next_batch window, so runs span up to 256
+  // addresses.
   std::uint32_t run_block = ~std::uint32_t{0};
-  const BlockFacts* run_facts = nullptr;
+  bool run_procedural = false;
+  BlockFacts run_facts;
   for (int i = 0; i < batch.size; ++i) {
     const net::Ipv4Addr dst = batch.addr[i];
     batch.as[i] = kNoAs;
     batch.has_host[i] = 0;
-    if (!procedural.covers(dst)) {
-      const ResolvedTarget target = internet_->resolve_target(dst, origin_);
-      if (target.as) batch.as[i] = *target.as;
-      if (target.has_host) {
-        batch.has_host[i] = 1;
-        batch.host[i] = target.host;
-      }
-      run_block = ~std::uint32_t{0};
-      continue;
-    }
     const std::uint32_t block = dst.value() >> 8;
     if (block != run_block) {
-      BlockCacheSlot& slot = block_cache_[block & (kBlockCacheSlots - 1)];
-      if (slot.block == block) {
-        ++hits;
-      } else {
-        slot.block = block;
-        slot.facts = procedural.block_facts(block);
-        ++misses;
-      }
       run_block = block;
-      run_facts = &slot.facts;
+      run_procedural = procedural.covers(dst);
+      if (run_procedural) {
+        BlockCacheSlot& slot = block_cache_[block & (kBlockCacheSlots - 1)];
+        if (slot.block == block) {
+          ++hits;
+        } else {
+          slot.block = block;
+          slot.facts = procedural.block_facts(block);
+          ++misses;
+        }
+        run_facts = slot.facts;
+      } else {
+        run_facts = world.topology.block_facts(block);
+      }
     }
-    if (run_facts->as == kNoAs) continue;  // unrouted block
-    batch.as[i] = run_facts->as;
-    const std::optional<Host> host = procedural.derive_host(dst, *run_facts);
-    ++derivations;
-    if (!host ||
-        !HostTable::live_in_trial(*host, internet_->context_.trial,
-                                  internet_->context_.experiment_seed)) {
-      continue;
+    if (run_facts.as == kNoAs) continue;  // unrouted block
+    batch.as[i] = run_facts.as;
+    std::optional<Host> derived;
+    const Host* host = nullptr;
+    if (run_procedural) {
+      derived = procedural.derive_host(dst, run_facts);
+      ++derivations;
+      if (derived) host = &*derived;
+    } else {
+      host = world.hosts.find(dst);
     }
-    if (host->flaky && internet_->flaky_miss(*host, origin_)) continue;
+    if (host == nullptr || !internet_->listening(*host, origin_)) continue;
     batch.host[i] = *host;
     batch.has_host[i] = 1;
   }
@@ -531,14 +524,19 @@ ProbeContext::Reply ProbeContext::respond(const ProbeBatch& batch, int i,
   return answers ? Reply::kSynAck : Reply::kRst;
 }
 
-bool Internet::flaky_miss(const Host& host, OriginId origin) const {
-  // One coin per (host, origin, trial): the whole scan — both probes and
-  // the follow-up connect — sees the same dark host.
+bool Internet::listening(const Host& host, OriginId origin) const {
+  if (!HostTable::live_in_trial(host, context_.trial,
+                                context_.experiment_seed)) {
+    return false;  // nothing listening this trial: silence
+  }
+  if (!host.flaky) return true;
+  // Marginal host: one coin per (host, origin, trial), so the whole scan
+  // — both probes and the follow-up connect — sees the same dark host.
   const std::uint64_t h = net::mix_u64(host.seed, origin,
                                        static_cast<std::uint64_t>(
                                            context_.trial),
                                        0xF1A6ULL);
-  return hash01(h) < world_->flaky_miss_probability;
+  return hash01(h) >= world_->flaky_miss_probability;
 }
 
 bool Internet::maxstartups_refuses(const Host& host, OriginId origin,

@@ -164,10 +164,11 @@ class ProbeContext {
   // Batched per-target resolution of batch.addr[0..size): fills
   // as/has_host/host with the facts Internet::resolve_target derives
   // (AS, host, liveness, flaky-miss), once per target rather than once
-  // per probe. In procedural worlds a consecutive run of addresses in the
-  // same /24 consults the lane-private block cache once for the whole run
-  // (permutation batches are internally sequential, so runs are long).
-  // Block-cache hit/miss counters count these per-fetch consults, not
+  // per probe. A consecutive run of addresses in the same /24 fetches
+  // its block facts once — from the lane-private block cache above the
+  // procedural boundary, from the topology table below it (permutation
+  // batches are internally sequential, so runs are long). Block-cache
+  // hit/miss counters count procedural per-fetch consults, not
   // per-address lookups (docs/METRICS.md).
   void resolve_batch(ProbeBatch& batch) const;
 
@@ -249,7 +250,8 @@ class Internet {
   void handle_probe_batch(ProbeContext& context, ProbeBatch& batch);
 
   // Per-target resolution: the routed AS and the host that answers this
-  // (origin, trial), if any. Used for materialized addresses and connects.
+  // (origin, trial), if any — resolve_batch's step for one address. Used
+  // by connects.
   [[nodiscard]] ResolvedTarget resolve_target(net::Ipv4Addr dst,
                                               OriginId origin) const;
 
@@ -312,8 +314,10 @@ class Internet {
   [[nodiscard]] bool maxstartups_refuses(const Host& host, OriginId origin,
                                          int attempt) const;
 
-  // Whether a flaky host is dark for this (origin, trial).
-  [[nodiscard]] bool flaky_miss(const Host& host, OriginId origin) const;
+  // The per-target liveness step shared by resolve_target and
+  // resolve_batch: whether `host` is online this trial and, if flaky,
+  // not dark for `origin`.
+  [[nodiscard]] bool listening(const Host& host, OriginId origin) const;
 
   const World* world_;
   TrialContext context_;

@@ -59,16 +59,4 @@ std::optional<Host> ProceduralWorld::derive_host(
                        entries_[facts.catalog].params);
 }
 
-std::optional<AsId> ProceduralWorld::as_of(net::Ipv4Addr addr) const {
-  const BlockFacts facts = block_facts(addr.value() >> 8);
-  if (facts.as == kNoAs) return std::nullopt;
-  return facts.as;
-}
-
-std::optional<Host> ProceduralWorld::host_at(net::Ipv4Addr addr) const {
-  const BlockFacts facts = block_facts(addr.value() >> 8);
-  if (facts.as == kNoAs) return std::nullopt;
-  return derive_host(addr, facts);
-}
-
 }  // namespace originscan::sim

@@ -24,20 +24,10 @@
 #include "sim/country.h"
 #include "sim/host.h"
 #include "sim/hostgen.h"
+#include "sim/topology.h"
 #include "sim/types.h"
 
 namespace originscan::sim {
-
-// The derived facts of one /24 block: which catalog AS announces it (or
-// kNoAs for unrouted space) and where it geolocates. Facts are per-/24
-// because real announcements are at least that coarse — and because one
-// derivation then serves 256 consecutive addresses (the block cache in
-// ProbeContext).
-struct BlockFacts {
-  AsId as = kNoAs;  // kNoAs: unrouted block (probes die before routing)
-  CountryCode country{};
-  std::uint32_t catalog = 0;  // index into ProceduralWorld::entries()
-};
 
 // One procedural AS archetype: a real AsId registered in the Topology
 // (so policies, path profiles, and outage schedules attach normally),
@@ -81,17 +71,14 @@ class ProceduralWorld {
   }
 
   // Derives the facts of /24 block `block` (= addr >> 8). Pure in
-  // (seed, block); O(log entries).
+  // (seed, block); O(log entries). One derivation serves 256 consecutive
+  // addresses (the block cache in ProbeContext).
   [[nodiscard]] BlockFacts block_facts(std::uint32_t block) const;
 
   // Derives the host behind `addr` given its block's facts (which must
   // be routed). Pure in (seed, addr); nullopt when the address is empty.
   [[nodiscard]] std::optional<Host> derive_host(net::Ipv4Addr addr,
                                                 const BlockFacts& facts) const;
-
-  // Uncached whole lookups for the non-hot paths (connect, collectors).
-  [[nodiscard]] std::optional<AsId> as_of(net::Ipv4Addr addr) const;
-  [[nodiscard]] std::optional<Host> host_at(net::Ipv4Addr addr) const;
 
  private:
   bool enabled_ = false;

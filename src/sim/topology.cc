@@ -27,65 +27,44 @@ void Topology::add_prefix(AsId as, net::Prefix prefix,
 
 void Topology::freeze() {
   assert(!frozen_);
-  index_.clear();
+  std::uint32_t lo = ~std::uint32_t{0};
+  std::uint32_t hi = 0;
   for (const auto& as : ases_) {
     for (const auto& entry : as.prefixes) {
-      index_.push_back(Entry{entry.prefix.first().value(),
-                             entry.prefix.last().value(), as.id,
-                             entry.country});
+      if (entry.prefix.length() > 24) {
+        std::fprintf(stderr,
+                     "Topology::freeze: prefix %s of AS %u is longer than "
+                     "/24\n",
+                     entry.prefix.to_string().c_str(), as.id);
+        std::abort();
+      }
+      lo = std::min(lo, entry.prefix.first().value() >> 8);
+      hi = std::max(hi, entry.prefix.last().value() >> 8);
     }
   }
-  std::sort(index_.begin(), index_.end(),
-            [](const Entry& a, const Entry& b) { return a.first < b.first; });
-  for (std::size_t i = 1; i < index_.size(); ++i) {
-    if (index_[i].first <= index_[i - 1].last) {
-      std::fprintf(stderr,
-                   "Topology::freeze: overlapping prefixes between AS %u "
-                   "and AS %u\n",
-                   index_[i - 1].as, index_[i].as);
-      std::abort();
-    }
+  if (lo <= hi) {
+    first_block_ = lo;
+    blocks_.resize(std::size_t{hi} - lo + 1);
   }
-  direct_.clear();
-  if (!index_.empty() && index_.size() < 0xFFFFu &&
-      static_cast<std::uint64_t>(index_.back().last) + 1 <= kDirectMapLimit) {
-    direct_.assign(static_cast<std::size_t>(index_.back().last) + 1, 0);
-    for (std::size_t i = 0; i < index_.size(); ++i) {
-      for (std::uint64_t a = index_[i].first; a <= index_[i].last; ++a) {
-        direct_[static_cast<std::size_t>(a)] =
-            static_cast<std::uint16_t>(i + 1);
+  for (const auto& as : ases_) {
+    for (const auto& entry : as.prefixes) {
+      const std::uint32_t last = entry.prefix.last().value() >> 8;
+      for (std::uint32_t block = entry.prefix.first().value() >> 8;
+           block <= last; ++block) {
+        BlockFacts& facts = blocks_[block - first_block_];
+        if (facts.as != kNoAs) {
+          std::fprintf(stderr,
+                       "Topology::freeze: overlapping prefixes between AS "
+                       "%u and AS %u\n",
+                       facts.as, as.id);
+          std::abort();
+        }
+        facts.as = as.id;
+        facts.country = entry.country;
       }
     }
   }
   frozen_ = true;
-}
-
-const Topology::Entry* Topology::lookup(net::Ipv4Addr addr) const {
-  assert(frozen_);
-  const std::uint32_t value = addr.value();
-  if (!direct_.empty()) {
-    if (value >= direct_.size()) return nullptr;
-    const std::uint16_t slot = direct_[value];
-    return slot == 0 ? nullptr : &index_[slot - 1];
-  }
-  auto it = std::upper_bound(
-      index_.begin(), index_.end(), value,
-      [](std::uint32_t v, const Entry& e) { return v < e.first; });
-  if (it == index_.begin()) return nullptr;
-  --it;
-  if (value >= it->first && value <= it->last) return &*it;
-  return nullptr;
-}
-
-std::optional<AsId> Topology::as_of(net::Ipv4Addr addr) const {
-  const Entry* entry = lookup(addr);
-  if (entry == nullptr) return std::nullopt;
-  return entry->as;
-}
-
-CountryCode Topology::country_of(net::Ipv4Addr addr) const {
-  const Entry* entry = lookup(addr);
-  return entry == nullptr ? CountryCode() : entry->country;
 }
 
 AsId Topology::find_as(std::string_view name) const {

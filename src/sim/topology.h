@@ -1,6 +1,6 @@
 // The routed topology: autonomous systems, their prefixes, and the
-// address -> AS / address -> country mappings (the stand-ins for the
-// routing-table snapshot and the MaxMind GeoIP database the paper uses).
+// per-/24 facts table that stands in for the routing-table snapshot and
+// the MaxMind GeoIP database the paper uses.
 //
 // Country is tracked per prefix, not only per AS: several of the paper's
 // key networks are registered in one country but announce space that
@@ -18,6 +18,17 @@
 #include "sim/types.h"
 
 namespace originscan::sim {
+
+// The facts of one /24 block: which AS announces it (kNoAs for unrouted
+// space) and where it geolocates. Facts are per-/24 because real
+// announcements are at least that coarse; the materialized table and the
+// procedural derivation (procedural.h) both answer in this shape, and
+// World::block_facts picks between them.
+struct BlockFacts {
+  AsId as = kNoAs;  // kNoAs: unrouted block (probes die before routing)
+  CountryCode country{};
+  std::uint32_t catalog = 0;  // procedural blocks: ProceduralWorld entry
+};
 
 struct PrefixEntry {
   net::Prefix prefix;
@@ -47,12 +58,19 @@ class Topology {
   void add_prefix(AsId as, net::Prefix prefix,
                   std::optional<CountryCode> geo = std::nullopt);
 
-  // Builds the address-lookup index. Prefixes must be disjoint across
-  // ASes; freeze() verifies this and aborts on overlap (a scenario bug).
+  // Fills the per-/24 facts table. Prefixes must be disjoint across
+  // ASes and no longer than /24; freeze() aborts otherwise (a scenario
+  // bug).
   void freeze();
 
-  [[nodiscard]] std::optional<AsId> as_of(net::Ipv4Addr addr) const;
-  [[nodiscard]] CountryCode country_of(net::Ipv4Addr addr) const;
+  // The facts of /24 block `block` (= addr >> 8); blocks no prefix
+  // covers read as unrouted. Whole-world lookups go through
+  // World::block_facts, which also covers the procedural region.
+  [[nodiscard]] BlockFacts block_facts(std::uint32_t block) const {
+    const std::uint32_t slot = block - first_block_;  // wraps below it
+    return slot < blocks_.size() ? blocks_[slot] : BlockFacts{};
+  }
+
   [[nodiscard]] const AsInfo& as_info(AsId id) const { return ases_[id]; }
   [[nodiscard]] std::size_t as_count() const { return ases_.size(); }
   [[nodiscard]] const std::vector<AsInfo>& ases() const { return ases_; }
@@ -62,23 +80,10 @@ class Topology {
   [[nodiscard]] AsId find_as(std::string_view name) const;
 
  private:
-  struct Entry {
-    std::uint32_t first = 0;
-    std::uint32_t last = 0;  // inclusive
-    AsId as = kNoAs;
-    CountryCode country;
-  };
-
-  [[nodiscard]] const Entry* lookup(net::Ipv4Addr addr) const;
-
   std::vector<AsInfo> ases_;
-  std::vector<Entry> index_;  // sorted by first, disjoint
-  // addr -> index into index_ plus one (0 = unrouted), built by freeze()
-  // when the routed span fits sim::kDirectMapLimit (types.h). Scan
-  // universes are dense
-  // and start at 0, so the common case is one O(1) load per lookup
-  // instead of a log2(prefixes) pointer chase per probe.
-  std::vector<std::uint16_t> direct_;
+  // One entry per /24 from first_block_ through the highest routed block.
+  std::uint32_t first_block_ = 0;
+  std::vector<BlockFacts> blocks_;
   bool frozen_ = false;
 };
 

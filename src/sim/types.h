@@ -11,13 +11,6 @@ namespace originscan::sim {
 using AsId = std::uint32_t;
 inline constexpr AsId kNoAs = ~AsId{0};
 
-// Shared cap for the direct-mapped address tables in Topology and
-// HostTable: a direct map is only built for address spans up to 2^25
-// addresses (64 MiB of uint16 topology slots, 128 MiB of uint32 host
-// slots). Larger spans fall back to binary search — or, at full-IPv4
-// scale, to procedural derivation (see procedural.h).
-inline constexpr std::uint64_t kDirectMapLimit = 1ull << 25;
-
 // Index into the experiment's origin list.
 using OriginId = std::uint32_t;
 

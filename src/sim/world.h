@@ -32,9 +32,9 @@ struct World {
   Topology topology;
   HostTable hosts;
   // Lazy seed-derived state for addresses above the override region;
-  // disabled (and ignored) for plain materialized scenarios. Use the
-  // as_of/country_of/host_at helpers below rather than the tables
-  // directly so both kinds of world resolve identically.
+  // disabled (and ignored) for plain materialized scenarios. Use
+  // block_facts and the as_of/country_of/host_at helpers below rather
+  // than the tables directly so both kinds of world resolve identically.
   ProceduralWorld procedural;
   std::vector<OriginSpec> origins;
   PathTable paths;
@@ -62,24 +62,32 @@ struct World {
     return ~OriginId{0};
   }
 
-  // Whole-world lookups: the materialized tables below the procedural
-  // boundary, derivation above it. These are the uncached slow paths
-  // (connects, collectors, schedule building); the per-probe hot loop
-  // goes through ProbeContext's per-lane block cache instead.
+  // The one facts lookup: the facts of /24 block `block` (= addr >> 8),
+  // derived above the procedural boundary and read from the topology's
+  // per-/24 table below it. The per-probe hot loop
+  // (ProbeContext::resolve_batch) caches procedural derivations per lane;
+  // connects, collectors and analysis use the helpers below.
+  [[nodiscard]] BlockFacts block_facts(std::uint32_t block) const {
+    if (procedural.covers(net::Ipv4Addr(block << 8))) {
+      return procedural.block_facts(block);
+    }
+    return topology.block_facts(block);
+  }
+
   [[nodiscard]] std::optional<AsId> as_of(net::Ipv4Addr addr) const {
-    if (procedural.covers(addr)) return procedural.as_of(addr);
-    return topology.as_of(addr);
+    const AsId as = block_facts(addr.value() >> 8).as;
+    if (as == kNoAs) return std::nullopt;
+    return as;
   }
 
   [[nodiscard]] CountryCode country_of(net::Ipv4Addr addr) const {
-    if (procedural.covers(addr)) {
-      return procedural.block_facts(addr.value() >> 8).country;
-    }
-    return topology.country_of(addr);
+    return block_facts(addr.value() >> 8).country;
   }
 
   [[nodiscard]] std::optional<Host> host_at(net::Ipv4Addr addr) const {
-    if (procedural.covers(addr)) return procedural.host_at(addr);
+    const BlockFacts facts = block_facts(addr.value() >> 8);
+    if (facts.as == kNoAs) return std::nullopt;
+    if (procedural.covers(addr)) return procedural.derive_host(addr, facts);
     const Host* host = hosts.find(addr);
     if (host == nullptr) return std::nullopt;
     return *host;

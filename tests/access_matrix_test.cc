@@ -40,12 +40,35 @@ TEST_F(AccessMatrixTest, HostsAreSortedAndUnique) {
 TEST_F(AccessMatrixTest, MetadataMatchesTopology) {
   const auto matrix =
       AccessMatrix::build(experiment(), proto::Protocol::kHttp);
-  const auto& topology = experiment().world().topology;
+  const sim::World& world = experiment().world();
   for (HostIdx h = 0; h < matrix.host_count(); ++h) {
-    EXPECT_EQ(matrix.host_as(h), *topology.as_of(matrix.host_addr(h)));
-    EXPECT_EQ(matrix.host_country(h),
-              topology.country_of(matrix.host_addr(h)));
+    EXPECT_EQ(matrix.host_as(h), *world.as_of(matrix.host_addr(h)));
+    EXPECT_EQ(matrix.host_country(h), world.country_of(matrix.host_addr(h)));
   }
+}
+
+// Hosts above the procedural boundary have no topology prefix: their AS
+// and country exist only as derived block facts, so the matrix must
+// resolve metadata through the World, not the materialized table.
+TEST(AccessMatrixProcedural, MetadataMatchesWorldAboveOverrideRegion) {
+  ExperimentConfig config;
+  config.scenario = sim::ScenarioConfig::full_internet(20);
+  config.trials = 1;
+  config.protocols = {proto::Protocol::kHttp};
+  config.jobs = 4;
+  Experiment experiment(config);
+  experiment.run();
+
+  const auto matrix = AccessMatrix::build(experiment, proto::Protocol::kHttp);
+  const sim::World& world = experiment.world();
+  std::size_t procedural_hosts = 0;
+  for (HostIdx h = 0; h < matrix.host_count(); ++h) {
+    const net::Ipv4Addr addr = matrix.host_addr(h);
+    if (world.procedural.covers(addr)) ++procedural_hosts;
+    ASSERT_EQ(matrix.host_as(h), world.as_of(addr)) << addr.to_string();
+    EXPECT_EQ(matrix.host_country(h), world.country_of(addr));
+  }
+  EXPECT_GT(procedural_hosts, 0u);
 }
 
 TEST_F(AccessMatrixTest, ProbeHourSharedAcrossOrigins) {

@@ -8,9 +8,10 @@
 // the documented universe.* bookkeeping. The model works straight from
 // World facts and the public loss, outage, and policy APIs, and shares no
 // code with the pipeline. These tests randomize worlds, probe counts,
-// fault plans, and chunk sizes, straddle both resolution boundaries — the
-// procedural override region (2^19) and kDirectMapLimit (2^25) — and pin
-// the rate-IDS admission order against a collector that connects.
+// fault plans, and chunk sizes, straddle the one resolution boundary —
+// the procedural override region (2^19), where facts switch from the
+// topology's per-/24 table to derivation — and pin the rate-IDS admission
+// order against a collector that connects.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -477,11 +478,12 @@ TEST(BatchModelEquivalence, FullSweepMatchesReferenceModel) {
   }
 }
 
-// Partial tail batches (1..255 targets) and the kDirectMapLimit
-// resolution boundary: random-sized spans of scheduled targets sampled
-// around 2^19 (materialized/procedural seam) and 2^25 (direct-map/
-// binary-search seam) in a 2^26 universe must run through
-// run_scheduled (batched, chunked) exactly as through the model.
+// Partial tail batches (1..255 targets) and the resolution boundary:
+// random-sized spans of scheduled targets sampled around 2^19 (the
+// materialized/procedural seam) and across a 2^26 universe must run
+// through run_scheduled (batched, chunked) exactly as through the model.
+// The 2^25 kDirectMapLimit is no seam here: everything above 2^19 is
+// procedural and keeps no table rows.
 TEST(BatchModelEquivalence, TailBatchesMatchReferenceModelAcrossBoundaries) {
   ScenarioConfig config = ScenarioConfig::full_internet(26);
   config.seed = 0x7A11BA7ull;
@@ -508,7 +510,7 @@ TEST(BatchModelEquivalence, TailBatchesMatchReferenceModelAcrossBoundaries) {
   zconfig.faults = &faults;
 
   net::Rng rng(0x7A11ull);
-  const std::uint32_t seams[] = {1u << 19, kDirectMapLimit};
+  constexpr std::uint32_t kSeam = 1u << 19;
   std::uint64_t slot = 0;
   for (int iter = 0; iter < 24; ++iter) {
     // Mostly partial tails; a few spans > 256 to cover full+tail chunks.
@@ -520,8 +522,8 @@ TEST(BatchModelEquivalence, TailBatchesMatchReferenceModelAcrossBoundaries) {
     for (std::size_t j = 0; j < count; ++j) {
       std::uint32_t addr;
       switch (rng.below(3)) {
-        case 0:  // straddle one of the two seams
-          addr = seams[rng.below(2)] - 1024 + rng.below(2048);
+        case 0:  // straddle the seam
+          addr = kSeam - 1024 + rng.below(2048);
           break;
         case 1:  // consecutive run: exercises the /24 fetch sharing
           addr = (1u << 20) + static_cast<std::uint32_t>(iter) * 4096 +

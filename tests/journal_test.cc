@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 
 #include "core/journal.h"
 #include "netbase/rng.h"
@@ -245,42 +246,70 @@ TEST(ExperimentJournal, LoadCellDetectsSidecarCorruption) {
   EXPECT_FALSE(error.empty());
 }
 
-TEST(CellSidecar, LegacyRawPayloadRoundTripsAndRejectsDamage) {
-  // Sidecars written before framing existed are the raw payload with its
-  // own CRC footer; the parser must keep accepting them verbatim.
+void write_bytes(const std::string& path,
+                 const std::vector<std::uint8_t>& bytes) {
+  std::ofstream file(path, std::ios::binary | std::ios::trunc);
+  file.write(reinterpret_cast<const char*>(bytes.data()),
+             static_cast<std::streamsize>(bytes.size()));
+}
+
+std::vector<std::uint8_t> read_bytes(const std::string& path) {
+  std::ifstream file(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(file),
+          std::istreambuf_iterator<char>()};
+}
+
+TEST(CellSidecar, FramedSidecarRejectsTruncationAndFlips) {
+  // The payload codec round-trips (the distributed runtime streams these
+  // bytes unframed inside SEGMENT messages).
   const IdsSnapshot ids = sample_snapshot();
   const scan::ScanResult reference = sample_result();
-  const auto raw = serialize_cell_sidecar(ids, reference.l4_stats,
-                                          reference.attempt_histogram);
-
+  const auto payload = serialize_cell_sidecar(ids, reference.l4_stats,
+                                              reference.attempt_histogram);
   IdsSnapshot out_ids;
   scan::ZMapScanner::Stats out_stats;
   std::vector<std::uint64_t> out_histogram;
-  ASSERT_TRUE(parse_cell_sidecar(raw, out_ids, out_stats, out_histogram));
+  ASSERT_TRUE(parse_cell_sidecar(payload, out_ids, out_stats, out_histogram));
   EXPECT_EQ(out_ids, ids);
   EXPECT_TRUE(out_stats == reference.l4_stats);
   EXPECT_EQ(out_histogram, reference.attempt_histogram);
 
-  // Truncation at any boundary is rejected, never over-read.
-  for (const std::size_t keep :
-       {std::size_t{0}, std::size_t{4}, std::size_t{15}, raw.size() - 1}) {
-    auto torn = raw;
+  // The journal's framed .ids file: truncation at any boundary and a
+  // flipped byte anywhere fail the load, never over-read.
+  const std::string dir = scratch_dir("journal_framed_sidecar");
+  std::string error;
+  auto journal = ExperimentJournal::open(dir, kFingerprint, &error);
+  ASSERT_TRUE(journal.has_value()) << error;
+  ASSERT_TRUE(journal->record_done(sample_key(), reference, ids, 1, &error))
+      << error;
+  const JournalEntry& entry = journal->entries().front();
+  const std::string ids_path = dir + "/" + entry.segment + ".ids";
+  const auto framed = read_bytes(ids_path);
+  ASSERT_GT(framed.size(), payload.size());
+
+  for (const std::size_t keep : {std::size_t{0}, std::size_t{4},
+                                 std::size_t{15}, framed.size() - 1}) {
+    auto torn = framed;
     torn.resize(keep);
-    EXPECT_FALSE(parse_cell_sidecar(torn, out_ids, out_stats, out_histogram))
+    write_bytes(ids_path, torn);
+    EXPECT_FALSE(journal->load_cell(entry, nullptr, &error).has_value())
         << "accepted a sidecar truncated to " << keep << " bytes";
   }
-  // A single flipped byte anywhere trips the CRC footer.
-  for (const std::size_t at : {std::size_t{0}, raw.size() / 2, raw.size() - 1}) {
-    auto flipped = raw;
+  for (const std::size_t at :
+       {std::size_t{0}, framed.size() / 2, framed.size() - 1}) {
+    auto flipped = framed;
     flipped[at] ^= 0x40;
-    EXPECT_FALSE(
-        parse_cell_sidecar(flipped, out_ids, out_stats, out_histogram))
+    write_bytes(ids_path, flipped);
+    EXPECT_FALSE(journal->load_cell(entry, nullptr, &error).has_value())
         << "accepted a sidecar with byte " << at << " flipped";
   }
+  write_bytes(ids_path, framed);
+  EXPECT_TRUE(journal->load_cell(entry, nullptr, &error).has_value())
+      << error;
 }
 
-TEST(ExperimentJournal, LoadCellAcceptsLegacyRawSidecar) {
-  const std::string dir = scratch_dir("journal_legacy_sidecar");
+TEST(ExperimentJournal, LoadCellRejectsUnframedSidecar) {
+  const std::string dir = scratch_dir("journal_unframed_sidecar");
   std::string error;
   auto journal = ExperimentJournal::open(dir, kFingerprint, &error);
   ASSERT_TRUE(journal.has_value()) << error;
@@ -290,32 +319,13 @@ TEST(ExperimentJournal, LoadCellAcceptsLegacyRawSidecar) {
       << error;
   const JournalEntry& entry = journal->entries().front();
 
-  // Rewrite the framed .ids sidecar as a pre-framing journal would have
-  // written it: raw payload, no frame envelope.
-  const auto raw = serialize_cell_sidecar(snapshot, result.l4_stats,
-                                          result.attempt_histogram);
-  {
-    std::ofstream file(dir + "/" + entry.segment + ".ids",
-                       std::ios::binary | std::ios::trunc);
-    file.write(reinterpret_cast<const char*>(raw.data()),
-               static_cast<std::streamsize>(raw.size()));
-  }
-  IdsSnapshot loaded_snapshot;
-  const auto loaded = journal->load_cell(entry, &loaded_snapshot, &error);
-  ASSERT_TRUE(loaded.has_value()) << error;
-  EXPECT_EQ(loaded_snapshot, snapshot);
-
-  // The legacy path is a fallback, not a CRC bypass: damage the raw
-  // payload and the load fails like any other corruption.
-  {
-    auto damaged = raw;
-    damaged[damaged.size() / 2] ^= 0x40;
-    std::ofstream file(dir + "/" + entry.segment + ".ids",
-                       std::ios::binary | std::ios::trunc);
-    file.write(reinterpret_cast<const char*>(damaged.data()),
-               static_cast<std::streamsize>(damaged.size()));
-  }
+  // An intact payload without the frame envelope is corruption: the
+  // journal reads framed sidecars only.
+  write_bytes(dir + "/" + entry.segment + ".ids",
+              serialize_cell_sidecar(snapshot, result.l4_stats,
+                                     result.attempt_histogram));
   EXPECT_FALSE(journal->load_cell(entry, nullptr, &error).has_value());
+  EXPECT_NE(error.find("corrupt sidecar"), std::string::npos) << error;
 }
 
 TEST(ExperimentJournal, QuarantineDemotesAndReRecordSupersedes) {

@@ -1,11 +1,9 @@
-// Procedural-world correctness: the direct-map/binary-search fallback
-// equivalence in the address tables, the materialized-twin equivalence
-// of the procedural universe, and the hot path's zero-lock invariant
-// over the procedural branch.
+// Procedural-world correctness: the materialized-twin equivalence of the
+// procedural universe and the hot path's zero-lock invariant over the
+// procedural branch.
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "netbase/ipv4.h"
@@ -20,128 +18,6 @@
 
 namespace originscan::sim {
 namespace {
-
-// ---- Direct-map fallback equivalence --------------------------------
-//
-// Topology and HostTable build an O(1) direct map only when their
-// populated span fits sim::kDirectMapLimit; otherwise lookups fall back
-// to binary search. The two paths must be byte-equivalent: we build twin
-// tables with identical content below the limit, push one twin past the
-// limit (forcing its fallback path), and compare lookups everywhere.
-
-TEST(DirectMapFallback, TopologyBinarySearchMatchesDirectMap) {
-  constexpr std::uint32_t kSharedSpan = 1u << 16;
-
-  Topology direct_map;   // stays below the limit: direct map built
-  Topology fallback;     // one straddling prefix: binary search
-  const AsId a0_direct = direct_map.add_as("A0", CountryCode('U', 'S'));
-  const AsId a1_direct = direct_map.add_as("A1", CountryCode('D', 'E'));
-  const AsId a0_fall = fallback.add_as("A0", CountryCode('U', 'S'));
-  const AsId a1_fall = fallback.add_as("A1", CountryCode('D', 'E'));
-  ASSERT_EQ(a0_direct, a0_fall);
-  ASSERT_EQ(a1_direct, a1_fall);
-
-  // Identical scattered /24s below the limit, alternating AS and with a
-  // geo override on every third prefix.
-  net::Rng rng(0xFA11BACCull);
-  for (std::uint32_t block = 0; block < kSharedSpan / 256; ++block) {
-    if (rng.below(3) == 0) continue;  // leave unrouted gaps
-    const net::Prefix prefix(net::Ipv4Addr(block * 256u), 24);
-    const AsId as = (block % 2 == 0) ? a0_direct : a1_direct;
-    std::optional<CountryCode> geo;
-    if (block % 3 == 0) geo = CountryCode('B', 'D');
-    direct_map.add_prefix(as, prefix, geo);
-    fallback.add_prefix(as, prefix, geo);
-  }
-  // A /24 at the direct-map limit, only in the fallback twin: a /24 is
-  // 256-aligned so it cannot cross the (2^25-aligned) cap itself, but
-  // the twin's *routed span* now straddles it — last + 1 > the cap, so
-  // freeze() skips the direct map and every lookup binary-searches.
-  const std::uint32_t straddle_first = kDirectMapLimit;
-  fallback.add_prefix(a1_fall, net::Prefix(net::Ipv4Addr(straddle_first), 24));
-
-  direct_map.freeze();
-  fallback.freeze();
-
-  // Sampled and boundary addresses over the shared span agree exactly.
-  net::Rng probe_rng(0x107Cull);
-  std::vector<std::uint32_t> addrs;
-  for (int i = 0; i < 20000; ++i) {
-    addrs.push_back(static_cast<std::uint32_t>(probe_rng.below(kSharedSpan)));
-  }
-  for (std::uint32_t block = 0; block < kSharedSpan / 256; ++block) {
-    addrs.push_back(block * 256u);        // first of block
-    addrs.push_back(block * 256u + 255);  // last of block
-  }
-  for (const std::uint32_t value : addrs) {
-    const net::Ipv4Addr addr(value);
-    EXPECT_EQ(direct_map.as_of(addr), fallback.as_of(addr)) << value;
-    EXPECT_EQ(direct_map.country_of(addr).to_string(),
-              fallback.country_of(addr).to_string())
-        << value;
-  }
-
-  // The straddling prefix itself resolves correctly through the
-  // fallback path, including both sides of the limit boundary.
-  for (std::uint32_t offset = 0; offset < 256; ++offset) {
-    const net::Ipv4Addr addr(straddle_first + offset);
-    ASSERT_TRUE(fallback.as_of(addr).has_value()) << offset;
-    EXPECT_EQ(*fallback.as_of(addr), a1_fall);
-  }
-  EXPECT_FALSE(fallback.as_of(net::Ipv4Addr(straddle_first - 1)).has_value());
-  EXPECT_FALSE(fallback.as_of(net::Ipv4Addr(straddle_first + 256)).has_value());
-}
-
-TEST(DirectMapFallback, HostTableBinarySearchMatchesDirectMap) {
-  constexpr std::uint32_t kSharedSpan = 1u << 16;
-
-  HostTable direct_map;
-  HostTable fallback;
-  net::Rng rng(0xB057ull);
-  std::vector<std::uint32_t> populated;
-  for (std::uint32_t value = 0; value < kSharedSpan; ++value) {
-    if (rng.below(5) != 0) continue;  // ~20% density
-    Host host;
-    host.addr = net::Ipv4Addr(value);
-    host.as = 0;
-    host.services = static_cast<std::uint8_t>(1u + rng.below(7));
-    host.seed = net::mix_u64(0x5EEDull, value);
-    host.live_percent = static_cast<std::uint8_t>(50 + rng.below(51));
-    direct_map.add(host);
-    fallback.add(host);
-    populated.push_back(value);
-  }
-  // One host past the limit: fallback twin loses its direct map.
-  Host far;
-  far.addr = net::Ipv4Addr(kDirectMapLimit + 5);
-  far.as = 0;
-  far.services = 1;
-  far.seed = 0xFA12ull;
-  fallback.add(far);
-
-  direct_map.freeze();
-  fallback.freeze();
-
-  net::Rng probe_rng(0xF1BDull);
-  std::vector<std::uint32_t> addrs = populated;
-  for (int i = 0; i < 20000; ++i) {
-    addrs.push_back(static_cast<std::uint32_t>(probe_rng.below(kSharedSpan)));
-  }
-  for (const std::uint32_t value : addrs) {
-    const Host* a = direct_map.find(net::Ipv4Addr(value));
-    const Host* b = fallback.find(net::Ipv4Addr(value));
-    ASSERT_EQ(a == nullptr, b == nullptr) << value;
-    if (a != nullptr) {
-      EXPECT_EQ(a->addr, b->addr);
-      EXPECT_EQ(a->services, b->services);
-      EXPECT_EQ(a->seed, b->seed);
-      EXPECT_EQ(a->live_percent, b->live_percent);
-    }
-  }
-  const Host* found_far = fallback.find(far.addr);
-  ASSERT_NE(found_far, nullptr);
-  EXPECT_EQ(found_far->seed, far.seed);
-}
 
 // ---- Procedural vs materialized equivalence -------------------------
 //

@@ -28,6 +28,16 @@ TEST(Country, PackAndFormat) {
 
 // -------------------------------------------------------------- topology --
 
+std::optional<AsId> as_at(const Topology& topology, net::Ipv4Addr addr) {
+  const AsId as = topology.block_facts(addr.value() >> 8).as;
+  if (as == kNoAs) return std::nullopt;
+  return as;
+}
+
+CountryCode country_at(const Topology& topology, net::Ipv4Addr addr) {
+  return topology.block_facts(addr.value() >> 8).country;
+}
+
 TEST(Topology, AsAndCountryLookup) {
   Topology topology;
   const AsId a = topology.add_as("Alpha", country::kUS);
@@ -37,19 +47,74 @@ TEST(Topology, AsAndCountryLookup) {
   topology.add_prefix(b, *net::Prefix::parse("10.0.1.0/24"));
   topology.freeze();
 
-  EXPECT_EQ(topology.as_of(net::Ipv4Addr(10, 0, 0, 5)), a);
-  EXPECT_EQ(topology.as_of(net::Ipv4Addr(10, 0, 1, 5)), b);
-  EXPECT_EQ(topology.as_of(net::Ipv4Addr(10, 0, 2, 5)), a);
-  EXPECT_FALSE(topology.as_of(net::Ipv4Addr(10, 0, 3, 5)).has_value());
+  EXPECT_EQ(as_at(topology, net::Ipv4Addr(10, 0, 0, 5)), a);
+  EXPECT_EQ(as_at(topology, net::Ipv4Addr(10, 0, 1, 5)), b);
+  EXPECT_EQ(as_at(topology, net::Ipv4Addr(10, 0, 2, 5)), a);
+  EXPECT_FALSE(as_at(topology, net::Ipv4Addr(10, 0, 3, 5)).has_value());
 
   // Registration country vs prefix geolocation.
   EXPECT_EQ(topology.as_info(a).country, country::kUS);
-  EXPECT_EQ(topology.country_of(net::Ipv4Addr(10, 0, 0, 5)), country::kUS);
-  EXPECT_EQ(topology.country_of(net::Ipv4Addr(10, 0, 2, 5)), country::kBD);
+  EXPECT_EQ(country_at(topology, net::Ipv4Addr(10, 0, 0, 5)), country::kUS);
+  EXPECT_EQ(country_at(topology, net::Ipv4Addr(10, 0, 2, 5)), country::kBD);
 
   EXPECT_EQ(topology.find_as("Beta"), b);
   EXPECT_EQ(topology.find_as("Missing"), kNoAs);
   EXPECT_EQ(topology.as_info(a).address_count(), 512u);
+
+  // A second world on the per-/24 table's edges: a /22 filling four
+  // slots, an unrouted gap between routed blocks, a geo override, and
+  // space below the first and above the last routed block.
+  Topology wide;
+  const AsId c = wide.add_as("Gamma", country::kDE);
+  const AsId d = wide.add_as("Delta", country::kAU);
+  wide.add_prefix(c, *net::Prefix::parse("0.0.4.0/22"));            // 4-7
+  wide.add_prefix(d, *net::Prefix::parse("0.0.9.0/24"), country::kZA);
+  wide.add_prefix(d, *net::Prefix::parse("0.0.10.0/24"));
+  wide.freeze();
+
+  struct Expect {
+    std::uint32_t block;
+    std::optional<AsId> as;
+    CountryCode country;
+  };
+  const Expect expected[] = {
+      {3, std::nullopt, CountryCode()},  // below the table
+      {4, c, country::kDE},              {5, c, country::kDE},
+      {6, c, country::kDE},              {7, c, country::kDE},
+      {8, std::nullopt, CountryCode()},  // gap
+      {9, d, country::kZA},              // geo override
+      {10, d, country::kAU},
+      {11, std::nullopt, CountryCode()},  // above the table
+  };
+  for (const Expect& row : expected) {
+    for (const std::uint32_t offset : {0u, 1u, 128u, 255u}) {
+      const net::Ipv4Addr addr(row.block * 256u + offset);
+      EXPECT_EQ(as_at(wide, addr), row.as) << addr.to_string();
+      EXPECT_EQ(country_at(wide, addr), row.country) << addr.to_string();
+    }
+  }
+  EXPECT_EQ(wide.as_info(c).address_count(), 1024u);
+}
+
+TEST(TopologyDeathTest, FreezeRejectsOverlapAndSubBlockPrefixes) {
+  EXPECT_DEATH(
+      {
+        Topology topology;
+        const AsId a = topology.add_as("Alpha", country::kUS);
+        const AsId b = topology.add_as("Beta", country::kJP);
+        topology.add_prefix(a, *net::Prefix::parse("10.0.0.0/22"));
+        topology.add_prefix(b, *net::Prefix::parse("10.0.3.0/24"));
+        topology.freeze();
+      },
+      "overlapping prefixes");
+  EXPECT_DEATH(
+      {
+        Topology topology;
+        const AsId a = topology.add_as("Alpha", country::kUS);
+        topology.add_prefix(a, *net::Prefix::parse("10.0.0.0/25"));
+        topology.freeze();
+      },
+      "longer than /24");
 }
 
 // -------------------------------------------------------------- HostTable --
@@ -75,6 +140,18 @@ TEST(HostTable, FindAndLiveness) {
   }
   EXPECT_GT(live, 25);
   EXPECT_LT(live, 75);
+}
+
+TEST(HostTableDeathTest, FreezeRejectsHostsBeyondDirectMap) {
+  EXPECT_DEATH(
+      {
+        HostTable table;
+        Host host;
+        host.addr = net::Ipv4Addr(static_cast<std::uint32_t>(kDirectMapLimit));
+        table.add(host);
+        table.freeze();
+      },
+      "beyond the .*direct map");
 }
 
 // ------------------------------------------------------------------ path --
@@ -522,7 +599,7 @@ TEST(Scenario, PaperWorldBuildsAndIsConsistent) {
 
   // Every host belongs to a routed AS matching its own record.
   for (const Host& host : world.hosts.all()) {
-    auto as = world.topology.as_of(host.addr);
+    auto as = world.as_of(host.addr);
     ASSERT_TRUE(as.has_value());
     EXPECT_EQ(*as, host.as);
   }

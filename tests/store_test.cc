@@ -68,6 +68,15 @@ TEST(Store, RejectsCorruptStreams) {
   bad[7] = 99;
   EXPECT_FALSE(parse_results(bad).has_value());
 
+  // Version 1 (the footer-less format) fails to parse: a v1 header on
+  // this stream, and an empty stream that is a complete v1 file.
+  bad = bytes;
+  bad[7] = 1;
+  EXPECT_FALSE(parse_results(bad).has_value());
+  auto v1_empty = serialize_results({});
+  v1_empty[7] = 1;
+  EXPECT_FALSE(parse_results(v1_empty).has_value());
+
   // Truncation anywhere must be caught.
   for (std::size_t cut : {bytes.size() - 1, bytes.size() / 2, 10ul, 3ul}) {
     auto truncated = bytes;
@@ -89,21 +98,6 @@ TEST(Store, RejectsCorruptStreams) {
   EXPECT_FALSE(parse_results(bad).has_value());
 }
 
-TEST(Store, V1StreamsStillParse) {
-  // Back-compat: journals and saved results written before the CRC
-  // footer (format v1) must keep loading.
-  const auto original = sample_results();
-  const auto v1 = serialize_results(original, kStoreVersionNoCrc);
-  const auto v2 = serialize_results(original, kStoreVersion);
-  EXPECT_LT(v1.size(), v2.size());  // v2 carries one u32 footer per block
-  const auto parsed = parse_results(v1);
-  ASSERT_TRUE(parsed.has_value());
-  ASSERT_EQ(parsed->size(), original.size());
-  for (std::size_t i = 0; i < original.size(); ++i) {
-    EXPECT_TRUE((*parsed)[i].records == original[i].records);
-  }
-}
-
 TEST(Store, V2CatchesEverySingleBitFlip) {
   // The CRC footer's contract: no single-bit corruption of a v2 stream
   // may parse. Header flips fail structurally; block and footer flips
@@ -118,19 +112,6 @@ TEST(Store, V2CatchesEverySingleBitFlip) {
           << "undetected flip at byte " << byte << " bit " << bit;
     }
   }
-}
-
-TEST(Store, V1DoesNotDetectRecordCorruption) {
-  // The contrast that motivates v2: flipping a record byte in a v1
-  // stream parses fine and silently yields different data.
-  const auto original = sample_results();
-  auto v1 = serialize_results(original, kStoreVersionNoCrc);
-  // First record's bytes start after magic 4 + version 4 + count 4 +
-  // code_len 2 + "AU" 2 + proto 1 + trial 4 + record_count 8 = 29.
-  v1[30] ^= 0x10;
-  const auto parsed = parse_results(v1);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_FALSE((*parsed)[0].records == original[0].records);
 }
 
 TEST(Store, EmptyResultListRoundTrips) {

@@ -70,7 +70,7 @@ inline sim::World make_mini_world(const MiniWorldOptions& options = {}) {
     }
     sim::Host host;
     host.addr = net::Ipv4Addr(addr);
-    host.as = *world.topology.as_of(host.addr);
+    host.as = *world.as_of(host.addr);
     host.services = options.all_services ? 0b111 : 0b001;
     host.seed = net::mix_u64(options.seed, addr, 0x5EEDu);
     if (options.maxstartups) {
