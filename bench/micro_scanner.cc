@@ -1,19 +1,15 @@
 // Microbenchmarks for the scanner's hot paths (google-benchmark):
-// address permutation, probe-MAC computation, packet serialization and
-// parsing, blocklist lookups, and the batched probe pipeline.
+// address permutation, blocklist lookups, and the batched probe pipeline.
 #include <benchmark/benchmark.h>
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
 
-#include "netbase/headers.h"
 #include "netbase/rng.h"
-#include "netbase/siphash.h"
 #include "obsv/metrics.h"
 #include "scanner/blocklist.h"
 #include "scanner/permutation.h"
-#include "scanner/validation.h"
 #include "scanner/zmap.h"
 #include "sim/internet.h"
 #include "sim/scenario.h"
@@ -63,60 +59,6 @@ static void BM_GroupConstruction(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GroupConstruction)->Arg(1 << 16)->Arg(1 << 20)->Arg(1 << 24);
-
-static void BM_SipHashMac(benchmark::State& state) {
-  const net::SipHash hasher(net::SipHash::key_from_seed(7));
-  std::uint64_t value = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(hasher.hash_u64_pair(value++, 443));
-  }
-}
-BENCHMARK(BM_SipHashMac);
-
-static void BM_ProbeFields(benchmark::State& state) {
-  const scan::ProbeValidator validator(net::SipHash::key_from_seed(7), 32768,
-                                       28232);
-  std::uint32_t addr = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(validator.fields_for(
-        net::Ipv4Addr(10, 0, 0, 1), net::Ipv4Addr(addr++), 80));
-  }
-}
-BENCHMARK(BM_ProbeFields);
-
-static void BM_PacketSerializeParse(benchmark::State& state) {
-  net::TcpPacket packet;
-  packet.ip.src = net::Ipv4Addr(10, 0, 0, 1);
-  packet.ip.dst = net::Ipv4Addr(1, 2, 3, 4);
-  packet.tcp.src_port = 40000;
-  packet.tcp.dst_port = 443;
-  packet.tcp.flags.syn = true;
-  for (auto _ : state) {
-    const auto bytes = packet.serialize();
-    auto parsed = net::TcpPacket::parse(bytes);
-    benchmark::DoNotOptimize(parsed);
-  }
-}
-BENCHMARK(BM_PacketSerializeParse);
-
-static void BM_PacketSerializeInto(benchmark::State& state) {
-  // The scanner's send-loop variant: serialize_into reuses one buffer,
-  // so the steady state is allocation-free (compare against
-  // BM_PacketSerializeParse, which allocates per probe).
-  net::TcpPacket packet;
-  packet.ip.src = net::Ipv4Addr(10, 0, 0, 1);
-  packet.ip.dst = net::Ipv4Addr(1, 2, 3, 4);
-  packet.tcp.src_port = 40000;
-  packet.tcp.dst_port = 443;
-  packet.tcp.flags.syn = true;
-  std::vector<std::uint8_t> buffer;
-  for (auto _ : state) {
-    packet.serialize_into(buffer);
-    auto parsed = net::TcpPacket::parse(buffer);
-    benchmark::DoNotOptimize(parsed);
-  }
-}
-BENCHMARK(BM_PacketSerializeInto);
 
 static void BM_BlocklistLookup(benchmark::State& state) {
   scan::Blocklist blocklist;
@@ -235,8 +177,8 @@ BENCHMARK(BM_LossModelLookup);
 static void BM_MixBatch4(benchmark::State& state) {
   // The 4-wide unrolled splitmix kernel at the bottom of the batch drop
   // pass. Bit-identical to four scalar mix_u64 calls; the win is four
-  // independent multiply chains in flight (ILP), not SIMD. Compare
-  // ns/item against a quarter of BM_SipHashMac-style scalar mixing.
+  // independent multiply chains in flight (ILP), not SIMD. Items are
+  // lanes, so ns/item is the cost of one mixed value.
   std::uint64_t a[4] = {1, 2, 3, 4};
   std::uint64_t b[4] = {5, 6, 7, 8};
   std::uint64_t out[4];

@@ -120,33 +120,29 @@ ChaosReport run_chaos_soak(const ChaosOptions& options) {
       }
     };
 
-    // ---- Serial reference: the oracle's expected bytes. -------------
-    // (Also the source of the round's grid geometry — cell keys, origin
-    // count — so the oracle below never rebuilds a world per lookup.)
-    fault::FaultPlan full_plan;
-    {
-      // Grid geometry is plan-independent; the generator only needs the
-      // cell count (2 trials x 1 protocol x 7 paper origins) and the
-      // universe to scale its windows.
-      const fault::ChaosEpisode drawn = fault::make_chaos_episode(
-          options.seed, static_cast<std::uint64_t>(round), 2 * 7,
-          1u << options.scale);
-      if (!drawn.plan_spec.empty()) {
-        std::string parse_error;
-        auto parsed = fault::FaultPlan::parse(drawn.plan_spec, &parse_error);
-        if (!parsed.has_value()) {
-          // The generator emitted a spec its own parser rejects — a bug
-          // in the harness itself, reported like any other violation.
-          violate("generated plan failed to parse (" + parse_error +
-                  "): " + drawn.plan_spec);
-          continue;
-        }
-        full_plan = std::move(*parsed);
-      }
-    }
+    // The round's episode. Grid geometry is plan-independent; the
+    // generator only needs the cell count (2 trials x 1 protocol x 7
+    // paper origins) and the universe to scale its windows.
     const fault::ChaosEpisode episode = fault::make_chaos_episode(
         options.seed, static_cast<std::uint64_t>(round), 2 * 7,
         1u << options.scale);
+    fault::FaultPlan full_plan;
+    if (!episode.plan_spec.empty()) {
+      std::string parse_error;
+      auto parsed = fault::FaultPlan::parse(episode.plan_spec, &parse_error);
+      if (!parsed.has_value()) {
+        // The generator emitted a spec its own parser rejects — a bug in
+        // the harness itself, reported like any other violation.
+        violate("generated plan failed to parse (" + parse_error +
+                "): " + episode.plan_spec);
+        continue;
+      }
+      full_plan = std::move(*parsed);
+    }
+
+    // ---- Serial reference: the oracle's expected bytes. -------------
+    // (Also the source of the round's grid geometry — cell keys, origin
+    // count — so the oracle below never rebuilds a world per lookup.)
     const fault::FaultInjector full_injector(full_plan, options.seed);
     const fault::FaultPlan salvage_plan = without_kill_class(full_plan);
     const fault::FaultInjector salvage_injector(salvage_plan, options.seed);
@@ -205,9 +201,10 @@ ChaosReport run_chaos_soak(const ChaosOptions& options) {
         // not the production ten minutes.
         dist_options.hello_timeout = std::chrono::milliseconds(10'000);
         dist_options.cell_timeout = std::chrono::milliseconds(3'000);
-        // The master's own block (grant bookkeeping, journal fault and
-        // write-failure counts) feeds the round registry like any cell
-        // delta would.
+        // The master's own block carries only its dist.* grant and
+        // transport counters (journal and fault counts reach the round
+        // registry through config.metrics); it feeds the round registry
+        // like any cell delta would.
         obsv::MetricBlock master_block;
         episode_report =
             run_distributed(experiment, &*journal, SupervisorPolicy{},

@@ -8,7 +8,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cassert>
 #include <cerrno>
 #include <cstdlib>
 #include <deque>
@@ -428,11 +427,11 @@ void run_worker(int fd, int worker_index, Experiment& experiment,
 
 // ---- Master ----------------------------------------------------------
 
-// The distributed master (friend of Experiment): forks workers, grants
-// origin chains, merges streamed segments, and records outcomes through
-// the same journal path run_journaled uses — which is what makes the
-// journal directory, the metrics snapshot, and the final grid
-// byte-identical to a single-process run.
+// The distributed master: forks workers, grants origin chains, merges
+// streamed segments, and settles every cell through the same
+// GridRecorder run_journaled uses — which is what makes the journal
+// directory, the metrics snapshot, and the final grid byte-identical to
+// a single-process run.
 class GridMaster {
  public:
   using Clock = std::chrono::steady_clock;
@@ -442,24 +441,22 @@ class GridMaster {
              obsv::MetricBlock* dist_metrics,
              const std::function<void(std::string_view)>& progress)
       : experiment_(experiment),
-        journal_(journal),
         policy_(policy),
         options_(options),
         dist_(dist_metrics),
-        progress_(progress) {}
+        recorder_(experiment, journal, progress) {}
 
   RunReport run();
 
  private:
   // One origin's serial chain of cells. `pos` is the first un-settled
   // chain position; `snapshot` is the IDS state that position expects
-  // (the latest DONEd cell's post-state). `grant_failures` counts worker
-  // deaths attributed to the cell at `pos`.
+  // (the latest DONEd cell's post-state; nullopt = chain start).
+  // `grant_failures` counts worker deaths attributed to the cell at `pos`.
   struct Chain {
     sim::OriginId origin = 0;
     std::size_t pos = 0;
-    IdsSnapshot snapshot;
-    bool have_snapshot = false;
+    std::optional<IdsSnapshot> snapshot;
     int grant_failures = 0;
     bool active = false;  // currently granted to a live worker
   };
@@ -482,7 +479,7 @@ class GridMaster {
   }
 
   [[nodiscard]] std::size_t chain_slot(const Chain& chain) const {
-    return chain.pos * experiment_.world_.origins.size() + chain.origin;
+    return chain.pos * experiment_.origin_count() + chain.origin;
   }
 
   [[nodiscard]] bool all_done() const {
@@ -504,31 +501,24 @@ class GridMaster {
   void handle_message(Worker& worker, WireMessage message,
                       Clock::time_point now);
   void handle_done(Worker& worker, WireMessage message);
-  void mark_cell_lost(std::size_t slot, int attempts,
-                      const std::string& reason);
   void fail_worker(Worker& worker);
   void reap(Worker& worker);
   void shutdown_all(bool graceful);
-  RunReport finalize();
 
   Experiment& experiment_;
-  ExperimentJournal* journal_;
   SupervisorPolicy policy_;
   DistOptions options_;
   obsv::MetricBlock* dist_;
-  const std::function<void(std::string_view)>& progress_;
+  GridRecorder recorder_;
 
   std::size_t chain_len_ = 0;
   std::vector<Chain> chains_;
   std::deque<std::size_t> ready_;  // chain indices awaiting a grant
   std::vector<std::unique_ptr<Worker>> workers_;
   SegmentMerger merger_;
-  RunReport report_;
-  std::vector<std::size_t> lost_slots_;  // lost during this run
   int next_index_ = 0;
   int respawns_used_ = 0;
-  bool killed_ = false;
-  std::string kill_reason_;
+  std::optional<std::string> killed_;  // kill reason once a worker ABORTs
 };
 
 void GridMaster::spawn_worker() {
@@ -609,17 +599,17 @@ void GridMaster::ensure_workers(bool initial) {
 }
 
 void GridMaster::dispatch_ready() {
-  if (journal_ != nullptr && journal_->storage_dead()) {
+  if (recorder_.storage_dead()) {
     // Storage died: granting more work would only produce results that
     // cannot be persisted. Drain the queue by failing every waiting
-    // chain's remaining cells fast — active workers' in-flight cells
-    // degrade one by one through handle_done's write-failure path.
+    // chain's remaining cells fast, writing nothing — active workers'
+    // cells are failed the same way as their DONEs arrive.
     while (!ready_.empty()) {
       Chain& chain = chains_[ready_.front()];
       ready_.pop_front();
-      while (chain.pos < chain_len_) {
-        mark_cell_lost(chain_slot(chain), 0, "journal storage dead");
-        ++chain.pos;
+      for (; chain.pos < chain_len_; ++chain.pos) {
+        recorder_.fail_fast(chain_slot(chain));
+        bump(obsv::Counter::kDistCellsLost);
       }
     }
     return;
@@ -642,8 +632,8 @@ void GridMaster::dispatch_ready() {
     grant.origin = static_cast<std::uint32_t>(chain.origin);
     grant.chain_pos = static_cast<std::uint32_t>(chain.pos);
     grant.grant = static_cast<std::uint32_t>(chain.grant_failures);
-    grant.have_snapshot = chain.have_snapshot;
-    if (chain.have_snapshot) grant.snapshot = chain.snapshot.serialize();
+    grant.have_snapshot = chain.snapshot.has_value();
+    if (chain.snapshot.has_value()) grant.snapshot = chain.snapshot->serialize();
     if (!send_message(parked->fd, grant)) {
       // The worker died between its CLAIM and our grant; the poll loop
       // will reap it. The chain stays queued for the next candidate.
@@ -671,27 +661,6 @@ void GridMaster::refresh_deadline(Worker& worker, Clock::time_point now) {
   }
 }
 
-void GridMaster::mark_cell_lost(std::size_t slot, int attempts,
-                                const std::string& reason) {
-  const CellKey key = experiment_.cell_key_at(slot);
-  if (journal_ != nullptr) {
-    std::string journal_error;
-    if (!journal_->record_lost(key, attempts, reason, &journal_error)) {
-      // The cell is already lost in-memory; a failed lost-line append
-      // just means a resume re-runs it instead of adopting the loss.
-      bump(obsv::Counter::kJournalWritesFailed);
-    }
-  }
-  experiment_.lost_[slot] = true;
-  lost_slots_.push_back(slot);
-  bump(obsv::Counter::kDistCellsLost);
-  if (progress_) {
-    progress_("trial " + std::to_string(key.trial + 1) + " " +
-              std::string(proto::name_of(key.protocol)) + " " +
-              key.origin_code + ": LOST (" + reason + ")");
-  }
-}
-
 void GridMaster::handle_done(Worker& worker, WireMessage message) {
   if (worker.chain < 0) {
     worker.failed = true;
@@ -703,15 +672,14 @@ void GridMaster::handle_done(Worker& worker, WireMessage message) {
     worker.failed = true;
     return;
   }
-  const CellKey key = experiment_.cell_key_at(slot);
-  report_.retries += static_cast<std::uint64_t>(
-      std::max(0, static_cast<int>(message.attempts) - 1));
+  const auto attempts = static_cast<int>(message.attempts);
 
   if (message.lost) {
     // Supervisor retry budget exhausted inside the worker (cell_hang):
     // same degradation as the single-process run, same manifest line.
     merger_.drop_slot(slot);
-    mark_cell_lost(slot, static_cast<int>(message.attempts), message.text);
+    recorder_.lost(slot, attempts, message.text);
+    bump(obsv::Counter::kDistCellsLost);
   } else {
     const auto* records = merger_.get(slot, SegmentKind::kRecords);
     const auto* ids = merger_.get(slot, SegmentKind::kIds);
@@ -739,7 +707,7 @@ void GridMaster::handle_done(Worker& worker, WireMessage message) {
       return;
     }
     obsv::MetricBlock delta;
-    if (experiment_.config_.metrics != nullptr) {
+    if (experiment_.config().metrics != nullptr) {
       auto parsed_block = obsv::MetricBlock::parse(*metrics);
       if (!parsed_block.has_value()) {
         worker.failed = true;
@@ -747,50 +715,18 @@ void GridMaster::handle_done(Worker& worker, WireMessage message) {
       }
       delta = std::move(*parsed_block);
     }
-    // Record through the exact single-process path: record_done adds the
-    // journal-layer counters to the delta and persists all three
-    // sidecars, so the journal directory and the merged registry are
-    // byte-identical to run_journaled's.
-    if (journal_ != nullptr) {
-      std::string journal_error;
-      if (!journal_->record_done(
-              key, result, snapshot, static_cast<int>(message.attempts),
-              experiment_.config_.metrics != nullptr ? &delta : nullptr,
-              &journal_error)) {
-        // Storage-exhaustion degradation: the worker's result cannot be
-        // made durable, so the cell — not the run — fails. Storage does
-        // not come back (storage_dead latches), so every later cell of
-        // this chain degrades the same way and dispatch_ready stops
-        // granting; the chain still advances so the run terminates with
-        // an honestly labeled partial grid.
-        bump(obsv::Counter::kJournalWritesFailed);
-        merger_.drop_slot(slot);
-        mark_cell_lost(slot, static_cast<int>(message.attempts),
-                       "journal write failed: " + journal_error);
-        chain.grant_failures = 0;
-        ++chain.pos;
-        if (chain.pos >= chain_len_) {
-          chain.active = false;
-          worker.chain = -1;
-        }
-        return;
-      }
+    merger_.drop_slot(slot);  // parsed; free the buffered copies
+    // A failed journal write, or storage already dead, loses the cell.
+    // Storage does not come back (storage_dead latches), so
+    // dispatch_ready stops granting; the chain still advances so the run
+    // ends with an honestly labeled partial grid.
+    if (recorder_.done(slot, std::move(result), snapshot, attempts,
+                       std::move(delta))) {
+      bump(obsv::Counter::kDistCellsCompleted);
+      chain.snapshot = std::move(snapshot);
+    } else {
+      bump(obsv::Counter::kDistCellsLost);
     }
-    if (experiment_.config_.metrics != nullptr) {
-      experiment_.config_.metrics->merge_block(delta);
-    }
-    if (progress_) {
-      progress_("trial " + std::to_string(key.trial + 1) + " " +
-                std::string(proto::name_of(key.protocol)) + " " +
-                result.origin_code + ": " +
-                std::to_string(result.completed_count()) + " hosts");
-    }
-    experiment_.results_[slot] = std::move(result);
-    ++report_.cells_run;
-    bump(obsv::Counter::kDistCellsCompleted);
-    merger_.drop_slot(slot);  // recorded; free the buffered copies
-    chain.snapshot = std::move(snapshot);
-    chain.have_snapshot = true;
   }
 
   chain.grant_failures = 0;
@@ -839,9 +775,7 @@ void GridMaster::handle_message(Worker& worker, WireMessage message,
     case MsgType::kAbort:
       // The worker's run was killed (cell_crash): the whole distributed
       // run degrades to kKilled, exactly like run_journaled.
-      killed_ = true;
-      kill_reason_ =
-          message.text.empty() ? "cell_crash fault" : message.text;
+      killed_ = message.text.empty() ? "cell_crash fault" : message.text;
       return;
     case MsgType::kGrant:
       worker.failed = true;  // master-only message from a worker
@@ -877,9 +811,10 @@ void GridMaster::fail_worker(Worker& worker) {
     chain.active = false;
     ++chain.grant_failures;
     if (chain.grant_failures >= policy_.max_attempts) {
-      mark_cell_lost(slot, chain.grant_failures,
+      recorder_.lost(slot, chain.grant_failures,
                      "worker died in all " +
                          std::to_string(chain.grant_failures) + " grants");
+      bump(obsv::Counter::kDistCellsLost);
       ++chain.pos;
       chain.grant_failures = 0;
     }
@@ -901,74 +836,19 @@ void GridMaster::shutdown_all(bool graceful) {
   workers_.clear();
 }
 
-RunReport GridMaster::finalize() {
-  const std::size_t origin_count = experiment_.world_.origins.size();
-  const std::size_t protocol_count = experiment_.config_.protocols.size();
-  for (std::size_t slot : lost_slots_) {
-    report_.lost.push_back(experiment_.cell_key_at(slot));
-  }
-  std::sort(report_.lost.begin(), report_.lost.end(),
-            [&](const CellKey& a, const CellKey& b) {
-              const auto slot_of = [&](const CellKey& k) {
-                std::size_t p = 0;
-                for (std::size_t i = 0; i < protocol_count; ++i) {
-                  if (experiment_.config_.protocols[i] == k.protocol) p = i;
-                }
-                return experiment_.index(
-                    k.trial, p, experiment_.world_.origin_id(k.origin_code));
-              };
-              return slot_of(a) < slot_of(b);
-            });
-  report_.cells_lost = report_.lost.size();
-  report_.status = report_.lost.empty() ? RunReport::Status::kComplete
-                                        : RunReport::Status::kPartial;
-  if (experiment_.config_.metrics != nullptr) {
-    experiment_.config_.metrics->gauge_max(
-        obsv::Gauge::kExperimentCellsTotal,
-        static_cast<std::uint64_t>(origin_count * protocol_count *
-                                   static_cast<std::size_t>(
-                                       experiment_.config_.trials)));
-    experiment_.config_.metrics->add(obsv::Counter::kExperimentCellsLost,
-                                     report_.cells_lost);
-  }
-  return report_;
-}
-
 RunReport GridMaster::run() {
-  assert(experiment_.results_.empty() && "Experiment::run called twice");
-  const std::size_t origin_count = experiment_.world_.origins.size();
-  const std::size_t total = experiment_.cell_count();
-  chain_len_ = total / origin_count;
-  experiment_.results_.resize(total);
-  experiment_.lost_.assign(total, false);
-  report_.cells_total = total;
-
-  std::vector<bool> adopted(total, false);
-  std::vector<IdsSnapshot> latest(origin_count);
-  std::vector<bool> have_snapshot(origin_count, false);
-  if (journal_ != nullptr) {
-    // Chaos hooks: the master is the only process that writes the
-    // journal, so the enospc / segment_corrupt points live here; their
-    // counts land in the dist metric block alongside the dist.* rows.
-    journal_->set_fault_injector(experiment_.config_.faults, dist_);
-    Experiment::AdoptionPlan plan = experiment_.adopt_journal(*journal_);
-    adopted = std::move(plan.adopted);
-    latest = std::move(plan.latest);
-    have_snapshot = std::move(plan.have_snapshot);
-    report_.cells_adopted = plan.adopted_count;
-    report_.lost = std::move(plan.lost_keys);
-  }
+  const std::size_t origin_count = experiment_.origin_count();
+  chain_len_ = experiment_.cell_count() / origin_count;
+  std::vector<std::optional<IdsSnapshot>> latest = recorder_.start();
 
   chains_.resize(origin_count);
   for (sim::OriginId origin = 0; origin < origin_count; ++origin) {
     Chain& chain = chains_[origin];
     chain.origin = origin;
     chain.snapshot = std::move(latest[origin]);
-    chain.have_snapshot = have_snapshot[origin];
     // The settled prefix (adopted + journaled-lost cells) never runs
     // again; the chain resumes at the first open position.
-    while (chain.pos < chain_len_ &&
-           (adopted[chain_slot(chain)] || experiment_.lost_[chain_slot(chain)])) {
+    while (chain.pos < chain_len_ && recorder_.settled(chain_slot(chain))) {
       ++chain.pos;
     }
     if (chain.pos < chain_len_) ready_.push_back(origin);
@@ -1062,15 +942,10 @@ RunReport GridMaster::run() {
 
   if (killed_) {
     shutdown_all(/*graceful=*/false);
-    experiment_.results_.clear();
-    experiment_.lost_.clear();
-    report_.status = RunReport::Status::kKilled;
-    report_.kill_reason = kill_reason_;
-    return report_;
+    return recorder_.killed(*killed_);
   }
-
   shutdown_all(/*graceful=*/true);
-  return finalize();
+  return recorder_.finish();
 }
 
 RunReport run_distributed(

@@ -28,9 +28,10 @@
 // Merge commutativity: the master keys every received segment by
 // (cell slot, kind). Cell outputs are deterministic — a re-granted
 // cell's re-streamed segments are byte-identical to the originals — so
-// keyed merging is order-independent and the final grid, CSVs, and
-// metrics snapshot are byte-identical for any --workers × --jobs
-// combination, and to the single-process run (tests/dist_test.cc,
+// keyed merging is order-independent. Every DONE cell is then settled by
+// the same GridRecorder run_journaled uses, so the final grid, CSVs,
+// journal, and metrics snapshot are byte-identical for any --workers ×
+// --jobs combination, and to the single-process run (tests/dist_test.cc,
 // tests/differential_test.cc).
 //
 // Failure handling: a worker that dies (SIGKILL, torn mid-frame write)
@@ -200,12 +201,16 @@ void run_worker(int fd, int worker_index, Experiment& experiment,
 
 // Master entry point: distributes `experiment`'s grid over
 // `options.workers` processes and fills the experiment's results exactly
-// as run_journaled would have. `journal` (optional) is both the resume
-// source — settled cells are adopted, not re-granted — and the durable
-// ledger the master records streamed cells into. `dist_metrics`
-// (optional) receives the master-side dist.* counters; they are kept
-// out of the run registry so metrics snapshots stay byte-identical
-// across worker counts. The caller must be single-threaded (fork).
+// as run_journaled would have: both settle cells through one
+// GridRecorder. `journal` (optional) is both the resume source — settled
+// cells are adopted, not re-granted — and the durable ledger the master
+// records streamed cells into; its journal.* and fault.* counters reach
+// the run registry (config().metrics) exactly as in-process. Once the
+// journal's storage is dead, waiting cells are lost without a write.
+// `dist_metrics` (optional) receives only the master-side dist.*
+// counters; they are kept out of the run registry so metrics snapshots
+// stay byte-identical across worker counts. The caller must be
+// single-threaded (fork).
 // Throws std::runtime_error on protocol-fatal conditions (journal
 // corruption, respawn budget exhausted).
 RunReport run_distributed(

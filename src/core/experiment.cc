@@ -25,6 +25,23 @@ std::vector<sim::OriginSpec> roster_for(const ExperimentConfig& config) {
   return sim::paper_origins(config.scenario.universe_size);
 }
 
+// A cell's trace track: "ORIGIN/proto/tN".
+std::string track_of(const CellKey& key) {
+  return key.origin_code + "/" + std::string(proto::name_of(key.protocol)) +
+         "/t" + std::to_string(key.trial);
+}
+
+// The progress line of a settled cell starts "trial 1 HTTP AU: ".
+std::string progress_prefix(const CellKey& key) {
+  return "trial " + std::to_string(key.trial + 1) + " " +
+         std::string(proto::name_of(key.protocol)) + " " + key.origin_code +
+         ": ";
+}
+
+std::uint64_t retries_of(int attempts) {
+  return static_cast<std::uint64_t>(std::max(0, attempts - 1));
+}
+
 }  // namespace
 
 Experiment::Experiment(ExperimentConfig config)
@@ -46,13 +63,18 @@ std::size_t Experiment::index(int trial, std::size_t protocol_index,
          origin;
 }
 
-CellKey Experiment::cell_key_at(std::size_t slot) const {
+Experiment::CellCoords Experiment::coords_at(std::size_t slot) const {
   const std::size_t origin_count = world_.origins.size();
   const std::size_t protocol_count = config_.protocols.size();
-  const std::size_t origin = slot % origin_count;
-  const std::size_t p = (slot / origin_count) % protocol_count;
-  const int trial = static_cast<int>(slot / (origin_count * protocol_count));
-  return CellKey{world_.origins[origin].code, config_.protocols[p], trial};
+  return CellCoords{static_cast<int>(slot / (origin_count * protocol_count)),
+                    (slot / origin_count) % protocol_count,
+                    static_cast<sim::OriginId>(slot % origin_count)};
+}
+
+CellKey Experiment::cell_key_at(std::size_t slot) const {
+  const CellCoords cell = coords_at(slot);
+  return CellKey{world_.origins[cell.origin].code,
+                 config_.protocols[cell.protocol_index], cell.trial};
 }
 
 // ---- CellEngine ------------------------------------------------------
@@ -91,19 +113,12 @@ void CellEngine::restore_origin(sim::OriginId origin,
 CellOutcome CellEngine::run_cell(std::size_t slot, CellSupervisor& supervisor,
                                  obsv::MetricBlock* cell_block) {
   const ExperimentConfig& config = experiment_.config_;
-  const sim::World& world = experiment_.world_;
-  const std::size_t origin_count = world.origins.size();
-  const std::size_t protocol_count = config.protocols.size();
-  const sim::OriginId origin = slot % origin_count;
-  const std::size_t p = (slot / origin_count) % protocol_count;
-  const int trial =
-      static_cast<int>(slot / (origin_count * protocol_count));
-  const CellKey key = experiment_.cell_key_at(slot);
-  const std::string track = key.origin_code + "/" +
-                            std::string(proto::name_of(key.protocol)) +
-                            "/t" + std::to_string(key.trial);
-  const auto source_ips =
-      std::span<const net::Ipv4Addr>(world.origins[origin].source_ips);
+  const Experiment::CellCoords cell = experiment_.coords_at(slot);
+  const proto::Protocol protocol = config.protocols[cell.protocol_index];
+  sim::Internet& internet = *internets_[static_cast<std::size_t>(cell.trial)];
+  const std::string track = track_of(experiment_.cell_key_at(slot));
+  const auto source_ips = std::span<const net::Ipv4Addr>(
+      experiment_.world_.origins[cell.origin].source_ips);
 
   // Per-cell metric attribution: `attempt_block` is a fresh scratch
   // block per attempt — an aborted attempt's counters are simply thrown
@@ -120,8 +135,7 @@ CellOutcome CellEngine::run_cell(std::size_t slot, CellSupervisor& supervisor,
         // entries, and neither the probe hot loop nor the ZGrab
         // connect path ever takes the cache writer lock — regardless
         // of how concurrently-running origin chains interleave.
-        internets_[static_cast<std::size_t>(trial)]->prewarm(
-            origin, config.protocols[p]);
+        internet.prewarm(cell.origin, protocol);
         scan::ScanOptions options;
         options.probes = config.probes;
         options.probe_interval = config.probe_interval;
@@ -138,8 +152,7 @@ CellOutcome CellEngine::run_cell(std::size_t slot, CellSupervisor& supervisor,
         }
         options.trace = config.trace;
         options.trace_track = track;
-        return scan::run_scan(*internets_[static_cast<std::size_t>(trial)],
-                              origin, config.protocols[p], options);
+        return scan::run_scan(internet, cell.origin, protocol, options);
       },
       [&] { return capture_ids(experiment_.persistent_, source_ips); },
       [&](const IdsSnapshot& snapshot) {
@@ -148,8 +161,7 @@ CellOutcome CellEngine::run_cell(std::size_t slot, CellSupervisor& supervisor,
       cell_block);
 
   if (outcome.status == CellOutcome::Status::kDone && cell_block != nullptr) {
-    const std::uint64_t retries =
-        static_cast<std::uint64_t>(std::max(0, outcome.attempts - 1));
+    const std::uint64_t retries = retries_of(outcome.attempts);
     cell_block->merge_from(attempt_block);
     cell_block->add(obsv::Counter::kSupervisorRetries, retries);
     if (retries > 0) {
@@ -198,31 +210,152 @@ std::string Experiment::config_fingerprint() const {
       reinterpret_cast<const std::uint8_t*>(canon.data()), canon.size())));
 }
 
-Experiment::AdoptionPlan Experiment::adopt_journal(ExperimentJournal& journal) {
-  assert(results_.size() == cell_count() && lost_.size() == cell_count());
-  const std::size_t protocol_count = config_.protocols.size();
-  const std::size_t origin_count = world_.origins.size();
+RunReport Experiment::run_journaled(
+    ExperimentJournal* journal, const SupervisorPolicy& policy,
+    const std::function<void(std::string_view)>& progress) {
+  // The engine builds the per-trial Internets; construction must precede
+  // the snapshot restores below (see CellEngine).
+  CellEngine engine(*this);
+  GridRecorder recorder(*this, journal, progress);
+  const std::vector<std::optional<IdsSnapshot>> latest = recorder.start();
+  for (sim::OriginId origin = 0; origin < latest.size(); ++origin) {
+    if (latest[origin].has_value()) {
+      engine.restore_origin(origin, *latest[origin]);
+    }
+  }
 
-  AdoptionPlan plan;
-  plan.adopted.assign(cell_count(), false);
-  plan.latest.resize(origin_count);
-  plan.have_snapshot.assign(origin_count, false);
+  CellSupervisor supervisor(policy, config_.faults, config_.scenario.seed);
+  std::mutex mutex;  // guards the recorder (and through it the journal)
+
+  // Runs one cell under the supervisor; false aborts the caller's chain
+  // (simulated process death).
+  const auto run_cell = [&](std::size_t slot) -> bool {
+    {
+      std::scoped_lock lock(mutex);
+      if (recorder.settled(slot)) return true;
+      if (recorder.storage_dead()) {
+        // Storage died earlier in this run. Scanning would only burn time
+        // on a result that cannot be persisted — fail the cell fast.
+        recorder.fail_fast(slot);
+        return true;
+      }
+    }
+
+    // `cell_block` is the cell's durable metric delta: the engine's
+    // supervised-scan attribution plus (via record_done) the journal
+    // counters. It is persisted with the cell and merged into the
+    // registry, so an adopted cell replays exactly what a live run of it
+    // would have contributed.
+    obsv::MetricBlock cell_block;
+    CellOutcome outcome = engine.run_cell(
+        slot, supervisor, config_.metrics != nullptr ? &cell_block : nullptr);
+
+    if (outcome.status == CellOutcome::Status::kKilled || supervisor.killed()) {
+      // A killed process journals nothing more, but its supervisor taps
+      // (fault.cell_crash) are still observable in-process.
+      if (config_.metrics != nullptr) config_.metrics->merge_block(cell_block);
+      return false;
+    }
+    const bool done = outcome.status == CellOutcome::Status::kDone;
+    const IdsSnapshot post = done && journal != nullptr
+                                 ? engine.capture_origin(coords_at(slot).origin)
+                                 : IdsSnapshot{};
+
+    std::scoped_lock lock(mutex);
+    if (config_.trace != nullptr) {
+      const std::string track = track_of(cell_key_at(slot)) + "/supervisor";
+      for (int attempt = 2; attempt <= outcome.attempts; ++attempt) {
+        config_.trace->instant(track, "supervisor.retry", net::VirtualTime{},
+                               {{"attempt", std::to_string(attempt)}});
+      }
+    }
+    if (done) {
+      recorder.done(slot, std::move(outcome.result), post, outcome.attempts,
+                    std::move(cell_block));
+    } else {
+      recorder.lost(slot, outcome.attempts, outcome.reason);
+    }
+    return true;
+  };
+
+  const int jobs = std::max(1, config_.jobs);
+  const std::size_t total = cell_count();
+  if (jobs == 1) {
+    // Slots are numbered in serial execution order.
+    for (std::size_t slot = 0; slot < total; ++slot) {
+      if (!run_cell(slot)) break;
+    }
+  } else {
+    // Parallel fan-out: one serial chain per origin, each running its
+    // cells in (trial, protocol) order. An origin's IDS counter keys are
+    // its own source IPs, so per-key mutation order — the only thing the
+    // simulation's outputs can observe — matches the serial schedule no
+    // matter how the chains interleave. Scans inside a chain stay
+    // single-threaded (no nested pools).
+    const std::size_t origin_count = world_.origins.size();
+    std::vector<std::function<void()>> chains;
+    chains.reserve(origin_count);
+    for (std::size_t origin = 0; origin < origin_count; ++origin) {
+      chains.push_back([&run_cell, total, origin_count, origin] {
+        for (std::size_t slot = origin; slot < total; slot += origin_count) {
+          if (!run_cell(slot)) return;
+        }
+      });
+    }
+    run_parallel(jobs, std::move(chains));
+  }
+
+  if (supervisor.killed()) return recorder.killed("cell_crash fault");
+  return recorder.finish();
+}
+
+// ---- GridRecorder ----------------------------------------------------
+
+GridRecorder::GridRecorder(Experiment& experiment, ExperimentJournal* journal,
+                           const Progress& progress)
+    : experiment_(experiment), journal_(journal), progress_(progress) {}
+
+GridRecorder::~GridRecorder() {
+  // The journal outlives the run; its fault counts must not point into
+  // a destroyed recorder.
+  if (journal_ != nullptr) {
+    journal_->set_fault_injector(experiment_.config_.faults);
+  }
+}
+
+std::vector<std::optional<IdsSnapshot>> GridRecorder::start() {
+  assert(!experiment_.has_run() && "Experiment::run called twice");
+  const std::size_t total = experiment_.cell_count();
+  experiment_.results_.resize(total);
+  experiment_.lost_.assign(total, false);
+  adopted_.assign(total, false);
+  report_.cells_total = total;
+  if (journal_ == nullptr) {
+    return std::vector<std::optional<IdsSnapshot>>(experiment_.origin_count());
+  }
+  journal_->set_fault_injector(experiment_.config_.faults, &faults_);
+  return adopt_journal();
+}
+
+std::vector<std::optional<IdsSnapshot>> GridRecorder::adopt_journal() {
+  const ExperimentConfig& config = experiment_.config_;
+  const std::size_t origin_count = experiment_.origin_count();
+  const std::size_t total = experiment_.cell_count();
+  std::vector<std::optional<IdsSnapshot>> latest(origin_count);
 
   // Every journal entry must map into this grid (the fingerprint check
   // at open makes a mismatch here a corrupt journal, not a config
   // change).
-  for (const JournalEntry& entry : journal.entries()) {
-    const sim::OriginId origin = world_.origin_id(entry.key.origin_code);
-    if (origin == ~sim::OriginId{0}) {
+  for (const JournalEntry& entry : journal_->entries()) {
+    if (experiment_.origin_id(entry.key.origin_code) == ~sim::OriginId{0}) {
       throw std::runtime_error("journal names unknown origin \"" +
                                entry.key.origin_code + "\"");
     }
-    bool known_protocol = false;
-    for (proto::Protocol p : config_.protocols) {
-      known_protocol = known_protocol || p == entry.key.protocol;
-    }
+    const bool known_protocol =
+        std::find(config.protocols.begin(), config.protocols.end(),
+                  entry.key.protocol) != config.protocols.end();
     if (!known_protocol || entry.key.trial < 0 ||
-        entry.key.trial >= config_.trials) {
+        entry.key.trial >= config.trials) {
       throw std::runtime_error(
           "journal entry outside the experiment grid: " +
           entry.key.origin_code + " " +
@@ -235,342 +368,182 @@ Experiment::AdoptionPlan Experiment::adopt_journal(ExperimentJournal& journal) {
   // the origin's chain: the journal appends in execution order, so a
   // gap means lost manifest lines — the IDS snapshots after the gap
   // would no longer describe the state their cells actually saw.
-  for (sim::OriginId origin = 0; origin < origin_count; ++origin) {
+  for (std::size_t origin = 0; origin < origin_count; ++origin) {
     bool gap = false;
     // Set when a cell of this origin's chain fails segment/sidecar
     // verification: the cell is quarantined (demoted to absent, re-run on
     // this resume) and every later entry in the chain is demoted with it
     // — their IDS provenance includes the cell that went bad.
     bool quarantined = false;
-    for (int trial = 0; trial < config_.trials; ++trial) {
-      for (std::size_t p = 0; p < protocol_count; ++p) {
-        const CellKey key{world_.origins[origin].code, config_.protocols[p],
-                          trial};
-        const JournalEntry* entry = journal.find(key);
-        const std::size_t slot = index(trial, p, origin);
-        if (entry == nullptr) {
-          gap = true;
-          continue;
-        }
-        if (quarantined) {
-          journal.quarantine(key);
-          if (config_.metrics != nullptr) {
-            config_.metrics->add(obsv::Counter::kJournalQuarantinedFollowers);
-          }
-          continue;
-        }
-        if (gap) {
-          throw std::runtime_error(
-              "journal for origin " + key.origin_code +
-              " is not a chain prefix: cell " +
-              std::string(proto::name_of(key.protocol)) + " trial " +
-              std::to_string(key.trial) + " follows a missing cell");
-        }
-        if (entry->status == JournalEntry::Status::kDone) {
-          std::string load_error;
-          IdsSnapshot snapshot;
-          obsv::MetricBlock delta;
-          auto result = journal.load_cell(
-              *entry, &snapshot, &load_error,
-              config_.metrics != nullptr ? &delta : nullptr);
-          if (!result.has_value()) {
-            // Salvage, not abort: the segment or a sidecar failed CRC /
-            // digest / parse checks. Demote the cell to absent — it
-            // re-runs from the origin's last good snapshot and its fresh
-            // manifest line supersedes the bad one (last-wins replay).
-            journal.quarantine(key);
-            if (config_.metrics != nullptr) {
-              config_.metrics->add(obsv::Counter::kJournalQuarantinedCells);
-            }
-            if (config_.trace != nullptr) {
-              config_.trace->instant(
-                  "journal", "journal.quarantine", net::VirtualTime{},
-                  {{"cell", key.origin_code + "/" +
-                                std::string(proto::name_of(key.protocol)) +
-                                "/t" + std::to_string(key.trial)},
-                   {"error", load_error}});
-            }
-            quarantined = true;
-            continue;
-          }
-          // Replaying the cell's persisted delta (instead of its scan)
-          // is what makes resumed and uninterrupted runs' snapshots
-          // byte-identical.
-          if (config_.metrics != nullptr) {
-            config_.metrics->merge_block(delta);
-          }
-          if (config_.trace != nullptr) {
-            config_.trace->instant(
-                "journal", "journal.replay", net::VirtualTime{},
-                {{"cell", key.origin_code + "/" +
-                              std::string(proto::name_of(key.protocol)) +
-                              "/t" + std::to_string(key.trial)},
-                 {"records", std::to_string(result->records.size())}});
-          }
-          results_[slot] = std::move(*result);
-          plan.adopted[slot] = true;
-          // The latest done cell's snapshot is cumulative for the origin
-          // (serial chain, disjoint source IPs): restoring it puts the
-          // IDS exactly where the chain's next un-run cell expects it.
-          plan.latest[origin] = std::move(snapshot);
-          plan.have_snapshot[origin] = true;
-          ++plan.adopted_count;
-        } else {
-          // A lost cell stays lost on resume: its chain already moved
-          // past it, so re-running it now would see later IDS state.
-          lost_[slot] = true;
-          plan.lost_keys.push_back(key);
-        }
+    for (std::size_t slot = origin; slot < total; slot += origin_count) {
+      const CellKey key = experiment_.cell_key_at(slot);
+      const JournalEntry* entry = journal_->find(key);
+      if (entry == nullptr) {
+        gap = true;
+        continue;
       }
+      if (quarantined) {
+        journal_->quarantine(key);
+        if (config.metrics != nullptr) {
+          config.metrics->add(obsv::Counter::kJournalQuarantinedFollowers);
+        }
+        continue;
+      }
+      if (gap) {
+        throw std::runtime_error(
+            "journal for origin " + key.origin_code +
+            " is not a chain prefix: cell " +
+            std::string(proto::name_of(key.protocol)) + " trial " +
+            std::to_string(key.trial) + " follows a missing cell");
+      }
+      if (entry->status == JournalEntry::Status::kLost) {
+        // A lost cell stays lost on resume: its chain already moved
+        // past it, so re-running it now would see later IDS state.
+        experiment_.lost_[slot] = true;
+        continue;
+      }
+      std::string load_error;
+      IdsSnapshot snapshot;
+      obsv::MetricBlock delta;
+      auto result =
+          journal_->load_cell(*entry, &snapshot, &load_error,
+                              config.metrics != nullptr ? &delta : nullptr);
+      if (!result.has_value()) {
+        // Salvage, not abort: the segment or a sidecar failed CRC /
+        // digest / parse checks. Demote the cell to absent — it re-runs
+        // from the origin's last good snapshot and its fresh manifest
+        // line supersedes the bad one (last-wins replay).
+        journal_->quarantine(key);
+        if (config.metrics != nullptr) {
+          config.metrics->add(obsv::Counter::kJournalQuarantinedCells);
+        }
+        if (config.trace != nullptr) {
+          config.trace->instant("journal", "journal.quarantine",
+                                net::VirtualTime{},
+                                {{"cell", track_of(key)}, {"error", load_error}});
+        }
+        quarantined = true;
+        continue;
+      }
+      // Replaying the cell's persisted delta (instead of its scan) is
+      // what makes resumed and uninterrupted runs' snapshots
+      // byte-identical.
+      if (config.metrics != nullptr) config.metrics->merge_block(delta);
+      if (config.trace != nullptr) {
+        config.trace->instant(
+            "journal", "journal.replay", net::VirtualTime{},
+            {{"cell", track_of(key)},
+             {"records", std::to_string(result->records.size())}});
+      }
+      experiment_.results_[slot] = std::move(*result);
+      adopted_[slot] = true;
+      ++report_.cells_adopted;
+      // The latest done cell's snapshot is cumulative for the origin
+      // (serial chain, disjoint source IPs): restoring it puts the IDS
+      // exactly where the chain's next un-run cell expects it.
+      latest[origin] = std::move(snapshot);
     }
   }
-  return plan;
+  return latest;
 }
 
-RunReport Experiment::run_journaled(
-    ExperimentJournal* journal, const SupervisorPolicy& policy,
-    const std::function<void(std::string_view)>& progress) {
-  assert(results_.empty() && "Experiment::run called twice");
-  const std::size_t protocol_count = config_.protocols.size();
-  const std::size_t origin_count = world_.origins.size();
-  const std::size_t total = cell_count();
-  results_.resize(total);
-  lost_.assign(total, false);
+bool GridRecorder::settled(std::size_t slot) const {
+  return adopted_[slot] || experiment_.lost_[slot];
+}
 
-  RunReport report;
-  report.cells_total = total;
-
-  // The engine builds the per-trial Internets; construction must precede
-  // the snapshot restores below (see CellEngine).
-  CellEngine engine(*this);
-
-  const auto cell_key = [&](int trial, std::size_t p,
-                            sim::OriginId origin) {
-    return CellKey{world_.origins[origin].code, config_.protocols[p], trial};
-  };
-
-  std::vector<bool> adopted(total, false);
-  if (journal != nullptr) {
-    AdoptionPlan plan = adopt_journal(*journal);
-    adopted = std::move(plan.adopted);
-    report.cells_adopted = plan.adopted_count;
-    report.lost = std::move(plan.lost_keys);
-    for (sim::OriginId origin = 0; origin < origin_count; ++origin) {
-      if (plan.have_snapshot[origin]) {
-        engine.restore_origin(origin, plan.latest[origin]);
-      }
-    }
+bool GridRecorder::done(std::size_t slot, scan::ScanResult result,
+                        const IdsSnapshot& post, int attempts,
+                        obsv::MetricBlock delta) {
+  if (storage_dead()) {
+    fail_fast(slot);
+    return false;
   }
-
-  CellSupervisor supervisor(policy, config_.faults, config_.scenario.seed);
-  std::mutex mutex;  // guards journal appends, report, progress
-  std::vector<std::size_t> lost_slots;
-
-  // Chaos hooks: the journal's durable writes consult the injector's
-  // enospc / segment_corrupt points; their counts land in `fault_block`
-  // (written only under `mutex`, merged into the registry at the end).
-  obsv::MetricBlock fault_block;
-  if (journal != nullptr) {
-    journal->set_fault_injector(
-        config_.faults, config_.metrics != nullptr ? &fault_block : nullptr);
-  }
-
-  // Runs one cell under the supervisor; false aborts the caller's chain
-  // (simulated process death).
-  const auto run_cell = [&](int trial, std::size_t p,
-                            sim::OriginId origin) -> bool {
-    const std::size_t slot = index(trial, p, origin);
-    if (adopted[slot] || lost_[slot]) return true;
-    const CellKey key = cell_key(trial, p, origin);
-    if (journal != nullptr && journal->storage_dead()) {
-      // Storage died earlier in this run. Scanning would only burn time
-      // on a result that cannot be persisted — fail the cell fast. No
-      // manifest line can be written, so a resume on a healthy disk
-      // simply re-runs it.
-      std::scoped_lock lock(mutex);
-      lost_[slot] = true;
-      lost_slots.push_back(slot);
-      if (progress) {
-        progress("trial " + std::to_string(trial + 1) + " " +
-                 std::string(proto::name_of(config_.protocols[p])) + " " +
-                 key.origin_code + ": LOST (journal storage dead)");
-      }
-      return true;
-    }
-    const std::string track = key.origin_code + "/" +
-                              std::string(proto::name_of(key.protocol)) +
-                              "/t" + std::to_string(key.trial);
-    const auto source_ips =
-        std::span<const net::Ipv4Addr>(world_.origins[origin].source_ips);
-
-    // `cell_block` is the cell's durable metric delta: the engine's
-    // supervised-scan attribution plus (via record_done) the journal
-    // counters. It is persisted with the cell and merged into the
-    // registry, so an adopted cell replays exactly what a live run of it
-    // would have contributed.
-    obsv::MetricBlock cell_block;
-
-    CellOutcome outcome = engine.run_cell(
-        slot, supervisor, config_.metrics != nullptr ? &cell_block : nullptr);
-
-    if (outcome.status == CellOutcome::Status::kKilled) {
-      // The killed process never writes a snapshot, but its supervisor
-      // taps (fault.cell_crash) are still observable in-process.
-      if (config_.metrics != nullptr) config_.metrics->merge_block(cell_block);
+  obsv::MetricsRegistry* metrics = experiment_.config_.metrics;
+  const CellKey key = experiment_.cell_key_at(slot);
+  report_.retries += retries_of(attempts);
+  if (journal_ != nullptr) {
+    std::string error;
+    if (!journal_->record_done(key, result, post, attempts,
+                               metrics != nullptr ? &delta : nullptr,
+                               &error)) {
+      // Storage-exhaustion degradation: the scan completed but its
+      // outcome cannot be made durable, so the cell — not the run —
+      // fails. It is marked lost best-effort; if even that line cannot
+      // be appended, a resume on a healthy disk simply re-runs it.
+      faults_.add(obsv::Counter::kJournalWritesFailed);
+      const std::string reason = "journal write failed: " + error;
+      journal_->record_lost(key, attempts, reason);
+      mark_lost(slot, reason);
       return false;
     }
-
-    std::scoped_lock lock(mutex);
-    const std::uint64_t retries =
-        static_cast<std::uint64_t>(std::max(0, outcome.attempts - 1));
-    report.retries += retries;
-    if (config_.trace != nullptr) {
-      for (std::uint64_t r = 0; r < retries; ++r) {
-        config_.trace->instant(track + "/supervisor", "supervisor.retry",
-                               net::VirtualTime{},
-                               {{"attempt", std::to_string(r + 2)}});
-      }
-    }
-    if (outcome.status == CellOutcome::Status::kDone) {
-      if (journal != nullptr && !supervisor.killed()) {
-        const IdsSnapshot post = capture_ids(persistent_, source_ips);
-        std::string journal_error;
-        if (!journal->record_done(
-                key, outcome.result, post, outcome.attempts,
-                config_.metrics != nullptr ? &cell_block : nullptr,
-                &journal_error)) {
-          // Storage-exhaustion degradation: the scan completed but its
-          // outcome cannot be made durable, so the cell — not the run —
-          // fails. It is dropped from the grid (an unpersisted result
-          // would silently vanish on resume) and marked lost best-effort;
-          // if even that line cannot be appended, the cell is simply
-          // absent and a resume on a healthy disk re-runs it.
-          fault_block.add(obsv::Counter::kJournalWritesFailed);
-          lost_[slot] = true;
-          lost_slots.push_back(slot);
-          std::string lost_error;
-          journal->record_lost(key, outcome.attempts,
-                               "journal write failed: " + journal_error,
-                               &lost_error);
-          if (progress) {
-            progress("trial " + std::to_string(trial + 1) + " " +
-                     std::string(proto::name_of(config_.protocols[p])) + " " +
-                     key.origin_code + ": LOST (journal write failed: " +
-                     journal_error + ")");
-          }
-          return true;
-        }
-      }
-      if (config_.metrics != nullptr) config_.metrics->merge_block(cell_block);
-      if (progress) {
-        progress("trial " + std::to_string(trial + 1) + " " +
-                 std::string(proto::name_of(config_.protocols[p])) + " " +
-                 outcome.result.origin_code + ": " +
-                 std::to_string(outcome.result.completed_count()) + " hosts");
-      }
-      results_[slot] = std::move(outcome.result);
-      ++report.cells_run;
-    } else {  // kLost
-      // A lost cell contributes nothing to the registry: on resume it is
-      // adopted as lost without re-running, so counting its attempts here
-      // would make uninterrupted and resumed snapshots diverge. Its loss
-      // is accounted once, deterministically, via experiment.cells_lost
-      // at the end of the run.
-      lost_[slot] = true;
-      lost_slots.push_back(slot);
-      if (journal != nullptr && !supervisor.killed()) {
-        std::string journal_error;
-        if (!journal->record_lost(key, outcome.attempts, outcome.reason,
-                                  &journal_error)) {
-          // The cell is already lost in-memory; a failed lost-line append
-          // just means a resume re-runs it instead of adopting the loss.
-          fault_block.add(obsv::Counter::kJournalWritesFailed);
-        }
-      }
-      if (progress) {
-        progress("trial " + std::to_string(trial + 1) + " " +
-                 std::string(proto::name_of(config_.protocols[p])) + " " +
-                 key.origin_code + ": LOST (" + outcome.reason + ")");
-      }
-    }
-    return true;
-  };
-
-  const int jobs = std::max(1, config_.jobs);
-  if (jobs == 1) {
-    bool alive = true;
-    for (int trial = 0; alive && trial < config_.trials; ++trial) {
-      for (std::size_t p = 0; alive && p < protocol_count; ++p) {
-        for (sim::OriginId origin = 0; alive && origin < origin_count;
-             ++origin) {
-          alive = run_cell(trial, p, origin);
-        }
-      }
-    }
-  } else {
-    // Parallel fan-out: one serial chain per origin, each running its
-    // cells in (trial, protocol) order. An origin's IDS counter keys are
-    // its own source IPs, so per-key mutation order — the only thing the
-    // simulation's outputs can observe — matches the serial schedule no
-    // matter how the chains interleave. Scans inside a chain stay
-    // single-threaded (no nested pools).
-    std::vector<std::function<void()>> chains;
-    chains.reserve(origin_count);
-    for (sim::OriginId origin = 0; origin < origin_count; ++origin) {
-      chains.push_back([this, &run_cell, &protocol_count, origin] {
-        for (int trial = 0; trial < config_.trials; ++trial) {
-          for (std::size_t p = 0; p < protocol_count; ++p) {
-            if (!run_cell(trial, p, origin)) return;
-          }
-        }
-      });
-    }
-    run_parallel(jobs, std::move(chains));
   }
-
-  if (supervisor.killed()) {
-    // Simulated process death: the in-memory grid is as gone as it would
-    // be under a real SIGKILL. Everything recoverable lives in the
-    // journal; resume with a fresh Experiment over the same journal dir.
-    results_.clear();
-    lost_.clear();
-    report.status = RunReport::Status::kKilled;
-    report.kill_reason = "cell_crash fault";
-    if (config_.metrics != nullptr) config_.metrics->merge_block(fault_block);
-    return report;
+  if (metrics != nullptr) metrics->merge_block(delta);
+  if (progress_) {
+    progress_(progress_prefix(key) +
+              std::to_string(result.completed_count()) + " hosts");
   }
+  experiment_.results_[slot] = std::move(result);
+  ++report_.cells_run;
+  return true;
+}
 
-  // Lost cells adopted from the journal are already in report.lost (in
-  // chain order); add the freshly lost ones and normalize to grid order.
-  for (std::size_t slot : lost_slots) {
-    const std::size_t origin = slot % origin_count;
-    const std::size_t p = (slot / origin_count) % protocol_count;
-    const int trial = static_cast<int>(slot / (origin_count * protocol_count));
-    report.lost.push_back(cell_key(trial, p, origin));
+void GridRecorder::lost(std::size_t slot, int attempts,
+                        const std::string& reason) {
+  if (storage_dead()) {
+    fail_fast(slot);
+    return;
   }
-  std::sort(report.lost.begin(), report.lost.end(),
-            [&](const CellKey& a, const CellKey& b) {
-              const auto slot_of = [&](const CellKey& k) {
-                std::size_t p = 0;
-                for (std::size_t i = 0; i < protocol_count; ++i) {
-                  if (config_.protocols[i] == k.protocol) p = i;
-                }
-                return index(k.trial, p, world_.origin_id(k.origin_code));
-              };
-              return slot_of(a) < slot_of(b);
-            });
-  report.cells_lost = report.lost.size();
-  report.status = report.lost.empty() ? RunReport::Status::kComplete
-                                      : RunReport::Status::kPartial;
-  if (config_.metrics != nullptr) {
+  report_.retries += retries_of(attempts);
+  if (journal_ != nullptr &&
+      !journal_->record_lost(experiment_.cell_key_at(slot), attempts,
+                             reason)) {
+    // The cell is already lost in-memory; a failed lost-line append just
+    // means a resume re-runs it instead of adopting the loss.
+    faults_.add(obsv::Counter::kJournalWritesFailed);
+  }
+  mark_lost(slot, reason);
+}
+
+void GridRecorder::fail_fast(std::size_t slot) {
+  mark_lost(slot, "journal storage dead");
+}
+
+void GridRecorder::mark_lost(std::size_t slot, const std::string& reason) {
+  experiment_.lost_[slot] = true;
+  if (progress_) {
+    progress_(progress_prefix(experiment_.cell_key_at(slot)) + "LOST (" +
+              reason + ")");
+  }
+}
+
+RunReport GridRecorder::finish() {
+  report_.lost = experiment_.lost_cells();
+  report_.cells_lost = report_.lost.size();
+  report_.status = report_.lost.empty() ? RunReport::Status::kComplete
+                                        : RunReport::Status::kPartial;
+  if (obsv::MetricsRegistry* metrics = experiment_.config_.metrics) {
     // Grid-level figures come from the final report, which is identical
     // for resumed and uninterrupted runs by construction.
-    config_.metrics->gauge_max(obsv::Gauge::kExperimentCellsTotal, total);
-    config_.metrics->add(obsv::Counter::kExperimentCellsLost,
-                         report.cells_lost);
-    config_.metrics->merge_block(fault_block);
+    metrics->gauge_max(obsv::Gauge::kExperimentCellsTotal,
+                       report_.cells_total);
+    metrics->add(obsv::Counter::kExperimentCellsLost, report_.cells_lost);
+    metrics->merge_block(faults_);
   }
-  return report;
+  return report_;
+}
+
+RunReport GridRecorder::killed(std::string reason) {
+  // Simulated process death: the in-memory grid is as gone as it would
+  // be under a real SIGKILL. Resume with a fresh Experiment over the
+  // same journal directory.
+  experiment_.results_.clear();
+  experiment_.lost_.clear();
+  report_.status = RunReport::Status::kKilled;
+  report_.kill_reason = std::move(reason);
+  if (experiment_.config_.metrics != nullptr) {
+    experiment_.config_.metrics->merge_block(faults_);
+  }
+  return report_;
 }
 
 bool Experiment::adopt_results(std::vector<scan::ScanResult> results) {
@@ -639,14 +612,9 @@ bool Experiment::adopt_results(std::vector<scan::ScanResult> results,
   }
   for (std::size_t slot = 0; slot < filled.size(); ++slot) {
     if (!filled[slot]) {
-      const std::size_t origin = slot % world_.origins.size();
-      const std::size_t p =
-          (slot / world_.origins.size()) % config_.protocols.size();
-      const int trial = static_cast<int>(
-          slot / (world_.origins.size() * config_.protocols.size()));
+      const CellKey key = cell_key_at(slot);
       return fail("missing cell " +
-                  cell_name(trial, config_.protocols[p],
-                            world_.origins[origin].code));
+                  cell_name(key.trial, key.protocol, key.origin_code));
     }
   }
   results_ = std::move(arranged);
@@ -668,17 +636,8 @@ bool Experiment::has_cell(int trial, proto::Protocol protocol,
 
 std::vector<CellKey> Experiment::lost_cells() const {
   std::vector<CellKey> lost;
-  if (results_.empty() || lost_.empty()) return lost;
-  for (int trial = 0; trial < config_.trials; ++trial) {
-    for (std::size_t p = 0; p < config_.protocols.size(); ++p) {
-      for (sim::OriginId origin = 0; origin < world_.origins.size();
-           ++origin) {
-        if (lost_[index(trial, p, origin)]) {
-          lost.push_back(CellKey{world_.origins[origin].code,
-                                 config_.protocols[p], trial});
-        }
-      }
-    }
+  for (std::size_t slot = 0; slot < lost_.size(); ++slot) {
+    if (lost_[slot]) lost.push_back(cell_key_at(slot));
   }
   return lost;
 }

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -75,7 +76,8 @@ struct ExperimentConfig {
 struct RunReport {
   enum class Status {
     kComplete,  // every cell present
-    kPartial,   // some cells lost (retry budget exhausted); grid usable
+    kPartial,   // some cells lost (retry budget, worker deaths or dead
+                // journal storage); grid usable
     kKilled,    // simulated process death; results cleared, resume from
                 // the journal with a fresh Experiment
   };
@@ -162,8 +164,8 @@ class Experiment {
   [[nodiscard]] bool has_run() const { return !results_.empty(); }
 
   // Partial-grid support: whether this cell's scan actually completed
-  // (false for cells lost to an exhausted retry budget — their result
-  // slots are empty and analysis must exclude them).
+  // (false for lost cells — their result slots are empty and analysis
+  // must exclude them).
   [[nodiscard]] bool has_cell(int trial, proto::Protocol protocol,
                               sim::OriginId origin) const;
   [[nodiscard]] std::vector<CellKey> lost_cells() const;
@@ -189,36 +191,102 @@ class Experiment {
 
  private:
   friend class CellEngine;
-  friend class GridMaster;
+  friend class GridRecorder;
 
+  // A slot's grid coordinates (the inverse of index()).
+  struct CellCoords {
+    int trial = 0;
+    std::size_t protocol_index = 0;
+    sim::OriginId origin = 0;
+  };
+  [[nodiscard]] CellCoords coords_at(std::size_t slot) const;
   [[nodiscard]] std::size_t index(int trial, std::size_t protocol_index,
                                   sim::OriginId origin) const;
-
-  // Journal adoption, shared by run_journaled and the distributed
-  // master. Validates every entry against the grid, adopts the
-  // per-origin chain prefixes into results_/lost_ (merging persisted
-  // metric deltas, emitting journal.replay trace instants), and returns
-  // each origin's latest IDS snapshot WITHOUT restoring it — only a
-  // process that will actually scan needs live IDS state. run_journaled
-  // restores once its internets exist; the master never does (workers
-  // restore from the snapshots its GRANTs carry). results_/lost_ must be
-  // sized to cell_count() before the call.
-  struct AdoptionPlan {
-    std::vector<bool> adopted;            // per slot
-    std::vector<IdsSnapshot> latest;      // per origin
-    std::vector<bool> have_snapshot;      // per origin
-    std::vector<CellKey> lost_keys;       // journaled-lost, chain order
-    std::size_t adopted_count = 0;
-  };
-  AdoptionPlan adopt_journal(ExperimentJournal& journal);
 
   ExperimentConfig config_;
   sim::World world_;
   sim::PersistentState persistent_;
   std::vector<scan::ScanResult> results_;
-  // Parallel to results_ once run: true for cells lost to the retry
-  // budget. Empty (= all present) for adopted result sets.
+  // Parallel to results_ once run: true for lost cells. Empty (= all
+  // present) for adopted result sets.
   std::vector<bool> lost_;
+};
+
+// Settles the cells of one grid run: the only code that commits a
+// finished or lost cell to the journal, the metrics registry, the
+// progress output and the RunReport. Both grid runners use it —
+// Experiment::run_journaled (in-process chains, under its mutex) and
+// the distributed master (core/dist.h, from its single-threaded poll
+// loop) — so a cell's outcome means the same thing however the grid ran.
+// Not internally synchronized.
+class GridRecorder {
+ public:
+  using Progress = std::function<void(std::string_view)>;
+
+  // `journal` (optional) is the resume source and the durable ledger;
+  // `progress` (optional) receives one line per settled cell.
+  GridRecorder(Experiment& experiment, ExperimentJournal* journal,
+               const Progress& progress);
+  ~GridRecorder();
+
+  // Sizes the experiment's grid, routes the journal's fault points
+  // (enospc, segment_corrupt) into the recorder's fault block, and adopts
+  // the journal. Returns each origin's latest journaled IDS snapshot
+  // (nullopt = the chain starts fresh) WITHOUT restoring it: only a
+  // process that scans needs live IDS state. Throws std::runtime_error
+  // on a journal that does not fit the grid.
+  std::vector<std::optional<IdsSnapshot>> start();
+
+  // Adopted from the journal, or lost (in the journal or earlier in this
+  // run): the cell never runs again.
+  [[nodiscard]] bool settled(std::size_t slot) const;
+
+  // A completed cell. Journals it (result, post-cell IDS snapshot, metric
+  // delta), then merges the delta, prints its progress line and stores
+  // the result. If storage is dead or the journal write fails the cell is
+  // lost instead — an unpersisted result would silently vanish on resume
+  // — and done returns false.
+  bool done(std::size_t slot, scan::ScanResult result,
+            const IdsSnapshot& post, int attempts, obsv::MetricBlock delta);
+  // A cell the run gave up on (retry budget, worker deaths): journaled
+  // lost best-effort and excluded from the grid. A lost cell contributes
+  // no metric delta: a resume adopts the loss without re-running it.
+  void lost(std::size_t slot, int attempts, const std::string& reason);
+
+  // Latched once a journal write fails. From then on nothing more is
+  // written: done and lost degrade to fail_fast, and callers should
+  // fail_fast cells instead of running them.
+  [[nodiscard]] bool storage_dead() const {
+    return journal_ != nullptr && journal_->storage_dead();
+  }
+  // A cell lost to dead storage: nothing is written, so a resume on a
+  // healthy disk re-runs it.
+  void fail_fast(std::size_t slot);
+
+  // The final report of a run that reached the end of the grid: lost
+  // cells in grid order, grid-level metrics, the fault block merged.
+  RunReport finish();
+  // The report of a killed run (simulated process death): the in-memory
+  // grid is dropped; everything recoverable lives in the journal.
+  RunReport killed(std::string reason);
+
+ private:
+  // Validates every journal entry against the grid and adopts the
+  // per-origin chain prefixes into results_/lost_ (merging persisted
+  // metric deltas, emitting journal.replay trace instants). Cells whose
+  // segment or sidecar fails verification are quarantined with the rest
+  // of their chain and re-run.
+  std::vector<std::optional<IdsSnapshot>> adopt_journal();
+  void mark_lost(std::size_t slot, const std::string& reason);
+
+  Experiment& experiment_;
+  ExperimentJournal* journal_;
+  const Progress& progress_;
+  std::vector<bool> adopted_;
+  // The journal's fault.* counts and journal.writes_failed; merged into
+  // the registry when the run ends.
+  obsv::MetricBlock faults_;
+  RunReport report_;
 };
 
 // The per-cell execution engine: the supervised scan machinery shared by
@@ -235,9 +303,8 @@ class CellEngine {
   // Runs one cell under `supervisor`: prewarm, supervised scan with
   // per-attempt IDS rollback, and — when `cell_block` is non-null — the
   // cell's metric attribution (the successful attempt's counters, the
-  // supervisor's fault taps, retry/backoff accounting). The caller owns
-  // everything around the outcome: journal recording, report bookkeeping,
-  // progress lines.
+  // supervisor's fault taps, retry/backoff accounting). Settling the
+  // outcome (journal, report, progress) is the GridRecorder's job.
   [[nodiscard]] CellOutcome run_cell(std::size_t slot,
                                      CellSupervisor& supervisor,
                                      obsv::MetricBlock* cell_block);

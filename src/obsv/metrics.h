@@ -110,7 +110,7 @@ namespace originscan::obsv {
   X(kSupervisorRetries, "supervisor.retries", "attempts",                     \
     "src/core/experiment.cc:run_journaled")                                   \
   X(kExperimentCellsLost, "experiment.cells_lost", "cells",                   \
-    "src/core/experiment.cc:run_journaled")                                   \
+    "src/core/experiment.cc:GridRecorder::finish")                            \
   X(kUniverseBlockCacheHit, "universe.block_cache_hit", "fetches",           \
     "src/sim/internet.cc:ProbeContext::resolve_batch")                        \
   X(kUniverseBlockCacheMiss, "universe.block_cache_miss", "fetches",         \
@@ -148,11 +148,11 @@ namespace originscan::obsv {
   X(kFaultFrameGarble, "fault.frame_garble", "hits",                          \
     "src/core/dist.cc:send_message")                                          \
   X(kJournalQuarantinedCells, "journal.quarantined_cells", "cells",           \
-    "src/core/experiment.cc:adopt_journal")                                   \
+    "src/core/experiment.cc:GridRecorder::adopt_journal")                     \
   X(kJournalQuarantinedFollowers, "journal.quarantined_followers", "cells",   \
-    "src/core/experiment.cc:adopt_journal")                                   \
+    "src/core/experiment.cc:GridRecorder::adopt_journal")                     \
   X(kJournalWritesFailed, "journal.writes_failed", "writes",                  \
-    "src/core/experiment.cc:run_journaled + src/core/dist.cc:GridMaster")     \
+    "src/core/experiment.cc:GridRecorder")                                    \
   X(kChaosEpisodes, "chaos.episodes", "episodes",                             \
     "src/core/chaos.cc:run_chaos_soak")                                       \
   X(kChaosResumes, "chaos.resumes", "episodes",                               \
@@ -185,7 +185,7 @@ namespace originscan::obsv {
   X(kScanUniverseSize, "scan.universe_size", "addresses",                     \
     "src/scanner/orchestrator.cc:run_scan")                                   \
   X(kExperimentCellsTotal, "experiment.cells_total", "cells",                 \
-    "src/core/experiment.cc:run_journaled")                                   \
+    "src/core/experiment.cc:GridRecorder::finish")                            \
   X(kServiceInflightPeak, "service.inflight_peak", "requests",                \
     "src/service/service.cc:Loop")
 

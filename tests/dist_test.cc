@@ -362,6 +362,86 @@ TEST(Dist, RespawnBudgetExhaustionThrows) {
   }
 }
 
+// ------------------------------------------ journal faults, one registry ----
+
+TEST(Dist, JournalFaultCountersReachTheRunRegistry) {
+  // The master settles cells through the same GridRecorder as
+  // run_journaled: the journal's fault.* and journal.* counters land in
+  // the run registry exactly as in-process, and the dist block carries
+  // only dist.* counters. One worker keeps the master's schedule fixed.
+  const auto run = [](const fault::FaultInjector& injector, int workers,
+                      obsv::MetricBlock* dist, RunReport* report) {
+    const std::string dir = scratch_dir("dist_journal_faults");
+    obsv::MetricsRegistry registry;
+    auto config = dist_config();
+    config.faults = &injector;
+    config.metrics = &registry;
+    Experiment experiment(config, make_dist_world());
+    std::string error;
+    auto journal =
+        ExperimentJournal::open(dir, experiment.config_fingerprint(), &error);
+    EXPECT_TRUE(journal.has_value()) << error;
+    if (workers == 0) {
+      *report = experiment.run_journaled(&*journal);
+    } else {
+      DistOptions options;
+      options.workers = workers;
+      *report = run_distributed(experiment, &*journal, SupervisorPolicy{},
+                                options, dist);
+    }
+    fs::remove_all(dir);
+    return registry.snapshot();
+  };
+  const auto expect_dist_only = [](const obsv::MetricBlock& dist) {
+    for (obsv::Counter counter :
+         {obsv::Counter::kFaultEnospc, obsv::Counter::kFaultSegmentCorrupt,
+          obsv::Counter::kJournalWritesFailed}) {
+      EXPECT_EQ(count(dist, counter), 0u) << obsv::counter_name(counter);
+    }
+  };
+
+  {
+    // Storage dies on origin ONE's second cell while origin TWO's chain
+    // is still queued: the master's storage-dead drain loses both of
+    // TWO's cells without writing, so the fault counts match the serial
+    // run's (one failed commit: its segment write and its lost line).
+    const auto injector = make_injector("enospc:bytes=12000");
+    RunReport serial_report;
+    const obsv::MetricBlock serial =
+        run(injector, 0, nullptr, &serial_report);
+    RunReport report;
+    obsv::MetricBlock dist;
+    const obsv::MetricBlock registry = run(injector, 1, &dist, &report);
+    EXPECT_EQ(report.status, RunReport::Status::kPartial);
+    EXPECT_EQ(report.cells_run, 1u);
+    EXPECT_EQ(report.lost,
+              (std::vector<CellKey>{{"TWO", proto::Protocol::kHttp, 0},
+                                    {"ONE", proto::Protocol::kHttp, 1},
+                                    {"TWO", proto::Protocol::kHttp, 1}}));
+    EXPECT_EQ(count(registry, obsv::Counter::kFaultEnospc), 2u);
+    EXPECT_EQ(count(registry, obsv::Counter::kJournalWritesFailed), 1u);
+    EXPECT_EQ(count(serial, obsv::Counter::kFaultEnospc), 2u);
+    EXPECT_EQ(count(serial, obsv::Counter::kJournalWritesFailed), 1u);
+    EXPECT_EQ(count(dist, obsv::Counter::kDistCellsLost), 3u);
+    expect_dist_only(dist);
+  }
+  {
+    // A latent corruption fails nothing at write time: the run completes
+    // and its whole registry matches the serial run's.
+    const auto injector = make_injector("segment_corrupt:file=3");
+    RunReport serial_report;
+    const obsv::MetricBlock serial =
+        run(injector, 0, nullptr, &serial_report);
+    RunReport report;
+    obsv::MetricBlock dist;
+    const obsv::MetricBlock registry = run(injector, 1, &dist, &report);
+    EXPECT_TRUE(report.complete());
+    EXPECT_EQ(count(registry, obsv::Counter::kFaultSegmentCorrupt), 1u);
+    EXPECT_EQ(obsv::snapshot_json(registry), obsv::snapshot_json(serial));
+    expect_dist_only(dist);
+  }
+}
+
 // ------------------------------------------------ cross-mode resume ----
 
 TEST(Dist, CellCrashAbortKillsRunAndSerialResumeMatches) {

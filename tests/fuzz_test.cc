@@ -9,7 +9,6 @@
 #include "core/store.h"
 #include "faultinject/faultinject.h"
 #include "netbase/frame.h"
-#include "netbase/headers.h"
 #include "netbase/rng.h"
 #include "proto/http.h"
 #include "proto/ssh.h"
@@ -50,33 +49,6 @@ std::vector<std::uint8_t> mutate(net::Rng& rng,
     if (bytes.empty()) break;
   }
   return bytes;
-}
-
-TEST(Fuzz, TcpPacketParserSurvivesGarbage) {
-  net::Rng rng(101);
-  for (int i = 0; i < 5000; ++i) {
-    const auto bytes = random_bytes(rng, 120);
-    auto parsed = net::TcpPacket::parse(bytes);
-    // Random bytes essentially never carry two valid checksums.
-    EXPECT_FALSE(parsed.has_value());
-  }
-}
-
-TEST(Fuzz, TcpPacketParserSurvivesMutations) {
-  net::Rng rng(102);
-  net::TcpPacket packet;
-  packet.ip.src = net::Ipv4Addr(10, 0, 0, 1);
-  packet.ip.dst = net::Ipv4Addr(10, 0, 0, 2);
-  packet.tcp.flags.syn = true;
-  packet.payload = {1, 2, 3};
-  const auto valid = packet.serialize();
-  for (int i = 0; i < 5000; ++i) {
-    const auto mutated = mutate(rng, valid);
-    auto parsed = net::TcpPacket::parse(mutated);  // must not crash
-    if (parsed && mutated == valid) {
-      EXPECT_EQ(parsed->tcp.seq, packet.tcp.seq);
-    }
-  }
 }
 
 TEST(Fuzz, HandleProbeBatchSurvivesGarbageBatches) {

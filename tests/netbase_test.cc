@@ -3,11 +3,9 @@
 #include <set>
 
 #include "netbase/byteio.h"
-#include "netbase/headers.h"
 #include "netbase/interval_set.h"
 #include "netbase/ipv4.h"
 #include "netbase/rng.h"
-#include "netbase/siphash.h"
 #include "netbase/vtime.h"
 
 namespace originscan::net {
@@ -165,95 +163,6 @@ TEST(ByteIO, ReaderLatchesErrorOnOverrun) {
   r.u32();
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.remaining(), 0u);
-}
-
-// --------------------------------------------------------------- Headers --
-
-TEST(Headers, InternetChecksumKnownVector) {
-  // RFC 1071 example bytes.
-  const std::uint8_t data[] = {0x00, 0x01, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7};
-  EXPECT_EQ(internet_checksum(data), 0x220d);
-}
-
-TEST(Headers, Ipv4RoundTrip) {
-  Ipv4Header header;
-  header.src = Ipv4Addr(10, 0, 0, 1);
-  header.dst = Ipv4Addr(192, 168, 3, 4);
-  header.ttl = 61;
-  header.identification = 0xBEEF;
-  header.total_length = 40;
-  std::vector<std::uint8_t> bytes;
-  header.serialize(bytes);
-  auto parsed = Ipv4Header::parse(bytes);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(*parsed, header);
-}
-
-TEST(Headers, Ipv4RejectsCorruptChecksum) {
-  Ipv4Header header;
-  header.src = Ipv4Addr(1, 2, 3, 4);
-  header.dst = Ipv4Addr(5, 6, 7, 8);
-  std::vector<std::uint8_t> bytes;
-  header.serialize(bytes);
-  bytes[8] ^= 0xFF;  // corrupt TTL
-  EXPECT_FALSE(Ipv4Header::parse(bytes).has_value());
-}
-
-TEST(Headers, TcpPacketRoundTrip) {
-  TcpPacket packet;
-  packet.ip.src = Ipv4Addr(10, 0, 0, 1);
-  packet.ip.dst = Ipv4Addr(10, 0, 0, 2);
-  packet.tcp.src_port = 44123;
-  packet.tcp.dst_port = 443;
-  packet.tcp.seq = 0xCAFEBABE;
-  packet.tcp.flags.syn = true;
-  packet.payload = {1, 2, 3, 4, 5};
-
-  const auto bytes = packet.serialize();
-  auto parsed = TcpPacket::parse(bytes);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->ip.src, packet.ip.src);
-  EXPECT_EQ(parsed->tcp.src_port, packet.tcp.src_port);
-  EXPECT_EQ(parsed->tcp.seq, packet.tcp.seq);
-  EXPECT_TRUE(parsed->tcp.flags.syn);
-  EXPECT_EQ(parsed->payload, packet.payload);
-}
-
-TEST(Headers, TcpPacketRejectsCorruptPayload) {
-  TcpPacket packet;
-  packet.ip.src = Ipv4Addr(10, 0, 0, 1);
-  packet.ip.dst = Ipv4Addr(10, 0, 0, 2);
-  packet.tcp.flags.syn = true;
-  auto bytes = packet.serialize();
-  bytes[Ipv4Header::kSize + 4] ^= 0x01;  // flip a seq bit
-  EXPECT_FALSE(TcpPacket::parse(bytes).has_value());
-}
-
-TEST(Headers, FlagsRoundTrip) {
-  for (int byte = 0; byte < 32; ++byte) {
-    const auto flags = TcpFlags::from_byte(static_cast<std::uint8_t>(byte));
-    EXPECT_EQ(flags.to_byte(), byte);
-  }
-}
-
-// --------------------------------------------------------------- SipHash --
-
-TEST(SipHash, MatchesReferenceVector) {
-  // The reference test vector from the SipHash paper: key 000102...0f,
-  // message 000102...0e -> 0xa129ca6149be45e5.
-  SipHash::Key key;
-  for (int i = 0; i < 16; ++i) key[i] = static_cast<std::uint8_t>(i);
-  std::vector<std::uint8_t> message;
-  for (int i = 0; i < 15; ++i) message.push_back(static_cast<std::uint8_t>(i));
-  SipHash hasher(key);
-  EXPECT_EQ(hasher.hash(message), 0xa129ca6149be45e5ULL);
-}
-
-TEST(SipHash, DifferentKeysDiffer) {
-  SipHash a(SipHash::key_from_seed(1));
-  SipHash b(SipHash::key_from_seed(2));
-  EXPECT_NE(a.hash_u64(42), b.hash_u64(42));
-  EXPECT_EQ(a.hash_u64(42), SipHash(SipHash::key_from_seed(1)).hash_u64(42));
 }
 
 // ------------------------------------------------------------------- Rng --

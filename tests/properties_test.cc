@@ -2,10 +2,7 @@
 // for any input, checked over randomized sweeps.
 #include <gtest/gtest.h>
 
-#include <bit>
-
 #include "netbase/rng.h"
-#include "netbase/siphash.h"
 #include "scanner/orchestrator.h"
 #include "stats/descriptive.h"
 #include "stats/ecdf.h"
@@ -82,25 +79,6 @@ TEST(SpearmanProperties, InvariantUnderMonotoneTransform) {
   for (auto& v : x2) v = std::exp(v / 3.0);
   for (auto& v : y2) v = v * v * v;
   EXPECT_NEAR(stats::spearman(x2, y2).rho, rho, 1e-9);
-}
-
-// ---- SipHash avalanche ----------------------------------------------------
-
-TEST(SipHashProperties, SingleBitFlipAvalanches) {
-  const net::SipHash hasher(net::SipHash::key_from_seed(5));
-  net::Rng rng(81);
-  double total_flipped = 0;
-  constexpr int kTrials = 400;
-  for (int i = 0; i < kTrials; ++i) {
-    const std::uint64_t value = rng();
-    const int bit = static_cast<int>(rng.below(64));
-    const std::uint64_t a = hasher.hash_u64(value);
-    const std::uint64_t b = hasher.hash_u64(value ^ (1ULL << bit));
-    total_flipped += std::popcount(a ^ b);
-  }
-  const double mean_flipped = total_flipped / kTrials;
-  EXPECT_GT(mean_flipped, 28.0);  // ideal: 32 of 64
-  EXPECT_LT(mean_flipped, 36.0);
 }
 
 // ---- Scan-record invariants ------------------------------------------------

@@ -5,7 +5,6 @@
 
 #include "scanner/blocklist.h"
 #include "scanner/orchestrator.h"
-#include "scanner/validation.h"
 #include "scanner/zmap.h"
 #include "tests/test_world.h"
 
@@ -21,54 +20,6 @@ sim::TrialContext context_for(const sim::World& world, int trial = 0) {
   context.experiment_seed = world.seed;
   context.simultaneous_origins = static_cast<int>(world.origins.size());
   return context;
-}
-
-// ------------------------------------------------------------ validation --
-
-TEST(Validation, AcceptsGenuineResponse) {
-  ProbeValidator validator(net::SipHash::key_from_seed(5), 32768, 28232);
-  const net::Ipv4Addr src(10, 0, 0, 1);
-  const net::Ipv4Addr dst(1, 2, 3, 4);
-  const auto fields = validator.fields_for(src, dst, 443);
-
-  net::TcpPacket response;
-  response.ip.src = dst;
-  response.ip.dst = src;
-  response.tcp.src_port = 443;
-  response.tcp.dst_port = fields.src_port;
-  response.tcp.ack = fields.seq + 1;
-  response.tcp.flags.syn = true;
-  response.tcp.flags.ack = true;
-  EXPECT_TRUE(validator.validate(response));
-}
-
-TEST(Validation, RejectsForgedAndForeign) {
-  ProbeValidator validator(net::SipHash::key_from_seed(5), 32768, 28232);
-  const net::Ipv4Addr src(10, 0, 0, 1);
-  const net::Ipv4Addr dst(1, 2, 3, 4);
-  const auto fields = validator.fields_for(src, dst, 443);
-
-  net::TcpPacket response;
-  response.ip.src = dst;
-  response.ip.dst = src;
-  response.tcp.src_port = 443;
-  response.tcp.dst_port = fields.src_port;
-  response.tcp.ack = fields.seq + 2;  // wrong ack
-  EXPECT_FALSE(validator.validate(response));
-
-  response.tcp.ack = fields.seq + 1;
-  response.tcp.dst_port = static_cast<std::uint16_t>(fields.src_port + 1);
-  EXPECT_FALSE(validator.validate(response));
-
-  // Response from a different host than probed (MAC mismatch).
-  response.tcp.dst_port = fields.src_port;
-  response.ip.src = net::Ipv4Addr(9, 9, 9, 9);
-  EXPECT_FALSE(validator.validate(response));
-
-  // A different scanner's key must reject our echoes.
-  ProbeValidator other(net::SipHash::key_from_seed(6), 32768, 28232);
-  response.ip.src = dst;
-  EXPECT_FALSE(other.validate(response));
 }
 
 // ------------------------------------------------------------- blocklist --

@@ -391,24 +391,29 @@ int cmd_experiment(const Args& args) {
   const auto progress = [](std::string_view line) {
     std::printf("  %.*s\n", static_cast<int>(line.size()), line.data());
   };
+  if (args.workers > 0 && !args.trace_out.empty()) {
+    std::fprintf(stderr,
+                 "--trace-out is not supported with --workers: trace spans "
+                 "are produced inside the worker processes\n");
+    return cli::kUsage;
+  }
+  std::optional<core::ExperimentJournal> journal;
+  if (!args.resume_dir.empty()) {
+    std::string error;
+    journal = core::ExperimentJournal::open(
+        args.resume_dir, experiment.config_fingerprint(), &error);
+    if (!journal.has_value()) {
+      std::fprintf(stderr, "cannot open journal %s: %s\n",
+                   args.resume_dir.c_str(), error.c_str());
+      return cli::kFailure;
+    }
+  }
+  core::ExperimentJournal* journal_ptr =
+      journal.has_value() ? &*journal : nullptr;
+
+  core::RunReport report;
+  obsv::MetricBlock dist_block;
   if (args.workers > 0) {
-    if (!args.trace_out.empty()) {
-      std::fprintf(stderr,
-                   "--trace-out is not supported with --workers: trace spans "
-                   "are produced inside the worker processes\n");
-      return cli::kUsage;
-    }
-    std::optional<core::ExperimentJournal> journal;
-    if (!args.resume_dir.empty()) {
-      std::string error;
-      journal = core::ExperimentJournal::open(
-          args.resume_dir, experiment.config_fingerprint(), &error);
-      if (!journal.has_value()) {
-        std::fprintf(stderr, "cannot open journal %s: %s\n",
-                     args.resume_dir.c_str(), error.c_str());
-        return cli::kFailure;
-      }
-    }
     core::DistOptions dist_options;
     dist_options.workers = args.workers;
     // Exec transport: workers (and respawned replacements) run through
@@ -432,15 +437,19 @@ int cmd_experiment(const Args& args) {
         dist_options.worker_argv.push_back(args.faults);
       }
     }
-    obsv::MetricBlock dist_block;
-    const core::RunReport report = core::run_distributed(
-        experiment, journal.has_value() ? &*journal : nullptr,
-        core::SupervisorPolicy{}, dist_options, &dist_block, progress);
-    std::printf("cells: %zu total, %zu adopted from journal, %zu run, "
-                "%zu lost (%llu retries)\n",
-                report.cells_total, report.cells_adopted, report.cells_run,
-                report.cells_lost,
-                static_cast<unsigned long long>(report.retries));
+    report = core::run_distributed(experiment, journal_ptr,
+                                   core::SupervisorPolicy{}, dist_options,
+                                   &dist_block, progress);
+  } else {
+    report = experiment.run_journaled(journal_ptr, core::SupervisorPolicy{},
+                                      progress);
+  }
+  std::printf("cells: %zu total, %zu adopted from journal, %zu run, "
+              "%zu lost (%llu retries)\n",
+              report.cells_total, report.cells_adopted, report.cells_run,
+              report.cells_lost,
+              static_cast<unsigned long long>(report.retries));
+  if (args.workers > 0) {
     std::printf(
         "dist: %llu workers spawned (%llu restarted, %llu failed), "
         "%llu segments merged\n",
@@ -452,59 +461,31 @@ int cmd_experiment(const Args& args) {
             dist_block.counter(obsv::Counter::kDistWorkersFailed)),
         static_cast<unsigned long long>(
             dist_block.counter(obsv::Counter::kDistSegmentsReceived)));
-    if (report.status == core::RunReport::Status::kKilled) {
-      std::fprintf(stderr, "run killed (%s)%s\n", report.kill_reason.c_str(),
-                   args.resume_dir.empty()
-                       ? ""
-                       : "; completed cells are journaled — rerun with the "
-                         "same --resume-dir to finish");
-      return cli::kKilled;
-    }
-    for (const auto& key : report.lost) {
-      std::printf("  lost cell (retry budget exhausted): %s\n",
-                  cell_to_string(key).c_str());
-    }
-    if (report.status == core::RunReport::Status::kPartial) {
-      std::printf("partial grid: analysis excludes the lost cells and CSV "
-                  "headers label them\n");
-    }
-  } else if (args.resume_dir.empty()) {
-    experiment.run(progress);
-  } else {
-    std::string error;
-    auto journal = core::ExperimentJournal::open(
-        args.resume_dir, experiment.config_fingerprint(), &error);
-    if (!journal.has_value()) {
-      std::fprintf(stderr, "cannot open journal %s: %s\n",
-                   args.resume_dir.c_str(), error.c_str());
+  }
+  if (report.status == core::RunReport::Status::kKilled) {
+    // No metrics/trace artifacts for a killed run: the per-cell deltas
+    // live in the journal, and the resumed run's snapshot will equal an
+    // uninterrupted run's. Without a journal nothing is resumable, so
+    // the run simply failed.
+    if (journal_ptr == nullptr) {
+      std::fprintf(stderr,
+                   "run killed (%s); nothing was journaled — run with "
+                   "--resume-dir to make a crash recoverable\n",
+                   report.kill_reason.c_str());
       return cli::kFailure;
     }
-    const core::RunReport report =
-        experiment.run_journaled(&*journal, core::SupervisorPolicy{},
-                                 progress);
-    std::printf("cells: %zu total, %zu adopted from journal, %zu run, "
-                "%zu lost (%llu retries)\n",
-                report.cells_total, report.cells_adopted, report.cells_run,
-                report.cells_lost,
-                static_cast<unsigned long long>(report.retries));
-    if (report.status == core::RunReport::Status::kKilled) {
-      // No metrics/trace artifacts for a killed run: the per-cell deltas
-      // live in the journal, and the resumed run's snapshot will equal an
-      // uninterrupted run's.
-      std::fprintf(stderr,
-                   "run killed (%s); completed cells are journaled in %s — "
-                   "rerun with the same --resume-dir to finish\n",
-                   report.kill_reason.c_str(), args.resume_dir.c_str());
-      return cli::kKilled;
-    }
-    for (const auto& key : report.lost) {
-      std::printf("  lost cell (retry budget exhausted): %s\n",
-                  cell_to_string(key).c_str());
-    }
-    if (report.status == core::RunReport::Status::kPartial) {
-      std::printf("partial grid: analysis excludes the lost cells and CSV "
-                  "headers label them\n");
-    }
+    std::fprintf(stderr,
+                 "run killed (%s); completed cells are journaled in %s — "
+                 "rerun with the same --resume-dir to finish\n",
+                 report.kill_reason.c_str(), args.resume_dir.c_str());
+    return cli::kKilled;
+  }
+  for (const auto& key : report.lost) {
+    std::printf("  lost cell: %s\n", cell_to_string(key).c_str());
+  }
+  if (report.status == core::RunReport::Status::kPartial) {
+    std::printf("partial grid: analysis excludes the lost cells and CSV "
+                "headers label them\n");
   }
   if (!args.save.empty()) {
     if (!core::save_results(args.save, experiment.all_results())) {
