@@ -1,12 +1,11 @@
-// The edge-host population: which addresses run which services, plus the
+// The edge-host record: which services an address runs, plus the
 // per-host behaviours the paper observed (middleboxes that SYN-ACK but
 // never complete L7; OpenSSH MaxStartups refusal; trial-to-trial churn).
+// No world stores hosts: World::host_at derives each one on demand
+// (generate_host, hostgen.h).
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <span>
-#include <vector>
 
 #include "netbase/ipv4.h"
 #include "proto/protocol.h"
@@ -51,37 +50,9 @@ struct Host {
   }
 };
 
-// Cap on the host table's direct map (addr -> row): 2^25 addresses, or
-// 128 MiB of uint32 slots. Larger universes are procedural above the
-// override region (ScenarioConfig::full_internet) and keep no host rows
-// there.
-inline constexpr std::uint64_t kDirectMapLimit = 1ull << 25;
-
-class HostTable {
- public:
-  void add(Host host) { hosts_.push_back(host); }
-
-  // Sorts by address and builds the direct map. Duplicate addresses and
-  // hosts at or above kDirectMapLimit are scenario bugs and abort.
-  void freeze();
-
-  [[nodiscard]] const Host* find(net::Ipv4Addr addr) const;
-  [[nodiscard]] std::span<const Host> all() const { return hosts_; }
-  [[nodiscard]] std::size_t size() const { return hosts_.size(); }
-
-  // Whether the host is online during the given trial (deterministic in
-  // (host seed, trial, experiment seed)).
-  static bool live_in_trial(const Host& host, int trial,
-                            std::uint64_t experiment_seed);
-
-  // Count of hosts running a protocol (ignoring liveness).
-  [[nodiscard]] std::size_t count_running(proto::Protocol p) const;
-
- private:
-  std::vector<Host> hosts_;
-  // addr -> index into hosts_ plus one (0 = no host), built by freeze().
-  std::vector<std::uint32_t> direct_;
-  bool frozen_ = false;
-};
+// Whether the host is online during the given trial (deterministic in
+// (host seed, trial, experiment seed)).
+[[nodiscard]] bool live_in_trial(const Host& host, int trial,
+                                 std::uint64_t experiment_seed);
 
 }  // namespace originscan::sim

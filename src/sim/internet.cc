@@ -169,6 +169,7 @@ Internet::Internet(const World* world, const TrialContext& context,
                                   0x7121A1ULL),
                      context.scan_duration) {
   assert(world_->topology.frozen());
+  assert(world_->host_params.size() == world_->topology.as_count());
 }
 
 const PathLossModel& Internet::loss_model(OriginId origin, AsId as,
@@ -322,16 +323,12 @@ void ProbeContext::resolve_batch(ProbeBatch& batch) const {
     }
     if (run_facts.as == kNoAs) continue;  // unrouted block
     batch.as[i] = run_facts.as;
-    std::optional<Host> derived;
-    const Host* host = nullptr;
-    if (run_procedural) {
-      derived = procedural.derive_host(dst, run_facts);
-      ++derivations;
-      if (derived) host = &*derived;
-    } else {
-      host = world.hosts.find(dst);
-    }
-    if (host == nullptr || !internet_->listening(*host, origin_)) continue;
+    // World::host_at's step, on the run's facts.
+    const std::optional<Host> host =
+        generate_host(world.seed, dst.value(), run_facts.as,
+                      world.host_params[run_facts.as]);
+    if (run_procedural) ++derivations;
+    if (!host || !internet_->listening(*host, origin_)) continue;
     batch.host[i] = *host;
     batch.has_host[i] = 1;
   }
@@ -525,8 +522,7 @@ ProbeContext::Reply ProbeContext::respond(const ProbeBatch& batch, int i,
 }
 
 bool Internet::listening(const Host& host, OriginId origin) const {
-  if (!HostTable::live_in_trial(host, context_.trial,
-                                context_.experiment_seed)) {
+  if (!live_in_trial(host, context_.trial, context_.experiment_seed)) {
     return false;  // nothing listening this trial: silence
   }
   if (!host.flaky) return true;

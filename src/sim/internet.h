@@ -74,8 +74,8 @@ class Internet;
 // shared by every probe to it: the routed AS and the host that will
 // answer this (origin, trial) — has_host == false when nothing is
 // listening (unrouted, no host, offline this trial, or flaky-dark for
-// the origin). The host is held *by value*: procedural worlds derive it
-// on demand and have no table row to point into. Resolution has no side
+// the origin). The host is held *by value*: hosts are derived on demand
+// and have no table row to point into. Resolution has no side
 // effects, so hoisting it out of the per-probe loop cannot change any
 // decision.
 struct ResolvedTarget {
@@ -167,9 +167,11 @@ class ProbeContext {
   // per probe. A consecutive run of addresses in the same /24 fetches
   // its block facts once — from the lane-private block cache above the
   // procedural boundary, from the topology table below it (permutation
-  // batches are internally sequential, so runs are long). Block-cache
+  // batches are internally sequential, so runs are long) — and then
+  // derives each routed target's host as World::host_at does. Block-cache
   // hit/miss counters count procedural per-fetch consults, not
-  // per-address lookups (docs/METRICS.md).
+  // per-address lookups; universe.procedural_derivations counts host
+  // derivations above the boundary only (docs/METRICS.md).
   void resolve_batch(ProbeBatch& batch) const;
 
   // What the network sends back for one probe.

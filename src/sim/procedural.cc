@@ -43,20 +43,10 @@ BlockFacts ProceduralWorld::block_facts(std::uint32_t block) const {
       net::mix_u64(seed_, block, 0xCA7Au) % total_weight_;
   const auto it =
       std::upper_bound(cumulative_.begin(), cumulative_.end(), draw);
-  const auto index =
-      static_cast<std::uint32_t>(it - cumulative_.begin());
-  const ProceduralEntry& entry = entries_[index];
+  const ProceduralEntry& entry = entries_[it - cumulative_.begin()];
   facts.as = entry.as;
   facts.country = entry.country;
-  facts.catalog = index;
   return facts;
-}
-
-std::optional<Host> ProceduralWorld::derive_host(
-    net::Ipv4Addr addr, const BlockFacts& facts) const {
-  assert(facts.as != kNoAs);
-  return generate_host(seed_, addr.value(), facts.as,
-                       entries_[facts.catalog].params);
 }
 
 }  // namespace originscan::sim

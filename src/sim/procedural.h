@@ -1,42 +1,38 @@
-// Lazy, seed-derived world state for full-IPv4-scale scans.
+// Lazy, seed-derived block facts for full-IPv4-scale scans.
 //
-// The materialized Topology/HostTable pair stores every prefix and host
-// explicitly, which caps the universe near 2^25 addresses. This layer
-// removes the cap: above a hand-authored override region (where the
-// paper's named networks — DXTL, Gateway Inc, Cloudflare anycast, and
-// every other scenario AS — keep their exact materialized state), AS
-// membership, geolocation, and the entire host population are derived
-// on demand from mix(seed, block/addr). Nothing per-address is ever
-// stored, so a 4.3B-address sweep runs in O(catalog) memory.
+// The Topology stores one facts entry per /24 it covers, which caps the
+// universe it can describe. This layer removes the cap: above a
+// hand-authored override region (where the paper's named networks —
+// DXTL, Gateway Inc, Cloudflare anycast, and every other scenario AS —
+// keep their exact prefixes), AS membership and geolocation are derived
+// on demand from mix(seed, block). Hosts need nothing extra here: every
+// world derives them per address from the block's AS (World::host_at),
+// so nothing per-address is ever stored and a 4.3B-address sweep runs
+// in O(catalog) memory.
 //
 // Determinism contract (DESIGN.md §10): every derivation is a pure
-// function of (world seed, address). Two lookups of the same address —
-// from any thread, any lane, any --jobs value, cached or not — return
+// function of (world seed, block). Two lookups of the same block — from
+// any thread, any lane, any --jobs value, cached or not — return
 // identical facts, so procedural state commutes with parallel execution
-// exactly like the materialized tables do.
+// exactly like the topology's table does.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "netbase/ipv4.h"
 #include "sim/country.h"
-#include "sim/host.h"
-#include "sim/hostgen.h"
 #include "sim/topology.h"
 #include "sim/types.h"
 
 namespace originscan::sim {
 
 // One procedural AS archetype: a real AsId registered in the Topology
-// (so policies, path profiles, and outage schedules attach normally),
-// plus the host-generation parameters its blocks use and its share of
-// the procedural address space.
+// (so policies, path profiles, outage schedules and its World::host_params
+// entry attach normally), plus its share of the procedural address space.
 struct ProceduralEntry {
   AsId as = kNoAs;
   CountryCode country{};
-  HostGenParams params;
   std::uint32_t weight = 1;  // relative share of routed procedural blocks
 };
 
@@ -44,7 +40,7 @@ class ProceduralWorld {
  public:
   // Activates procedural derivation for addresses in
   // [first_addr, universe_size); the override region [0, first_addr)
-  // stays on the materialized tables. `first_addr` must be /24-aligned.
+  // stays on the topology's table. `first_addr` must be /24-aligned.
   void configure(std::uint64_t seed, std::uint32_t first_addr,
                  std::uint32_t universe_size);
 
@@ -54,16 +50,8 @@ class ProceduralWorld {
   // add_entry. Aborts if no entries were registered.
   void freeze();
 
-  // Turns derivation back off (the materialized-twin construction path:
-  // the catalog is consulted once to materialize prefixes and hosts,
-  // after which the world behaves as a plain materialized one).
-  void disable() { enabled_ = false; }
-
   [[nodiscard]] bool enabled() const { return enabled_; }
   [[nodiscard]] std::uint32_t first_addr() const { return first_addr_; }
-  [[nodiscard]] const std::vector<ProceduralEntry>& entries() const {
-    return entries_;
-  }
 
   [[nodiscard]] bool covers(net::Ipv4Addr addr) const {
     return enabled_ && addr.value() >= first_addr_ &&
@@ -74,11 +62,6 @@ class ProceduralWorld {
   // (seed, block); O(log entries). One derivation serves 256 consecutive
   // addresses (the block cache in ProbeContext).
   [[nodiscard]] BlockFacts block_facts(std::uint32_t block) const;
-
-  // Derives the host behind `addr` given its block's facts (which must
-  // be routed). Pure in (seed, addr); nullopt when the address is empty.
-  [[nodiscard]] std::optional<Host> derive_host(net::Ipv4Addr addr,
-                                                const BlockFacts& facts) const;
 
  private:
   bool enabled_ = false;

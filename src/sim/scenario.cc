@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <string>
 
 #include "netbase/rng.h"
@@ -73,7 +72,8 @@ struct AsSpec {
   double http = -1, https = -1, ssh = -1;
 
   // SSH daemon guard: share of SSH hosts with MaxStartups, and whether
-  // they use the aggressive triple.
+  // they use the aggressive triple (5:60:30) instead of OpenSSH's
+  // default (10:30:100).
   double maxstartups_share = -1;
   bool aggressive_maxstartups = false;
 
@@ -206,7 +206,7 @@ class Builder {
     return must_exist ? 1 : 0;
   }
 
-  // Allocates the AS, its prefixes, and records its generation metadata.
+  // Allocates the AS and its prefixes, and records its host parameters.
   // Returns kNoAs when the AS scales away entirely.
   AsId add(const AsSpec& spec) {
     return add_impl(spec, scaled_blocks(spec.blocks, spec.must_exist));
@@ -254,8 +254,11 @@ class Builder {
   void add_special_ases();
   void add_generic_fill();
   void build_catalog();
-  void materialize_procedural_region();
-  void generate_hosts();
+
+  // Resolves an AS's spec (scenario defaults vs per-AS overrides, plus
+  // the per-AS flaky coin) into its World::host_params entry. ASes are
+  // registered in AsId order, so this appends.
+  void add_host_params(AsId as, const AsSpec& spec);
 
   // Applies the reputation-driven blocking draws for one generic AS
   // (full-AS blocks and partial per-origin host blocks). Shared by the
@@ -269,27 +272,15 @@ class Builder {
   std::uint32_t total_blocks_ = 0;
   std::uint32_t next_block_ = 0;
   double scale_ = 1.0;
-
-  struct GenMeta {
-    double density = 0.3;
-    double http = -1, https = -1, ssh = -1;
-    double maxstartups_share = -1;
-    bool aggressive_maxstartups = false;
-  };
-  std::map<AsId, GenMeta> meta_;
-
-  // Resolves the per-AS generation metadata (scenario defaults vs
-  // overrides, plus the per-AS flaky coin) into hostgen parameters.
-  [[nodiscard]] HostGenParams resolve_params(AsId as,
-                                             const GenMeta& meta) const;
 };
 
-HostGenParams Builder::resolve_params(AsId as, const GenMeta& meta) const {
+void Builder::add_host_params(AsId as, const AsSpec& spec) {
+  assert(as == world_.host_params.size());
   HostGenParams params;
-  params.density = meta.density;
-  params.http = meta.http >= 0 ? meta.http : config_.http_share;
-  params.https = meta.https >= 0 ? meta.https : config_.https_share;
-  params.ssh = meta.ssh >= 0 ? meta.ssh : config_.ssh_share;
+  params.density = spec.density;
+  params.http = spec.http >= 0 ? spec.http : config_.http_share;
+  params.https = spec.https >= 0 ? spec.https : config_.https_share;
+  params.ssh = spec.ssh >= 0 ? spec.ssh : config_.ssh_share;
   params.middlebox_share = config_.middlebox_share;
   // Flakiness clusters by network: most ASes have none, a third carry
   // the whole population (so per-AS transient rates can be *identical*
@@ -299,11 +290,11 @@ HostGenParams Builder::resolve_params(AsId as, const GenMeta& meta) const {
   params.flaky_live_percent = config_.flaky_live_percent;
   params.churny_share = config_.churny_host_share;
   params.churny_live_percent = config_.churny_live_percent;
-  params.maxstartups_share = meta.maxstartups_share >= 0
-                                 ? meta.maxstartups_share
+  params.maxstartups_share = spec.maxstartups_share >= 0
+                                 ? spec.maxstartups_share
                                  : config_.maxstartups_share;
-  params.aggressive_maxstartups = meta.aggressive_maxstartups;
-  return params;
+  if (spec.aggressive_maxstartups) params.maxstartups = {5, 60, 30};
+  world_.host_params.push_back(params);
 }
 
 AsId Builder::add_impl(const AsSpec& spec, int blocks) {
@@ -355,14 +346,7 @@ AsId Builder::add_impl(const AsSpec& spec, int blocks) {
       break;
   }
 
-  GenMeta meta;
-  meta.density = spec.density;
-  meta.http = spec.http;
-  meta.https = spec.https;
-  meta.ssh = spec.ssh;
-  meta.maxstartups_share = spec.maxstartups_share;
-  meta.aggressive_maxstartups = spec.aggressive_maxstartups;
-  meta_[as] = meta;
+  add_host_params(as, spec);
   return as;
 }
 
@@ -922,13 +906,13 @@ void Builder::build_catalog() {
     int weight = static_cast<int>(std::lround(rng_.lognormal(1.0, 1.0)));
     weight = std::clamp(weight, 1, 40);
 
-    GenMeta meta;
-    meta.density = rng_.uniform(0.15, 0.55);
+    AsSpec spec;
+    spec.density = rng_.uniform(0.15, 0.55);
     if (rng_.bernoulli(0.03)) {
-      meta.maxstartups_share = 0.85;
-      meta.aggressive_maxstartups = true;
+      spec.maxstartups_share = 0.85;
+      spec.aggressive_maxstartups = true;
     }
-    meta_[as] = meta;
+    add_host_params(as, spec);
 
     // Same profile classes, same per-AS substream, as add_impl.
     Rng profile_rng(net::mix_u64(config_.seed, as, 0x9F0F11Eu));
@@ -940,58 +924,18 @@ void Builder::build_catalog() {
 
     add_reputation_rules(as);
 
-    ProceduralEntry entry;
-    entry.as = as;
-    entry.country = cc;
-    entry.params = resolve_params(as, meta);
-    entry.weight = static_cast<std::uint32_t>(weight);
-    world_.procedural.add_entry(entry);
+    world_.procedural.add_entry(
+        {as, cc, static_cast<std::uint32_t>(weight)});
   }
   world_.procedural.freeze();
-}
-
-void Builder::materialize_procedural_region() {
-  // Test-only twin construction: replay the catalog's block assignment
-  // into ordinary prefixes, then turn derivation off. generate_hosts()
-  // picks the new prefixes up through meta_, and hostgen purity makes
-  // the populations bit-identical.
-  const std::uint32_t first_block = config_.procedural_override / 256;
-  const std::uint32_t last_block = config_.universe_size / 256;
-  for (std::uint32_t block = first_block; block < last_block; ++block) {
-    const BlockFacts facts = world_.procedural.block_facts(block);
-    if (facts.as == kNoAs) continue;
-    world_.topology.add_prefix(facts.as, Prefix(Ipv4Addr(block * 256u), 24),
-                               facts.country);
-  }
-  world_.procedural.disable();
-}
-
-void Builder::generate_hosts() {
-  for (const AsInfo& as : world_.topology.ases()) {
-    const HostGenParams params = resolve_params(as.id, meta_.at(as.id));
-    for (const PrefixEntry& entry : as.prefixes) {
-      const std::uint32_t first = entry.prefix.first().value();
-      const std::uint32_t last = entry.prefix.last().value();
-      for (std::uint32_t addr = first; addr <= last; ++addr) {
-        if (auto host = generate_host(config_.seed, addr, as.id, params)) {
-          world_.hosts.add(*host);
-        }
-      }
-    }
-  }
 }
 
 World Builder::build() {
   world_.flaky_miss_probability = config_.flaky_miss_probability;
   add_special_ases();
   add_generic_fill();
-  if (config_.procedural) {
-    build_catalog();
-    if (config_.materialize_procedural) materialize_procedural_region();
-  }
+  if (config_.procedural) build_catalog();
   world_.topology.freeze();
-  generate_hosts();
-  world_.hosts.freeze();
 
   // Outage configuration: Australia is burst-prone.
   world_.outages.origin_rate_multiplier.assign(world_.origins.size(), 1.0);

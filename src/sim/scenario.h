@@ -1,7 +1,10 @@
 // Construction of the "paper Internet": a scaled synthetic IPv4 universe
 // whose AS archetypes, policies and path properties are wired to
-// reproduce the mechanisms Wan et al. observed. The analysis layer never
-// sees any of this — it works purely from scan results.
+// reproduce the mechanisms Wan et al. observed. The builder describes
+// the host population as one HostGenParams entry per AS
+// (World::host_params) and materializes no host: every lookup derives
+// its host on demand. The analysis layer never sees any of this — it
+// works purely from scan results.
 #pragma once
 
 #include <cstdint>
@@ -34,21 +37,16 @@ struct ScenarioConfig {
   // SSH daemon behaviour.
   double maxstartups_share = 0.30;  // of SSH hosts, normal networks
 
-  // Procedural mode: the named scenario is built materialized inside
-  // [0, procedural_override) exactly as a standalone world of that size
-  // (same AS ids, same hosts, same goldens), and everything from the
-  // override boundary up to universe_size is derived lazily from the
-  // seed through a generic AS catalog — no per-address tables.
+  // Procedural mode: the named scenario's prefixes fill
+  // [0, procedural_override) exactly as in a standalone world of that
+  // size (same AS ids, same hosts, same goldens), and the block facts
+  // from the override boundary up to universe_size are derived lazily
+  // from the seed through a generic AS catalog — no per-/24 table.
   bool procedural = false;
-  // Size of the materialized override region. The default equals the
-  // reference scale (2048 /24s), so the named networks keep their exact
-  // paper_default state. Must be a multiple of 256.
+  // Size of the override region. The default equals the reference scale
+  // (2048 /24s), so the named networks keep their exact paper_default
+  // state. Must be a multiple of 256.
   std::uint32_t procedural_override = 1u << 19;
-  // Test-only: eagerly materialize the procedural region into the
-  // ordinary Topology/HostTable tables and disable derivation. The
-  // result is the procedural world's byte-identical twin; only sensible
-  // for small universes (the equivalence test uses 2^20).
-  bool materialize_procedural = false;
 
   static ScenarioConfig paper_default() { return {}; }
 

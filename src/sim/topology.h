@@ -23,11 +23,11 @@ namespace originscan::sim {
 // space) and where it geolocates. Facts are per-/24 because real
 // announcements are at least that coarse; the materialized table and the
 // procedural derivation (procedural.h) both answer in this shape, and
-// World::block_facts picks between them.
+// World::block_facts picks between them. The AS also keys the block's
+// host population (World::host_params).
 struct BlockFacts {
   AsId as = kNoAs;  // kNoAs: unrouted block (probes die before routing)
   CountryCode country{};
-  std::uint32_t catalog = 0;  // procedural blocks: ProceduralWorld entry
 };
 
 struct PrefixEntry {

@@ -3,10 +3,12 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "proto/ssh.h"
 #include "sim/host.h"
+#include "sim/hostgen.h"
 #include "sim/origin.h"
 #include "sim/outage.h"
 #include "sim/path.h"
@@ -30,8 +32,10 @@ struct MaxStartupsConfig {
 
 struct World {
   Topology topology;
-  HostTable hosts;
-  // Lazy seed-derived state for addresses above the override region;
+  // Host-generation parameters of every AS, indexed by AsId (one entry
+  // per topology AS): the whole description of the host population.
+  std::vector<HostGenParams> host_params;
+  // Lazy seed-derived facts for addresses above the override region;
   // disabled (and ignored) for plain materialized scenarios. Use
   // block_facts and the as_of/country_of/host_at helpers below rather
   // than the tables directly so both kinds of world resolve identically.
@@ -84,13 +88,14 @@ struct World {
     return block_facts(addr.value() >> 8).country;
   }
 
+  // The host behind `addr`, derived from its block's AS: nullopt for
+  // unrouted space and empty addresses. resolve_batch takes the same
+  // step per target, reusing one facts fetch per /24 run.
   [[nodiscard]] std::optional<Host> host_at(net::Ipv4Addr addr) const {
     const BlockFacts facts = block_facts(addr.value() >> 8);
     if (facts.as == kNoAs) return std::nullopt;
-    if (procedural.covers(addr)) return procedural.derive_host(addr, facts);
-    const Host* host = hosts.find(addr);
-    if (host == nullptr) return std::nullopt;
-    return *host;
+    return generate_host(seed, addr.value(), facts.as,
+                         host_params[facts.as]);
   }
 };
 

@@ -307,7 +307,7 @@ class ReferenceModel {
     const std::optional<Host> host = world_.host_at(dst);
     const TrialContext& trial = internet_.context();
     if (!host ||
-        !HostTable::live_in_trial(*host, trial.trial, trial.experiment_seed)) {
+        !live_in_trial(*host, trial.trial, trial.experiment_seed)) {
       return std::nullopt;
     }
     if (host->flaky) {
@@ -482,8 +482,8 @@ TEST(BatchModelEquivalence, FullSweepMatchesReferenceModel) {
 // random-sized spans of scheduled targets sampled around 2^19 (the
 // materialized/procedural seam) and across a 2^26 universe must run
 // through run_scheduled (batched, chunked) exactly as through the model.
-// The 2^25 kDirectMapLimit is no seam here: everything above 2^19 is
-// procedural and keeps no table rows.
+// No other seam exists: every host, on either side of 2^19, is derived
+// per address from its block's AS.
 TEST(BatchModelEquivalence, TailBatchesMatchReferenceModelAcrossBoundaries) {
   ScenarioConfig config = ScenarioConfig::full_internet(26);
   config.seed = 0x7A11BA7ull;

@@ -62,7 +62,8 @@ class CoreAnalysisTest : public ::testing::Test {
 
 TEST_F(CoreAnalysisTest, GroundTruthIsUnionOfAllHosts) {
   // Origins TWO and FOUR see everything, so every host is ground truth.
-  EXPECT_EQ(matrix().host_count(), experiment().world().hosts.size());
+  EXPECT_EQ(matrix().host_count(),
+            originscan::testing::host_count(experiment().world()));
   for (int t = 0; t < matrix().trials(); ++t) {
     EXPECT_EQ(matrix().present_count(t), matrix().host_count());
   }

@@ -1,6 +1,7 @@
-// Procedural-world correctness: the materialized-twin equivalence of the
-// procedural universe and the hot path's zero-lock invariant over the
-// procedural branch.
+// Procedural-world correctness: sweep identity across --jobs and against
+// a serial oracle, the universe.* counters, and the hot path's zero-lock
+// invariant over the procedural branch. The population itself (hosts on
+// both sides of the boundary) is pinned in sim_test.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -11,75 +12,12 @@
 #include "obsv/metrics.h"
 #include "scanner/orchestrator.h"
 #include "scanner/zmap.h"
-#include "sim/hostgen.h"
 #include "sim/internet.h"
 #include "sim/procedural.h"
 #include "sim/scenario.h"
 
 namespace originscan::sim {
 namespace {
-
-// ---- Procedural vs materialized equivalence -------------------------
-//
-// The load-bearing property of the procedural universe: deriving world
-// state lazily from the seed produces *byte-identical* scan output to
-// eagerly materializing the same state into the ordinary tables. The
-// materialize_procedural knob builds that twin; any drift between the
-// derivation path and the table path (host RNG stream, AS facts, block
-// cache, value-host handoff) shows up as a record diff here.
-
-struct TwinWorlds {
-  World procedural;
-  World materialized;
-};
-
-TwinWorlds build_twins(int bits, std::uint64_t seed) {
-  TwinWorlds twins;
-  ScenarioConfig config = ScenarioConfig::full_internet(bits);
-  config.seed = seed;
-  twins.procedural =
-      build_world(config, paper_origins(config.universe_size));
-  config.materialize_procedural = true;
-  twins.materialized =
-      build_world(config, paper_origins(config.universe_size));
-  return twins;
-}
-
-TEST(ProceduralEquivalence, MaterializedTwinScansIdentically) {
-  const TwinWorlds twins = build_twins(/*bits=*/20, /*seed=*/0x05CA9ull);
-  ASSERT_TRUE(twins.procedural.procedural.enabled());
-  ASSERT_FALSE(twins.materialized.procedural.enabled());
-  // The twin materialized every routed procedural /24 into the tables.
-  EXPECT_GT(twins.materialized.hosts.size(), twins.procedural.hosts.size());
-
-  TrialContext context;
-  context.trial = 0;
-  context.experiment_seed = 0x05CA9ull;
-  context.simultaneous_origins =
-      static_cast<int>(twins.procedural.origins.size());
-
-  PersistentState persistent_p;
-  PersistentState persistent_m;
-  Internet internet_p(&twins.procedural, context, &persistent_p);
-  Internet internet_m(&twins.materialized, context, &persistent_m);
-
-  const OriginId origin = twins.procedural.origin_id("US1");
-  ASSERT_NE(origin, ~OriginId{0});
-
-  scan::ScanOptions options;
-  options.keep_banners = true;
-  options.jobs = 2;  // also exercises the deferred lane
-  const scan::ScanResult from_procedural =
-      scan::run_scan(internet_p, origin, proto::Protocol::kHttp, options);
-  options.jobs = 1;
-  const scan::ScanResult from_materialized =
-      scan::run_scan(internet_m, origin, proto::Protocol::kHttp, options);
-
-  ASSERT_EQ(from_procedural.records.size(), from_materialized.records.size());
-  EXPECT_EQ(from_procedural.records, from_materialized.records);
-  EXPECT_EQ(from_procedural.banners, from_materialized.banners);
-  EXPECT_EQ(from_procedural.l4_stats, from_materialized.l4_stats);
-}
 
 TEST(ProceduralEquivalence, SweepDigestInvariantAcrossJobs) {
   ScenarioConfig config = ScenarioConfig::full_internet(20);

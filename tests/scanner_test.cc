@@ -12,6 +12,7 @@ namespace originscan::scan {
 namespace {
 
 using originscan::testing::MiniWorldOptions;
+using originscan::testing::host_count;
 using originscan::testing::make_mini_world;
 
 sim::TrialContext context_for(const sim::World& world, int trial = 0) {
@@ -73,10 +74,10 @@ TEST(ZMap, FindsEveryHostOnCleanNetwork) {
     seen.insert(result.addr.value());
   });
 
-  EXPECT_EQ(seen.size(), world.hosts.size());
+  EXPECT_EQ(seen.size(), host_count(world));
   EXPECT_EQ(stats.targets_probed, world.universe_size);
   EXPECT_EQ(stats.packets_sent, 2ull * world.universe_size);
-  EXPECT_EQ(stats.synacks, 2ull * world.hosts.size());
+  EXPECT_EQ(stats.synacks, 2ull * host_count(world));
   EXPECT_EQ(stats.validation_failures, 0u);
 }
 
@@ -122,7 +123,7 @@ TEST(ZMap, SpreadsSourceIpsByDestination) {
   });
   EXPECT_EQ(usage.size(), 4u);
   for (const auto& [ip, count] : usage) {
-    EXPECT_GT(count, static_cast<int>(world.hosts.size()) / 8);
+    EXPECT_GT(count, static_cast<int>(host_count(world)) / 8);
   }
 }
 
@@ -146,7 +147,7 @@ TEST(ZMap, RstForClosedPortHosts) {
     EXPECT_EQ(result.rst_mask, 0b11);
     ++rst_results;
   });
-  EXPECT_EQ(rst_results, world.hosts.size());
+  EXPECT_EQ(rst_results, host_count(world));
   EXPECT_EQ(stats.synacks, 0u);
 }
 
@@ -215,7 +216,7 @@ TEST(Orchestrator, CompletesL7OnCleanNetwork) {
 
   for (proto::Protocol protocol : proto::kAllProtocols) {
     const auto result = run_scan(internet, 0, protocol);
-    EXPECT_EQ(result.completed_count(), world.hosts.size())
+    EXPECT_EQ(result.completed_count(), host_count(world))
         << proto::name_of(protocol);
   }
 }

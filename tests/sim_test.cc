@@ -117,41 +117,23 @@ TEST(TopologyDeathTest, FreezeRejectsOverlapAndSubBlockPrefixes) {
       "longer than /24");
 }
 
-// -------------------------------------------------------------- HostTable --
+// ------------------------------------------------------------------ host --
 
-TEST(HostTable, FindAndLiveness) {
-  HostTable table;
+TEST(Host, LivenessIsDeterministicPerTrial) {
   Host host;
   host.addr = net::Ipv4Addr(1, 2, 3, 4);
   host.live_percent = 50;
   host.seed = 99;
-  table.add(host);
-  table.freeze();
-
-  ASSERT_NE(table.find(net::Ipv4Addr(1, 2, 3, 4)), nullptr);
-  EXPECT_EQ(table.find(net::Ipv4Addr(1, 2, 3, 5)), nullptr);
 
   // Liveness is deterministic and varies across trials/seeds.
   int live = 0;
   for (int trial = 0; trial < 100; ++trial) {
-    const bool first = HostTable::live_in_trial(host, trial, 7);
-    EXPECT_EQ(first, HostTable::live_in_trial(host, trial, 7));
+    const bool first = live_in_trial(host, trial, 7);
+    EXPECT_EQ(first, live_in_trial(host, trial, 7));
     if (first) ++live;
   }
   EXPECT_GT(live, 25);
   EXPECT_LT(live, 75);
-}
-
-TEST(HostTableDeathTest, FreezeRejectsHostsBeyondDirectMap) {
-  EXPECT_DEATH(
-      {
-        HostTable table;
-        Host host;
-        host.addr = net::Ipv4Addr(static_cast<std::uint32_t>(kDirectMapLimit));
-        table.add(host);
-        table.freeze();
-      },
-      "beyond the .*direct map");
 }
 
 // ------------------------------------------------------------------ path --
@@ -342,7 +324,7 @@ TEST(Internet, SilenceForUnroutedAndAbsentHosts) {
             ProbeContext::Reply::kNone);  // unrouted
   int absent = 0;
   for (std::uint32_t addr = 0; addr < world.universe_size; ++addr) {
-    if (world.hosts.find(net::Ipv4Addr(addr)) != nullptr) continue;
+    if (world.host_at(net::Ipv4Addr(addr))) continue;
     EXPECT_EQ(probe_one(internet, 0, net::Ipv4Addr(addr)),
               ProbeContext::Reply::kNone);
     if (++absent == 16) break;
@@ -402,7 +384,7 @@ TEST(Internet, ConnectFailsForAbsentHost) {
   // Find an address with no host.
   net::Ipv4Addr missing;
   for (std::uint32_t addr = 0; addr < world.universe_size; ++addr) {
-    if (world.hosts.find(net::Ipv4Addr(addr)) == nullptr) {
+    if (!world.host_at(net::Ipv4Addr(addr))) {
       missing = net::Ipv4Addr(addr);
       break;
     }
@@ -592,16 +574,19 @@ TEST(Scenario, PaperWorldBuildsAndIsConsistent) {
   auto world = build_world(config, paper_origins(config.universe_size));
 
   EXPECT_GT(world.topology.as_count(), 30u);
-  EXPECT_GT(world.hosts.size(), 1000u);
+  EXPECT_GT(originscan::testing::host_count(world), 1000u);
   EXPECT_EQ(world.origin_id("US64"),
             static_cast<OriginId>(5));
   EXPECT_EQ(world.origins[world.origin_id("US64")].source_ips.size(), 64u);
 
   // Every host belongs to a routed AS matching its own record.
-  for (const Host& host : world.hosts.all()) {
-    auto as = world.as_of(host.addr);
+  for (std::uint32_t addr = 0; addr < world.universe_size; ++addr) {
+    const std::optional<Host> host = world.host_at(net::Ipv4Addr(addr));
+    if (!host) continue;
+    EXPECT_EQ(host->addr, net::Ipv4Addr(addr));
+    auto as = world.as_of(host->addr);
     ASSERT_TRUE(as.has_value());
-    EXPECT_EQ(*as, host.as);
+    EXPECT_EQ(*as, host->as);
   }
 
   // Source IPs are outside the scanned universe.
@@ -619,6 +604,56 @@ TEST(Scenario, PaperWorldBuildsAndIsConsistent) {
   }
 }
 
+// Population pin: the host count and an order-independent digest of
+// every Host field over every address of the world, recorded once. Any
+// change to how a host is derived — draw order, parameter resolution,
+// which AS an address lands in — moves one of the two numbers.
+struct Population {
+  std::uint64_t hosts = 0;
+  std::uint64_t digest = 0;
+};
+
+Population population_of(const World& world) {
+  Population population;
+  for (std::uint32_t addr = 0; addr < world.universe_size; ++addr) {
+    const std::optional<Host> host = world.host_at(net::Ipv4Addr(addr));
+    if (!host) continue;
+    ++population.hosts;
+    const std::uint64_t flags =
+        std::uint64_t{host->services} | std::uint64_t{host->middlebox} << 8 |
+        std::uint64_t{host->maxstartups_enabled} << 9 |
+        std::uint64_t{host->flaky} << 10 |
+        std::uint64_t{host->live_percent} << 16;
+    const std::uint64_t triple =
+        static_cast<std::uint64_t>(host->maxstartups.start) |
+        static_cast<std::uint64_t>(host->maxstartups.rate) << 16 |
+        static_cast<std::uint64_t>(host->maxstartups.full) << 32;
+    population.digest += net::mix_u64(
+        net::mix_u64(host->addr.value(), host->as, flags, triple),
+        host->seed);
+  }
+  return population;
+}
+
+TEST(Scenario, PopulationPinnedAtPaperScale) {
+  ScenarioConfig config = ScenarioConfig::paper_default();
+  config.universe_size = 1u << 16;
+  const World world = build_world(config, paper_origins(config.universe_size));
+  const Population population = population_of(world);
+  EXPECT_EQ(population.hosts, 20980u);
+  EXPECT_EQ(population.digest, 12200740207537439454ull);
+}
+
+// 2^20 straddles the 2^19 procedural boundary: the override region
+// below it and the catalog-derived space above it.
+TEST(Scenario, PopulationPinnedAcrossProceduralBoundary) {
+  const ScenarioConfig config = ScenarioConfig::full_internet(20);
+  const World world = build_world(config, paper_origins(config.universe_size));
+  const Population population = population_of(world);
+  EXPECT_EQ(population.hosts, 303006u);
+  EXPECT_EQ(population.digest, 4413117884122688734ull);
+}
+
 TEST(Scenario, MaskHelpers) {
   const auto origins = paper_origins(1 << 16);
   EXPECT_EQ(mask_of(origins, {"AU"}), 1u);
@@ -631,11 +666,14 @@ TEST(Scenario, SameSeedSameWorld) {
   ScenarioConfig config = ScenarioConfig::test_scale();
   auto a = build_world(config, paper_origins(config.universe_size));
   auto b = build_world(config, paper_origins(config.universe_size));
-  ASSERT_EQ(a.hosts.size(), b.hosts.size());
   ASSERT_EQ(a.topology.as_count(), b.topology.as_count());
-  for (std::size_t i = 0; i < a.hosts.size(); ++i) {
-    EXPECT_EQ(a.hosts.all()[i].addr, b.hosts.all()[i].addr);
-    EXPECT_EQ(a.hosts.all()[i].services, b.hosts.all()[i].services);
+  for (std::uint32_t addr = 0; addr < a.universe_size; ++addr) {
+    const std::optional<Host> host_a = a.host_at(net::Ipv4Addr(addr));
+    const std::optional<Host> host_b = b.host_at(net::Ipv4Addr(addr));
+    ASSERT_EQ(host_a.has_value(), host_b.has_value()) << addr;
+    if (host_a) {
+      EXPECT_EQ(host_a->services, host_b->services) << addr;
+    }
   }
 }
 

@@ -1150,8 +1150,12 @@ int cmd_topology(const Args& args) {
                    std::to_string(as.prefixes.size()),
                    std::to_string(as.address_count())});
   }
+  std::size_t hosts = 0;
+  for (std::uint32_t addr = 0; addr < world.universe_size; ++addr) {
+    if (world.host_at(net::Ipv4Addr(addr))) ++hosts;
+  }
   std::printf("%zu ASes, %zu hosts over %u addresses; first 40 ASes:\n%s",
-              world.topology.as_count(), world.hosts.size(),
+              world.topology.as_count(), hosts,
               world.universe_size, table.to_string().c_str());
   return cli::kOk;
 }
