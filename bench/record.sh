@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Records the repository's performance baselines:
 #   BENCH_micro.json — google-benchmark microbenchmarks (hot paths)
-#   BENCH_wall.json  — serial vs parallel executor wall clock (and the
-#                      bit-identity check; wall_clock exits non-zero if
-#                      the parallel output ever diverges)
+#   BENCH_wall.json  — the service loadgen baseline (loadgen_* fields;
+#                      ci.sh bench gates loadgen_p99_us against it)
+# End-to-end grid and sweep timings live in perfbench/, and their
+# serial-vs-parallel identity checks are CTest cases.
 #
 # Usage: bench/record.sh [build-dir]   (default: build)
 #
@@ -16,7 +17,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
 
-if [[ ! -x "$BUILD_DIR/bench/micro_scanner" || ! -x "$BUILD_DIR/bench/wall_clock" ]]; then
+if [[ ! -x "$BUILD_DIR/bench/micro_scanner" || ! -x "$BUILD_DIR/tools/originscan" ]]; then
   echo "bench binaries missing — build first:" >&2
   echo "  cmake -B $BUILD_DIR -S . && cmake --build $BUILD_DIR -j" >&2
   exit 1
@@ -48,26 +49,11 @@ stamp_build_type() {
 stamp_build_type BENCH_micro.json
 echo "wrote BENCH_micro.json ($BUILD_TYPE)"
 
-"$BUILD_DIR/bench/wall_clock" > BENCH_wall.json
-stamp_build_type BENCH_wall.json
-
 # Service loadgen baseline: 1000 tenants against an in-process daemon,
-# byte-identity verified; the loadgen_* fields (notably loadgen_p99_us,
-# which ci.sh bench gates with bench_gate --wall) merge into the same
-# flat JSON object.
-if [[ -x "$BUILD_DIR/tools/originscan" ]]; then
-  "$BUILD_DIR/tools/originscan" loadgen --tenants 1000 --requests 1 \
-      --connections 16 --scale 12 --json-out "$BUILD_DIR/BENCH_loadgen.json"
-  # Both files are flat one-pair-per-line objects: drop BENCH_wall's
-  # closing brace, comma-terminate its last field, splice the loadgen
-  # fields in.
-  sed -i '${/^}$/d}' BENCH_wall.json
-  sed -i '$ s/$/,/' BENCH_wall.json
-  grep '"loadgen_' "$BUILD_DIR/BENCH_loadgen.json" >> BENCH_wall.json
-  echo "}" >> BENCH_wall.json
-else
-  echo "bench/record.sh: tools/originscan missing — BENCH_wall.json has no loadgen fields" >&2
-fi
-
+# byte-identity verified. The report is already a flat JSON object of
+# loadgen_* fields, which bench_gate --wall reads.
+"$BUILD_DIR/tools/originscan" loadgen --tenants 1000 --requests 1 \
+    --connections 16 --scale 12 --json-out BENCH_wall.json
+stamp_build_type BENCH_wall.json
 echo "wrote BENCH_wall.json ($BUILD_TYPE)"
 cat BENCH_wall.json

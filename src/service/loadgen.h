@@ -51,7 +51,7 @@ struct LoadgenReport {
                                         const LoadgenOptions& options);
 
 // Deterministic flat-JSON rendering of a report (the `loadgen_*` fields
-// merged into BENCH_wall.json by bench/record.sh).
+// bench/record.sh writes to BENCH_wall.json).
 [[nodiscard]] std::string loadgen_report_json(const LoadgenReport& report);
 
 }  // namespace originscan::service
