@@ -1,8 +1,7 @@
 // The paper reproduction: every table, figure and ablation of Wan et al.
 // (IMC 2020) as one section of this binary, run in paper order (DESIGN.md
-// §4, then §4b). Like the paper, which scanned each protocol once per
-// origin and derived every figure from that one data set, the sections
-// read shared experiments: each is built on first use and runs at most
+// §4, then §4b). Sections read shared experiments (see Runs) instead of
+// each rerunning its own: each is built on first use and runs at most
 // once per invocation, so naming a few sections builds only the
 // experiments those need.
 //
