@@ -1,5 +1,5 @@
-// Minimal ASCII charts: horizontal bars and CDF plots, for the figure-
-// reproducing bench binaries.
+// Minimal ASCII charts: horizontal bars and CDF plots, for the figure
+// sections of bench/reproduce.
 #pragma once
 
 #include <string>

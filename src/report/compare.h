@@ -1,5 +1,6 @@
-// Paper-vs-measured comparison rows: every bench binary ends with one of
-// these so EXPERIMENTS.md can be assembled from bench output directly.
+// Paper-vs-measured comparison rows: every section of bench/reproduce
+// ends with one of these so EXPERIMENTS.md can be assembled from its
+// output directly.
 #pragma once
 
 #include <string>

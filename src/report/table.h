@@ -1,5 +1,5 @@
-// Fixed-width text table rendering for the bench binaries' paper-style
-// tables.
+// Fixed-width text table rendering for the paper-style tables that the
+// sections of bench/reproduce print.
 #pragma once
 
 #include <string>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <exception>
 #include <numeric>
 #include <optional>
 #include <stdexcept>
@@ -50,25 +51,33 @@ ZMapConfig make_zmap_config(const sim::Internet& internet,
   return config;
 }
 
-// Targets dealt out per window when lanes run concurrently. The window's
-// lane vectors are the sweep's only per-target buffer (16 bytes a
-// target), so peak memory is one window whatever the universe size; each
-// window ends at a join, so smaller windows trade join overhead for
-// memory. A single lane has no join to amortize, so its window is one
-// probe batch.
+// Targets dealt out per window when lanes run concurrently. The lanes
+// buffer two windows (16 bytes a target): the one being probed and the
+// next, dealt meanwhile. So the sweep's per-target memory peaks at two
+// windows whatever the universe size; each window ends at a join, so
+// smaller windows trade join overhead for memory. A single lane has no
+// join to amortize, so its window is one probe batch.
 constexpr std::size_t kWindowTargets = std::size_t{1} << 18;
 
 // The one lane executor behind run_scan and run_l4_sweep. It walks the
 // permutation (TargetWalk: filter, then global first-packet slot) in
 // windows (see kWindowTargets) and deals each window's targets
 // round-robin to `jobs` lanes. When lanes run concurrently, rate-IDS
-// targets go instead to one extra deferred lane, which runs first in each
-// window; a single lane takes every target in permutation order, so the
-// deferral predicate runs only when lanes are concurrent. Windows run in
-// permutation order and join at their end, so the deferred lane sees its
-// targets in global order exactly as a single lane would. Every other
-// probe decision is a pure function of the target and its global slot,
-// so any dealing yields the same per-target results.
+// targets go instead to one extra deferred lane, which is submitted first
+// in each window; a single lane takes every target in permutation order,
+// so the deferral predicate runs only when lanes are concurrent.
+//
+// Concurrent lanes run on one pool of `jobs` threads that lives for the
+// whole sweep, and each lane's target vector is double-buffered: while
+// the pool probes window k, the caller walks and deals window k+1 into
+// the spare buffers, then joins the pool and swaps. Windows still run in
+// permutation order, one at a time, so the deferred lane sees its targets
+// in global order exactly as a single lane would. Every other probe
+// decision is a pure function of the target and its global slot, so any
+// dealing yields the same per-target results. A single lane runs inline
+// on the caller's thread, one window after the other. If lanes throw, the
+// lowest-indexed failure of the window (the deferred lane first) is
+// rethrown once the window's lanes and the overlapped walk are done.
 //
 // `outputs` gets one entry per lane. `make_collector(output, metrics)`
 // builds each lane's result callback once, before the sweep, from the
@@ -88,8 +97,10 @@ ZMapScanner::Stats run_lanes(sim::Internet& internet, sim::OriginId origin,
     obsv::MetricBlock metrics;
     std::optional<ZMapScanner> scanner;
     std::function<void(const L4Result&)> collect;
-    std::vector<ScheduledTarget> targets;  // this window's share
+    std::vector<ScheduledTarget> targets;  // the window being probed
+    std::vector<ScheduledTarget> next;     // the window being dealt
     ZMapScanner::Stats stats;
+    std::exception_ptr error;  // this window's failure, when pooled
   };
   const auto shards = static_cast<std::size_t>(std::max(1, jobs));
   const bool concurrent = shards > 1;
@@ -113,36 +124,63 @@ ZMapScanner::Stats run_lanes(sim::Internet& internet, sim::OriginId origin,
   TargetWalk walk(config);
   std::array<ScheduledTarget, ZMapScanner::kRunBatch> chunk;
   std::size_t next_lane = 0;
-  while (!walk.done()) {
-    if (config.cancel != nullptr && config.cancel->cancelled()) break;
-    for (Lane& lane : lanes) lane.targets.clear();
-    for (std::size_t in_window = 0;
-         in_window < window && !walk.done();) {
+  // Walks and deals the next window into the lanes' spare buffers;
+  // false once the walk is done or the sweep is cancelled.
+  const auto deal = [&] {
+    if (walk.done()) return false;
+    if (config.cancel != nullptr && config.cancel->cancelled()) return false;
+    for (Lane& lane : lanes) lane.next.clear();
+    for (std::size_t in_window = 0; in_window < window && !walk.done();) {
       const std::size_t count = walk.next(chunk);
       for (std::size_t i = 0; i < count; ++i) {
         if (concurrent && defer(chunk[i].addr)) {
-          lanes.back().targets.push_back(chunk[i]);
+          lanes.back().next.push_back(chunk[i]);
         } else {
-          lanes[next_lane].targets.push_back(chunk[i]);
-          next_lane = (next_lane + 1) % shards;
+          lanes[next_lane].next.push_back(chunk[i]);
+          if (++next_lane == shards) next_lane = 0;
         }
       }
       in_window += count;
     }
+    return true;
+  };
+  const auto run = [](Lane& lane) {
+    lane.stats += lane.scanner->run_scheduled(lane.targets, lane.collect);
+  };
+  // Declared after everything its tasks touch, so an exception out of the
+  // walk joins the pool before the lanes go away.
+  std::optional<core::ThreadPool> pool;
+  if (concurrent) pool.emplace(jobs);
+  const auto launch = [&](Lane& lane) {
+    if (lane.targets.empty()) return;
+    if (!pool) {
+      run(lane);
+      return;
+    }
+    pool->submit([&lane, run] {
+      try {
+        run(lane);
+      } catch (...) {
+        lane.error = std::current_exception();
+      }
+    });
+  };
+  // Submission order. The deferred lane goes first: it cannot be split,
+  // so it must not queue behind the shard lanes.
+  const auto in_order = [&lanes](const auto& visit) {
+    visit(lanes.back());
+    for (std::size_t i = 0; i + 1 < lanes.size(); ++i) visit(lanes[i]);
+  };
 
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(lanes.size());
-    const auto add_task = [&tasks](Lane& lane) {
-      if (lane.targets.empty()) return;
-      tasks.push_back([&lane] {
-        lane.stats += lane.scanner->run_scheduled(lane.targets, lane.collect);
-      });
-    };
-    // The deferred lane goes first: it cannot be split, so it must not
-    // queue behind the shard lanes.
-    add_task(lanes.back());
-    for (std::size_t i = 0; i + 1 < lanes.size(); ++i) add_task(lanes[i]);
-    core::run_parallel(jobs, std::move(tasks));
+  for (bool dealt = deal(); dealt;) {
+    for (Lane& lane : lanes) lane.targets.swap(lane.next);
+    in_order(launch);
+    dealt = deal();
+    if (!pool) continue;
+    pool->wait();
+    in_order([](const Lane& lane) {
+      if (lane.error) std::rethrow_exception(lane.error);
+    });
   }
 
   ZMapScanner::Stats stats;

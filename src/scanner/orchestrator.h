@@ -124,8 +124,9 @@ ScanResult run_scan(sim::Internet& internet, sim::OriginId origin,
 // universes: L4 only (no ZGrab wave), results folded into commutative
 // aggregates (counts and an order-independent digest) instead of being
 // stored. Both run through the same lane executor, which consumes the
-// permutation in fixed-size windows, so the sweep's own peak memory is
-// one window regardless of universe size.
+// permutation in fixed-size windows and deals the next window while the
+// lanes probe the current one, so the sweep's own peak memory is two
+// windows regardless of universe size.
 //
 // Determinism: every probe decision is a pure function of its target
 // and global schedule slot, and both are identical for any `jobs`; only

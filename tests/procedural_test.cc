@@ -1,15 +1,19 @@
 // Procedural-world correctness: sweep identity across --jobs and against
-// a serial oracle, the universe.* counters, and the hot path's zero-lock
-// invariant over the procedural branch. The population itself (hosts on
-// both sides of the boundary) is pinned in sim_test.
+// a serial oracle, the universe.* counters, the hot path's zero-lock
+// invariant over the procedural branch, and cancellation of the
+// overlapped lane executor. The population itself (hosts on both sides
+// of the boundary) is pinned in sim_test.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "netbase/ipv4.h"
 #include "netbase/rng.h"
 #include "obsv/metrics.h"
+#include "scanner/cancel.h"
 #include "scanner/orchestrator.h"
 #include "scanner/zmap.h"
 #include "sim/internet.h"
@@ -222,6 +226,51 @@ TEST(ProceduralEquivalence, SweepMatchesSerialRunOracle) {
         oracle)
         << "jobs=" << jobs;
   }
+}
+
+// Sweeps DE/https over a 2^bits procedural world at jobs 4 under `cancel`.
+scan::SweepResult cancellable_sweep(int bits,
+                                    const scan::CancelToken& cancel) {
+  ScenarioConfig config = ScenarioConfig::full_internet(bits);
+  config.seed = 0xCA9CE1ull;
+  const World world =
+      build_world(config, paper_origins(config.universe_size));
+  TrialContext context;
+  context.experiment_seed = config.seed;
+  context.simultaneous_origins = static_cast<int>(world.origins.size());
+  PersistentState persistent;
+  Internet internet(&world, context, &persistent);
+  scan::SweepOptions options;
+  options.jobs = 4;
+  options.cancel = &cancel;
+  return scan::run_l4_sweep(internet, world.origin_id("DE"),
+                            proto::Protocol::kHttps, options);
+}
+
+// A token tripped before the sweep stops it before the first window's
+// walk: nothing is probed and the result is marked aborted.
+TEST(ProceduralCancellation, PreTrippedTokenProbesNothing) {
+  scan::CancelToken cancel;
+  cancel.cancel();
+  const scan::SweepResult result = cancellable_sweep(20, cancel);
+  EXPECT_TRUE(result.aborted);
+  EXPECT_EQ(result.l4_stats.targets_probed, 0u);
+  EXPECT_EQ(result.responsive, 0u);
+}
+
+// A token tripped from another thread while the pool probes one window
+// and the caller walks the next (2^22 targets are 16 windows) winds the
+// sweep down early: it returns, aborted, short of the universe.
+TEST(ProceduralCancellation, MidSweepCancelStopsEarly) {
+  scan::CancelToken cancel;
+  std::thread canceller([&cancel] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    cancel.cancel();
+  });
+  const scan::SweepResult result = cancellable_sweep(22, cancel);
+  canceller.join();
+  EXPECT_TRUE(result.aborted);
+  EXPECT_LT(result.l4_stats.targets_probed, std::uint64_t{1} << 22);
 }
 
 }  // namespace

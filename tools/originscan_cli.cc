@@ -120,8 +120,8 @@ void usage() {
       "  --protocol P   scan/sweep: http|https|ssh (default http)\n"
       "  --trial N      scan/sweep: trial number 1..3 (default 1)\n"
       "  --retries N    scan: L7 retry budget (default 0)\n"
-      "  --jobs N       worker threads for experiment/scan/sweep (default 1;\n"
-      "                 results are bit-identical for any value)\n"
+      "  --jobs N       worker threads for experiment/scan/sweep, 1..64\n"
+      "                 (default 1; results are bit-identical for any value)\n"
       "  --workers N    experiment: distribute the grid over N worker\n"
       "                 processes (default 0 = run in-process). Output is\n"
       "                 byte-identical for any --workers x --jobs combo;\n"
@@ -293,8 +293,8 @@ bool parse_args(int argc, char** argv, Args& args) {
     std::fprintf(stderr, "--trial must be in [1, 3]\n");
     return false;
   }
-  if (args.jobs < 1) {
-    std::fprintf(stderr, "--jobs must be >= 1\n");
+  if (args.jobs < 1 || args.jobs > 64) {
+    std::fprintf(stderr, "--jobs must be in [1, 64]\n");
     return false;
   }
   if (args.workers < 0 || args.workers > 64) {
