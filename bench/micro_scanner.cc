@@ -1,15 +1,18 @@
 // Microbenchmarks for the scanner's hot paths (google-benchmark):
-// address permutation, blocklist lookups, and the batched probe pipeline.
+// address permutation, blocklist lookups, the batched probe pipeline,
+// and the ZGrab L7 exchange.
 #include <benchmark/benchmark.h>
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "netbase/rng.h"
 #include "obsv/metrics.h"
 #include "scanner/blocklist.h"
 #include "scanner/permutation.h"
+#include "scanner/zgrab.h"
 #include "scanner/zmap.h"
 #include "sim/internet.h"
 #include "sim/scenario.h"
@@ -258,5 +261,51 @@ static void BM_HandleProbeBatch(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 256);
 }
 BENCHMARK(BM_HandleProbeBatch);
+
+static void BM_Grab(benchmark::State& state, proto::Protocol protocol) {
+  // One ZGrab handshake (connect, the client's flight, the server's
+  // reply, the client's parse) per item, cycling over a fixed list of
+  // the targets that answered origin 0's SYN probes in a 2^16 paper
+  // world — the grabs run_scan makes after ZMap.
+  static const sim::World world = [] {
+    sim::ScenarioConfig config;
+    config.universe_size = 1u << 16;
+    return sim::build_world(config, sim::paper_origins(config.universe_size));
+  }();
+  sim::PersistentState persistent;
+  sim::TrialContext context;
+  context.experiment_seed = world.seed;
+  sim::Internet internet(&world, context, &persistent);
+
+  scan::ZMapConfig config;
+  config.seed = world.seed;
+  config.universe_size = world.universe_size;
+  config.protocol = protocol;
+  config.source_ips = world.origins[0].source_ips;
+  scan::ZMapScanner scanner(config, &internet, 0);
+  std::vector<scan::ScheduledTarget> schedule;
+  for (std::uint32_t i = 0; i < world.universe_size; ++i) {
+    schedule.push_back({net::Ipv4Addr(i), static_cast<std::uint64_t>(i) * 2});
+  }
+  std::vector<scan::L4Result> targets;
+  scanner.run_scheduled(schedule, [&](const scan::L4Result& r) {
+    if (r.any_synack() && targets.size() < 4096) targets.push_back(r);
+  });
+
+  scan::ZGrabEngine engine({.protocol = protocol}, &internet, 0);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const scan::L4Result& target = targets[next];
+    auto result = engine.grab(
+        target.source_ip, target.addr,
+        target.probe_time + net::VirtualTime::from_millis(5));
+    benchmark::DoNotOptimize(result);
+    if (++next == targets.size()) next = 0;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK_CAPTURE(BM_Grab, http, proto::Protocol::kHttp);
+BENCHMARK_CAPTURE(BM_Grab, https, proto::Protocol::kHttps);
+BENCHMARK_CAPTURE(BM_Grab, ssh, proto::Protocol::kSsh);
 
 BENCHMARK_MAIN();

@@ -6,9 +6,19 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <string_view>
 #include <vector>
 
 namespace originscan::net {
+
+// The same bytes seen as text, and back: the text protocols (HTTP, the
+// SSH identification line) parse what arrives as bytes.
+inline std::string_view as_text(std::span<const std::uint8_t> bytes) {
+  return {reinterpret_cast<const char*>(bytes.data()), bytes.size()};
+}
+inline std::span<const std::uint8_t> as_bytes(std::string_view text) {
+  return {reinterpret_cast<const std::uint8_t*>(text.data()), text.size()};
+}
 
 // Appends network-byte-order fields to a growable byte vector.
 class ByteWriter {
@@ -31,6 +41,7 @@ class ByteWriter {
   void bytes(std::span<const std::uint8_t> data) {
     out_.insert(out_.end(), data.begin(), data.end());
   }
+  void text(std::string_view data) { bytes(as_bytes(data)); }
 
   [[nodiscard]] std::size_t size() const { return out_.size(); }
 
@@ -39,6 +50,14 @@ class ByteWriter {
   void patch_u16(std::size_t offset, std::uint16_t v) {
     out_[offset] = static_cast<std::uint8_t>(v >> 8);
     out_[offset + 1] = static_cast<std::uint8_t>(v);
+  }
+  void patch_u24(std::size_t offset, std::uint32_t v) {
+    out_[offset] = static_cast<std::uint8_t>(v >> 16);
+    patch_u16(offset + 1, static_cast<std::uint16_t>(v));
+  }
+  void patch_u32(std::size_t offset, std::uint32_t v) {
+    patch_u16(offset, static_cast<std::uint16_t>(v >> 16));
+    patch_u16(offset + 2, static_cast<std::uint16_t>(v));
   }
 
  private:

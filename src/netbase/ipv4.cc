@@ -35,14 +35,17 @@ std::optional<Ipv4Addr> Ipv4Addr::parse(std::string_view text) {
   return Ipv4Addr(value);
 }
 
-std::string Ipv4Addr::to_string() const {
-  std::string out;
-  out.reserve(15);
+char* Ipv4Addr::write_to(char* out) const {
   for (int shift = 24; shift >= 0; shift -= 8) {
-    if (shift != 24) out.push_back('.');
-    out += std::to_string((value_ >> shift) & 0xFF);
+    if (shift != 24) *out++ = '.';
+    out = std::to_chars(out, out + 3, (value_ >> shift) & 0xFF).ptr;
   }
   return out;
+}
+
+std::string Ipv4Addr::to_string() const {
+  char text[kMaxTextLength];
+  return {text, write_to(text)};
 }
 
 std::optional<Prefix> Prefix::parse(std::string_view text) {

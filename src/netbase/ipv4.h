@@ -5,6 +5,7 @@
 // copyable value types with total ordering so they can be used as keys.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -28,7 +29,12 @@ class Ipv4Addr {
   // (missing octets, out-of-range octet, trailing garbage).
   static std::optional<Ipv4Addr> parse(std::string_view text);
 
+  // Dotted quad, at most kMaxTextLength characters.
+  static constexpr std::size_t kMaxTextLength = 15;
   [[nodiscard]] std::string to_string() const;
+  // Writes the dotted quad at `out` (room for kMaxTextLength chars, no
+  // terminator) and returns the end: to_string without the heap.
+  char* write_to(char* out) const;
 
   // The /24 network containing this address (its "network unit" in the
   // paper's aggregation methodology).

@@ -1,13 +1,18 @@
 #include "proto/http.h"
 
-#include <algorithm>
-#include <cctype>
+#include <array>
 #include <charconv>
+#include <utility>
+
+#include "netbase/byteio.h"
 
 namespace originscan::proto {
 namespace {
 
 constexpr std::string_view kCrlf = "\r\n";
+constexpr std::string_view kBodyOpen = "<html><head><title>";
+constexpr std::string_view kBodyMiddle = "</title></head><body>";
+constexpr std::string_view kBodyClose = "</body></html>";
 
 // Splits off the next CRLF-terminated line; returns nullopt when no CRLF
 // remains.
@@ -29,42 +34,76 @@ std::string_view trim(std::string_view s) {
   return s;
 }
 
-std::string lower(std::string_view s) {
-  std::string out(s);
-  std::transform(out.begin(), out.end(), out.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-  return out;
+char ascii_lower(char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
 }
 
+bool iequals(std::string_view a, std::string_view b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (ascii_lower(a[i]) != ascii_lower(b[i])) return false;
+  }
+  return true;
+}
+
+// The header lines of one message, as (name, value) views with the
+// surrounding blanks trimmed.
+struct HttpHeaders {
+  std::array<std::pair<std::string_view, std::string_view>, kMaxHttpHeaders>
+      lines;
+  std::size_t size = 0;
+
+  // The value of the last header named `name`, or nullopt.
+  [[nodiscard]] std::optional<std::string_view> find(
+      std::string_view name) const {
+    for (std::size_t i = size; i-- > 0;) {
+      if (iequals(lines[i].first, name)) return lines[i].second;
+    }
+    return std::nullopt;
+  }
+};
+
 // Parses "Name: value" header lines until the blank line; returns false
-// on malformed input.
-bool parse_headers(std::string_view& text,
-                   std::map<std::string, std::string>& headers) {
+// on malformed input or more lines than the table holds.
+bool parse_headers(std::string_view& text, HttpHeaders& headers) {
   for (;;) {
     auto line = next_line(text);
     if (!line) return false;
     if (line->empty()) return true;  // end of headers
     const auto colon = line->find(':');
     if (colon == std::string_view::npos) return false;
-    headers[lower(trim(line->substr(0, colon)))] =
-        std::string(trim(line->substr(colon + 1)));
+    if (headers.size == kMaxHttpHeaders) return false;
+    headers.lines[headers.size++] = {trim(line->substr(0, colon)),
+                                     trim(line->substr(colon + 1))};
   }
+}
+
+void write_number(net::ByteWriter& w, std::size_t value) {
+  char digits[20];
+  const auto end = std::to_chars(digits, digits + sizeof(digits), value).ptr;
+  w.text(std::string_view(digits, static_cast<std::size_t>(end - digits)));
+}
+
+void write_header(net::ByteWriter& w, std::string_view name,
+                  std::string_view value) {
+  w.text(name);
+  w.text(": ");
+  w.text(value);
+  w.text(kCrlf);
 }
 
 }  // namespace
 
-std::string HttpRequest::serialize() const {
-  std::string out;
-  out.reserve(128);
-  out += method;
-  out += ' ';
-  out += target;
-  out += " HTTP/1.1\r\nHost: ";
-  out += host.empty() ? "-" : host;
-  out += "\r\nUser-Agent: ";
-  out += user_agent;
-  out += "\r\nAccept: */*\r\nConnection: close\r\n\r\n";
-  return out;
+void HttpRequest::write(std::vector<std::uint8_t>& out) const {
+  net::ByteWriter w(out);
+  w.text(method);
+  w.text(" ");
+  w.text(target);
+  w.text(" HTTP/1.1\r\nHost: ");
+  w.text(host.empty() ? "-" : host);
+  w.text("\r\nUser-Agent: ");
+  w.text(user_agent);
+  w.text("\r\nAccept: */*\r\nConnection: close\r\n\r\n");
 }
 
 std::optional<HttpRequest> HttpRequest::parse(std::string_view text) {
@@ -76,50 +115,38 @@ std::optional<HttpRequest> HttpRequest::parse(std::string_view text) {
     return std::nullopt;
   }
   HttpRequest request;
-  request.method = std::string(line->substr(0, first_space));
-  request.target = std::string(
-      line->substr(first_space + 1, second_space - first_space - 1));
+  request.method = line->substr(0, first_space);
+  request.target =
+      line->substr(first_space + 1, second_space - first_space - 1);
   if (line->substr(second_space + 1) != "HTTP/1.1" &&
       line->substr(second_space + 1) != "HTTP/1.0") {
     return std::nullopt;
   }
-  std::map<std::string, std::string> headers;
+  HttpHeaders headers;
   if (!parse_headers(text, headers)) return std::nullopt;
-  if (auto it = headers.find("host"); it != headers.end()) {
-    request.host = it->second;
-  }
-  if (auto it = headers.find("user-agent"); it != headers.end()) {
-    request.user_agent = it->second;
-  }
+  request.host = headers.find("host").value_or("");
+  if (auto agent = headers.find("user-agent")) request.user_agent = *agent;
   return request;
 }
 
-std::string HttpResponse::serialize() const {
-  std::string body = "<html><head><title>" + title +
-                     "</title></head><body>" + title + "</body></html>";
-  std::string out;
-  out.reserve(256 + body.size());
-  out += "HTTP/1.1 ";
-  out += std::to_string(status_code);
-  out += ' ';
-  out += reason;
-  out += kCrlf;
-  if (!server.empty()) {
-    out += "Server: ";
-    out += server;
-    out += kCrlf;
-  }
-  for (const auto& [name, value] : extra_headers) {
-    out += name;
-    out += ": ";
-    out += value;
-    out += kCrlf;
-  }
-  out += "Content-Type: text/html\r\nContent-Length: ";
-  out += std::to_string(body.size());
-  out += "\r\nConnection: close\r\n\r\n";
-  out += body;
-  return out;
+void HttpResponse::write(std::vector<std::uint8_t>& out) const {
+  net::ByteWriter w(out);
+  w.text("HTTP/1.1 ");
+  write_number(w, static_cast<std::size_t>(status_code));
+  w.text(" ");
+  w.text(reason);
+  w.text(kCrlf);
+  if (!server.empty()) write_header(w, "Server", server);
+  if (!location.empty()) write_header(w, "location", location);
+  w.text("Content-Type: text/html\r\nContent-Length: ");
+  write_number(w, kBodyOpen.size() + kBodyMiddle.size() + kBodyClose.size() +
+                      2 * title.size());
+  w.text("\r\nConnection: close\r\n\r\n");
+  w.text(kBodyOpen);
+  w.text(title);
+  w.text(kBodyMiddle);
+  w.text(title);
+  w.text(kBodyClose);
 }
 
 std::optional<HttpResponse> HttpResponse::parse(std::string_view text) {
@@ -136,42 +163,35 @@ std::optional<HttpResponse> HttpResponse::parse(std::string_view text) {
   HttpResponse response;
   response.status_code = status;
   const auto reason_start = rest.find(' ');
-  if (reason_start != std::string_view::npos) {
-    response.reason = std::string(rest.substr(reason_start + 1));
-  }
-  std::map<std::string, std::string> headers;
+  response.reason = reason_start == std::string_view::npos
+                        ? std::string_view("OK")
+                        : rest.substr(reason_start + 1);
+  HttpHeaders headers;
   if (!parse_headers(text, headers)) return std::nullopt;
-  if (auto it = headers.find("server"); it != headers.end()) {
-    response.server = it->second;
-  }
+  response.server = headers.find("server").value_or("");
+  response.location = headers.find("location").value_or("");
   // Body framing: trust Content-Length when present, else take the rest.
   std::string_view body = text;
-  if (auto it = headers.find("content-length"); it != headers.end()) {
+  if (auto field = headers.find("content-length")) {
     std::size_t length = 0;
-    auto [p, e] = std::from_chars(it->second.data(),
-                                  it->second.data() + it->second.size(), length);
-    if (e == std::errc{} && p == it->second.data() + it->second.size() &&
+    auto [p, e] =
+        std::from_chars(field->data(), field->data() + field->size(), length);
+    if (e == std::errc{} && p == field->data() + field->size() &&
         length <= body.size()) {
       body = body.substr(0, length);
     }
   }
   response.title = extract_title(body);
-  for (auto& [name, value] : headers) {
-    if (name != "server" && name != "content-length" &&
-        name != "content-type" && name != "connection") {
-      response.extra_headers.emplace(name, std::move(value));
-    }
-  }
   return response;
 }
 
-std::string extract_title(std::string_view html) {
+std::string_view extract_title(std::string_view html) {
   const auto open = html.find("<title>");
   if (open == std::string_view::npos) return {};
   const auto start = open + 7;
   const auto close = html.find("</title>", start);
   if (close == std::string_view::npos) return {};
-  return std::string(html.substr(start, close - start));
+  return html.substr(start, close - start);
 }
 
 }  // namespace originscan::proto

@@ -11,14 +11,17 @@ namespace originscan::proto {
 using net::ByteReader;
 using net::ByteWriter;
 
-std::string SshIdentification::serialize() const {
-  std::string out = "SSH-" + protocol_version + "-" + software_version;
+void SshIdentification::write(std::vector<std::uint8_t>& out) const {
+  ByteWriter w(out);
+  w.text("SSH-");
+  w.text(protocol_version);
+  w.text("-");
+  w.text(software_version);
   if (!comment.empty()) {
-    out += ' ';
-    out += comment;
+    w.text(" ");
+    w.text(comment);
   }
-  out += "\r\n";
-  return out;
+  w.text("\r\n");
 }
 
 std::optional<SshIdentification> SshIdentification::parse(
@@ -35,17 +38,17 @@ std::optional<SshIdentification> SshIdentification::parse(
   if (dash == std::string_view::npos) return std::nullopt;
 
   SshIdentification id;
-  id.protocol_version = std::string(line.substr(0, dash));
+  id.protocol_version = line.substr(0, dash);
   if (id.protocol_version != "2.0" && id.protocol_version != "1.99") {
     return std::nullopt;
   }
   auto rest = line.substr(dash + 1);
   const auto space = rest.find(' ');
   if (space == std::string_view::npos) {
-    id.software_version = std::string(rest);
+    id.software_version = rest;
   } else {
-    id.software_version = std::string(rest.substr(0, space));
-    id.comment = std::string(rest.substr(space + 1));
+    id.software_version = rest.substr(0, space);
+    id.comment = rest.substr(space + 1);
   }
   if (id.software_version.empty()) return std::nullopt;
   return id;
@@ -86,24 +89,28 @@ std::string MaxStartups::to_string() const {
          std::to_string(full);
 }
 
-std::vector<std::uint8_t> SshPacket::serialize(
-    std::uint64_t padding_seed) const {
+std::size_t begin_ssh_packet(std::vector<std::uint8_t>& out) {
+  const std::size_t start = out.size();
+  ByteWriter w(out);
+  w.u32(0);  // packet_length
+  w.u8(0);   // padding_length
+  return start;
+}
+
+void end_ssh_packet(std::vector<std::uint8_t>& out, std::size_t start,
+                    std::uint64_t padding_seed) {
   // packet_length(4) + padding_length(1) + payload + padding; total must
   // be a multiple of 8 and padding >= 4.
-  std::size_t padding = 8 - ((payload.size() + 5) % 8);
+  const std::size_t payload = out.size() - start - 5;
+  std::size_t padding = 8 - ((payload + 5) % 8);
   if (padding < 4) padding += 8;
-
-  std::vector<std::uint8_t> out;
-  out.reserve(5 + payload.size() + padding);
   ByteWriter w(out);
-  w.u32(static_cast<std::uint32_t>(1 + payload.size() + padding));
-  w.u8(static_cast<std::uint8_t>(padding));
-  w.bytes(payload);
   std::uint64_t state = padding_seed;
   for (std::size_t i = 0; i < padding; ++i) {
     w.u8(static_cast<std::uint8_t>(net::splitmix64(state)));
   }
-  return out;
+  w.patch_u32(start, static_cast<std::uint32_t>(1 + payload + padding));
+  out[start + 4] = static_cast<std::uint8_t>(padding);
 }
 
 std::optional<SshPacket> SshPacket::parse(std::span<const std::uint8_t> data) {
@@ -116,46 +123,26 @@ std::optional<SshPacket> SshPacket::parse(std::span<const std::uint8_t> data) {
   r.skip(padding_length);
   if (!r.ok() || r.remaining() != 0) return std::nullopt;
   if ((4 + packet_length) % 8 != 0) return std::nullopt;
-  SshPacket packet;
-  packet.payload.assign(payload.begin(), payload.end());
-  return packet;
+  return SshPacket{payload};
 }
 
 namespace {
 
-void write_name_list(ByteWriter& w, const std::vector<std::string>& names) {
-  std::string joined;
-  for (const auto& name : names) {
-    if (!joined.empty()) joined += ',';
-    joined += name;
-  }
-  w.u32(static_cast<std::uint32_t>(joined.size()));
-  w.bytes(std::span(reinterpret_cast<const std::uint8_t*>(joined.data()),
-                    joined.size()));
+void write_name_list(ByteWriter& w, std::string_view names) {
+  w.u32(static_cast<std::uint32_t>(names.size()));
+  w.text(names);
 }
 
-std::optional<std::vector<std::string>> read_name_list(ByteReader& r) {
+std::optional<std::string_view> read_name_list(ByteReader& r) {
   const std::uint32_t length = r.u32();
   auto raw = r.bytes(length);
   if (!r.ok()) return std::nullopt;
-  std::vector<std::string> out;
-  std::string current;
-  for (std::uint8_t byte : raw) {
-    if (byte == ',') {
-      out.push_back(std::move(current));
-      current.clear();
-    } else {
-      current.push_back(static_cast<char>(byte));
-    }
-  }
-  if (!current.empty() || !raw.empty()) out.push_back(std::move(current));
-  return out;
+  return net::as_text(raw);
 }
 
 }  // namespace
 
-std::vector<std::uint8_t> SshKexInit::serialize() const {
-  std::vector<std::uint8_t> out;
+void SshKexInit::write(std::vector<std::uint8_t>& out) const {
   ByteWriter w(out);
   w.u8(kMessageNumber);
   w.bytes(cookie);
@@ -166,7 +153,6 @@ std::vector<std::uint8_t> SshKexInit::serialize() const {
   for (int i = 0; i < 6; ++i) w.u32(0);
   w.u8(0);   // first_kex_packet_follows
   w.u32(0);  // reserved
-  return out;
 }
 
 std::optional<SshKexInit> SshKexInit::parse(
@@ -180,8 +166,8 @@ std::optional<SshKexInit> SshKexInit::parse(
   auto kex_algorithms = read_name_list(r);
   auto host_keys = read_name_list(r);
   if (!kex_algorithms || !host_keys) return std::nullopt;
-  kex.kex_algorithms = std::move(*kex_algorithms);
-  kex.host_key_algorithms = std::move(*host_keys);
+  kex.kex_algorithms = *kex_algorithms;
+  kex.host_key_algorithms = *host_keys;
   for (int i = 0; i < 6; ++i) {
     if (!read_name_list(r)) return std::nullopt;
   }
@@ -189,15 +175,6 @@ std::optional<SshKexInit> SshKexInit::parse(
   r.skip(4);
   if (!r.ok()) return std::nullopt;
   return kex;
-}
-
-std::vector<std::string> default_kex_algorithms() {
-  return {"curve25519-sha256", "ecdh-sha2-nistp256",
-          "diffie-hellman-group14-sha256"};
-}
-
-std::vector<std::string> default_host_key_algorithms() {
-  return {"ssh-ed25519", "rsa-sha2-512", "rsa-sha2-256"};
 }
 
 }  // namespace originscan::proto

@@ -1,12 +1,16 @@
 // SSH-2 transport-layer codec for the pieces a ZGrab SSH banner grab
 // touches: the identification string exchange (RFC 4253 §4.2) — the study
-// terminates after this — plus KEXINIT build/parse so the library can also
+// terminates after this — plus KEXINIT write/parse so the library can also
 // model clients that go one message further. Also models the
 // "ssh_exchange_identification: Connection closed by remote host" refusal
 // that OpenSSH's MaxStartups produces (Section 6 of the paper).
+//
+// Writers append to a caller-owned buffer. Parsers return views into the
+// bytes they were given, valid only as long as those bytes are.
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -17,12 +21,12 @@
 namespace originscan::proto {
 
 struct SshIdentification {
-  std::string protocol_version = "2.0";
-  std::string software_version = "OpenSSH_7.4";
-  std::string comment;  // optional trailing comment
+  std::string_view protocol_version = "2.0";
+  std::string_view software_version = "OpenSSH_7.4";
+  std::string_view comment;  // optional trailing comment
 
-  // "SSH-2.0-OpenSSH_7.4[ comment]\r\n"
-  [[nodiscard]] std::string serialize() const;
+  // Appends "SSH-2.0-OpenSSH_7.4[ comment]\r\n".
+  void write(std::vector<std::uint8_t>& out) const;
   static std::optional<SshIdentification> parse(std::string_view line);
 };
 
@@ -44,26 +48,36 @@ struct MaxStartups {
 
 // SSH binary packet framing (RFC 4253 §6, unencrypted): carries KEXINIT.
 struct SshPacket {
-  std::vector<std::uint8_t> payload;
+  std::span<const std::uint8_t> payload;
 
-  [[nodiscard]] std::vector<std::uint8_t> serialize(
-      std::uint64_t padding_seed) const;
   static std::optional<SshPacket> parse(std::span<const std::uint8_t> data);
 };
+
+// Packet framing written in place: begin_ssh_packet appends the length
+// and padding-length fields as zeros and returns where they start; once
+// the caller has appended the payload, end_ssh_packet appends padding
+// (at least 4 bytes, drawn from `padding_seed`, rounding the packet to a
+// multiple of 8) and back-patches both fields.
+std::size_t begin_ssh_packet(std::vector<std::uint8_t>& out);
+void end_ssh_packet(std::vector<std::uint8_t>& out, std::size_t start,
+                    std::uint64_t padding_seed);
+
+// Default algorithm name-lists resembling OpenSSH 7.x.
+inline constexpr std::string_view kDefaultKexAlgorithms =
+    "curve25519-sha256,ecdh-sha2-nistp256,diffie-hellman-group14-sha256";
+inline constexpr std::string_view kDefaultHostKeyAlgorithms =
+    "ssh-ed25519,rsa-sha2-512,rsa-sha2-256";
 
 struct SshKexInit {
   static constexpr std::uint8_t kMessageNumber = 20;
 
   std::array<std::uint8_t, 16> cookie{};
-  std::vector<std::string> kex_algorithms;
-  std::vector<std::string> host_key_algorithms;
+  // Comma-separated name-lists, as on the wire.
+  std::string_view kex_algorithms = kDefaultKexAlgorithms;
+  std::string_view host_key_algorithms = kDefaultHostKeyAlgorithms;
 
-  [[nodiscard]] std::vector<std::uint8_t> serialize() const;  // packet payload
+  void write(std::vector<std::uint8_t>& out) const;  // packet payload
   static std::optional<SshKexInit> parse(std::span<const std::uint8_t> payload);
 };
-
-// Default algorithm lists resembling OpenSSH 7.x.
-std::vector<std::string> default_kex_algorithms();
-std::vector<std::string> default_host_key_algorithms();
 
 }  // namespace originscan::proto

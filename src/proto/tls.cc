@@ -1,5 +1,6 @@
 #include "proto/tls.h"
 
+#include <algorithm>
 #include <array>
 
 #include "netbase/byteio.h"
@@ -23,15 +24,12 @@ std::span<const std::uint16_t> chrome_cipher_suites() {
   return kSuites;
 }
 
-std::vector<std::uint8_t> TlsRecord::serialize() const {
-  std::vector<std::uint8_t> out;
-  out.reserve(5 + fragment.size());
+void TlsRecord::write(std::vector<std::uint8_t>& out) const {
   ByteWriter w(out);
   w.u8(static_cast<std::uint8_t>(content_type));
   w.u16(version);
   w.u16(static_cast<std::uint16_t>(fragment.size()));
   w.bytes(fragment);
-  return out;
 }
 
 std::optional<TlsRecord> TlsRecord::parse(std::span<const std::uint8_t> data,
@@ -47,17 +45,40 @@ std::optional<TlsRecord> TlsRecord::parse(std::span<const std::uint8_t> data,
   record.content_type = static_cast<TlsContentType>(type);
   record.version = r.u16();
   const std::uint16_t length = r.u16();
-  auto fragment = r.bytes(length);
+  record.fragment = r.bytes(length);
   if (!r.ok()) return std::nullopt;
-  record.fragment.assign(fragment.begin(), fragment.end());
   consumed = 5 + static_cast<std::size_t>(length);
   return record;
 }
 
-std::vector<std::uint8_t> ClientHello::serialize() const {
-  std::vector<std::uint8_t> out;
+// Record header (type, version, length) then handshake header (type,
+// 24-bit length); both lengths are patched by end_handshake.
+std::size_t begin_handshake(std::vector<std::uint8_t>& out,
+                            TlsHandshakeType type) {
+  const std::size_t start = out.size();
   ByteWriter w(out);
-  w.u16(version);
+  w.u8(static_cast<std::uint8_t>(TlsContentType::kHandshake));
+  w.u16(0x0303);
+  w.u16(0);
+  w.u8(static_cast<std::uint8_t>(type));
+  w.u8(0);
+  w.u16(0);
+  return start;
+}
+
+void end_handshake(std::vector<std::uint8_t>& out, std::size_t start) {
+  const std::size_t fragment = out.size() - start - 5;
+  ByteWriter w(out);
+  w.patch_u16(start + 3, static_cast<std::uint16_t>(fragment));
+  w.patch_u24(start + 6, static_cast<std::uint32_t>(fragment - 4));
+}
+
+void write_client_hello(std::vector<std::uint8_t>& out,
+                        std::span<const std::uint16_t> cipher_suites,
+                        std::string_view server_name,
+                        const std::array<std::uint8_t, 32>& random) {
+  ByteWriter w(out);
+  w.u16(0x0303);
   w.bytes(random);
   w.u8(0);  // session id length
   w.u16(static_cast<std::uint16_t>(cipher_suites.size() * 2));
@@ -67,20 +88,18 @@ std::vector<std::uint8_t> ClientHello::serialize() const {
   // Extensions: only SNI when requested.
   if (server_name.empty()) {
     w.u16(0);
-  } else {
-    const auto name_length = static_cast<std::uint16_t>(server_name.size());
-    const std::uint16_t sni_list = name_length + 3;
-    const std::uint16_t sni_ext = sni_list + 2;
-    w.u16(sni_ext + 4);  // total extensions length
-    w.u16(0);            // extension type: server_name
-    w.u16(sni_ext);
-    w.u16(sni_list);
-    w.u8(0);  // name type: host_name
-    w.u16(name_length);
-    w.bytes(std::span(reinterpret_cast<const std::uint8_t*>(server_name.data()),
-                      server_name.size()));
+    return;
   }
-  return out;
+  const auto name_length = static_cast<std::uint16_t>(server_name.size());
+  const std::uint16_t sni_list = name_length + 3;
+  const std::uint16_t sni_ext = sni_list + 2;
+  w.u16(sni_ext + 4);  // total extensions length
+  w.u16(0);            // extension type: server_name
+  w.u16(sni_ext);
+  w.u16(sni_list);
+  w.u8(0);  // name type: host_name
+  w.u16(name_length);
+  w.text(server_name);
 }
 
 std::optional<ClientHello> ClientHello::parse(
@@ -93,9 +112,7 @@ std::optional<ClientHello> ClientHello::parse(
   r.skip(session_id_length);
   const std::uint16_t suites_length = r.u16();
   if (suites_length % 2 != 0) return std::nullopt;
-  for (int i = 0; i < suites_length / 2; ++i) {
-    hello.cipher_suites.push_back(r.u16());
-  }
+  hello.cipher_suites = r.bytes(suites_length);
   const std::uint8_t compression_length = r.u8();
   r.skip(compression_length);
   if (!r.ok()) return std::nullopt;
@@ -115,25 +132,21 @@ std::optional<ClientHello> ClientHello::parse(
         sni.skip(1);  // name type
         const std::uint16_t name_length = sni.u16();
         auto name = sni.bytes(name_length);
-        if (sni.ok()) {
-          hello.server_name.assign(name.begin(), name.end());
-        }
+        if (sni.ok()) hello.server_name = net::as_text(name);
       }
     }
   }
   return hello;
 }
 
-std::vector<std::uint8_t> ServerHello::serialize() const {
-  std::vector<std::uint8_t> out;
+void ServerHello::write(std::vector<std::uint8_t>& out) const {
   ByteWriter w(out);
   w.u16(version);
   w.bytes(random);
   w.u8(0);  // session id length
   w.u16(cipher_suite);
-  w.u8(0);  // null compression
-  w.u16(0); // no extensions
-  return out;
+  w.u8(0);   // null compression
+  w.u16(0);  // no extensions
 }
 
 std::optional<ServerHello> ServerHello::parse(
@@ -151,8 +164,8 @@ std::optional<ServerHello> ServerHello::parse(
   return hello;
 }
 
-std::vector<std::uint8_t> Certificate::serialize() const {
-  std::vector<std::uint8_t> out;
+void write_certificate(std::vector<std::uint8_t>& out,
+                       std::span<const std::span<const std::uint8_t>> chain) {
   ByteWriter w(out);
   std::size_t total = 0;
   for (const auto& der : chain) total += 3 + der.size();
@@ -164,7 +177,6 @@ std::vector<std::uint8_t> Certificate::serialize() const {
     w.u16(static_cast<std::uint16_t>(der.size()));
     w.bytes(der);
   }
-  return out;
 }
 
 std::optional<Certificate> Certificate::parse(
@@ -179,16 +191,19 @@ std::optional<Certificate> Certificate::parse(
     der_length |= r.u16();
     auto der = r.bytes(der_length);
     if (!r.ok()) return std::nullopt;
-    cert.chain.emplace_back(der.begin(), der.end());
+    if (cert.count++ == 0) cert.leaf = der;
     remaining -= 3 + der_length;
   }
   if (!r.ok() || remaining != 0) return std::nullopt;
   return cert;
 }
 
-std::vector<std::uint8_t> TlsAlert::serialize() const {
-  return {static_cast<std::uint8_t>(fatal ? 2 : 1),
-          static_cast<std::uint8_t>(description)};
+void TlsAlert::write_record(std::vector<std::uint8_t>& out) const {
+  const std::array<std::uint8_t, 2> body = {
+      static_cast<std::uint8_t>(fatal ? 2 : 1),
+      static_cast<std::uint8_t>(description)};
+  TlsRecord{.content_type = TlsContentType::kAlert, .fragment = body}.write(
+      out);
 }
 
 std::optional<TlsAlert> TlsAlert::parse(std::span<const std::uint8_t> body) {
@@ -200,34 +215,31 @@ std::optional<TlsAlert> TlsAlert::parse(std::span<const std::uint8_t> body) {
   return alert;
 }
 
-std::vector<std::uint8_t> wrap_handshake(TlsHandshakeType type,
-                                         std::span<const std::uint8_t> body) {
-  TlsRecord record;
-  record.content_type = TlsContentType::kHandshake;
-  ByteWriter w(record.fragment);
-  w.u8(static_cast<std::uint8_t>(type));
-  w.u8(static_cast<std::uint8_t>(body.size() >> 16));
-  w.u16(static_cast<std::uint16_t>(body.size()));
-  w.bytes(body);
-  return record.serialize();
-}
-
-std::optional<std::vector<HandshakeMessage>> split_handshakes(
-    std::span<const std::uint8_t> fragment) {
-  std::vector<HandshakeMessage> out;
+HandshakeWalker::HandshakeWalker(std::span<const std::uint8_t> fragment)
+    : rest_(fragment) {
+  // Check the whole fragment's framing up front, so a broken fragment
+  // yields nothing rather than the messages before the break.
   ByteReader r(fragment);
   while (r.ok() && r.remaining() >= 4) {
-    HandshakeMessage msg;
-    msg.type = static_cast<TlsHandshakeType>(r.u8());
+    r.skip(1);
     std::uint32_t length = std::uint32_t{r.u8()} << 16;
     length |= r.u16();
-    auto body = r.bytes(length);
-    if (!r.ok()) return std::nullopt;
-    msg.body.assign(body.begin(), body.end());
-    out.push_back(std::move(msg));
+    r.skip(length);
   }
-  if (!r.ok() || r.remaining() != 0) return std::nullopt;
-  return out;
+  ok_ = r.ok() && r.remaining() == 0;
+  if (!ok_) rest_ = {};
+}
+
+std::optional<HandshakeMessage> HandshakeWalker::next() {
+  if (rest_.empty()) return std::nullopt;
+  ByteReader r(rest_);
+  HandshakeMessage message;
+  message.type = static_cast<TlsHandshakeType>(r.u8());
+  std::uint32_t length = std::uint32_t{r.u8()} << 16;
+  length |= r.u16();
+  message.body = r.bytes(length);
+  rest_ = rest_.subspan(r.position());
+  return message;
 }
 
 }  // namespace originscan::proto

@@ -4,13 +4,18 @@
 // Alert. Record framing and handshake framing follow RFC 5246; key
 // exchange and encryption are intentionally out of scope because the
 // study terminates the handshake once the server's flight arrives.
+//
+// Writers append to a caller-owned buffer. Parsers return views (spans,
+// string_views) into the bytes they were given, so a parsed message is
+// valid only as long as those bytes are.
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <string>
+#include <string_view>
 #include <vector>
 
 namespace originscan::proto {
@@ -42,60 +47,107 @@ std::span<const std::uint16_t> chrome_cipher_suites();
 struct TlsRecord {
   TlsContentType content_type = TlsContentType::kHandshake;
   std::uint16_t version = 0x0303;  // TLS 1.2
-  std::vector<std::uint8_t> fragment;
+  std::span<const std::uint8_t> fragment;
 
-  [[nodiscard]] std::vector<std::uint8_t> serialize() const;
+  void write(std::vector<std::uint8_t>& out) const;
   // Parses one record from the front of `data`; advances `consumed`.
   static std::optional<TlsRecord> parse(std::span<const std::uint8_t> data,
                                         std::size_t& consumed);
 };
 
+// Handshake record framing written in place: begin_handshake appends the
+// record and handshake headers with zero lengths and returns where they
+// start; once the caller has appended the body, end_handshake
+// back-patches both lengths. wrap_handshake does both around a writer.
+std::size_t begin_handshake(std::vector<std::uint8_t>& out,
+                            TlsHandshakeType type);
+void end_handshake(std::vector<std::uint8_t>& out, std::size_t start);
+
+template <typename WriteBody>
+void wrap_handshake(std::vector<std::uint8_t>& out, TlsHandshakeType type,
+                    WriteBody&& write_body) {
+  const std::size_t start = begin_handshake(out, type);
+  write_body(out);
+  end_handshake(out, start);
+}
+
 struct ClientHello {
   std::uint16_t version = 0x0303;
   std::array<std::uint8_t, 32> random{};
-  std::vector<std::uint16_t> cipher_suites;
-  std::string server_name;  // SNI extension; empty = omitted
+  // The offered suites as on the wire: two big-endian bytes each.
+  std::span<const std::uint8_t> cipher_suites;
+  std::string_view server_name;  // SNI extension; empty = omitted
 
-  [[nodiscard]] std::vector<std::uint8_t> serialize() const;  // handshake body
+  [[nodiscard]] std::size_t suite_count() const {
+    return cipher_suites.size() / 2;
+  }
+  [[nodiscard]] std::uint16_t suite(std::size_t i) const {
+    return static_cast<std::uint16_t>(cipher_suites[2 * i] << 8 |
+                                      cipher_suites[2 * i + 1]);
+  }
+
   static std::optional<ClientHello> parse(std::span<const std::uint8_t> body);
 };
+
+// Appends a ClientHello body offering `cipher_suites`, with an SNI
+// extension when `server_name` is non-empty.
+void write_client_hello(std::vector<std::uint8_t>& out,
+                        std::span<const std::uint16_t> cipher_suites,
+                        std::string_view server_name = {},
+                        const std::array<std::uint8_t, 32>& random = {});
 
 struct ServerHello {
   std::uint16_t version = 0x0303;
   std::array<std::uint8_t, 32> random{};
   std::uint16_t cipher_suite = 0;
 
-  [[nodiscard]] std::vector<std::uint8_t> serialize() const;
+  void write(std::vector<std::uint8_t>& out) const;  // handshake body
   static std::optional<ServerHello> parse(std::span<const std::uint8_t> body);
 };
 
+// A Certificate body's chain, checked for framing: the leaf (first DER
+// blob, empty for an empty chain) and the number of blobs. The
+// simulation carries opaque synthetic DER.
 struct Certificate {
-  // DER blobs, leaf first. The simulation carries opaque synthetic DER.
-  std::vector<std::vector<std::uint8_t>> chain;
+  std::span<const std::uint8_t> leaf;
+  std::size_t count = 0;
 
-  [[nodiscard]] std::vector<std::uint8_t> serialize() const;
   static std::optional<Certificate> parse(std::span<const std::uint8_t> body);
 };
+
+// Appends a Certificate body carrying `chain` (DER blobs, leaf first).
+void write_certificate(std::vector<std::uint8_t>& out,
+                       std::span<const std::span<const std::uint8_t>> chain);
 
 struct TlsAlert {
   bool fatal = true;
   TlsAlertDescription description = TlsAlertDescription::kHandshakeFailure;
 
-  [[nodiscard]] std::vector<std::uint8_t> serialize() const;  // 2-byte body
+  // Appends the whole alert record (header and 2-byte body).
+  void write_record(std::vector<std::uint8_t>& out) const;
   static std::optional<TlsAlert> parse(std::span<const std::uint8_t> body);
 };
 
-// Wraps a handshake message body in handshake framing + a TLS record.
-std::vector<std::uint8_t> wrap_handshake(TlsHandshakeType type,
-                                         std::span<const std::uint8_t> body);
-
 struct HandshakeMessage {
   TlsHandshakeType type{};
-  std::vector<std::uint8_t> body;
+  std::span<const std::uint8_t> body;
 };
 
-// Splits a record fragment into the handshake messages it contains.
-std::optional<std::vector<HandshakeMessage>> split_handshakes(
-    std::span<const std::uint8_t> fragment);
+// Walks the handshake messages of one record fragment in place. A
+// fragment whose framing is broken (a body running past the end, or
+// trailing bytes too short for a header) yields no message at all and
+// reports !ok().
+class HandshakeWalker {
+ public:
+  explicit HandshakeWalker(std::span<const std::uint8_t> fragment);
+
+  [[nodiscard]] bool ok() const { return ok_; }
+  // The next message, or nullopt once the fragment is exhausted.
+  std::optional<HandshakeMessage> next();
+
+ private:
+  std::span<const std::uint8_t> rest_;
+  bool ok_ = true;
+};
 
 }  // namespace originscan::proto

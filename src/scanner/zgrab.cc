@@ -1,7 +1,9 @@
 #include "scanner/zgrab.h"
 
 #include <cstdio>
+#include <stdexcept>
 
+#include "netbase/byteio.h"
 #include "proto/http.h"
 #include "proto/ssh.h"
 #include "proto/tls.h"
@@ -9,23 +11,19 @@
 namespace originscan::scan {
 namespace {
 
-std::string bytes_to_string(const std::vector<std::uint8_t>& bytes) {
-  return {bytes.begin(), bytes.end()};
-}
-
-std::vector<std::uint8_t> string_to_bytes(const std::string& text) {
-  return {text.begin(), text.end()};
-}
-
-// Classifies a connection that produced no usable data.
-sim::L7Outcome silent_outcome(const sim::Connection& connection,
-                              bool got_any_bytes) {
-  if (connection.peer_reset()) return sim::L7Outcome::kResetAfterAccept;
-  if (connection.peer_closed()) {
-    return got_any_bytes ? sim::L7Outcome::kClosedMidHandshake
-                         : sim::L7Outcome::kClosedBeforeData;
+// Classifies a connection that produced no usable data (or was reset
+// right after the accept).
+L7Result silent_result(const sim::Connection& connection) {
+  L7Result result;
+  if (connection.peer_reset()) {
+    result.outcome = sim::L7Outcome::kResetAfterAccept;
+  } else if (connection.peer_closed()) {
+    result.outcome = sim::L7Outcome::kClosedBeforeData;
+  } else {
+    result.outcome = sim::L7Outcome::kReadTimeout;
   }
-  return sim::L7Outcome::kReadTimeout;
+  result.explicit_close = connection.peer_reset() || connection.peer_closed();
+  return result;
 }
 
 }  // namespace
@@ -65,7 +63,28 @@ bool RetryPolicy::should_retry(sim::L7Outcome outcome) const {
 
 ZGrabEngine::ZGrabEngine(const ZGrabConfig& config, sim::Internet* internet,
                          sim::OriginId origin)
-    : config_(config), internet_(internet), origin_(origin) {}
+    : config_(config), internet_(internet), origin_(origin) {
+  if (config_.retry.max_retries < 0) {
+    throw std::invalid_argument("ZGrabEngine: max_retries must be >= 0, got " +
+                                std::to_string(config_.retry.max_retries));
+  }
+  switch (config_.protocol) {
+    case proto::Protocol::kHttp:
+      proto::HttpRequest{}.write(client_flight_);
+      break;
+    case proto::Protocol::kHttps:
+      proto::wrap_handshake(
+          client_flight_, proto::TlsHandshakeType::kClientHello,
+          [](auto& body) {
+            proto::write_client_hello(body, proto::chrome_cipher_suites());
+          });
+      break;
+    case proto::Protocol::kSsh:
+      proto::SshIdentification{.software_version = "OpenSSH_7.9 originscan"}
+          .write(client_flight_);
+      break;
+  }
+}
 
 L7Result ZGrabEngine::grab(net::Ipv4Addr src_ip, net::Ipv4Addr dst,
                            net::VirtualTime t) {
@@ -117,9 +136,8 @@ L7Result ZGrabEngine::attempt(net::Ipv4Addr src_ip, net::Ipv4Addr dst,
     }
     return result;
   }
-  auto connection = internet_->connect(origin_, src_ip, dst,
-                                       config_.protocol, t, attempt_index);
-  if (connection == nullptr) {
+  if (!internet_->connect(connection_, origin_, src_ip, dst, config_.protocol,
+                          t, attempt_index)) {
     result.outcome = sim::L7Outcome::kConnectTimeout;
     if (config_.metrics != nullptr) {
       config_.metrics->add(obsv::Counter::kZgrabConnectFailures);
@@ -128,35 +146,33 @@ L7Result ZGrabEngine::attempt(net::Ipv4Addr src_ip, net::Ipv4Addr dst,
   }
   switch (config_.protocol) {
     case proto::Protocol::kHttp:
-      return run_http(*connection);
+      return run_http();
     case proto::Protocol::kHttps:
-      return run_tls(*connection);
+      return run_tls();
     case proto::Protocol::kSsh:
-      return run_ssh(*connection);
+      return run_ssh();
   }
   return result;
 }
 
-std::vector<std::uint8_t> ZGrabEngine::read_bytes(sim::Connection& connection) {
-  auto bytes = connection.read();
+std::span<const std::uint8_t> ZGrabEngine::read_bytes() {
+  const auto bytes = connection_.read();
   if (config_.faults == nullptr || bytes.empty()) return bytes;
   switch (config_.faults->l7_fault(current_dst_, current_attempt_)) {
     case fault::FaultInjector::L7Fault::kStall:
       // The server's flight never arrives; the read timer is our only
       // way out.
-      bytes.clear();
       if (config_.metrics != nullptr) {
         config_.metrics->add(obsv::Counter::kFaultBannerStall);
       }
-      break;
+      return {};
     case fault::FaultInjector::L7Fault::kTruncate:
       // Connection damaged mid-flight: only a prefix of the banner gets
       // through, which the protocol parsers must reject (not crash on).
-      bytes.resize(bytes.size() / 2);
       if (config_.metrics != nullptr) {
         config_.metrics->add(obsv::Counter::kFaultBannerTrunc);
       }
-      break;
+      return bytes.first(bytes.size() / 2);
     case fault::FaultInjector::L7Fault::kRst:
     case fault::FaultInjector::L7Fault::kNone:
       break;
@@ -164,26 +180,16 @@ std::vector<std::uint8_t> ZGrabEngine::read_bytes(sim::Connection& connection) {
   return bytes;
 }
 
-L7Result ZGrabEngine::run_http(sim::Connection& connection) {
+L7Result ZGrabEngine::run_http() {
+  if (connection_.peer_reset()) return silent_result(connection_);
+  connection_.send(client_flight_);
+  const auto bytes = read_bytes();
+  if (bytes.empty()) return silent_result(connection_);
   L7Result result;
-  if (connection.peer_reset()) {
-    result.outcome = sim::L7Outcome::kResetAfterAccept;
-    result.explicit_close = true;
-    return result;
-  }
-
-  proto::HttpRequest request;
-  connection.send(string_to_bytes(request.serialize()));
-  const auto bytes = read_bytes(connection);
-  if (bytes.empty()) {
-    result.outcome = silent_outcome(connection, false);
-    result.explicit_close = connection.peer_reset() || connection.peer_closed();
-    return result;
-  }
-  auto response = proto::HttpResponse::parse(bytes_to_string(bytes));
+  const auto response = proto::HttpResponse::parse(net::as_text(bytes));
   if (!response || !response->valid()) {
     result.outcome = sim::L7Outcome::kProtocolError;
-    result.explicit_close = connection.peer_closed();
+    result.explicit_close = connection_.peer_closed();
     return result;
   }
   result.outcome = sim::L7Outcome::kCompleted;
@@ -191,28 +197,15 @@ L7Result ZGrabEngine::run_http(sim::Connection& connection) {
   return result;
 }
 
-L7Result ZGrabEngine::run_tls(sim::Connection& connection) {
-  L7Result result;
-  if (connection.peer_reset()) {
-    result.outcome = sim::L7Outcome::kResetAfterAccept;
-    result.explicit_close = true;
-    return result;
-  }
-
-  proto::ClientHello hello;
-  hello.cipher_suites.assign(proto::chrome_cipher_suites().begin(),
-                             proto::chrome_cipher_suites().end());
-  connection.send(proto::wrap_handshake(proto::TlsHandshakeType::kClientHello,
-                                        hello.serialize()));
-  const auto bytes = read_bytes(connection);
-  if (bytes.empty()) {
-    result.outcome = silent_outcome(connection, false);
-    result.explicit_close = connection.peer_reset() || connection.peer_closed();
-    return result;
-  }
+L7Result ZGrabEngine::run_tls() {
+  if (connection_.peer_reset()) return silent_result(connection_);
+  connection_.send(client_flight_);
+  const auto bytes = read_bytes();
+  if (bytes.empty()) return silent_result(connection_);
 
   // Walk the records in the server's flight; we need ServerHello,
   // Certificate, and ServerHelloDone to declare the grab complete.
+  L7Result result;
   bool saw_server_hello = false;
   bool saw_certificate = false;
   bool saw_done = false;
@@ -220,8 +213,8 @@ L7Result ZGrabEngine::run_tls(sim::Connection& connection) {
   std::size_t offset = 0;
   while (offset < bytes.size()) {
     std::size_t consumed = 0;
-    auto record = proto::TlsRecord::parse(
-        std::span(bytes).subspan(offset), consumed);
+    const auto record =
+        proto::TlsRecord::parse(bytes.subspan(offset), consumed);
     if (!record) break;
     offset += consumed;
     if (record->content_type == proto::TlsContentType::kAlert) {
@@ -229,20 +222,19 @@ L7Result ZGrabEngine::run_tls(sim::Connection& connection) {
       result.explicit_close = true;
       return result;
     }
-    auto messages = proto::split_handshakes(record->fragment);
-    if (!messages) break;
-    for (const auto& message : *messages) {
-      switch (message.type) {
-        case proto::TlsHandshakeType::kServerHello: {
-          auto server_hello = proto::ServerHello::parse(message.body);
-          if (server_hello) {
+    proto::HandshakeWalker messages(record->fragment);
+    if (!messages.ok()) break;
+    while (const auto message = messages.next()) {
+      switch (message->type) {
+        case proto::TlsHandshakeType::kServerHello:
+          if (const auto hello = proto::ServerHello::parse(message->body)) {
             saw_server_hello = true;
-            suite = server_hello->cipher_suite;
+            suite = hello->cipher_suite;
           }
           break;
-        }
         case proto::TlsHandshakeType::kCertificate:
-          saw_certificate = proto::Certificate::parse(message.body).has_value();
+          saw_certificate =
+              proto::Certificate::parse(message->body).has_value();
           break;
         case proto::TlsHandshakeType::kServerHelloDone:
           saw_done = true;
@@ -263,44 +255,35 @@ L7Result ZGrabEngine::run_tls(sim::Connection& connection) {
   return result;
 }
 
-L7Result ZGrabEngine::run_ssh(sim::Connection& connection) {
-  L7Result result;
-  if (connection.peer_reset()) {
-    result.outcome = sim::L7Outcome::kResetAfterAccept;
-    result.explicit_close = true;
-    return result;
-  }
+L7Result ZGrabEngine::run_ssh() {
+  if (connection_.peer_reset()) return silent_result(connection_);
 
   // The server speaks first; its identification string should already be
   // waiting.
-  const auto banner_bytes = read_bytes(connection);
-  if (banner_bytes.empty()) {
-    result.outcome = silent_outcome(connection, false);
-    result.explicit_close = connection.peer_reset() || connection.peer_closed();
-    return result;
-  }
-  const std::string banner_line = bytes_to_string(banner_bytes);
-  if (banner_line.find('\n') == std::string::npos) {
+  const auto bytes = read_bytes();
+  if (bytes.empty()) return silent_result(connection_);
+  L7Result result;
+  const std::string_view banner_line = net::as_text(bytes);
+  if (banner_line.find('\n') == std::string_view::npos) {
     // RFC 4253 identification is a line; a flight cut short of the
     // newline means the banner never completed (any "SSH-2.0-..."
     // prefix would otherwise parse as a bogus truncated version).
     result.outcome = sim::L7Outcome::kProtocolError;
     return result;
   }
-  auto server_id = proto::SshIdentification::parse(banner_line);
+  const auto server_id = proto::SshIdentification::parse(banner_line);
   if (!server_id) {
     result.outcome = sim::L7Outcome::kProtocolError;
     return result;
   }
+  // Copy the banner out before sending: the server's reply reuses the
+  // buffer it views.
+  result.outcome = sim::L7Outcome::kCompleted;
+  result.banner = server_id->software_version;
 
   // Send our identification; the study's partial handshake terminates
   // after the version exchange (Section 2).
-  proto::SshIdentification client_id;
-  client_id.software_version = "OpenSSH_7.9 originscan";
-  connection.send(string_to_bytes(client_id.serialize()));
-
-  result.outcome = sim::L7Outcome::kCompleted;
-  result.banner = server_id->software_version;
+  connection_.send(client_flight_);
   return result;
 }
 

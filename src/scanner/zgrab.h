@@ -5,6 +5,7 @@
 // MaxStartups-refused hosts).
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -69,6 +70,8 @@ struct L7Result {
 
 class ZGrabEngine {
  public:
+  // Throws std::invalid_argument when config.retry.max_retries < 0 (a
+  // negative count would skip every handshake).
   ZGrabEngine(const ZGrabConfig& config, sim::Internet* internet,
               sim::OriginId origin);
 
@@ -81,17 +84,23 @@ class ZGrabEngine {
 
   // Drains the server's pending flight, applying any injected banner
   // fault for the current (dst, attempt) context: a stall swallows the
-  // bytes (read timeout); a truncation keeps only a prefix, which the
-  // protocol parsers then reject.
-  std::vector<std::uint8_t> read_bytes(sim::Connection& connection);
+  // bytes (read timeout); a truncation keeps only the first half, which
+  // the protocol parsers then reject. The span views the connection's
+  // buffer (valid until its next send or read).
+  std::span<const std::uint8_t> read_bytes();
 
-  L7Result run_http(sim::Connection& connection);
-  L7Result run_tls(sim::Connection& connection);
-  L7Result run_ssh(sim::Connection& connection);
+  L7Result run_http();
+  L7Result run_tls();
+  L7Result run_ssh();
 
   ZGrabConfig config_;
   sim::Internet* internet_;
   sim::OriginId origin_;
+  // The client's flight, the same for every grab: the GET request, the
+  // ClientHello record, or the SSH identification line.
+  std::vector<std::uint8_t> client_flight_;
+  // Refilled by every attempt's connect.
+  sim::Connection connection_;
   // Context of the attempt in flight, consulted by the fault hooks.
   net::Ipv4Addr current_dst_;
   int current_attempt_ = 0;

@@ -141,22 +141,29 @@ bool fwd_draws_vectorized(const net::Ipv4Addr* addr, const AsId* as,
 
 }  // namespace detail
 
-std::vector<std::uint8_t> Connection::read() {
-  return std::exchange(pending_, {});
+std::span<const std::uint8_t> Connection::read() {
+  const auto unread = std::span(pending_).subspan(read_);
+  read_ = pending_.size();
+  return unread;
 }
 
 void Connection::send(std::span<const std::uint8_t> data) {
-  if (peer_closed_ || peer_reset_ || hung_ || server_ == nullptr) return;
-  ServerAction action = server_->on_bytes(data);
-  if (pending_.empty()) {
-    // The common case — the client drained before writing — adopts the
-    // server's buffer instead of copying it.
-    pending_ = std::move(action.bytes);
-  } else {
-    pending_.insert(pending_.end(), action.bytes.begin(), action.bytes.end());
+  if (peer_closed_ || peer_reset_ || hung_ || !serving_) return;
+  if (read_ == pending_.size()) {
+    // The client drained everything: the reply starts a fresh buffer.
+    pending_.clear();
+    read_ = 0;
   }
-  if (action.reset) peer_reset_ = true;
-  if (action.close) peer_closed_ = true;
+  if (server_.on_bytes(data, pending_)) peer_closed_ = true;
+}
+
+void Connection::reset() {
+  serving_ = false;
+  pending_.clear();
+  read_ = 0;
+  peer_closed_ = false;
+  peer_reset_ = false;
+  hung_ = false;
 }
 
 Internet::Internet(const World* world, const TrialContext& context,
@@ -564,63 +571,62 @@ bool Internet::maxstartups_refuses(const Host& host, OriginId origin,
   return rng.bernoulli(refuse);
 }
 
-std::unique_ptr<Connection> Internet::connect(OriginId origin,
-                                              net::Ipv4Addr src_ip,
-                                              net::Ipv4Addr dst,
-                                              proto::Protocol protocol,
-                                              net::VirtualTime t,
-                                              int attempt) {
+bool Internet::connect(Connection& connection, OriginId origin,
+                       net::Ipv4Addr src_ip, net::Ipv4Addr dst,
+                       proto::Protocol protocol, net::VirtualTime t,
+                       int attempt) {
+  connection.reset();
   const ResolvedTarget target = resolve_target(dst, origin);
-  if (!target.as) return nullptr;
+  if (!target.as) return false;
   const AsId as = *target.as;
 
   if (faults_ != nullptr && faults_->outage_at(t, static_cast<int>(origin))) {
-    return nullptr;
+    return false;
   }
 
-  if (outage_schedule(origin, protocol).in_outage(as, t)) return nullptr;
+  if (outage_schedule(origin, protocol).in_outage(as, t)) return false;
 
   const PathLossModel& loss = loss_model(origin, as, protocol);
   const double p_fail = connect_failure_probability(loss.loss_probability(t));
   if (p_fail > 0.0 &&
       hash01(net::mix_u64(world_->seed ^ origin, dst.value(), attempt, 0xC0DEu)) <
           p_fail) {
-    return nullptr;
+    return false;
   }
 
   const Host* host = target.host_or_null();
-  if (host == nullptr) return nullptr;
+  if (host == nullptr) return false;
 
   // L4 policies also gate the connect's SYN.
   if (policy_engine_.on_probe(origin, src_ip, as, dst, protocol, t) ==
       PolicyEngine::L4Decision::kDrop) {
-    return nullptr;
+    return false;
   }
-
-  auto connection = std::unique_ptr<Connection>(new Connection());
 
   switch (policy_engine_.on_connection(origin, src_ip, as, dst, protocol,
                                        t)) {
     case PolicyEngine::L7Decision::kRstAfterAccept:
-      connection->peer_reset_ = true;
-      return connection;
+      connection.peer_reset_ = true;
+      return true;
     case PolicyEngine::L7Decision::kDrop:
-      connection->hung_ = true;
-      return connection;
-    case PolicyEngine::L7Decision::kServeBlockPage: {
-      ServerOptions options;
-      options.forced_page_title = "Blocked Site";
-      connection->server_ = make_server(*host, protocol, options);
-      if (connection->server_ == nullptr) connection->hung_ = true;
-      return connection;
-    }
+      connection.hung_ = true;
+      return true;
+    case PolicyEngine::L7Decision::kServeBlockPage:
+      // The block page replaces the host's own server, greeting and all.
+      if (host->runs(protocol)) {
+        connection.server_.start(*host, protocol, "Blocked Site");
+        connection.serving_ = true;
+      } else {
+        connection.hung_ = true;
+      }
+      return true;
     case PolicyEngine::L7Decision::kAllow:
       break;
   }
 
   if (host->middlebox && !host->runs(protocol)) {
-    connection->hung_ = true;  // DDoS frontend: accepts, says nothing
-    return connection;
+    connection.hung_ = true;  // DDoS frontend: accepts, says nothing
+    return true;
   }
 
   if (protocol == proto::Protocol::kSsh && host->maxstartups_enabled &&
@@ -628,23 +634,21 @@ std::unique_ptr<Connection> Internet::connect(OriginId origin,
     // sshd drops the connection before the identification string; some
     // hosts RST instead of FIN (stable per host).
     if (net::mix_u64(host->seed, 0xF17u) % 4 == 0) {
-      connection->peer_reset_ = true;
+      connection.peer_reset_ = true;
     } else {
-      connection->peer_closed_ = true;
+      connection.peer_closed_ = true;
     }
-    return connection;
+    return true;
   }
 
-  connection->server_ = make_server(*host, protocol);
-  if (connection->server_ == nullptr) {
-    connection->hung_ = true;
-    return connection;
+  if (!host->runs(protocol)) {
+    connection.hung_ = true;
+    return true;
   }
-  ServerAction action = connection->server_->on_open();
-  connection->pending_ = std::move(action.bytes);
-  if (action.close) connection->peer_closed_ = true;
-  if (action.reset) connection->peer_reset_ = true;
-  return connection;
+  connection.server_.start(*host, protocol);
+  connection.serving_ = true;
+  connection.server_.greet(connection.pending_);
+  return true;
 }
 
 }  // namespace originscan::sim

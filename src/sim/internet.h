@@ -39,12 +39,17 @@ struct TrialContext {
   net::VirtualTime scan_duration = net::VirtualTime::from_hours(21);
 };
 
-// One established TCP connection from a scanner to a host. The ZGrab
-// engine reads/writes bytes; the connection reports how the peer ended it.
+// One TCP connection from a scanner to a host. The ZGrab engine owns
+// one and reuses it: Internet::connect fills it for each attempt, and the
+// engine reads/writes bytes; the connection reports how the peer ended
+// it. The server's bytes live in the connection's own buffer, which keeps
+// its capacity across connects, so a reused connection allocates nothing.
 class Connection {
  public:
-  // Drains bytes the server has sent since the last read.
-  std::vector<std::uint8_t> read();
+  // The bytes the server has sent since the last read, as a view into
+  // the connection's buffer: valid until the next send(), read() or
+  // connect on this connection.
+  std::span<const std::uint8_t> read();
 
   // Feeds client bytes to the server. No-op once the peer closed/reset.
   void send(std::span<const std::uint8_t> data);
@@ -59,10 +64,14 @@ class Connection {
 
  private:
   friend class Internet;
-  Connection() = default;
 
-  std::unique_ptr<ProtocolServer> server_;
-  std::vector<std::uint8_t> pending_;
+  // Back to a fresh, serverless connection (buffers keep capacity).
+  void reset();
+
+  Server server_;
+  bool serving_ = false;  // server_ answers send()
+  std::vector<std::uint8_t> pending_;  // server bytes; [read_, end) unread
+  std::size_t read_ = 0;
   bool peer_closed_ = false;
   bool peer_reset_ = false;
   bool hung_ = false;
@@ -258,14 +267,14 @@ class Internet {
                                               OriginId origin) const;
 
   // ---- Layer 7 -----------------------------------------------------
-  // Attempts a TCP connection for an application handshake. Returns
-  // nullptr when the connect times out (loss/outage or vanished host).
-  // `attempt` is the retry index (0 = first try) — retries see lower
-  // MaxStartups concurrency.
-  std::unique_ptr<Connection> connect(OriginId origin, net::Ipv4Addr src_ip,
-                                      net::Ipv4Addr dst,
-                                      proto::Protocol protocol,
-                                      net::VirtualTime t, int attempt);
+  // Attempts a TCP connection for an application handshake, filling
+  // `connection` (whatever it held before is dropped). Returns false when
+  // the connect times out (loss/outage or vanished host). `attempt` is
+  // the retry index (0 = first try) — retries see lower MaxStartups
+  // concurrency.
+  bool connect(Connection& connection, OriginId origin, net::Ipv4Addr src_ip,
+               net::Ipv4Addr dst, proto::Protocol protocol,
+               net::VirtualTime t, int attempt);
 
   [[nodiscard]] const World& world() const { return *world_; }
   [[nodiscard]] const TrialContext& context() const { return context_; }

@@ -2,6 +2,7 @@
 
 #include <array>
 
+#include "netbase/byteio.h"
 #include "netbase/rng.h"
 #include "proto/http.h"
 #include "proto/ssh.h"
@@ -10,99 +11,126 @@
 namespace originscan::sim {
 namespace {
 
-std::vector<std::uint8_t> to_bytes(const std::string& text) {
-  return {text.begin(), text.end()};
+// "{prefix}{dotted quad}{suffix}", written into `buffer`.
+std::string_view format_with_addr(std::array<char, 32>& buffer,
+                                  std::string_view prefix, net::Ipv4Addr addr,
+                                  std::string_view suffix) {
+  char* p = buffer.data() + prefix.copy(buffer.data(), prefix.size());
+  p = addr.write_to(p);
+  p += suffix.copy(p, suffix.size());
+  return {buffer.data(), static_cast<std::size_t>(p - buffer.data())};
+}
+
+void fatal_alert(proto::TlsAlertDescription description,
+                 std::vector<std::uint8_t>& out) {
+  proto::TlsAlert{.fatal = true, .description = description}.write_record(out);
+}
+
+}  // namespace
+
+void Server::start(const Host& host, proto::Protocol protocol,
+                   std::string_view forced_title) {
+  host_ = host;
+  protocol_ = protocol;
+  forced_title_ = forced_title;
+  client_id_seen_ = false;
+  inbox_.clear();
+}
+
+void Server::greet(std::vector<std::uint8_t>& out) const {
+  // SSH servers speak first (RFC 4253 §4.2).
+  if (protocol_ != proto::Protocol::kSsh) return;
+  proto::SshIdentification{.software_version = ssh_server_software(host_.seed)}
+      .write(out);
+}
+
+bool Server::on_bytes(std::span<const std::uint8_t> data,
+                      std::vector<std::uint8_t>& out) {
+  inbox_.insert(inbox_.end(), data.begin(), data.end());
+  switch (protocol_) {
+    case proto::Protocol::kHttp:
+      return http_on_bytes(out);
+    case proto::Protocol::kHttps:
+      return tls_on_bytes(out);
+    case proto::Protocol::kSsh:
+      return ssh_on_bytes(out);
+  }
+  return false;
 }
 
 // ---------------------------------------------------------------- HTTP --
 
-class HttpServer final : public ProtocolServer {
- public:
-  HttpServer(const Host& host, std::string forced_title)
-      : host_(host), forced_title_(std::move(forced_title)) {}
-
-  ServerAction on_bytes(std::span<const std::uint8_t> data) override {
-    buffer_.append(reinterpret_cast<const char*>(data.data()), data.size());
-    if (buffer_.find("\r\n\r\n") == std::string::npos) return {};
-
-    auto request = proto::HttpRequest::parse(buffer_);
-    ServerAction action;
-    action.close = true;
-    if (!request) {
-      proto::HttpResponse bad;
-      bad.status_code = 400;
-      bad.reason = "Bad Request";
-      action.bytes = to_bytes(bad.serialize());
-      return action;
-    }
-    proto::HttpResponse response;
-    response.server = http_server_software(host_.seed);
-    response.title = forced_title_.empty()
-                         ? "host-" + host_.addr.to_string()
-                         : forced_title_;
-    // A small share of real servers answer GET / with a redirect or an
-    // error page; either still counts as a completed L7 handshake.
-    const std::uint64_t h = net::mix_u64(host_.seed, 0x477Eu);
-    if (h % 100 < 8) {
-      response.status_code = 301;
-      response.reason = "Moved Permanently";
-      response.extra_headers["location"] = "https://" +
-                                           host_.addr.to_string() + "/";
-    } else if (h % 100 < 12) {
-      response.status_code = 403;
-      response.reason = "Forbidden";
-    }
-    action.bytes = to_bytes(response.serialize());
-    return action;
+bool Server::http_on_bytes(std::vector<std::uint8_t>& out) {
+  const std::string_view text = net::as_text(inbox_);
+  if (!proto::HttpRequest::parse(text)) {
+    // A request that parses has its blank line; one that does not is
+    // either still arriving or malformed.
+    if (text.find("\r\n\r\n") == std::string_view::npos) return false;
+    proto::HttpResponse{.status_code = 400, .reason = "Bad Request"}.write(out);
+    return true;
   }
-
- private:
-  Host host_;  // by value: procedural hosts have no stable table row
-  std::string forced_title_;
-  std::string buffer_;
-};
+  std::array<char, 32> title_buffer;
+  std::array<char, 32> location_buffer;
+  proto::HttpResponse response;
+  response.server = http_server_software(host_.seed);
+  response.title =
+      forced_title_.empty()
+          ? format_with_addr(title_buffer, "host-", host_.addr, "")
+          : forced_title_;
+  // A small share of real servers answer GET / with a redirect or an
+  // error page; either still counts as a completed L7 handshake.
+  const std::uint64_t h = net::mix_u64(host_.seed, 0x477Eu);
+  if (h % 100 < 8) {
+    response.status_code = 301;
+    response.reason = "Moved Permanently";
+    response.location =
+        format_with_addr(location_buffer, "https://", host_.addr, "/");
+  } else if (h % 100 < 12) {
+    response.status_code = 403;
+    response.reason = "Forbidden";
+  }
+  response.write(out);
+  return true;
+}
 
 // ----------------------------------------------------------------- TLS --
 
-class TlsServer final : public ProtocolServer {
- public:
-  explicit TlsServer(const Host& host) : host_(host) {}
+bool Server::tls_on_bytes(std::vector<std::uint8_t>& out) {
+  std::size_t consumed = 0;
+  const auto record = proto::TlsRecord::parse(inbox_, consumed);
+  if (!record) return false;  // need more bytes
 
-  ServerAction on_bytes(std::span<const std::uint8_t> data) override {
-    buffer_.insert(buffer_.end(), data.begin(), data.end());
-    std::size_t consumed = 0;
-    auto record = proto::TlsRecord::parse(buffer_, consumed);
-    if (!record) return {};  // need more bytes
-    buffer_.erase(buffer_.begin(),
-                  buffer_.begin() + static_cast<std::ptrdiff_t>(consumed));
-
-    ServerAction action;
+  // The record is a view into inbox_: answer first, then drop it.
+  const bool close = [&] {
     if (record->content_type != proto::TlsContentType::kHandshake) {
-      return fatal_alert(proto::TlsAlertDescription::kUnexpectedMessage);
+      fatal_alert(proto::TlsAlertDescription::kUnexpectedMessage, out);
+      return true;
     }
-    auto messages = proto::split_handshakes(record->fragment);
-    if (!messages || messages->empty() ||
-        messages->front().type != proto::TlsHandshakeType::kClientHello) {
-      return fatal_alert(proto::TlsAlertDescription::kUnexpectedMessage);
+    proto::HandshakeWalker messages(record->fragment);
+    const auto first = messages.next();
+    if (!first || first->type != proto::TlsHandshakeType::kClientHello) {
+      fatal_alert(proto::TlsAlertDescription::kUnexpectedMessage, out);
+      return true;
     }
-    auto hello = proto::ClientHello::parse(messages->front().body);
+    const auto hello = proto::ClientHello::parse(first->body);
     if (!hello) {
-      return fatal_alert(proto::TlsAlertDescription::kUnexpectedMessage);
+      fatal_alert(proto::TlsAlertDescription::kUnexpectedMessage, out);
+      return true;
     }
 
     // Pick the first offered suite we "support" (all ECDHE-RSA/GCM ones).
     std::uint16_t chosen = 0;
-    for (std::uint16_t suite : hello->cipher_suites) {
+    for (std::size_t i = 0; i < hello->suite_count() && chosen == 0; ++i) {
       for (std::uint16_t known : proto::chrome_cipher_suites()) {
-        if (suite == known) {
-          chosen = suite;
+        if (hello->suite(i) == known) {
+          chosen = known;
           break;
         }
       }
-      if (chosen != 0) break;
     }
     if (chosen == 0) {
-      return fatal_alert(proto::TlsAlertDescription::kHandshakeFailure);
+      fatal_alert(proto::TlsAlertDescription::kHandshakeFailure, out);
+      return true;
     }
 
     proto::ServerHello server_hello;
@@ -111,127 +139,63 @@ class TlsServer final : public ProtocolServer {
     for (auto& byte : server_hello.random) {
       byte = static_cast<std::uint8_t>(rng());
     }
-
-    proto::Certificate certificate;
-    certificate.chain.push_back(synthetic_der(rng));
-
-    auto out = proto::wrap_handshake(proto::TlsHandshakeType::kServerHello,
-                                     server_hello.serialize());
-    auto cert_record = proto::wrap_handshake(
-        proto::TlsHandshakeType::kCertificate, certificate.serialize());
-    out.insert(out.end(), cert_record.begin(), cert_record.end());
-    auto done_record = proto::wrap_handshake(
-        proto::TlsHandshakeType::kServerHelloDone, {});
-    out.insert(out.end(), done_record.begin(), done_record.end());
-
-    action.bytes = std::move(out);
-    return action;
-  }
-
- private:
-  static std::vector<std::uint8_t> synthetic_der(net::Rng& rng) {
     // An opaque stand-in certificate: DER SEQUENCE header + random body.
-    std::vector<std::uint8_t> der = {0x30, 0x82, 0x00, 0x40};
-    for (int i = 0; i < 0x40; ++i) {
-      der.push_back(static_cast<std::uint8_t>(rng()));
+    std::array<std::uint8_t, 4 + 0x40> der = {0x30, 0x82, 0x00, 0x40};
+    for (std::size_t i = 4; i < der.size(); ++i) {
+      der[i] = static_cast<std::uint8_t>(rng());
     }
-    return der;
-  }
+    const std::span<const std::uint8_t> chain[] = {der};
 
-  ServerAction fatal_alert(proto::TlsAlertDescription description) {
-    proto::TlsAlert alert;
-    alert.description = description;
-    proto::TlsRecord record;
-    record.content_type = proto::TlsContentType::kAlert;
-    record.fragment = alert.serialize();
-    ServerAction action;
-    action.bytes = record.serialize();
-    action.close = true;
-    return action;
-  }
-
-  Host host_;  // by value: procedural hosts have no stable table row
-  std::vector<std::uint8_t> buffer_;
-};
+    proto::wrap_handshake(out, proto::TlsHandshakeType::kServerHello,
+                          [&](auto& body) { server_hello.write(body); });
+    proto::wrap_handshake(
+        out, proto::TlsHandshakeType::kCertificate,
+        [&](auto& body) { proto::write_certificate(body, chain); });
+    proto::wrap_handshake(out, proto::TlsHandshakeType::kServerHelloDone,
+                          [](auto&) {});
+    return false;
+  }();
+  inbox_.erase(inbox_.begin(),
+               inbox_.begin() + static_cast<std::ptrdiff_t>(consumed));
+  return close;
+}
 
 // ----------------------------------------------------------------- SSH --
 
-class SshServer final : public ProtocolServer {
- public:
-  explicit SshServer(const Host& host) : host_(host) {}
+bool Server::ssh_on_bytes(std::vector<std::uint8_t>& out) {
+  if (client_id_seen_) return false;  // study terminates before key exchange
+  const std::string_view text = net::as_text(inbox_);
+  const auto newline = text.find('\n');
+  if (newline == std::string_view::npos) return false;
+  const bool valid =
+      proto::SshIdentification::parse(text.substr(0, newline + 1))
+          .has_value();
+  inbox_.erase(inbox_.begin(),
+               inbox_.begin() + static_cast<std::ptrdiff_t>(newline + 1));
+  if (!valid) return true;  // protocol mismatch: drop the connection
+  client_id_seen_ = true;
+  // Follow the version exchange with our KEXINIT, as real servers do.
+  proto::SshKexInit kex;
+  net::Rng rng(net::mix_u64(host_.seed, 0x55Bu));
+  for (auto& byte : kex.cookie) byte = static_cast<std::uint8_t>(rng());
+  const std::size_t packet = proto::begin_ssh_packet(out);
+  kex.write(out);
+  proto::end_ssh_packet(out, packet, net::mix_u64(host_.seed, 0x9ADu));
+  return false;
+}
 
-  ServerAction on_open() override {
-    // SSH servers speak first (RFC 4253 §4.2).
-    proto::SshIdentification id;
-    id.software_version = ssh_server_software(host_.seed);
-    ServerAction action;
-    action.bytes = to_bytes(id.serialize());
-    return action;
-  }
-
-  ServerAction on_bytes(std::span<const std::uint8_t> data) override {
-    buffer_.append(reinterpret_cast<const char*>(data.data()), data.size());
-    ServerAction action;
-    if (!client_id_seen_) {
-      const auto newline = buffer_.find('\n');
-      if (newline == std::string::npos) return {};
-      auto id = proto::SshIdentification::parse(
-          std::string_view(buffer_).substr(0, newline + 1));
-      buffer_.erase(0, newline + 1);
-      if (!id) {
-        action.close = true;  // protocol mismatch: drop the connection
-        return action;
-      }
-      client_id_seen_ = true;
-      // Follow the version exchange with our KEXINIT, as real servers do.
-      proto::SshKexInit kex;
-      net::Rng rng(net::mix_u64(host_.seed, 0x55Bu));
-      for (auto& byte : kex.cookie) byte = static_cast<std::uint8_t>(rng());
-      kex.kex_algorithms = proto::default_kex_algorithms();
-      kex.host_key_algorithms = proto::default_host_key_algorithms();
-      proto::SshPacket packet;
-      packet.payload = kex.serialize();
-      action.bytes = packet.serialize(net::mix_u64(host_.seed, 0x9ADu));
-      return action;
-    }
-    return action;  // study terminates before key exchange
-  }
-
- private:
-  Host host_;  // by value: procedural hosts have no stable table row
-  std::string buffer_;
-  bool client_id_seen_ = false;
-};
-
-}  // namespace
-
-std::string http_server_software(std::uint64_t host_seed) {
-  static constexpr std::array<const char*, 5> kServers = {
+std::string_view http_server_software(std::uint64_t host_seed) {
+  static constexpr std::array<std::string_view, 5> kServers = {
       "nginx/1.14.0", "Apache/2.4.29", "Microsoft-IIS/10.0", "lighttpd/1.4.45",
       "nginx/1.16.1"};
   return kServers[net::mix_u64(host_seed, 0x5E7Fu) % kServers.size()];
 }
 
-std::string ssh_server_software(std::uint64_t host_seed) {
-  static constexpr std::array<const char*, 5> kServers = {
+std::string_view ssh_server_software(std::uint64_t host_seed) {
+  static constexpr std::array<std::string_view, 5> kServers = {
       "OpenSSH_7.4", "OpenSSH_7.6p1", "OpenSSH_8.0", "dropbear_2019.78",
       "OpenSSH_6.6.1"};
   return kServers[net::mix_u64(host_seed, 0x55DFu) % kServers.size()];
-}
-
-std::unique_ptr<ProtocolServer> make_server(const Host& host,
-                                            proto::Protocol protocol,
-                                            const ServerOptions& options) {
-  if (!host.runs(protocol)) return nullptr;
-  switch (protocol) {
-    case proto::Protocol::kHttp:
-      return std::make_unique<HttpServer>(host, options.forced_page_title);
-    case proto::Protocol::kHttps:
-      return std::make_unique<TlsServer>(host);
-    case proto::Protocol::kSsh:
-      return std::make_unique<SshServer>(host);
-  }
-  return nullptr;
 }
 
 }  // namespace originscan::sim

@@ -161,13 +161,14 @@ void collect(Internet& internet, OriginId origin, proto::Protocol protocol,
              const scan::L4Result& r, RunOutput& out) {
   int connect = -1;
   if (r.any_synack()) {
-    const auto connection = internet.connect(
-        origin, r.source_ip, r.addr, protocol,
+    Connection connection;
+    const bool connected = internet.connect(
+        connection, origin, r.source_ip, r.addr, protocol,
         r.probe_time + net::VirtualTime::from_millis(5), 0);
-    connect = connection == nullptr ? 0
-              : connection->peer_reset() ? 1
-              : connection->hung()       ? 2
-                                         : 3;
+    connect = !connected                ? 0
+              : connection.peer_reset() ? 1
+              : connection.hung()       ? 2
+                                        : 3;
   }
   out.results.emplace_back(r.addr.value(), r.synack_mask, r.rst_mask,
                            r.probe_time.micros(), r.source_ip.value(),

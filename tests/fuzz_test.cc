@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 
 #include "core/dist.h"
 #include "core/store.h"
 #include "faultinject/faultinject.h"
+#include "netbase/byteio.h"
 #include "netbase/frame.h"
 #include "netbase/rng.h"
 #include "proto/http.h"
@@ -15,8 +17,10 @@
 #include "proto/tls.h"
 #include "scanner/blocklist.h"
 #include "scanner/permutation.h"
+#include "scanner/zgrab.h"
 #include "service/wire.h"
 #include "sim/internet.h"
+#include "sim/server.h"
 #include "tests/test_world.h"
 
 namespace originscan {
@@ -105,41 +109,56 @@ TEST(Fuzz, HandleProbeBatchSurvivesGarbageBatches) {
   }
 }
 
+// Feeds `bytes` to a fresh server for `protocol` (after its greeting),
+// as a peer would: it must answer or wait, never crash.
+void feed_server(proto::Protocol protocol,
+                 std::span<const std::uint8_t> bytes) {
+  sim::Host host;
+  host.addr = net::Ipv4Addr(10, 0, 0, 1);
+  host.services = 0b111;
+  host.seed = bytes.size();
+  sim::Server server;
+  server.start(host, protocol);
+  std::vector<std::uint8_t> out;
+  server.greet(out);
+  (void)server.on_bytes(bytes, out);
+  (void)server.on_bytes(bytes, out);  // and again, on top of any leftover
+}
+
 TEST(Fuzz, TlsRecordAndHandshakeParsers) {
   net::Rng rng(103);
-  proto::ClientHello hello;
-  hello.cipher_suites.assign(proto::chrome_cipher_suites().begin(),
-                             proto::chrome_cipher_suites().end());
-  hello.server_name = "fuzz.example";
-  const auto valid = proto::wrap_handshake(
-      proto::TlsHandshakeType::kClientHello, hello.serialize());
+  std::vector<std::uint8_t> valid;
+  proto::wrap_handshake(valid, proto::TlsHandshakeType::kClientHello,
+                        [](auto& body) {
+                          proto::write_client_hello(
+                              body, proto::chrome_cipher_suites(),
+                              "fuzz.example");
+                        });
 
   for (int i = 0; i < 5000; ++i) {
     const auto bytes = i % 2 == 0 ? random_bytes(rng, 200)
                                   : mutate(rng, valid);
+    feed_server(proto::Protocol::kHttps, bytes);
     std::size_t consumed = 0;
     auto record = proto::TlsRecord::parse(bytes, consumed);
     if (!record) continue;
     EXPECT_LE(consumed, bytes.size());
-    auto messages = proto::split_handshakes(record->fragment);
-    if (!messages) continue;
-    for (const auto& message : *messages) {
+    proto::HandshakeWalker messages(record->fragment);
+    while (const auto message = messages.next()) {
       // Sub-parsers must tolerate arbitrary bodies.
-      (void)proto::ClientHello::parse(message.body);
-      (void)proto::ServerHello::parse(message.body);
-      (void)proto::Certificate::parse(message.body);
+      (void)proto::ClientHello::parse(message->body);
+      (void)proto::ServerHello::parse(message->body);
+      (void)proto::Certificate::parse(message->body);
     }
   }
 }
 
 TEST(Fuzz, SshParsers) {
   net::Rng rng(104);
-  proto::SshKexInit kex;
-  kex.kex_algorithms = proto::default_kex_algorithms();
-  kex.host_key_algorithms = proto::default_host_key_algorithms();
-  proto::SshPacket packet;
-  packet.payload = kex.serialize();
-  const auto valid = packet.serialize(9);
+  std::vector<std::uint8_t> valid;
+  const std::size_t packet = proto::begin_ssh_packet(valid);
+  proto::SshKexInit{}.write(valid);
+  proto::end_ssh_packet(valid, packet, 9);
 
   for (int i = 0; i < 5000; ++i) {
     const auto bytes = i % 2 == 0 ? random_bytes(rng, 200)
@@ -149,31 +168,75 @@ TEST(Fuzz, SshParsers) {
       (void)proto::SshKexInit::parse(parsed->payload);
     }
     // Identification-line parser on random text.
-    const std::string line(bytes.begin(), bytes.end());
-    (void)proto::SshIdentification::parse(line);
+    (void)proto::SshIdentification::parse(net::as_text(bytes));
+    feed_server(proto::Protocol::kSsh, bytes);
   }
 }
 
 TEST(Fuzz, HttpParsers) {
   net::Rng rng(105);
-  const std::string valid_request = proto::HttpRequest{}.serialize();
-  proto::HttpResponse response;
-  response.title = "t";
-  const std::string valid_response = response.serialize();
+  std::vector<std::uint8_t> valid_request;
+  proto::HttpRequest{}.write(valid_request);
+  std::vector<std::uint8_t> valid_response;
+  proto::HttpResponse{.title = "t"}.write(valid_response);
 
   for (int i = 0; i < 5000; ++i) {
-    std::vector<std::uint8_t> base(
-        i % 2 == 0 ? std::vector<std::uint8_t>(valid_request.begin(),
-                                               valid_request.end())
-                   : std::vector<std::uint8_t>(valid_response.begin(),
-                                               valid_response.end()));
     const auto bytes = i % 3 == 0 ? random_bytes(rng, 300)
-                                  : mutate(rng, std::move(base));
-    const std::string text(bytes.begin(), bytes.end());
+                                  : mutate(rng, i % 2 == 0 ? valid_request
+                                                           : valid_response);
+    const std::string_view text = net::as_text(bytes);
     (void)proto::HttpRequest::parse(text);
     (void)proto::HttpResponse::parse(text);
     (void)proto::extract_title(text);
+    feed_server(proto::Protocol::kHttp, bytes);
   }
+}
+
+// Round trip through the real client: for every host of a seeded world
+// and each protocol, ZGrab reads the server's flight back to exactly the
+// banner that host must give — its page title, the suite the server
+// picks from Chrome's list as 0x%04X, or its SSH software version. With
+// every banner truncated to its first half (banner_trunc), the same
+// grabs are all rejected as protocol errors, without crashing.
+TEST(Fuzz, L7FlightsRoundTripAndTruncationsAreRejected) {
+  auto world = originscan::testing::make_mini_world({.blocks_per_as = 4});
+  sim::PersistentState persistent;
+  sim::TrialContext context;
+  context.experiment_seed = world.seed;
+  sim::Internet internet(&world, context, &persistent);
+  auto plan = fault::FaultPlan::parse("banner_trunc:host%1==0");
+  ASSERT_TRUE(plan.has_value());
+  const fault::FaultInjector truncate_all(*plan, 0x7A5Eu);
+  const net::Ipv4Addr source = world.origins[0].source_ips[0];
+
+  char suite[8];
+  std::snprintf(suite, sizeof(suite), "0x%04X",
+                proto::chrome_cipher_suites().front());
+  std::size_t grabs = 0;
+  for (proto::Protocol protocol : proto::kAllProtocols) {
+    scan::ZGrabEngine clean({.protocol = protocol}, &internet, 0);
+    scan::ZGrabEngine truncated({.protocol = protocol, .faults = &truncate_all},
+                                &internet, 0);
+    for (std::uint32_t a = 0; a < world.universe_size; ++a) {
+      const net::Ipv4Addr addr(a);
+      const auto host = world.host_at(addr);
+      if (!host || !host->runs(protocol)) continue;
+      const std::string expected =
+          protocol == proto::Protocol::kHttp ? "host-" + addr.to_string()
+          : protocol == proto::Protocol::kHttps
+              ? std::string(suite)
+              : std::string(sim::ssh_server_software(host->seed));
+      const auto full = clean.grab(source, addr, {});
+      ASSERT_EQ(full.outcome, sim::L7Outcome::kCompleted) << addr.to_string();
+      EXPECT_EQ(full.banner, expected);
+      const auto half = truncated.grab(source, addr, {});
+      EXPECT_EQ(half.outcome, sim::L7Outcome::kProtocolError)
+          << proto::name_of(protocol) << " " << addr.to_string();
+      EXPECT_TRUE(half.banner.empty());
+      ++grabs;
+    }
+  }
+  EXPECT_GT(grabs, 3u * 2000u);
 }
 
 TEST(Fuzz, StoreParserSurvivesMutations) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "netbase/byteio.h"
 #include "netbase/rng.h"
 #include "proto/http.h"
 #include "sim/internet.h"
@@ -285,11 +286,24 @@ TEST(Outage, WideEventHitsManyAses) {
 
 // ---------------------------------------------------------------- server --
 
-TEST(Server, NullForMissingService) {
-  Host host;
-  host.services = 0b001;  // HTTP only
-  EXPECT_NE(make_server(host, proto::Protocol::kHttp), nullptr);
-  EXPECT_EQ(make_server(host, proto::Protocol::kSsh), nullptr);
+TEST(Server, SilentForMissingService) {
+  // A host that does not run the protocol accepts and then says nothing.
+  auto world = make_mini_world({.all_services = false});  // HTTP only
+  PersistentState persistent;
+  TrialContext context;
+  context.experiment_seed = world.seed;
+  Internet internet(&world, context, &persistent);
+  Connection http;
+  ASSERT_TRUE(internet.connect(http, 0, world.origins[0].source_ips[0],
+                               net::Ipv4Addr(5), proto::Protocol::kHttp, {},
+                               0));
+  EXPECT_FALSE(http.hung());
+  Connection ssh;
+  ASSERT_TRUE(internet.connect(ssh, 0, world.origins[0].source_ips[0],
+                               net::Ipv4Addr(5), proto::Protocol::kSsh, {},
+                               0));
+  EXPECT_TRUE(ssh.hung());
+  EXPECT_TRUE(ssh.read().empty());
 }
 
 // -------------------------------------------------------------- internet --
@@ -339,20 +353,28 @@ TEST(Internet, ConnectRunsHttpExchange) {
   context.experiment_seed = world.seed;
   Internet internet(&world, context, &persistent);
 
-  auto connection = internet.connect(0, world.origins[0].source_ips[0],
-                                     net::Ipv4Addr(5),
-                                     proto::Protocol::kHttp, {}, 0);
-  ASSERT_NE(connection, nullptr);
-  EXPECT_FALSE(connection->peer_reset());
+  Connection connection;
+  ASSERT_TRUE(internet.connect(connection, 0, world.origins[0].source_ips[0],
+                               net::Ipv4Addr(5), proto::Protocol::kHttp, {},
+                               0));
+  EXPECT_FALSE(connection.peer_reset());
 
-  const std::string request = proto::HttpRequest{}.serialize();
-  connection->send(std::span(
-      reinterpret_cast<const std::uint8_t*>(request.data()), request.size()));
-  const auto reply = connection->read();
-  ASSERT_FALSE(reply.empty());
-  const std::string reply_text(reply.begin(), reply.end());
-  EXPECT_NE(reply_text.find("HTTP/1.1"), std::string::npos);
-  EXPECT_TRUE(connection->peer_closed());
+  std::vector<std::uint8_t> request;
+  proto::HttpRequest{}.write(request);
+  connection.send(request);
+  const auto reply = net::as_text(connection.read());
+  EXPECT_TRUE(reply.starts_with("HTTP/1.1"));
+  EXPECT_TRUE(connection.peer_closed());
+  EXPECT_TRUE(connection.read().empty());  // drained
+
+  // The same connection object serves the next connect, from scratch.
+  ASSERT_TRUE(internet.connect(connection, 0, world.origins[0].source_ips[0],
+                               net::Ipv4Addr(5), proto::Protocol::kHttp, {},
+                               0));
+  EXPECT_FALSE(connection.peer_closed());
+  EXPECT_TRUE(connection.read().empty());
+  connection.send(request);
+  EXPECT_EQ(net::as_text(connection.read()), reply);
 }
 
 TEST(Internet, SshServerSpeaksFirst) {
@@ -362,14 +384,11 @@ TEST(Internet, SshServerSpeaksFirst) {
   context.experiment_seed = world.seed;
   Internet internet(&world, context, &persistent);
 
-  auto connection = internet.connect(0, world.origins[0].source_ips[0],
-                                     net::Ipv4Addr(5), proto::Protocol::kSsh,
-                                     {}, 0);
-  ASSERT_NE(connection, nullptr);
-  const auto banner = connection->read();
-  ASSERT_FALSE(banner.empty());
-  const std::string text(banner.begin(), banner.end());
-  EXPECT_EQ(text.rfind("SSH-2.0-", 0), 0u);
+  Connection connection;
+  ASSERT_TRUE(internet.connect(connection, 0, world.origins[0].source_ips[0],
+                               net::Ipv4Addr(5), proto::Protocol::kSsh, {},
+                               0));
+  EXPECT_TRUE(net::as_text(connection.read()).starts_with("SSH-2.0-"));
 }
 
 TEST(Internet, ConnectFailsForAbsentHost) {
@@ -389,9 +408,9 @@ TEST(Internet, ConnectFailsForAbsentHost) {
       break;
     }
   }
-  EXPECT_EQ(internet.connect(0, world.origins[0].source_ips[0], missing,
-                             proto::Protocol::kHttp, {}, 0),
-            nullptr);
+  Connection connection;
+  EXPECT_FALSE(internet.connect(connection, 0, world.origins[0].source_ips[0],
+                                missing, proto::Protocol::kHttp, {}, 0));
 }
 
 // ---------------------------------------------------------------- policy --
@@ -438,18 +457,18 @@ TEST(Policy, RstAfterAcceptAndL7Drop) {
   context.experiment_seed = world.seed;
   Internet internet(&world, context, &persistent);
 
-  auto reset_conn = internet.connect(0, world.origins[0].source_ips[0],
-                                     net::Ipv4Addr(5),
-                                     proto::Protocol::kHttp, {}, 0);
-  ASSERT_NE(reset_conn, nullptr);
-  EXPECT_TRUE(reset_conn->peer_reset());
+  Connection reset_conn;
+  ASSERT_TRUE(internet.connect(reset_conn, 0, world.origins[0].source_ips[0],
+                               net::Ipv4Addr(5), proto::Protocol::kHttp, {},
+                               0));
+  EXPECT_TRUE(reset_conn.peer_reset());
 
-  auto hung_conn = internet.connect(0, world.origins[0].source_ips[0],
-                                    net::Ipv4Addr(256 + 5),
-                                    proto::Protocol::kHttp, {}, 0);
-  ASSERT_NE(hung_conn, nullptr);
-  EXPECT_TRUE(hung_conn->hung());
-  EXPECT_TRUE(hung_conn->read().empty());
+  Connection hung_conn;
+  ASSERT_TRUE(internet.connect(hung_conn, 0, world.origins[0].source_ips[0],
+                               net::Ipv4Addr(256 + 5), proto::Protocol::kHttp,
+                               {}, 0));
+  EXPECT_TRUE(hung_conn.hung());
+  EXPECT_TRUE(hung_conn.read().empty());
 }
 
 TEST(Policy, GeoRestrictionAllowsOnlyInCountry) {
@@ -523,27 +542,31 @@ TEST(Policy, TemporalRstKicksInMidScan) {
   const auto early = net::VirtualTime::from_hours(2);
   const auto late = net::VirtualTime::from_hours(18);
 
-  auto conn_early = internet.connect(0, world.origins[0].source_ips[0], dst,
-                                     proto::Protocol::kSsh, early, 0);
-  ASSERT_NE(conn_early, nullptr);
-  EXPECT_FALSE(conn_early->peer_reset());
+  Connection conn_early;
+  ASSERT_TRUE(internet.connect(conn_early, 0,
+                               world.origins[0].source_ips[0], dst,
+                               proto::Protocol::kSsh, early, 0));
+  EXPECT_FALSE(conn_early.peer_reset());
 
-  auto conn_late = internet.connect(0, world.origins[0].source_ips[0], dst,
-                                    proto::Protocol::kSsh, late, 0);
-  ASSERT_NE(conn_late, nullptr);
-  EXPECT_TRUE(conn_late->peer_reset());
+  Connection conn_late;
+  ASSERT_TRUE(internet.connect(conn_late, 0,
+                               world.origins[0].source_ips[0], dst,
+                               proto::Protocol::kSsh, late, 0));
+  EXPECT_TRUE(conn_late.peer_reset());
 
   // HTTP is unaffected (the rule is SSH-specific).
-  auto http_late = internet.connect(0, world.origins[0].source_ips[0], dst,
-                                    proto::Protocol::kHttp, late, 0);
-  ASSERT_NE(http_late, nullptr);
-  EXPECT_FALSE(http_late->peer_reset());
+  Connection http_late;
+  ASSERT_TRUE(internet.connect(http_late, 0,
+                               world.origins[0].source_ips[0], dst,
+                               proto::Protocol::kHttp, late, 0));
+  EXPECT_FALSE(http_late.peer_reset());
 
   // Multi-IP origins are not detected (single_ip_only).
-  auto multi_late = internet.connect(2, world.origins[2].source_ips[0], dst,
-                                     proto::Protocol::kSsh, late, 0);
-  ASSERT_NE(multi_late, nullptr);
-  EXPECT_FALSE(multi_late->peer_reset());
+  Connection multi_late;
+  ASSERT_TRUE(internet.connect(multi_late, 2,
+                               world.origins[2].source_ips[0], dst,
+                               proto::Protocol::kSsh, late, 0));
+  EXPECT_FALSE(multi_late.peer_reset());
 }
 
 TEST(Policy, BlockRuleStartTrialPhaseIn) {

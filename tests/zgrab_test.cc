@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "scanner/zgrab.h"
 #include "sim/scenario.h"
 #include "tests/test_world.h"
@@ -217,6 +219,37 @@ TEST_F(ZGrabTest, ExhaustedRetriesReportExactBudget) {
   EXPECT_EQ(result.outcome, sim::L7Outcome::kResetAfterAccept);
   EXPECT_TRUE(result.explicit_close);
   EXPECT_EQ(result.attempts, 3);  // 1 + max_retries, never more
+}
+
+TEST_F(ZGrabTest, NegativeRetryBudgetIsRejected) {
+  // max_retries < 0 would run no attempt at all and report every host
+  // "not attempted"; the engine refuses the config instead.
+  auto net = internet();
+  EXPECT_THROW(ZGrabEngine({.protocol = proto::Protocol::kHttp,
+                            .retry = {.max_retries = -1}},
+                           &net, 0),
+               std::invalid_argument);
+  EXPECT_NO_THROW(ZGrabEngine({.protocol = proto::Protocol::kHttp,
+                               .retry = {.max_retries = 0}},
+                              &net, 0));
+}
+
+TEST_F(ZGrabTest, ReusedEngineGivesTheSameBannersAsFreshOnes) {
+  // The engine keeps one connection and one client flight for all its
+  // grabs; nothing of one grab may leak into the next.
+  auto net = internet();
+  for (proto::Protocol protocol : proto::kAllProtocols) {
+    ZGrabEngine reused({.protocol = protocol}, &net, 0);
+    for (std::uint32_t a = 0; a < 64; ++a) {
+      const net::Ipv4Addr dst(a * 11);
+      const auto again =
+          reused.grab(world_.origins[0].source_ips[0], dst, {});
+      ZGrabEngine fresh({.protocol = protocol}, &net, 0);
+      const auto once = fresh.grab(world_.origins[0].source_ips[0], dst, {});
+      EXPECT_EQ(again.outcome, once.outcome);
+      EXPECT_EQ(again.banner, once.banner);
+    }
+  }
 }
 
 TEST_F(ZGrabTest, BannerFaultsRecoverUnderBannerRetryPolicy) {

@@ -22,7 +22,8 @@
 //
 // scan flags:
 //   --origin CODE (default US1)   --protocol http|https|ssh (default http)
-//   --trial N     (default 1)     --retries N (default 0)
+//   --trial N     (default 1)     --retries N (0..8, default 0)
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -119,7 +120,7 @@ void usage() {
       "  --origin CODE  scan/sweep: AU BR DE JP US1 US64 CEN (default US1)\n"
       "  --protocol P   scan/sweep: http|https|ssh (default http)\n"
       "  --trial N      scan/sweep: trial number 1..3 (default 1)\n"
-      "  --retries N    scan: L7 retry budget (default 0)\n"
+      "  --retries N    scan: L7 retry budget, 0..8 (default 0)\n"
       "  --jobs N       worker threads for experiment/scan/sweep, 1..64\n"
       "                 (default 1; results are bit-identical for any value)\n"
       "  --workers N    experiment: distribute the grid over N worker\n"
@@ -225,7 +226,13 @@ bool parse_args(int argc, char** argv, Args& args) {
     } else if (flag == "--trial") {
       args.trial = std::atoi(value.c_str());
     } else if (flag == "--retries") {
-      args.retries = std::atoi(value.c_str());
+      // Parsed strictly: atoi would read "abc" as 0, a valid budget.
+      const char* end = value.data() + value.size();
+      const auto [ptr, ec] = std::from_chars(value.data(), end, args.retries);
+      if (ec != std::errc{} || ptr != end) {
+        std::fprintf(stderr, "--retries must be an integer in [0, 8]\n");
+        return false;
+      }
     } else if (flag == "--jobs") {
       args.jobs = std::atoi(value.c_str());
     } else if (flag == "--universe-bits") {
@@ -291,6 +298,10 @@ bool parse_args(int argc, char** argv, Args& args) {
   }
   if (args.trial < 1 || args.trial > 3) {
     std::fprintf(stderr, "--trial must be in [1, 3]\n");
+    return false;
+  }
+  if (args.retries < 0 || args.retries > 8) {
+    std::fprintf(stderr, "--retries must be an integer in [0, 8]\n");
     return false;
   }
   if (args.jobs < 1 || args.jobs > 64) {
