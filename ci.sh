@@ -4,8 +4,8 @@
 #   unit      fast pre-commit lane: build + `ctest -L 'unit|metrics'`
 #   full      build + the whole suite (unit, metrics, property,
 #             differential, crash, dist, chaos, service, docs, slow),
-#             the bounded-RSS full-universe scale lane, + the bench
-#             regression gate
+#             the bounded-RSS full-universe scale lane, the bench
+#             regression gate, + the perfbench stage
 #   service   build + the originscand daemon battery (`ctest -L
 #             service`) and the docs consistency checks
 #   docs      build + the doc/header consistency checks on their own
@@ -20,6 +20,10 @@
 #             5% metrics-on vs metrics-off overhead bound, and the
 #             service loadgen p99 gate against BENCH_wall.json's
 #             loadgen_p99_us (>25% regression fails)
+#   perfbench build the end-to-end benchmark (perfbench/) from source,
+#             run its self-test, then run each workload (grid, sweep,
+#             grid_dist) once for 1 s; fails unless every result line
+#             reports "correct": true with 0 failed operations
 #   tsan      ORIGINSCAN_SANITIZE=thread build; runs the suites that
 #             exercise the parallel executor, the windowed lane executor
 #             (procedural_test: multi-window sweeps and scans at jobs > 1),
@@ -31,7 +35,7 @@
 #   coverage  -DOSN_COVERAGE=ON build, full suite, gcov aggregation
 #   all       unit + full + tsan + asan (default; coverage stays opt-in)
 #
-# Usage: ./ci.sh [unit|full|bench|chaos|service|docs|tsan|asan|coverage|all]
+# Usage: ./ci.sh [unit|full|bench|perfbench|chaos|service|docs|tsan|asan|coverage|all]
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -73,6 +77,7 @@ run_full() {
     ctest -L docs --output-on-failure &&
     ctest -L scale --output-on-failure)
   run_bench
+  run_perfbench
 }
 
 run_service() {
@@ -135,6 +140,24 @@ run_bench() {
     build/BENCH_loadgen_candidate.json loadgen_p99_us 25
 }
 
+run_perfbench() {
+  # perfbench compiles against src/ APIs, so a src/ change can break it
+  # without breaking the main build; run.py builds it into .bench_build/.
+  python3 perfbench/run.py --self-test
+  local workload line
+  for workload in grid sweep grid_dist; do
+    line=$(python3 perfbench/run.py --workload "$workload" --seed 0 \
+      --seconds 1 --trace 0 | tail -n 1)
+    echo "perfbench $workload: $line"
+    if ! python3 -c 'import json, sys
+r = json.loads(sys.argv[1])
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' "$line"; then
+      echo "ci.sh perfbench: $workload is incorrect or failed operations" >&2
+      exit 1
+    fi
+  done
+}
+
 run_tsan() {
   configure_and_build build-tsan -DORIGINSCAN_SANITIZE=thread
   (cd build-tsan &&
@@ -158,6 +181,7 @@ case "$STAGE" in
   unit) run_unit ;;
   full) run_full ;;
   bench) run_bench ;;
+  perfbench) run_perfbench ;;
   chaos) run_chaos ;;
   service) run_service ;;
   docs) run_docs ;;
@@ -171,7 +195,7 @@ case "$STAGE" in
     run_asan
     ;;
   *)
-    echo "usage: $0 [unit|full|bench|chaos|service|docs|tsan|asan|coverage|all]" >&2
+    echo "usage: $0 [unit|full|bench|perfbench|chaos|service|docs|tsan|asan|coverage|all]" >&2
     exit 2
     ;;
 esac

@@ -103,74 +103,6 @@ bool save_results(const std::string& path,
   return written == bytes.size() && close_result == 0;
 }
 
-bool save_results(const std::string& path,
-                  const std::vector<scan::ScanResult>& results,
-                  const fault::FaultInjector* faults, SaveStats* stats,
-                  obsv::MetricBlock* metrics) {
-  constexpr std::size_t kChunk = 64 * 1024;
-  // A transient error on the same chunk can recur (each retry is a new
-  // physical write with its own injected-fault decision), so bound the
-  // total number of resume cycles rather than loop forever on a plan
-  // that fails every write.
-  constexpr std::uint64_t kMaxResumes = 256;
-
-  SaveStats local;
-  const auto bytes = serialize_results(results);
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) return false;
-
-  std::size_t committed = 0;  // bytes durably written so far
-  std::uint64_t write_index = 0;
-  bool ok = true;
-  while (committed < bytes.size()) {
-    const std::size_t len = std::min(kChunk, bytes.size() - committed);
-    if (faults != nullptr && faults->enospc(committed)) {
-      // Permanent no-space failure: unlike EIO, the disk does not come
-      // back on a reopen, so the retry ladder would only spin. Abandon
-      // the save; the caller fails the cell, not the run.
-      if (metrics != nullptr) metrics->add(obsv::Counter::kFaultEnospc);
-      local.storage_exhausted = true;
-      ok = false;
-      break;
-    }
-    const bool injected_eio =
-        faults != nullptr && faults->store_write_fails(write_index);
-    if (injected_eio && metrics != nullptr) {
-      metrics->add(obsv::Counter::kFaultStoreEio);
-    }
-    ++write_index;
-    ++local.writes;
-    std::size_t written = 0;
-    if (!injected_eio) {
-      written = std::fwrite(bytes.data() + committed, 1, len, file);
-    }
-    if (written == len) {
-      committed += len;
-      continue;
-    }
-    // Transient EIO (injected or real short write): checkpoint/resume.
-    // Reopen the file and seek back to the last committed offset — the
-    // bytes before it are durable; everything after is rewritten.
-    ++local.transient_errors;
-    if (local.resumes >= kMaxResumes) {
-      ok = false;
-      break;
-    }
-    ++local.resumes;
-    if (metrics != nullptr) metrics->add(obsv::Counter::kStoreWriteRetries);
-    std::fclose(file);
-    file = std::fopen(path.c_str(), "r+b");
-    if (file == nullptr ||
-        std::fseek(file, static_cast<long>(committed), SEEK_SET) != 0) {
-      ok = false;
-      break;
-    }
-  }
-  if (file != nullptr && std::fclose(file) != 0) ok = false;
-  if (stats != nullptr) *stats = local;
-  return ok && committed == bytes.size();
-}
-
 std::optional<std::vector<scan::ScanResult>> load_results(
     const std::string& path) {
   std::FILE* file = std::fopen(path.c_str(), "rb");

@@ -75,10 +75,9 @@ class CellSupervisor {
   [[nodiscard]] net::VirtualTime backoff_for(std::uint64_t cell_index,
                                              int attempt) const;
 
-  // The process-wide kill token. Chains poll it (via per-attempt child
-  // tokens) so a simulated process death stops the whole run, not just
-  // the crashing cell.
-  [[nodiscard]] const scan::CancelToken& kill_token() const { return kill_; }
+  // Whether the process-wide kill token fired. Chains poll it (via
+  // per-attempt child tokens) so a simulated process death stops the
+  // whole run, not just the crashing cell.
   [[nodiscard]] bool killed() const { return kill_.cancelled(); }
 
   // Runs one cell to an outcome. `run_attempt` executes the scan under a

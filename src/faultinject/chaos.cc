@@ -95,8 +95,8 @@ ChaosEpisode make_chaos_episode(std::uint64_t seed, std::uint64_t round,
                                 slots / 10, 0.1 + 0.5 * rng.unit(19)));
   }
 
-  // ---- Recoverable pipeline faults (absorbed by the send retry loop,
-  // the L7 retry ladder, and the checkpointing store writer).
+  // ---- Recoverable pipeline faults (absorbed by the send retry loop
+  // and the L7 retry ladder).
   if (rng.unit(20) < 0.35) {
     append_clause(spec, window_clause("send_fail", "slot",
                                       rng.below(21, slots), slots / 6,
@@ -118,11 +118,6 @@ ChaosEpisode make_chaos_episode(std::uint64_t seed, std::uint64_t round,
                   host_clause("banner_stall", 7 + rng.below(32, 7),
                               rng.below(33, 7),
                               1 + static_cast<int>(rng.below(34, 2))));
-  }
-  if (rng.unit(35) < 0.2) {
-    append_clause(spec, "store_eio:write=" + std::to_string(rng.below(36, 4)) +
-                            ",count=" +
-                            std::to_string(1 + rng.below(37, 3)));
   }
 
   // ---- Supervisor faults. cell_hang attempts stay strictly under the

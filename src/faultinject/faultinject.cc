@@ -10,12 +10,11 @@ namespace originscan::fault {
 namespace {
 
 constexpr Point kAllPoints[kPointCount] = {
-    Point::kProbeDrop,     Point::kOutage,       Point::kSendFail,
-    Point::kMacCorrupt,    Point::kConnectRst,   Point::kBannerTruncate,
-    Point::kBannerStall,   Point::kStoreWriteError,
-    Point::kCellCrash,     Point::kCellHang,     Point::kWorkerKill,
-    Point::kWorkerStall,   Point::kEnospc,       Point::kSegmentCorrupt,
-    Point::kFrameGarble,
+    Point::kProbeDrop,      Point::kOutage,      Point::kSendFail,
+    Point::kMacCorrupt,     Point::kConnectRst,  Point::kBannerTruncate,
+    Point::kBannerStall,    Point::kCellCrash,   Point::kCellHang,
+    Point::kWorkerKill,     Point::kWorkerStall, Point::kEnospc,
+    Point::kSegmentCorrupt, Point::kFrameGarble,
 };
 
 double hash01(std::uint64_t h) {
@@ -23,9 +22,13 @@ double hash01(std::uint64_t h) {
 }
 
 // Per-point salts for the fault decision hashes, so clauses at different
-// points never share a random stream.
+// points never share a random stream. Salt 7 belongs to a retired point:
+// the points from cell_crash on sit one above their enumerator, which
+// keeps their fault schedules (and every run recorded under them) as
+// they were.
 constexpr std::uint64_t salt_of(Point point) {
-  return 0xFA017000ULL + static_cast<std::uint64_t>(point);
+  const auto index = static_cast<std::uint64_t>(point);
+  return 0xFA017000ULL + index + (point >= Point::kCellCrash ? 1 : 0);
 }
 
 // The clause keyword as written in spec strings. Distinct from
@@ -47,8 +50,6 @@ constexpr std::string_view spec_keyword(Point point) {
       return "banner_trunc";
     case Point::kBannerStall:
       return "banner_stall";
-    case Point::kStoreWriteError:
-      return "store_eio";
     case Point::kCellCrash:
       return "cell_crash";
     case Point::kCellHang:
@@ -243,28 +244,6 @@ bool parse_host_args(std::span<const std::string_view> args,
   if (!saw_selector) {
     return set_error(error, "missing host%M==K selector");
   }
-  return true;
-}
-
-bool parse_store_args(std::span<const std::string_view> args,
-                      FaultClause& clause, std::string* error) {
-  bool saw_write = false;
-  for (std::string_view arg : args) {
-    if (arg.rfind("write=", 0) == 0) {
-      if (!parse_u64(arg.substr(6), clause.write_index)) {
-        return set_error(error, "bad write index: " + std::string(arg));
-      }
-      saw_write = true;
-    } else if (arg.rfind("count=", 0) == 0) {
-      if (!parse_u64(arg.substr(6), clause.count) || clause.count == 0 ||
-          clause.count > 64) {
-        return set_error(error, "count must be 1..64: " + std::string(arg));
-      }
-    } else {
-      return set_error(error, "unknown argument: " + std::string(arg));
-    }
-  }
-  if (!saw_write) return set_error(error, "missing write= index");
   return true;
 }
 
@@ -463,8 +442,6 @@ std::string_view point_name(Point point) {
       return "banner_trunc";
     case Point::kBannerStall:
       return "banner_stall";
-    case Point::kStoreWriteError:
-      return "store_eio";
     case Point::kCellCrash:
       return "cell_crash";
     case Point::kCellHang:
@@ -505,7 +482,6 @@ bool FaultClause::recoverable() const {
     case Point::kConnectRst:
     case Point::kBannerTruncate:
     case Point::kBannerStall:
-    case Point::kStoreWriteError:
       return true;
     case Point::kProbeDrop:
     case Point::kOutage:
@@ -555,11 +531,6 @@ std::string FaultClause::to_string() const {
     case Point::kBannerStall:
       std::snprintf(buffer, sizeof(buffer),
                     ":host%%%u==%u,attempts=%d,p=%g", mod, rem, attempts, p);
-      break;
-    case Point::kStoreWriteError:
-      std::snprintf(buffer, sizeof(buffer), ":write=%llu,count=%llu",
-                    static_cast<unsigned long long>(write_index),
-                    static_cast<unsigned long long>(count));
       break;
     case Point::kCellCrash:
       std::snprintf(buffer, sizeof(buffer), ":cell=%llu",
@@ -647,9 +618,6 @@ std::optional<FaultPlan> FaultPlan::parse(std::string_view spec,
     } else if (name == "banner_stall") {
       clause.point = Point::kBannerStall;
       ok = parse_host_args(args, clause, error);
-    } else if (name == "store_eio") {
-      clause.point = Point::kStoreWriteError;
-      ok = parse_store_args(args, clause, error);
     } else if (name == "cell_crash") {
       clause.point = Point::kCellCrash;
       ok = parse_cell_args(args, clause.point, clause, error);
@@ -827,18 +795,6 @@ FaultInjector::L7Fault FaultInjector::l7_fault(net::Ipv4Addr dst,
     return kind;
   }
   return L7Fault::kNone;
-}
-
-bool FaultInjector::store_write_fails(std::uint64_t write_index) const {
-  for (const FaultClause& clause : plan_.clauses()) {
-    if (clause.point != Point::kStoreWriteError) continue;
-    if (write_index >= clause.write_index &&
-        write_index < clause.write_index + clause.count) {
-      record(Point::kStoreWriteError);
-      return true;
-    }
-  }
-  return false;
 }
 
 bool FaultInjector::cell_crash(std::uint64_t cell_index) const {

@@ -2,17 +2,17 @@
 //
 // A FaultPlan is parsed from a compact spec string, e.g.
 //
-//   "drop:slot=1024..2048,p=0.3;banner_trunc:host%7==0;store_eio:write=3"
+//   "drop:slot=1024..2048,p=0.3;banner_trunc:host%7==0;cell_crash:cell=3"
 //
 // and bound to a seed by a FaultInjector. Every fault decision is a pure
-// function of (seed, slot | host | write index), never of wall time or
-// execution order, so a fault schedule is exactly replayable: the same
-// plan + seed perturbs the same probes, the same handshakes, and the same
-// store writes no matter how many worker threads execute the scan. This
-// is what lets the golden-trace differential harness (core/goldens.h)
-// use PR 1's byte-identity contract as an oracle — a run that recovers
-// from every injected fault must reproduce the fault-free golden run
-// byte for byte.
+// function of (seed, slot | host | cell | file or frame index), never of
+// wall time or execution order, so a fault schedule is exactly
+// replayable: the same plan + seed perturbs the same probes, the same
+// handshakes, and the same journal files no matter how many worker
+// threads execute the scan. This is what lets the golden-trace
+// differential harness (core/goldens.h) use the byte-identity contract
+// of parallel execution as an oracle — a run that recovers from every
+// injected fault must reproduce the fault-free golden run byte for byte.
 //
 // Injection points (the registry; tests/faultpoint_registry_test.cc
 // asserts every one of these is exercised):
@@ -27,7 +27,6 @@
 //   connect_rst    ZGrabEngine         rst:host%M==K[,attempts=N][,p=P]
 //   banner_trunc   ZGrabEngine         banner_trunc:host%M==K[,...]
 //   banner_stall   ZGrabEngine         banner_stall:host%M==K[,...]
-//   store_eio      core::save_results  store_eio:write=N[,count=C]
 //   cell_crash     core::CellSupervisor  cell_crash:cell=K
 //   cell_hang      core::CellSupervisor  cell_hang:cell=K,sec=S[,attempts=N]
 //   worker_kill    core::run_worker    worker_kill:worker=W        (pre-HELLO)
@@ -39,12 +38,12 @@
 //   segment_corrupt core::ExperimentJournal segment_corrupt:file=N[,count=C]
 //   frame_garble   core::run_worker    frame_garble:worker=W,frame=N[,count=C]
 //
-// Recoverable faults (send_fail, the three ZGrab faults, store_eio) are
-// absorbed by pipeline machinery — the send retry loop, the RetryPolicy
-// ladder, the checkpoint/resume store writer — and leave the output
-// byte-identical to the fault-free run. Degrading faults (probe_drop,
-// outage, mac_corrupt) lose data in ways no retry can recover; the
-// differential harness classifies their damage instead.
+// Recoverable faults (send_fail and the three ZGrab faults) are absorbed
+// by pipeline machinery — the send retry loop and the RetryPolicy
+// ladder — and leave the output byte-identical to the fault-free run.
+// Degrading faults (probe_drop, outage, mac_corrupt) lose data in ways
+// no retry can recover; the differential harness classifies their
+// damage instead.
 //
 // The two cell-level faults model process death and wedged cells at the
 // experiment layer (see core/supervisor.h). cell_crash kills the run at
@@ -107,7 +106,6 @@ enum class Point : int {
   kConnectRst,
   kBannerTruncate,
   kBannerStall,
-  kStoreWriteError,
   kCellCrash,
   kCellHang,
   kWorkerKill,
@@ -117,7 +115,7 @@ enum class Point : int {
   kFrameGarble,
 };
 
-inline constexpr int kPointCount = 15;
+inline constexpr int kPointCount = 14;
 
 // Protocol phases at which the worker faults can fire (the checkpoints
 // core::run_worker queries). kHello is the `worker=W` form — the worker
@@ -153,9 +151,9 @@ struct FaultClause {
   std::uint32_t rem = 0;
   int attempts = 1;
 
-  // Store faults: physical write operations [write_index,
-  // write_index + count) fail with a transient EIO. segment_corrupt
-  // and frame_garble reuse the same pair as their file=/frame= window.
+  // segment_corrupt and frame_garble: the file=/frame= window
+  // [write_index, write_index + count) of durable journal files or
+  // frames a worker sends.
   std::uint64_t write_index = 0;
   std::uint64_t count = 1;
 
@@ -254,11 +252,6 @@ class FaultInjector {
   // ---- ZGrab layer --------------------------------------------------
   enum class L7Fault { kNone, kRst, kTruncate, kStall };
   [[nodiscard]] L7Fault l7_fault(net::Ipv4Addr dst, int attempt) const;
-
-  // ---- store layer --------------------------------------------------
-  // Physical write operation `write_index` (0-based, counted across the
-  // whole save including retries) fails with a transient EIO.
-  [[nodiscard]] bool store_write_fails(std::uint64_t write_index) const;
 
   // ---- experiment layer (core::CellSupervisor) ----------------------
   // The process dies at the start of this grid cell (simulated via the

@@ -95,14 +95,10 @@ namespace originscan::obsv {
     "src/scanner/zgrab.cc:read_bytes")                                        \
   X(kFaultBannerStall, "fault.banner_stall", "hits",                          \
     "src/scanner/zgrab.cc:read_bytes")                                        \
-  X(kFaultStoreEio, "fault.store_eio", "hits",                                \
-    "src/core/store.cc:save_results")                                         \
   X(kFaultCellCrash, "fault.cell_crash", "hits",                              \
     "src/core/supervisor.cc:run_cell")                                        \
   X(kFaultCellHang, "fault.cell_hang", "hits",                                \
     "src/core/supervisor.cc:run_cell")                                        \
-  X(kStoreWriteRetries, "store.write_retries", "writes",                      \
-    "src/core/store.cc:save_results")                                         \
   X(kJournalCellsRecorded, "journal.cells_recorded", "cells",                 \
     "src/core/journal.cc:record_done")                                        \
   X(kJournalSegmentsFsynced, "journal.segments_fsynced", "files",             \

@@ -31,10 +31,6 @@ class CancelToken {
     return parent_ != nullptr && parent_->cancelled();
   }
 
-  // Re-parents the token; must happen-before any concurrent cancelled()
-  // call (the supervisor sets parents before launching attempts).
-  void set_parent(const CancelToken* parent) { parent_ = parent; }
-
  private:
   std::atomic<bool> cancelled_{false};
   const CancelToken* parent_ = nullptr;

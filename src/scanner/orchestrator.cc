@@ -314,7 +314,7 @@ void emit_scan_trace(const ScanOptions& options, const ZMapConfig& zmap_config,
     lane.last = target.first_packet;
   }
 
-  const double spp = 1.0 / zmap_config.effective_pps(zmap_config.universe_size);
+  const double spp = 1.0 / zmap_config.effective_pps();
   const auto slot_time = [spp](std::uint64_t slot) {
     return net::VirtualTime::from_seconds(static_cast<double>(slot) * spp);
   };

@@ -39,12 +39,14 @@ bool is_retryable(sim::L7Outcome outcome) {
   }
 }
 
-net::VirtualTime RetryPolicy::backoff_before(int attempt) const {
+net::VirtualTime RetryPolicy::backoff_before(int attempt) {
+  constexpr double kInitialBackoffUs = 1e6;
+  constexpr double kBackoffMultiplier = 2.0;
+  constexpr double kMaxBackoffUs = 8e6;
   if (attempt <= 0) return {};
-  double micros = static_cast<double>(initial_backoff.micros());
-  for (int i = 1; i < attempt; ++i) micros *= backoff_multiplier;
-  const double cap = static_cast<double>(max_backoff.micros());
-  if (micros > cap) micros = cap;
+  double micros = kInitialBackoffUs;
+  for (int i = 1; i < attempt; ++i) micros *= kBackoffMultiplier;
+  if (micros > kMaxBackoffUs) micros = kMaxBackoffUs;
   return net::VirtualTime::from_micros(static_cast<std::int64_t>(micros));
 }
 
@@ -92,7 +94,7 @@ L7Result ZGrabEngine::grab(net::Ipv4Addr src_ip, net::Ipv4Addr dst,
   L7Result result;
   int attempts_used = 0;
   for (int i = 0; i <= policy.max_retries; ++i) {
-    if (i > 0) t += policy.backoff_before(i);
+    if (i > 0) t += RetryPolicy::backoff_before(i);
     result = attempt(src_ip, dst, t, i);
     attempts_used = i + 1;
     if (result.outcome == sim::L7Outcome::kCompleted ||

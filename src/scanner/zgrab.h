@@ -21,14 +21,12 @@ namespace originscan::scan {
 
 // When and how the engine re-tries a failed handshake. Backoff runs on
 // the virtual clock: retry k (1-based) starts backoff_before(k) after
-// attempt k-1 ended, following a capped exponential ladder.
+// attempt k-1 ended, following a capped exponential ladder: 1 s,
+// doubling per retry, capped at 8 s.
 struct RetryPolicy {
   // Total handshake attempts = 1 + max_retries. Only retryable failures
   // consume retries.
   int max_retries = 0;
-  net::VirtualTime initial_backoff = net::VirtualTime::from_seconds(1.0);
-  double backoff_multiplier = 2.0;
-  net::VirtualTime max_backoff = net::VirtualTime::from_seconds(8.0);
   // The base retryable set covers transport-level failures (connect
   // timeout, reset, close before data). With this flag the engine also
   // re-tries banner-level failures — read timeouts, truncated/garbled
@@ -37,8 +35,8 @@ struct RetryPolicy {
   bool retry_banner_failures = false;
 
   // Virtual-time gap between attempt `attempt - 1` and attempt `attempt`
-  // (attempt >= 1): initial_backoff * multiplier^(attempt-1), capped.
-  [[nodiscard]] net::VirtualTime backoff_before(int attempt) const;
+  // (attempt >= 1): 1 s * 2^(attempt-1), capped at 8 s.
+  [[nodiscard]] static net::VirtualTime backoff_before(int attempt);
 
   [[nodiscard]] bool should_retry(sim::L7Outcome outcome) const;
 };

@@ -195,8 +195,7 @@ void ZMapScanner::probe_batch(
 ZMapScanner::Stats ZMapScanner::run(
     const std::function<void(const L4Result&)>& on_result) {
   Stats stats;
-  const double seconds_per_packet =
-      1.0 / config_.effective_pps(config_.universe_size);
+  const double seconds_per_packet = 1.0 / config_.effective_pps();
 
   // The walk is consumed one kRunBatch refill at a time, and each refill's
   // surviving targets ride the SoA pipeline as one batch. Cancellation is
@@ -225,8 +224,7 @@ ZMapScanner::Stats ZMapScanner::run_scheduled(
     std::span<const ScheduledTarget> targets,
     const std::function<void(const L4Result&)>& on_result) {
   Stats stats;
-  const double seconds_per_packet =
-      1.0 / config_.effective_pps(config_.universe_size);
+  const double seconds_per_packet = 1.0 / config_.effective_pps();
   // Chunked over the SoA pipeline; cancellation polls once per chunk.
   std::size_t offset = 0;
   while (offset < targets.size()) {

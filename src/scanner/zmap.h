@@ -41,7 +41,8 @@ struct ZMapConfig {
   // back-to-back retransmission; Bano et al. propose spacing them so a
   // Bad period cannot swallow both.
   net::VirtualTime probe_interval;
-  double packets_per_second = 0;    // 0 = derive from scan_duration
+  // The send rate spreads probes * universe_size packets evenly over
+  // this duration (effective_pps).
   net::VirtualTime scan_duration = net::VirtualTime::from_hours(21);
   std::vector<net::Ipv4Addr> source_ips;
   Blocklist blocklist;
@@ -63,10 +64,9 @@ struct ZMapConfig {
   // ownership pattern as `faults`/`cancel`.
   obsv::MetricBlock* metrics = nullptr;
 
-  [[nodiscard]] double effective_pps(std::uint64_t targets) const {
-    if (packets_per_second > 0) return packets_per_second;
+  [[nodiscard]] double effective_pps() const {
     const double total =
-        static_cast<double>(targets) * static_cast<double>(probes);
+        static_cast<double>(universe_size) * static_cast<double>(probes);
     return total / scan_duration.seconds();
   }
 };

@@ -99,10 +99,6 @@ void PathTable::set_origin_multiplier(OriginId origin, double multiplier) {
   multipliers_[origin] = multiplier;
 }
 
-void PathTable::set_origin_good_loss_bump(OriginId origin, double bump) {
-  good_loss_bumps_[origin] = bump;
-}
-
 PathProfile PathTable::profile(OriginId origin, AsId as) const {
   PathProfile result = default_;
   if (auto it = per_as_.find(as); it != per_as_.end()) result = it->second;
@@ -118,9 +114,6 @@ PathProfile PathTable::profile(OriginId origin, AsId as) const {
       result.bad_fraction = std::min(0.9, result.bad_fraction * it->second);
       result.good_loss = std::min(0.5, result.good_loss * it->second);
     }
-  }
-  if (auto it = good_loss_bumps_.find(origin); it != good_loss_bumps_.end()) {
-    result.good_loss = std::min(0.5, result.good_loss + it->second);
   }
   return result;
 }

@@ -90,11 +90,6 @@ class PathTable {
   void set_pair_override(OriginId origin, AsId as, const PathProfile& profile);
   void set_origin_multiplier(OriginId origin, double multiplier);
 
-  // Additive bump on the Good-state loss for one origin (used to give
-  // colocated providers slightly different first-hop quality without
-  // changing their shared Bad timelines).
-  void set_origin_good_loss_bump(OriginId origin, double bump);
-
   [[nodiscard]] PathProfile profile(OriginId origin, AsId as) const;
 
  private:
@@ -102,7 +97,6 @@ class PathTable {
   std::map<AsId, PathProfile> per_as_;
   std::map<std::pair<OriginId, AsId>, PathProfile> per_pair_;
   std::map<OriginId, double> multipliers_;
-  std::map<OriginId, double> good_loss_bumps_;
 };
 
 }  // namespace originscan::sim

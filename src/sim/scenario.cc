@@ -68,7 +68,7 @@ struct AsSpec {
   ProfileTag::Kind profile = ProfileTag::kStandard;
   std::vector<GeoSplit> geo;  // empty = all space geolocates to `country`
 
-  // Service shares; negative = use scenario defaults.
+  // Service shares; negative = use the population constants below.
   double http = -1, https = -1, ssh = -1;
 
   // SSH daemon guard: share of SSH hosts with MaxStartups, and whether
@@ -81,6 +81,26 @@ struct AsSpec {
 };
 
 constexpr int kReferenceBlocks = 2048;  // the sizes below assume 2^19 space
+
+// Host population shape, calibrated once for every world. The service
+// shares apply where an AsSpec leaves its own negative.
+constexpr double kHttpShare = 0.78;       // P(host runs HTTP)
+constexpr double kHttpsShare = 0.56;      // P(host runs HTTPS)
+constexpr double kSshShare = 0.27;        // P(host runs SSH)
+constexpr double kMiddleboxShare = 0.02;  // SYN-ACK everywhere, no L7
+constexpr double kChurnyHostShare = 0.16;
+constexpr int kChurnyLivePercent = 82;
+// Marginal hosts: heavy trial churn plus origin-specific darkness.
+constexpr double kFlakyHostShare = 0.06;
+constexpr int kFlakyLivePercent = 55;
+constexpr double kFlakyMissProbability = 0.28;
+// SSH daemon behaviour: share of SSH hosts behind MaxStartups in normal
+// networks.
+constexpr double kMaxStartupsShare = 0.30;
+
+// Procedural mode's override region: the reference scale, so the named
+// networks keep their exact paper_default state.
+constexpr std::uint32_t kProceduralOverride = kReferenceBlocks * 256;
 
 PathProfile standard_profile() {
   // Calibrated so that (a) when one back-to-back probe is lost the other
@@ -175,10 +195,8 @@ class Builder {
     // In procedural mode the named scenario occupies only the override
     // region; the catalog owns everything above it.
     const std::uint32_t named_span =
-        config.procedural ? config.procedural_override : config.universe_size;
-    assert(!config.procedural ||
-           (config.procedural_override % 256 == 0 &&
-            config.procedural_override <= config.universe_size));
+        config.procedural ? kProceduralOverride : config.universe_size;
+    assert(!config.procedural || kProceduralOverride <= config.universe_size);
     total_blocks_ = named_span / 256;
     scale_ = static_cast<double>(total_blocks_) / kReferenceBlocks;
     world_.paths.set_default_profile(standard_profile());
@@ -255,7 +273,7 @@ class Builder {
   void add_generic_fill();
   void build_catalog();
 
-  // Resolves an AS's spec (scenario defaults vs per-AS overrides, plus
+  // Resolves an AS's spec (population constants vs per-AS overrides, plus
   // the per-AS flaky coin) into its World::host_params entry. ASes are
   // registered in AsId order, so this appends.
   void add_host_params(AsId as, const AsSpec& spec);
@@ -278,21 +296,21 @@ void Builder::add_host_params(AsId as, const AsSpec& spec) {
   assert(as == world_.host_params.size());
   HostGenParams params;
   params.density = spec.density;
-  params.http = spec.http >= 0 ? spec.http : config_.http_share;
-  params.https = spec.https >= 0 ? spec.https : config_.https_share;
-  params.ssh = spec.ssh >= 0 ? spec.ssh : config_.ssh_share;
-  params.middlebox_share = config_.middlebox_share;
+  params.http = spec.http >= 0 ? spec.http : kHttpShare;
+  params.https = spec.https >= 0 ? spec.https : kHttpsShare;
+  params.ssh = spec.ssh >= 0 ? spec.ssh : kSshShare;
+  params.middlebox_share = kMiddleboxShare;
   // Flakiness clusters by network: most ASes have none, a third carry
   // the whole population (so per-AS transient rates can be *identical*
   // — zero — across origins for the majority of ASes, as in Fig 9).
   const bool flaky_as = net::mix_u64(config_.seed, as, 0xF1AB5u) % 100 < 35;
-  params.flaky_share = flaky_as ? config_.flaky_host_share / 0.35 : 0.0;
-  params.flaky_live_percent = config_.flaky_live_percent;
-  params.churny_share = config_.churny_host_share;
-  params.churny_live_percent = config_.churny_live_percent;
+  params.flaky_share = flaky_as ? kFlakyHostShare / 0.35 : 0.0;
+  params.flaky_live_percent = kFlakyLivePercent;
+  params.churny_share = kChurnyHostShare;
+  params.churny_live_percent = kChurnyLivePercent;
   params.maxstartups_share = spec.maxstartups_share >= 0
                                  ? spec.maxstartups_share
-                                 : config_.maxstartups_share;
+                                 : kMaxStartupsShare;
   if (spec.aggressive_maxstartups) params.maxstartups = {5, 60, 30};
   world_.host_params.push_back(params);
 }
@@ -896,7 +914,7 @@ void Builder::build_catalog() {
   constexpr int kCatalogEntries = 192;
   const double total_weight = total_country_weight();
 
-  world_.procedural.configure(config_.seed, config_.procedural_override,
+  world_.procedural.configure(config_.seed, kProceduralOverride,
                               config_.universe_size);
   for (int i = 0; i < kCatalogEntries; ++i) {
     const CountryCode cc = sample_country(rng_, total_weight);
@@ -931,7 +949,7 @@ void Builder::build_catalog() {
 }
 
 World Builder::build() {
-  world_.flaky_miss_probability = config_.flaky_miss_probability;
+  world_.flaky_miss_probability = kFlakyMissProbability;
   add_special_ases();
   add_generic_fill();
   if (config_.procedural) build_catalog();

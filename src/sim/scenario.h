@@ -21,32 +21,14 @@ struct ScenarioConfig {
   std::uint32_t universe_size = 1u << 18;
   std::uint64_t seed = 0x05CA9;
 
-  // Host population shape.
-  double host_density = 0.35;     // share of allocated addresses hosting
-  double http_share = 0.78;       // P(host runs HTTP)
-  double https_share = 0.56;      // P(host runs HTTPS)
-  double ssh_share = 0.27;        // P(host runs SSH)
-  double middlebox_share = 0.02;  // SYN-ACK everywhere, no L7
-  double churny_host_share = 0.16;
-  int churny_live_percent = 82;
-  // Marginal hosts: heavy trial churn plus origin-specific darkness.
-  double flaky_host_share = 0.06;
-  int flaky_live_percent = 55;
-  double flaky_miss_probability = 0.28;
-
-  // SSH daemon behaviour.
-  double maxstartups_share = 0.30;  // of SSH hosts, normal networks
-
-  // Procedural mode: the named scenario's prefixes fill
-  // [0, procedural_override) exactly as in a standalone world of that
-  // size (same AS ids, same hosts, same goldens), and the block facts
+  // Procedural mode: the named scenario's prefixes fill the override
+  // region [0, 2^19) exactly as in a standalone world of the reference
+  // scale (same AS ids, same hosts, same goldens), and the block facts
   // from the override boundary up to universe_size are derived lazily
   // from the seed through a generic AS catalog — no per-/24 table.
+  // The host population shares are constants of the builder
+  // (scenario.cc), the same for every world.
   bool procedural = false;
-  // Size of the override region. The default equals the reference scale
-  // (2048 /24s), so the named networks keep their exact paper_default
-  // state. Must be a multiple of 256.
-  std::uint32_t procedural_override = 1u << 19;
 
   static ScenarioConfig paper_default() { return {}; }
 

@@ -197,8 +197,7 @@ class ReferenceModel {
     const fault::FaultInjector* faults = config_.faults;
     const fault::FaultInjector* net_faults = internet_.fault_injector();
     const proto::Protocol protocol = config_.protocol;
-    const double seconds_per_packet =
-        1.0 / config_.effective_pps(config_.universe_size);
+    const double seconds_per_packet = 1.0 / config_.effective_pps();
     for (const scan::ScheduledTarget& target : targets) {
       const net::Ipv4Addr dst = target.addr;
       ++out.stats.targets_probed;
@@ -435,7 +434,9 @@ TEST(BatchModelEquivalence, FullSweepMatchesReferenceModel) {
     zconfig.probes = 2 + static_cast<int>(seed % 2);
     zconfig.probe_interval = net::VirtualTime::from_micros(
         static_cast<std::int64_t>(seed % 3) * 250);
-    zconfig.packets_per_second = 20000;
+    // 20,000 packets per second.
+    zconfig.scan_duration = net::VirtualTime::from_micros(
+        std::int64_t{50} * config.universe_size * zconfig.probes);
     zconfig.source_ips = world.origins[origin].source_ips;
     zconfig.faults = &faults;
     zconfig.blocklist.block("0.1.0.0/16");
@@ -506,7 +507,9 @@ TEST(BatchModelEquivalence, TailBatchesMatchReferenceModelAcrossBoundaries) {
   zconfig.universe_size = config.universe_size;
   zconfig.protocol = proto::Protocol::kHttps;
   zconfig.probes = 2;
-  zconfig.packets_per_second = 50000;
+  // 50,000 packets per second.
+  zconfig.scan_duration = net::VirtualTime::from_micros(
+      std::int64_t{20} * config.universe_size * zconfig.probes);
   zconfig.source_ips = world.origins[origin].source_ips;
   zconfig.faults = &faults;
 

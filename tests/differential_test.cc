@@ -185,48 +185,6 @@ TEST(DifferentialRecoverable, ByteIdenticalAcrossPlansAndJobs) {
   }
 }
 
-TEST(DifferentialRecoverable, StoreEioCheckpointResumeIsByteIdentical) {
-  const auto results = load_golden_records("clean_small");
-  ASSERT_FALSE(results.empty());
-  const std::string clean_path = ::testing::TempDir() + "osn_store_clean.osnr";
-  const std::string fault_path = ::testing::TempDir() + "osn_store_eio.osnr";
-
-  ASSERT_TRUE(save_results(clean_path, results));
-  // clean_small.osnr is ~200 KiB = 4 chunks; fail physical writes 1-2.
-  const auto injector = make_injector("store_eio:write=1,count=2");
-  SaveStats stats;
-  ASSERT_TRUE(save_results(fault_path, results, &injector, &stats));
-  EXPECT_EQ(stats.transient_errors, 2u);
-  EXPECT_EQ(stats.resumes, 2u);
-  EXPECT_GT(stats.writes, 2u);
-  EXPECT_EQ(injector.hits(fault::Point::kStoreWriteError), 2u);
-
-  EXPECT_EQ(read_file(clean_path), read_file(fault_path));
-  const auto reloaded = load_results(fault_path);
-  ASSERT_TRUE(reloaded.has_value());
-  EXPECT_TRUE(compare_results(results, *reloaded).identical());
-
-  std::remove(clean_path.c_str());
-  std::remove(fault_path.c_str());
-}
-
-// A plan every write of which fails must error out, not loop forever.
-TEST(DifferentialRecoverable, StoreGivesUpOnPermanentEio) {
-  const auto results = load_golden_records("clean_small");
-  const std::string path = ::testing::TempDir() + "osn_store_perma.osnr";
-  // 64 is the per-clause cap; stack clauses to poison every write index
-  // the bounded resume loop can reach.
-  std::string spec = "store_eio:write=0,count=64";
-  for (int i = 1; i < 8; ++i) {
-    spec += ";store_eio:write=" + std::to_string(i * 64) + ",count=64";
-  }
-  const auto permanent = make_injector(spec);
-  SaveStats stats;
-  EXPECT_FALSE(save_results(path, results, &permanent, &stats));
-  EXPECT_GT(stats.transient_errors, 0u);
-  std::remove(path.c_str());
-}
-
 // -------------------------------------------------- degrading plans ----
 
 TEST(DifferentialDegrading, ProbeDropClassifiedAsL4Loss) {

@@ -8,11 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <set>
 #include <string>
 
-#include "core/store.h"
 #include "core/supervisor.h"
 #include "faultinject/faultinject.h"
 #include "obsv/metrics.h"
@@ -55,7 +53,6 @@ TEST(FaultpointRegistry, EveryPointIsExercised) {
       "rst:host%3==0;"
       "banner_trunc:host%3==1;"
       "banner_stall:host%3==2;"
-      "store_eio:write=0,count=2;"
       "cell_crash:cell=5;"
       "cell_hang:cell=7,sec=600,attempts=2;"
       "worker_kill:worker=3;"
@@ -80,10 +77,6 @@ TEST(FaultpointRegistry, EveryPointIsExercised) {
             FaultInjector::L7Fault::kTruncate);
   EXPECT_EQ(injector.l7_fault(net::Ipv4Addr(5), 0),
             FaultInjector::L7Fault::kStall);
-  // Store layer.
-  EXPECT_TRUE(injector.store_write_fails(0));
-  EXPECT_TRUE(injector.store_write_fails(1));
-  EXPECT_FALSE(injector.store_write_fails(2));
   // Experiment layer (CellSupervisor).
   EXPECT_TRUE(injector.cell_crash(5));
   EXPECT_FALSE(injector.cell_crash(6));
@@ -104,7 +97,7 @@ TEST(FaultpointRegistry, EveryPointIsExercised) {
   EXPECT_FALSE(injector.worker_stall(1, WorkerPhase::kDone, 8, 0));
   EXPECT_EQ(injector.hits(Point::kWorkerKill), 1u);
   EXPECT_EQ(injector.hits(Point::kWorkerStall), 2u);
-  // Storage layer (journal/store durable writes).
+  // Storage layer (journal durable writes).
   EXPECT_FALSE(injector.enospc(4095));
   EXPECT_TRUE(injector.enospc(4096));   // threshold is inclusive...
   EXPECT_TRUE(injector.enospc(99999));  // ...and the failure is permanent
@@ -155,7 +148,6 @@ TEST(FaultPlanSemantics, RecoverabilityClassification) {
   EXPECT_TRUE(must_parse("rst:host%5==0").recoverable());
   EXPECT_TRUE(must_parse("banner_trunc:host%5==0").recoverable());
   EXPECT_TRUE(must_parse("banner_stall:host%5==0").recoverable());
-  EXPECT_TRUE(must_parse("store_eio:write=3").recoverable());
   EXPECT_FALSE(must_parse("drop:slot=0..9,p=1").recoverable());
   EXPECT_FALSE(must_parse("outage:sec=0..9").recoverable());
   EXPECT_FALSE(must_parse("mac_corrupt:slot=0..9,p=1").recoverable());
@@ -206,7 +198,7 @@ TEST(FaultPlanSemantics, OriginScopedOutage) {
 
 TEST(FaultPlanSemantics, RoundTripsThroughToString) {
   const char* specs[] = {
-      "drop:slot=1024..2048,p=0.3;banner_trunc:host%7==0;store_eio:write=3",
+      "drop:slot=1024..2048,p=0.3;banner_trunc:host%7==0;cell_crash:cell=3",
       "outage:sec=3600..7200",
       "send_fail:slot=0..100,p=0.25;rst:host%5==1,attempts=2,p=0.5",
       "outage:sec=0..600,origin=1",
@@ -244,8 +236,6 @@ TEST(FaultPlanSemantics, RejectsMalformedSpecs) {
       "rst:host%4==4",               // remainder >= modulus
       "rst:host%4==1,attempts=0",    // attempts below 1
       "rst:host%4==1,attempts=99",   // attempts above cap
-      "store_eio:write=0,count=0",   // zero count
-      "store_eio:write=0,count=65",  // count above cap
       "nonsense:slot=0..1",          // unknown point
       "drop:slot=0..1,p=1;;rst:host%2==0",  // empty clause mid-spec
       "drop:slot=0..1,p=1,origin=0",  // origin scope is outage-only
@@ -429,33 +419,6 @@ TEST(FaultpointMetrics, L7FaultsCountOncePerAffectedHost) {
   EXPECT_GT(expect_rst, 0u);
   EXPECT_GT(expect_trunc, 0u);
   EXPECT_GT(expect_stall, 0u);
-}
-
-TEST(FaultpointMetrics, StoreEioCountsPerInjectedFailure) {
-  const FaultPlan plan = must_parse("store_eio:write=0,count=2");
-  const FaultInjector injector(plan, /*seed=*/0xFA57u);
-
-  scan::ScanResult result;
-  scan::ScanRecord record;
-  record.addr = net::Ipv4Addr(42);
-  result.records.push_back(record);
-
-  obsv::MetricBlock metrics;
-  core::SaveStats stats;
-  const std::string path =
-      ::testing::TempDir() + "faultpoint_metrics_store.osnr";
-  ASSERT_TRUE(core::save_results(path, {result}, &injector, &stats, &metrics));
-
-  EXPECT_EQ(stats.transient_errors, 2u);
-  EXPECT_EQ(metrics.counter(obsv::Counter::kFaultStoreEio), 2u);
-  EXPECT_EQ(metrics.counter(obsv::Counter::kStoreWriteRetries),
-            stats.resumes);
-  EXPECT_EQ(injector.hits(Point::kStoreWriteError), 2u);
-
-  const auto loaded = core::load_results(path);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->size(), 1u);
-  std::remove(path.c_str());
 }
 
 TEST(FaultpointMetrics, CellCrashCountsOnceIntoTheCellBlock) {

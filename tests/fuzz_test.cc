@@ -344,7 +344,7 @@ TEST(Fuzz, FaultSpecParserSurvivesMutations) {
       "drop:slot=1024..2048,p=0.3;outage:sec=0..600,origin=1;"
       "send_fail:slot=0..99,p=1;mac_corrupt:slot=5..6,p=0.5;"
       "rst:host%7==0,attempts=2;banner_trunc:host%3==1;"
-      "banner_stall:host%5==4,p=0.25;store_eio:write=3,count=2;"
+      "banner_stall:host%5==4,p=0.25;segment_corrupt:file=3,count=2;"
       "cell_crash:cell=3;cell_hang:cell=1,sec=60,attempts=2";
   const std::vector<std::uint8_t> valid_bytes(valid.begin(), valid.end());
   for (int i = 0; i < 20000; ++i) {
@@ -369,7 +369,7 @@ TEST(Fuzz, FaultSpecRejectsOverflowAndEmpty) {
       "drop:slot=99999999999999999999999999..5,p=1",
       "drop:slot=7..3,p=1",
       "outage:sec=100..1",
-      "store_eio:write=18446744073709551616",
+      "segment_corrupt:file=18446744073709551616",
       "rst:host%4294967296==0",
   };
   for (const char* spec : bad) {

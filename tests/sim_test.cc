@@ -232,9 +232,6 @@ TEST(PathTable, LayeringAndMultipliers) {
   // Overrides are exact: multiplier must not stack on them.
   table.set_origin_multiplier(2, 3.0);
   EXPECT_DOUBLE_EQ(table.profile(2, 7).bad_fraction, 0.70);
-
-  table.set_origin_good_loss_bump(0, 0.004);
-  EXPECT_DOUBLE_EQ(table.profile(0, 3).good_loss, 0.005);
 }
 
 // ---------------------------------------------------------------- outage --

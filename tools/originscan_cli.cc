@@ -17,7 +17,7 @@
 //
 // Common flags:
 //   --scale N     universe exponent (default 16; addresses = 2^N)
-//   --seed N      scenario seed (default 0x05CA9)
+//   --seed N      scenario seed (default 23721)
 //   --out DIR     output directory for CSVs (default ".")
 //
 // scan flags:
@@ -25,7 +25,6 @@
 //   --trial N     (default 1)     --retries N (0..8, default 0)
 #include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <optional>
@@ -115,7 +114,7 @@ void usage() {
       "                 (default 28; 32 sweeps all 4.3B addresses\n"
       "                 with bounded memory — ~15 min serial)\n"
       "  --probes N     sweep: SYN probes per target (default 2)\n"
-      "  --seed N       scenario seed\n"
+      "  --seed N       scenario seed (default 23721)\n"
       "  --out DIR      CSV output directory (default .)\n"
       "  --origin CODE  scan/sweep: AU BR DE JP US1 US64 CEN (default US1)\n"
       "  --protocol P   scan/sweep: http|https|ssh (default http)\n"
@@ -133,7 +132,9 @@ void usage() {
       "  --resume-dir D experiment: journal each cell into D and resume a\n"
       "                 killed run from it (byte-identical to a run that\n"
       "                 was never interrupted, at any --jobs)\n"
-      "  --faults SPEC  experiment: fault plan (see faultinject/)\n"
+      "  --faults SPEC  experiment: fault plan (see faultinject/); the\n"
+      "                 worker_kill/worker_stall/frame_garble clauses need\n"
+      "                 --workers, enospc/segment_corrupt need --resume-dir\n"
       "  --metrics-out F  experiment/scan/sweep: write the deterministic metrics\n"
       "                 snapshot (JSON; byte-identical for any --jobs and\n"
       "                 across kill/resume — see docs/METRICS.md)\n"
@@ -178,7 +179,39 @@ void usage() {
       "  resumable again. Exit 0 = repaired, 1 = unrepairable, 2 = usage.\n");
 }
 
+// Numeric flags take whole decimal integers only: "0x05CA9", "junk" or
+// "20x" is refused naming the flag, never read as some other number.
+template <typename T>
+bool parse_number(const std::string& flag, const std::string& value,
+                  T& out) {
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+  if (ec == std::errc{} && ptr == end) return true;
+  std::fprintf(stderr, "%s needs a decimal integer, got '%s'\n",
+               flag.c_str(), value.c_str());
+  return false;
+}
+
 bool parse_args(int argc, char** argv, Args& args) {
+  static const std::map<std::string, int Args::*> kIntFlags = {
+      {"--scale", &Args::scale},
+      {"--trial", &Args::trial},
+      {"--retries", &Args::retries},
+      {"--jobs", &Args::jobs},
+      {"--universe-bits", &Args::universe_bits},
+      {"--probes", &Args::probes},
+      {"--workers", &Args::workers},
+      {"--rounds", &Args::rounds},
+      {"--fd", &Args::fd},
+      {"--worker-index", &Args::worker_index},
+      {"--executor-threads", &Args::executor_threads},
+      {"--max-inflight", &Args::max_inflight},
+      {"--max-inflight-per-tenant", &Args::max_inflight_per_tenant},
+      {"--tenant", &Args::tenant},
+      {"--tenants", &Args::tenants},
+      {"--requests", &Args::requests},
+      {"--connections", &Args::connections},
+  };
   if (argc < 2) return false;
   args.command = argv[1];
   int first_flag = 2;
@@ -213,32 +246,18 @@ bool parse_args(int argc, char** argv, Args& args) {
     }
     if (i + 1 >= argc) return false;
     const std::string value = argv[i + 1];
-    if (flag == "--scale") {
-      args.scale = std::atoi(value.c_str());
+    if (const auto it = kIntFlags.find(flag); it != kIntFlags.end()) {
+      if (!parse_number(flag, value, args.*(it->second))) return false;
     } else if (flag == "--seed") {
-      args.seed = static_cast<std::uint64_t>(std::atoll(value.c_str()));
+      if (!parse_number(flag, value, args.seed)) return false;
+    } else if (flag == "--mix-seed") {
+      if (!parse_number(flag, value, args.mix_seed)) return false;
     } else if (flag == "--out") {
       args.out = value;
     } else if (flag == "--origin") {
       args.origin = value;
     } else if (flag == "--protocol") {
       args.protocol = value;
-    } else if (flag == "--trial") {
-      args.trial = std::atoi(value.c_str());
-    } else if (flag == "--retries") {
-      // Parsed strictly: atoi would read "abc" as 0, a valid budget.
-      const char* end = value.data() + value.size();
-      const auto [ptr, ec] = std::from_chars(value.data(), end, args.retries);
-      if (ec != std::errc{} || ptr != end) {
-        std::fprintf(stderr, "--retries must be an integer in [0, 8]\n");
-        return false;
-      }
-    } else if (flag == "--jobs") {
-      args.jobs = std::atoi(value.c_str());
-    } else if (flag == "--universe-bits") {
-      args.universe_bits = std::atoi(value.c_str());
-    } else if (flag == "--probes") {
-      args.probes = std::atoi(value.c_str());
     } else if (flag == "--save") {
       args.save = value;
     } else if (flag == "--in") {
@@ -251,32 +270,8 @@ bool parse_args(int argc, char** argv, Args& args) {
       args.metrics_out = value;
     } else if (flag == "--trace-out") {
       args.trace_out = value;
-    } else if (flag == "--workers") {
-      args.workers = std::atoi(value.c_str());
-    } else if (flag == "--rounds") {
-      args.rounds = std::atoi(value.c_str());
-    } else if (flag == "--fd") {
-      args.fd = std::atoi(value.c_str());
-    } else if (flag == "--worker-index") {
-      args.worker_index = std::atoi(value.c_str());
     } else if (flag == "--socket") {
       args.socket_path = value;
-    } else if (flag == "--executor-threads") {
-      args.executor_threads = std::atoi(value.c_str());
-    } else if (flag == "--max-inflight") {
-      args.max_inflight = std::atoi(value.c_str());
-    } else if (flag == "--max-inflight-per-tenant") {
-      args.max_inflight_per_tenant = std::atoi(value.c_str());
-    } else if (flag == "--tenant") {
-      args.tenant = std::atoi(value.c_str());
-    } else if (flag == "--tenants") {
-      args.tenants = std::atoi(value.c_str());
-    } else if (flag == "--requests") {
-      args.requests = std::atoi(value.c_str());
-    } else if (flag == "--connections") {
-      args.connections = std::atoi(value.c_str());
-    } else if (flag == "--mix-seed") {
-      args.mix_seed = static_cast<std::uint64_t>(std::atoll(value.c_str()));
     } else if (flag == "--json-out") {
       args.json_out = value;
     } else {
@@ -376,6 +371,24 @@ bool write_observability(const Args& args, const obsv::MetricBlock& metrics,
   return true;
 }
 
+// The flag without which nothing in an experiment run consults `clause`,
+// or nullptr when the run as configured does: the worker faults fire
+// only in worker processes, the storage faults only in the journal.
+const char* missing_consumer(const fault::FaultClause& clause,
+                             const Args& args) {
+  switch (clause.point) {
+    case fault::Point::kWorkerKill:
+    case fault::Point::kWorkerStall:
+    case fault::Point::kFrameGarble:
+      return args.workers == 0 ? "--workers" : nullptr;
+    case fault::Point::kEnospc:
+    case fault::Point::kSegmentCorrupt:
+      return args.resume_dir.empty() ? "--resume-dir" : nullptr;
+    default:
+      return nullptr;
+  }
+}
+
 int cmd_experiment(const Args& args) {
   auto config = base_config(args);
   std::optional<fault::FaultInjector> injector;
@@ -385,6 +398,14 @@ int cmd_experiment(const Args& args) {
     if (!plan.has_value()) {
       std::fprintf(stderr, "bad --faults spec: %s\n", error.c_str());
       return cli::kUsage;
+    }
+    // Refuse a clause the run would accept and then silently ignore.
+    for (const fault::FaultClause& clause : plan->clauses()) {
+      if (const char* needs = missing_consumer(clause, args)) {
+        std::fprintf(stderr, "--faults clause %s needs %s\n",
+                     clause.to_string().c_str(), needs);
+        return cli::kUsage;
+      }
     }
     injector.emplace(*plan, args.seed);
     config.faults = &*injector;
@@ -571,6 +592,11 @@ int cmd_worker(const Args& args) {
 }
 
 int cmd_scan(const Args& args) {
+  // A scan runs no fault plan: refuse the flag rather than drop it.
+  if (!args.faults.empty()) {
+    std::fprintf(stderr, "scan does not support --faults\n");
+    return cli::kUsage;
+  }
   const auto protocol = protocol_from(args.protocol);
   if (!protocol) {
     std::fprintf(stderr, "unknown protocol: %s\n", args.protocol.c_str());
