@@ -2,15 +2,19 @@
 # Local/CI pipeline. Stages:
 #
 #   unit      fast pre-commit lane: build + `ctest -L 'unit|metrics'`
+#             (incl. cli_flag_matrix: every flag x subcommand pair run
+#             against the built CLI)
 #   full      build + the whole suite (unit, metrics, property,
 #             differential, crash, dist, chaos, service, docs, slow),
 #             the bounded-RSS full-universe scale lane, the bench
 #             regression gate, + the perfbench stage
 #   service   build + the originscand daemon battery (`ctest -L
-#             service`) and the docs consistency checks
+#             service`, incl. scan_matches_daemon: solo scan == daemon
+#             answer at --probes 1) and the docs consistency checks
 #   docs      build + the doc/header consistency checks on their own
 #             (`ctest -L docs`: protocol_doc_check incl. its negative
-#             self-test, metrics_doc_check)
+#             self-test, metrics_doc_check, cli_doc_check: docs/CLI.md
+#             flag tables vs tools/cli_flags.h)
 #   chaos     build + the randomized fault-episode soak on its own
 #             (25 rounds by default; ORIGINSCAN_CHAOS_ROUNDS=N deepens
 #             or shortens it)

@@ -16,13 +16,6 @@ std::string dotted(net::Ipv4Addr addr) {
          "." + std::to_string((v >> 8) & 255) + "." + std::to_string(v & 255);
 }
 
-std::optional<proto::Protocol> protocol_from_name(std::string_view name) {
-  for (proto::Protocol p : proto::kAllProtocols) {
-    if (proto::name_of(p) == name) return p;
-  }
-  return std::nullopt;
-}
-
 // ---- Scenario worlds ------------------------------------------------
 
 // The clean world: three ASes, full service coverage, zero loss, zero
@@ -311,7 +304,7 @@ std::optional<GoldenFile> GoldenFile::from_json(std::string_view text) {
           } else if (field == "trial") {
             digest.trial = static_cast<int>(cursor.number());
           } else if (field == "protocol") {
-            const auto protocol = protocol_from_name(cursor.string());
+            const auto protocol = proto::protocol_from_name(cursor.string());
             if (!protocol) return std::nullopt;
             digest.protocol = *protocol;
           } else if (field == "records") {

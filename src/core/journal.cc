@@ -89,13 +89,6 @@ std::optional<std::vector<std::uint8_t>> read_file(const std::string& path) {
   return data;
 }
 
-std::optional<proto::Protocol> protocol_from_name(std::string_view name) {
-  for (proto::Protocol p : proto::kAllProtocols) {
-    if (proto::name_of(p) == name) return p;
-  }
-  return std::nullopt;
-}
-
 std::string lower(std::string_view text) {
   std::string out(text);
   for (char& c : out) {
@@ -134,7 +127,7 @@ std::optional<JournalEntry> parse_manifest_line(std::string_view line) {
   entry.status = tokens[0] == "done" ? JournalEntry::Status::kDone
                                      : JournalEntry::Status::kLost;
   entry.key.origin_code = std::string(tokens[1]);
-  const auto protocol = protocol_from_name(tokens[2]);
+  const auto protocol = proto::protocol_from_name(tokens[2]);
   if (!protocol.has_value()) return std::nullopt;
   entry.key.protocol = *protocol;
   entry.key.trial = std::atoi(std::string(tokens[3]).c_str());

@@ -62,6 +62,8 @@ const std::vector<int>& histogram_offsets() {
 constexpr std::uint32_t kBlockMagic = 0x4f534d42;  // "OSMB"
 constexpr std::uint16_t kBlockVersion = 1;
 
+}  // namespace
+
 void append_json_escaped(std::string& out, std::string_view s) {
   for (char c : s) {
     if (c == '"' || c == '\\') {
@@ -76,8 +78,6 @@ void append_json_escaped(std::string& out, std::string_view s) {
     }
   }
 }
-
-}  // namespace
 
 std::span<const MetricInfo> all_metrics() { return kMetricTable; }
 

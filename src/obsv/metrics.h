@@ -300,6 +300,11 @@ class MetricBlock {
 // compare these bytes directly).
 [[nodiscard]] std::string snapshot_json(const MetricBlock& block);
 
+// Appends `s` as the body of a JSON string: `"` and `\` are
+// backslash-escaped, control bytes become \u00XX. The one escaper behind
+// the metrics snapshot, the trace export and the CLI's JSON reports.
+void append_json_escaped(std::string& out, std::string_view s);
+
 // Thread-safe aggregate over many single-writer blocks. merge_block is
 // the only cross-thread entry point; it is called once per lane or cell
 // (never per packet), so a plain mutex costs nothing measurable.

@@ -4,23 +4,10 @@
 #include <cstdio>
 #include <map>
 
+#include "obsv/metrics.h"
+
 namespace originscan::obsv {
 namespace {
-
-void append_json_escaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-}
 
 void append_args_json(std::string& out, const TraceArgs& args) {
   out += "{";

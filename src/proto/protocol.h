@@ -1,6 +1,7 @@
 // The three protocols the study scans, with their well-known ports.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <optional>
@@ -51,6 +52,23 @@ constexpr std::string_view name_of(Protocol p) {
       return "SSH";
   }
   return "?";
+}
+
+// Inverse of name_of, ignoring ASCII case: the command line's "ssh" and
+// the journal's "SSH" name the same protocol. nullopt for anything else.
+constexpr std::optional<Protocol> protocol_from_name(std::string_view name) {
+  const auto same = [](char typed, char canonical) {
+    return (typed >= 'a' && typed <= 'z' ? typed - 'a' + 'A' : typed) ==
+           canonical;
+  };
+  for (Protocol p : kAllProtocols) {
+    const std::string_view canonical = name_of(p);
+    if (std::equal(name.begin(), name.end(), canonical.begin(),
+                   canonical.end(), same)) {
+      return p;
+    }
+  }
+  return std::nullopt;
 }
 
 constexpr std::size_t index_of(Protocol p) {

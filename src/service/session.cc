@@ -29,8 +29,10 @@ SessionOutcome run_session(const FrozenUniverse& universe,
   // IDS map (copy-on-write in the lazy sense — entries materialize only
   // for ASes this scan actually touches) and one Internet view whose
   // loss/outage caches, per-trial liveness draws, and policy engine are
-  // private to this request. Mirrors Experiment::run_extra_scan so the
-  // records are byte-identical to a direct `originscan scan` run.
+  // private to this request. `originscan scan` runs this same function
+  // over a universe of its own, so a solo scan and a daemon's answer
+  // share one code path; tests/service_test.cc pins
+  // Experiment::run_extra_scan (bench/reproduce's follow-up scans) to it.
   sim::TrialContext context;
   context.trial = spec.trial - 1;
   context.experiment_seed = universe.seed();

@@ -3,9 +3,9 @@
 //
 //   * FrozenUniverse: everything shared and READ-ONLY after startup.
 //     One sim::World (topology, hosts, paths, policies, outage/loss
-//     parameters, origin roster), built exactly as `originscan scan`
-//     builds it and then frozen: the daemon hands out only const
-//     references, so no request can perturb another's decisions.
+//     parameters, origin roster), built once and then frozen: the
+//     daemon hands out only const references, so no request can
+//     perturb another's decisions.
 //
 //   * ScanSession: everything one request mutates, owned privately.
 //     A fresh sim::PersistentState (the per-tenant copy-on-write IDS
@@ -16,12 +16,12 @@
 //     scan engines' lane state. Nothing in a session outlives it or is
 //     visible outside it.
 //
-// Why per-tenant results stay byte-identical to solo runs: every scan
-// decision is a pure function of (world seed, origin, protocol, trial,
-// slot/host) plus the session's own mutable state — and the session's
-// mutable state starts from the same empty initial conditions a fresh
-// `originscan scan` process starts from. Concurrent sessions share only
-// the immutable world, so interleaving cannot leak state between them.
+// Why per-tenant results stay byte-identical to solo runs: a solo
+// `originscan scan` is one session over a universe of its own, every
+// scan decision is a pure function of (world seed, origin, protocol,
+// trial, slot/host) plus the session's own mutable state, and that state
+// starts empty. Concurrent sessions share only the immutable world, so
+// interleaving cannot leak state between them.
 #pragma once
 
 #include <cstdint>
@@ -40,15 +40,16 @@
 
 namespace originscan::service {
 
-// The one immutable universe an `originscand` instance serves. Built
-// once at daemon startup (materialized or procedural scenario); every
-// accessor is const — the compiler enforces the freeze.
+// The one immutable universe an `originscand` instance serves (and that
+// `originscan scan` builds for its one session). Built once at startup
+// (materialized or procedural scenario); every accessor is const — the
+// compiler enforces the freeze.
 class FrozenUniverse {
  public:
-  // Builds the world exactly as the direct CLI paths do: the paper
-  // origin roster over `scenario`. Procedural scenarios derive state
-  // lazily but purely, so they are frozen in the same sense — a
-  // derivation returns the same facts no matter which session asks.
+  // Builds the world of the paper origin roster over `scenario`.
+  // Procedural scenarios derive state lazily but purely, so they are
+  // frozen in the same sense — a derivation returns the same facts no
+  // matter which session asks.
   explicit FrozenUniverse(const sim::ScenarioConfig& scenario);
 
   [[nodiscard]] const sim::World& world() const { return world_; }
@@ -56,7 +57,7 @@ class FrozenUniverse {
   [[nodiscard]] std::uint32_t universe_size() const {
     return world_.universe_size;
   }
-  // ~OriginId{0} when unknown — same sentinel the CLI paths use.
+  // ~OriginId{0} when unknown — the sim::World sentinel.
   [[nodiscard]] sim::OriginId origin_id(std::string_view code) const {
     return world_.origin_id(code);
   }
@@ -84,8 +85,8 @@ struct SessionOutcome {
   bool ok = false;
   bool aborted = false;      // cancelled mid-scan; records are invalid
   std::string error;         // unknown origin / invalid spec
-  // core::serialize_results({result}) — byte-identical to what a direct
-  // `originscan scan` run with the same (seed, spec) would persist.
+  // core::serialize_results({result}): the bytes `originscan scan` and
+  // `originscan client` both turn into the scan CSV.
   std::vector<std::uint8_t> records;
   std::size_t record_count = 0;
   std::size_t completed_count = 0;

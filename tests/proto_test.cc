@@ -20,6 +20,17 @@ TEST(Protocol, PortsAndNames) {
   EXPECT_EQ(name_of(Protocol::kSsh), "SSH");
 }
 
+TEST(Protocol, FromNameInvertsNameOfInAnyCase) {
+  for (Protocol p : kAllProtocols) {
+    EXPECT_EQ(protocol_from_name(name_of(p)), p);
+  }
+  static_assert(protocol_from_name("https") == Protocol::kHttps);
+  EXPECT_EQ(protocol_from_name("Ssh"), Protocol::kSsh);
+  EXPECT_EQ(protocol_from_name("ftp"), std::nullopt);
+  EXPECT_EQ(protocol_from_name("http "), std::nullopt);
+  EXPECT_EQ(protocol_from_name(""), std::nullopt);
+}
+
 // ------------------------------------------------------------------ HTTP --
 
 std::string_view text_of(const std::vector<std::uint8_t>& bytes) {

@@ -75,31 +75,36 @@ class Gate {
 
 TEST(Service, SessionMatchesDirectExperimentScan) {
   // The core byte-identity claim, at its root: run_session over a
-  // FrozenUniverse produces exactly the bytes the direct CLI path
-  // (Experiment::run_extra_scan with a fresh PersistentState) persists.
+  // FrozenUniverse (what `originscan scan` and the daemon run) produces
+  // exactly the bytes of Experiment::run_extra_scan with a fresh
+  // PersistentState, at the default spec and at a non-default --probes.
   const auto scenario = tiny_scenario();
   service::FrozenUniverse universe(scenario);
 
-  service::SessionSpec spec;
-  spec.origin_code = "JP";
-  spec.protocol = proto::Protocol::kHttps;
-  spec.trial = 2;
-  spec.retries = 1;
-  const auto outcome = service::run_session(universe, spec);
-  ASSERT_TRUE(outcome.ok) << outcome.error;
+  for (const int probes : {2, 1}) {
+    SCOPED_TRACE(probes);
+    service::SessionSpec spec;
+    spec.origin_code = "JP";
+    spec.protocol = proto::Protocol::kHttps;
+    spec.trial = 2;
+    spec.probes = probes;
+    spec.retries = 1;
+    const auto outcome = service::run_session(universe, spec);
+    ASSERT_TRUE(outcome.ok) << outcome.error;
 
-  core::ExperimentConfig config;
-  config.scenario = scenario;
-  config.protocols = {spec.protocol};
-  core::Experiment experiment(config);
-  scan::ScanOptions options;
-  options.probes = spec.probes;
-  options.l7_retries = spec.retries;
-  const auto direct = experiment.run_extra_scan(
-      spec.trial - 1, spec.protocol, experiment.origin_id(spec.origin_code),
-      options);
-  EXPECT_EQ(outcome.records, core::serialize_results({direct}));
-  EXPECT_EQ(outcome.record_count, direct.records.size());
+    core::ExperimentConfig config;
+    config.scenario = scenario;
+    config.protocols = {spec.protocol};
+    core::Experiment experiment(config);
+    scan::ScanOptions options;
+    options.probes = spec.probes;
+    options.l7_retries = spec.retries;
+    const auto direct = experiment.run_extra_scan(
+        spec.trial - 1, spec.protocol, experiment.origin_id(spec.origin_code),
+        options);
+    EXPECT_EQ(outcome.records, core::serialize_results({direct}));
+    EXPECT_EQ(outcome.record_count, direct.records.size());
+  }
 }
 
 TEST(Service, RejectsInvalidSpecsAndUnknownOrigins) {

@@ -1,44 +1,29 @@
 // originscan — command-line front end for the library.
 //
-// Subcommands (full reference with flags and exit codes: docs/CLI.md):
-//   experiment  run the paper experiment and export coverage +
-//               classification CSVs
-//   scan        run one origin x protocol scan and export raw records
-//   sweep       full-universe L4 sweep over a procedural world (bounded
-//               memory at any size; prints a determinism digest)
-//   serve       run the originscand daemon over a unix socket
-//   client      submit one scan to a running daemon (or --shutdown it)
-//   loadgen     replay concurrent tenants against an in-process daemon
-//   topology    print the simulated world's AS/country inventory
-//   origins     print the vantage-point roster
-//
-// Exit codes follow core/exit_codes.h: 0 ok, 1 failure, 2 usage,
-// 3 killed-but-resumable.
-//
-// Common flags:
-//   --scale N     universe exponent (default 16; addresses = 2^N)
-//   --seed N      scenario seed (default 23721)
-//   --out DIR     output directory for CSVs (default ".")
-//
-// scan flags:
-//   --origin CODE (default US1)   --protocol http|https|ssh (default http)
-//   --trial N     (default 1)     --retries N (0..8, default 0)
+// docs/CLI.md documents every subcommand, flag and exit code. The flags
+// are declared once, in cli_flags.h; that table drives parse_args, the
+// range checks, the refusal of flags a subcommand does not read, and the
+// usage text. Exit codes follow core/exit_codes.h: 0 ok, 1 failure,
+// 2 usage, 3 killed-but-resumable.
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <unistd.h>
 
+#include "cli_flags.h"
 #include "core/access_matrix.h"
 #include "core/dist.h"
 #include "core/exit_codes.h"
 #include "service/client.h"
 #include "service/loadgen.h"
 #include "service/service.h"
+#include "service/session.h"
 #include "scanner/orchestrator.h"
 #include "sim/scenario.h"
 #include "core/analysis/coverage.h"
@@ -54,292 +39,185 @@
 #include "report/table.h"
 
 using namespace originscan;
+using cli::Args;
 
 namespace {
 
-struct Args {
-  std::string command;
-  int scale = 16;
-  std::uint64_t seed = 0x05CA9;
-  std::string out = ".";
-  std::string origin = "US1";
-  std::string protocol = "http";
-  int trial = 1;
-  int retries = 0;
-  int jobs = 1;      // worker threads; output is identical for any value
-  // sweep: universe exponent for the procedural full-Internet world.
-  // Deliberately NOT subject to the --scale [12, 22] clamp — procedural
-  // worlds have no per-address tables, so 2^32 is affordable.
-  int universe_bits = 28;
-  int probes = 2;  // sweep: SYN probes per target
-  std::string save;  // experiment: also write raw results here
-  std::string in;    // analyze: load raw results from here
-  std::string resume_dir;  // experiment/journal: crash-safe journal dir
-  std::string faults;      // experiment: fault plan spec
-  std::string metrics_out;  // experiment/scan: metrics snapshot JSON
-  std::string trace_out;    // experiment/scan: Chrome trace_event JSON
-  int workers = 0;  // experiment: worker processes (0 = in-process run)
-  int rounds = 25;  // chaos: randomized episodes to run
-  bool json = false;  // journal inspect: machine-readable output
-  // worker subcommand only (spawned by the master, not by hand):
-  int fd = -1;           // inherited socketpair transport fd
-  int worker_index = 0;  // index the master assigned this worker
-  // serve/client/loadgen (the daemon front ends):
-  std::string socket_path;       // serve/client: AF_UNIX socket path
-  int executor_threads = 2;      // serve/loadgen: concurrent sessions
-  int max_inflight = 4096;       // serve/loadgen: global admission cap
-  int max_inflight_per_tenant = 1024;
-  int tenant = 0;                // client: fair-share tenant key
-  int tenants = 64;              // loadgen: simulated tenants
-  int requests = 2;              // loadgen: requests per tenant
-  int connections = 8;           // loadgen: multiplexed connections
-  std::uint64_t mix_seed = 1;    // loadgen: request-mix seed
-  std::string json_out;          // loadgen: write the report JSON here
-  bool no_verify = false;        // loadgen: skip byte-identity replay
-  bool shutdown = false;         // client: send SHUTDOWN instead of SUBMIT
-};
-
-void usage() {
-  std::fprintf(
-      stderr,
-      "usage: originscan "
-      "<experiment|analyze|scan|sweep|chaos|topology|origins> [options]\n"
-      "       originscan serve --socket PATH [options]\n"
-      "       originscan client --socket PATH [--shutdown] [scan flags]\n"
-      "       originscan loadgen [--tenants N] [--requests N] [options]\n"
-      "       originscan journal inspect --resume-dir DIR [--json]\n"
-      "       originscan journal repair --resume-dir DIR\n"
-      "  --scale N      universe exponent, 12..22 (default 16)\n"
-      "  --universe-bits N  sweep: procedural universe exponent, 20..32\n"
-      "                 (default 28; 32 sweeps all 4.3B addresses\n"
-      "                 with bounded memory — ~15 min serial)\n"
-      "  --probes N     sweep: SYN probes per target (default 2)\n"
-      "  --seed N       scenario seed (default 23721)\n"
-      "  --out DIR      CSV output directory (default .)\n"
-      "  --origin CODE  scan/sweep: AU BR DE JP US1 US64 CEN (default US1)\n"
-      "  --protocol P   scan/sweep: http|https|ssh (default http)\n"
-      "  --trial N      scan/sweep: trial number 1..3 (default 1)\n"
-      "  --retries N    scan: L7 retry budget, 0..8 (default 0)\n"
-      "  --jobs N       worker threads for experiment/scan/sweep, 1..64\n"
-      "                 (default 1; results are bit-identical for any value)\n"
-      "  --workers N    experiment: distribute the grid over N worker\n"
-      "                 processes (default 0 = run in-process). Output is\n"
-      "                 byte-identical for any --workers x --jobs combo;\n"
-      "                 killed workers are respawned and their cells\n"
-      "                 retried (see DESIGN.md s11)\n"
-      "  --save FILE    experiment: also save raw results (binary)\n"
-      "  --in FILE      analyze: load raw results saved by experiment\n"
-      "  --resume-dir D experiment: journal each cell into D and resume a\n"
-      "                 killed run from it (byte-identical to a run that\n"
-      "                 was never interrupted, at any --jobs)\n"
-      "  --faults SPEC  experiment: fault plan (see faultinject/); the\n"
-      "                 worker_kill/worker_stall/frame_garble clauses need\n"
-      "                 --workers, enospc/segment_corrupt need --resume-dir\n"
-      "  --metrics-out F  experiment/scan/sweep: write the deterministic metrics\n"
-      "                 snapshot (JSON; byte-identical for any --jobs and\n"
-      "                 across kill/resume — see docs/METRICS.md)\n"
-      "  --trace-out F  experiment/scan: write a Chrome trace_event JSON\n"
-      "                 timeline of the virtual-clock scan phases (open in\n"
-      "                 chrome://tracing or ui.perfetto.dev)\n"
-      "  --rounds N     chaos: randomized fault episodes to run (default\n"
-      "                 25); each is a pure function of (--seed, round)\n"
-      "  --socket PATH  serve/client: AF_UNIX socket the daemon listens on\n"
-      "  --executor-threads N  serve/loadgen: concurrent sessions\n"
-      "                 (default 2; records are identical for any value)\n"
-      "  --max-inflight N  serve/loadgen: global admission cap (4096)\n"
-      "  --max-inflight-per-tenant N  per-tenant admission cap (1024)\n"
-      "  --tenant N     client: fair-share tenant key (default 0)\n"
-      "  --shutdown     client: drain-and-stop the daemon, submit nothing\n"
-      "  --tenants N    loadgen: simulated tenants (default 64)\n"
-      "  --requests N   loadgen: requests per tenant (default 2)\n"
-      "  --connections N  loadgen: multiplexed connections (default 8)\n"
-      "  --mix-seed N   loadgen: request-mix seed (default 1)\n"
-      "  --json-out F   loadgen: write the loadgen_* report JSON to F\n"
-      "  --no-verify    loadgen: skip the byte-identity verification\n"
-      "\n"
-      "  serve freezes one universe at startup and serves concurrent scan\n"
-      "  requests until a client sends SHUTDOWN (docs/OPERATIONS.md).\n"
-      "  loadgen replays tenants x requests against an in-process daemon\n"
-      "  and fails (exit 1) unless every answer arrived and every RESULT\n"
-      "  byte-matched a direct single-run scan (docs/PROTOCOL.md).\n"
-      "  analyze re-runs the coverage analysis on saved results; use the\n"
-      "  same --scale/--seed the experiment ran with.\n"
-      "  chaos soak-tests the recovery machinery: every episode must end\n"
-      "  byte-identical to a serial reference or as an honestly labeled\n"
-      "  partial grid (exit 0 = no invariant violations, 1 = violations;\n"
-      "  --resume-dir overrides the scratch root, --metrics-out dumps the\n"
-      "  chaos.*/journal.*/fault.* counters).\n"
-      "  journal inspect lists a journal's cells and verifies their\n"
-      "  segment checksums; --json emits a machine-readable report.\n"
-      "  Exit codes: 0 = every entry verifies, 1 = journal unreadable or\n"
-      "  corrupt entries found, 2 = usage error.\n"
-      "  journal repair rewrites a damaged run directory in place:\n"
-      "  malformed/torn manifest lines and entries failing verification\n"
-      "  are dropped (with their chain followers) so the directory is\n"
-      "  resumable again. Exit 0 = repaired, 1 = unrepairable, 2 = usage.\n");
+// The protocol as the command line spells it: http, https, ssh.
+std::string lower_name(proto::Protocol protocol) {
+  std::string name(proto::name_of(protocol));
+  for (char& c : name) c = static_cast<char>(c - 'A' + 'a');
+  return name;
 }
 
-// Numeric flags take whole decimal integers only: "0x05CA9", "junk" or
-// "20x" is refused naming the flag, never read as some other number.
-template <typename T>
-bool parse_number(const std::string& flag, const std::string& value,
-                  T& out) {
-  const char* end = value.data() + value.size();
-  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
-  if (ec == std::errc{} && ptr == end) return true;
-  std::fprintf(stderr, "%s needs a decimal integer, got '%s'\n",
-               flag.c_str(), value.c_str());
-  return false;
+std::string range_of(const cli::Flag& flag) {
+  if (flag.max == INT_MAX) return ">= " + std::to_string(flag.min);
+  return std::to_string(flag.min) + ".." + std::to_string(flag.max);
+}
+
+// Sets the field `flag` names from `value` (a switch's value is empty).
+// Numbers take whole decimal integers only: "0x05CA9", "junk" or "20x"
+// is refused naming the flag, never read as some other number.
+bool parse_value(const cli::Flag& flag, const std::string& value,
+                 Args& args) {
+  return std::visit(
+      [&](auto field) {
+        auto& out = args.*field;
+        using T = std::remove_reference_t<decltype(out)>;
+        if constexpr (std::is_same_v<T, bool>) {
+          out = true;
+        } else if constexpr (std::is_same_v<T, std::string>) {
+          out = value;
+        } else if constexpr (std::is_same_v<T, proto::Protocol>) {
+          const auto protocol = proto::protocol_from_name(value);
+          if (!protocol) {
+            std::fprintf(stderr, "unknown protocol: %s\n", value.c_str());
+            return false;
+          }
+          out = *protocol;
+        } else {
+          const char* end = value.data() + value.size();
+          const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+          if (ec != std::errc{} || ptr != end) {
+            std::fprintf(stderr, "--%s needs a decimal integer, got '%s'\n",
+                         flag.name.data(), value.c_str());
+            return false;
+          }
+          if constexpr (std::is_same_v<T, int>) {
+            if (out < flag.min || out > flag.max) {
+              std::fprintf(stderr, "--%s must be %s\n", flag.name.data(),
+                           range_of(flag).c_str());
+              return false;
+            }
+          }
+        }
+        return true;
+      },
+      flag.field);
+}
+
+// The names of the subcommands in `commands`, comma-separated.
+std::string command_names(std::uint32_t commands) {
+  std::string names;
+  for (const cli::CommandName& command : cli::kCommands) {
+    if (commands & command.command) {
+      names += (names.empty() ? "" : ", ") + std::string(command.name);
+    }
+  }
+  return names;
+}
+
+void usage() {
+  std::fprintf(stderr,
+               "usage: originscan <command> [flags]  (reference: "
+               "docs/CLI.md)\ncommands: %s\n"
+               "flags, each read only by the commands it lists:\n",
+               command_names(~0u).c_str());
+  const Args defaults;
+  for (const cli::Flag& flag : cli::kFlags) {
+    const std::string head =
+        "--" + std::string(flag.name) + " " + std::string(flag.value);
+    std::string help(flag.help);
+    if (std::holds_alternative<int Args::*>(flag.field)) {
+      help += ", " + range_of(flag);
+    }
+    std::visit(
+        [&](auto field) {
+          const auto& value = defaults.*field;
+          using T = std::remove_cvref_t<decltype(value)>;
+          if constexpr (std::is_same_v<T, std::string>) {
+            if (!value.empty()) help += " (default " + value + ")";
+          } else if constexpr (std::is_same_v<T, proto::Protocol>) {
+            help += " (default " + lower_name(value) + ")";
+          } else if constexpr (!std::is_same_v<T, bool>) {
+            help += " (default " + std::to_string(value) + ")";
+          }
+        },
+        flag.field);
+    std::fprintf(stderr, "  %-28s %s\n  %-28s [%s]\n", head.c_str(),
+                 help.c_str(), "", command_names(flag.commands).c_str());
+  }
 }
 
 bool parse_args(int argc, char** argv, Args& args) {
-  static const std::map<std::string, int Args::*> kIntFlags = {
-      {"--scale", &Args::scale},
-      {"--trial", &Args::trial},
-      {"--retries", &Args::retries},
-      {"--jobs", &Args::jobs},
-      {"--universe-bits", &Args::universe_bits},
-      {"--probes", &Args::probes},
-      {"--workers", &Args::workers},
-      {"--rounds", &Args::rounds},
-      {"--fd", &Args::fd},
-      {"--worker-index", &Args::worker_index},
-      {"--executor-threads", &Args::executor_threads},
-      {"--max-inflight", &Args::max_inflight},
-      {"--max-inflight-per-tenant", &Args::max_inflight_per_tenant},
-      {"--tenant", &Args::tenant},
-      {"--tenants", &Args::tenants},
-      {"--requests", &Args::requests},
-      {"--connections", &Args::connections},
-  };
   if (argc < 2) return false;
-  args.command = argv[1];
+  std::string name = argv[1];
   int first_flag = 2;
-  if (args.command == "journal") {
-    if (argc >= 3 && std::strcmp(argv[2], "inspect") == 0) {
-      args.command = "journal-inspect";
-    } else if (argc >= 3 && std::strcmp(argv[2], "repair") == 0) {
-      args.command = "journal-repair";
-    } else {
-      std::fprintf(stderr,
-                   "journal supports two subcommands: inspect, repair\n");
-      return false;
-    }
+  if (name == "journal" && argc > 2) {
+    name = name + " " + argv[2];
     first_flag = 3;
   }
-  for (int i = first_flag; i < argc; i += 2) {
-    const std::string flag = argv[i];
-    if (flag == "--json") {  // boolean: consumes no value
-      args.json = true;
-      --i;
-      continue;
-    }
-    if (flag == "--no-verify") {
-      args.no_verify = true;
-      --i;
-      continue;
-    }
-    if (flag == "--shutdown") {
-      args.shutdown = true;
-      --i;
-      continue;
-    }
-    if (i + 1 >= argc) return false;
-    const std::string value = argv[i + 1];
-    if (const auto it = kIntFlags.find(flag); it != kIntFlags.end()) {
-      if (!parse_number(flag, value, args.*(it->second))) return false;
-    } else if (flag == "--seed") {
-      if (!parse_number(flag, value, args.seed)) return false;
-    } else if (flag == "--mix-seed") {
-      if (!parse_number(flag, value, args.mix_seed)) return false;
-    } else if (flag == "--out") {
-      args.out = value;
-    } else if (flag == "--origin") {
-      args.origin = value;
-    } else if (flag == "--protocol") {
-      args.protocol = value;
-    } else if (flag == "--save") {
-      args.save = value;
-    } else if (flag == "--in") {
-      args.in = value;
-    } else if (flag == "--resume-dir") {
-      args.resume_dir = value;
-    } else if (flag == "--faults") {
-      args.faults = value;
-    } else if (flag == "--metrics-out") {
-      args.metrics_out = value;
-    } else if (flag == "--trace-out") {
-      args.trace_out = value;
-    } else if (flag == "--socket") {
-      args.socket_path = value;
-    } else if (flag == "--json-out") {
-      args.json_out = value;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
+  const auto command = std::find_if(
+      cli::kCommands.begin(), cli::kCommands.end(),
+      [&](const cli::CommandName& known) { return known.name == name; });
+  if (command == cli::kCommands.end()) {
+    std::fprintf(stderr, "unknown command: %s\n", name.c_str());
+    return false;
+  }
+  args.command = command->command;
+  for (int i = first_flag; i < argc; ++i) {
+    const std::string_view typed = argv[i];
+    const auto flag = std::find_if(
+        cli::kFlags.begin(), cli::kFlags.end(), [&](const cli::Flag& known) {
+          return typed.starts_with("--") && typed.substr(2) == known.name;
+        });
+    if (flag == cli::kFlags.end()) {
+      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
       return false;
     }
-  }
-  if (args.scale < 12 || args.scale > 22) {
-    std::fprintf(stderr, "--scale must be in [12, 22]\n");
-    return false;
-  }
-  if (args.universe_bits < 20 || args.universe_bits > 32) {
-    std::fprintf(stderr, "--universe-bits must be in [20, 32]\n");
-    return false;
-  }
-  if (args.probes < 1 || args.probes > 8) {
-    std::fprintf(stderr, "--probes must be in [1, 8]\n");
-    return false;
-  }
-  if (args.trial < 1 || args.trial > 3) {
-    std::fprintf(stderr, "--trial must be in [1, 3]\n");
-    return false;
-  }
-  if (args.retries < 0 || args.retries > 8) {
-    std::fprintf(stderr, "--retries must be an integer in [0, 8]\n");
-    return false;
-  }
-  if (args.jobs < 1 || args.jobs > 64) {
-    std::fprintf(stderr, "--jobs must be in [1, 64]\n");
-    return false;
-  }
-  if (args.workers < 0 || args.workers > 64) {
-    std::fprintf(stderr, "--workers must be in [0, 64]\n");
-    return false;
-  }
-  if (args.rounds < 1 || args.rounds > 100000) {
-    std::fprintf(stderr, "--rounds must be in [1, 100000]\n");
-    return false;
-  }
-  if (args.executor_threads < 1 || args.executor_threads > 64) {
-    std::fprintf(stderr, "--executor-threads must be in [1, 64]\n");
-    return false;
-  }
-  if (args.max_inflight < 1 || args.max_inflight_per_tenant < 1) {
-    std::fprintf(stderr, "admission caps must be >= 1\n");
-    return false;
-  }
-  if (args.tenants < 1 || args.requests < 1 || args.connections < 1) {
-    std::fprintf(stderr,
-                 "--tenants/--requests/--connections must be >= 1\n");
-    return false;
+    if ((flag->commands & args.command) == 0) {
+      std::fprintf(stderr, "%s does not read %s\n", name.c_str(), argv[i]);
+      return false;
+    }
+    std::string value;
+    if (!std::holds_alternative<bool Args::*>(flag->field)) {
+      if (++i == argc) {
+        std::fprintf(stderr, "%s needs a value\n", argv[i - 1]);
+        return false;
+      }
+      value = argv[i];
+    }
+    if (!parse_value(*flag, value, args)) return false;
   }
   return true;
 }
 
-std::optional<proto::Protocol> protocol_from(const std::string& name) {
-  if (name == "http") return proto::Protocol::kHttp;
-  if (name == "https") return proto::Protocol::kHttps;
-  if (name == "ssh") return proto::Protocol::kSsh;
-  return std::nullopt;
+sim::ScenarioConfig scenario_of(const Args& args) {
+  sim::ScenarioConfig scenario;
+  scenario.universe_size = 1u << args.scale;
+  scenario.seed = args.seed;
+  return scenario;
 }
 
 core::ExperimentConfig base_config(const Args& args) {
   core::ExperimentConfig config;
-  config.scenario.universe_size = 1u << args.scale;
-  config.scenario.seed = args.seed;
+  config.scenario = scenario_of(args);
   config.jobs = args.jobs;
   return config;
+}
+
+service::ServiceConfig service_config(const Args& args) {
+  service::ServiceConfig config;
+  config.scenario = scenario_of(args);
+  config.executor_threads = args.executor_threads;
+  config.scan_jobs = args.jobs;
+  config.max_inflight = static_cast<std::uint32_t>(args.max_inflight);
+  config.max_inflight_per_tenant =
+      static_cast<std::uint32_t>(args.max_inflight_per_tenant);
+  return config;
+}
+
+// One protocol's mean coverage per origin, as experiment and analyze
+// print it.
+std::string coverage_summary(const core::AccessMatrix& matrix,
+                             const core::CoverageTable& coverage) {
+  report::Table table({"origin", "mean 2-probe", "mean 1-probe"});
+  for (std::size_t o = 0; o < matrix.origins(); ++o) {
+    table.add_row({matrix.origin_codes()[o],
+                   report::Table::percent(coverage.mean_two_probe(o)),
+                   report::Table::percent(coverage.mean_single_probe(o))});
+  }
+  return table.to_string();
 }
 
 std::string cell_to_string(const core::CellKey& key) {
@@ -390,6 +268,12 @@ const char* missing_consumer(const fault::FaultClause& clause,
 }
 
 int cmd_experiment(const Args& args) {
+  if (args.workers > 0 && !args.trace_out.empty()) {
+    std::fprintf(stderr,
+                 "--trace-out is not supported with --workers: trace spans "
+                 "are produced inside the worker processes\n");
+    return cli::kUsage;
+  }
   auto config = base_config(args);
   std::optional<fault::FaultInjector> injector;
   if (!args.faults.empty()) {
@@ -423,12 +307,6 @@ int cmd_experiment(const Args& args) {
   const auto progress = [](std::string_view line) {
     std::printf("  %.*s\n", static_cast<int>(line.size()), line.data());
   };
-  if (args.workers > 0 && !args.trace_out.empty()) {
-    std::fprintf(stderr,
-                 "--trace-out is not supported with --workers: trace spans "
-                 "are produced inside the worker processes\n");
-    return cli::kUsage;
-  }
   std::optional<core::ExperimentJournal> journal;
   if (!args.resume_dir.empty()) {
     std::string error;
@@ -548,16 +426,9 @@ int cmd_experiment(const Args& args) {
     }
     std::printf("wrote %s_coverage.csv and %s_classification.csv\n",
                 stem.c_str(), stem.c_str());
-
-    report::Table table({"origin", "mean 2-probe", "mean 1-probe"});
-    for (std::size_t o = 0; o < matrix.origins(); ++o) {
-      table.add_row({matrix.origin_codes()[o],
-                     report::Table::percent(coverage.mean_two_probe(o)),
-                     report::Table::percent(coverage.mean_single_probe(o))});
-    }
     std::printf("\n%s summary:\n%s",
                 std::string(proto::name_of(protocol)).c_str(),
-                table.to_string().c_str());
+                coverage_summary(matrix, coverage).c_str());
   }
   return cli::kOk;
 }
@@ -591,52 +462,32 @@ int cmd_worker(const Args& args) {
   return cli::kOk;
 }
 
-int cmd_scan(const Args& args) {
-  // A scan runs no fault plan: refuse the flag rather than drop it.
-  if (!args.faults.empty()) {
-    std::fprintf(stderr, "scan does not support --faults\n");
-    return cli::kUsage;
-  }
-  const auto protocol = protocol_from(args.protocol);
-  if (!protocol) {
-    std::fprintf(stderr, "unknown protocol: %s\n", args.protocol.c_str());
+service::SessionSpec spec_of(const Args& args) {
+  service::SessionSpec spec;
+  spec.origin_code = args.origin;
+  spec.protocol = args.protocol;
+  spec.trial = args.trial;
+  spec.probes = args.probes;
+  spec.retries = args.retries;
+  return spec;
+}
+
+// The tail `scan` and `client` share: one session's RESULT bytes become
+// the scan CSV and the printed summary.
+int write_scan(const Args& args, const std::vector<std::uint8_t>& records) {
+  const auto results = core::parse_results(records);
+  if (!results || results->size() != 1) {
+    std::fprintf(stderr, "RESULT payload failed to parse\n");
     return cli::kFailure;
   }
-  auto config = base_config(args);
-  config.protocols = {*protocol};
-  core::Experiment experiment(config);
-  const auto origin = experiment.origin_id(args.origin);
-  if (origin == ~sim::OriginId{0}) {
-    std::fprintf(stderr, "unknown origin: %s\n", args.origin.c_str());
-    return cli::kFailure;
-  }
-
-  std::printf("scanning %s from %s (trial %d, retries %d)...\n",
-              args.protocol.c_str(), args.origin.c_str(), args.trial,
-              args.retries);
-  scan::ScanOptions options;
-  options.l7_retries = args.retries;
-  options.keep_banners = true;
-  options.jobs = args.jobs;
-  obsv::MetricBlock metrics;
-  obsv::TraceRecorder trace;
-  if (!args.metrics_out.empty()) options.metrics = &metrics;
-  if (!args.trace_out.empty()) {
-    options.trace = &trace;
-    options.trace_track = args.origin + "/" + args.protocol + "/t" +
-                          std::to_string(args.trial);
-  }
-  const auto result = experiment.run_extra_scan(args.trial - 1, *protocol,
-                                                origin, options);
-
+  const scan::ScanResult& result = results->front();
   const std::string path = args.out + "/scan_" + args.origin + "_" +
-                           args.protocol + "_t" + std::to_string(args.trial) +
-                           ".csv";
+                           lower_name(args.protocol) + "_t" +
+                           std::to_string(args.trial) + ".csv";
   if (!report::write_file(path, report::scan_result_csv(result))) {
     std::fprintf(stderr, "failed to write %s\n", path.c_str());
     return cli::kFailure;
   }
-
   std::map<std::string, int> outcomes;
   for (const auto& record : result.records) {
     ++outcomes[std::string(sim::to_string(record.l7))];
@@ -647,6 +498,32 @@ int cmd_scan(const Args& args) {
     std::printf("  %-22s %d\n", outcome.c_str(), count);
   }
   std::printf("wrote %s\n", path.c_str());
+  return cli::kOk;
+}
+
+// `originscan scan` runs the daemon's own session over a universe frozen
+// for this one request, so `client` against a daemon with the same
+// --scale/--seed writes the same bytes by construction.
+int cmd_scan(const Args& args) {
+  const service::FrozenUniverse universe(scenario_of(args));
+  const std::string protocol = lower_name(args.protocol);
+  std::printf("scanning %s from %s (trial %d, probes %d, retries %d)...\n",
+              protocol.c_str(), args.origin.c_str(), args.trial, args.probes,
+              args.retries);
+  obsv::MetricBlock metrics;
+  obsv::TraceRecorder trace;
+  const service::SessionOutcome outcome = service::run_session(
+      universe, spec_of(args), args.jobs, /*cancel=*/nullptr,
+      args.metrics_out.empty() ? nullptr : &metrics,
+      args.trace_out.empty() ? nullptr : &trace,
+      args.origin + "/" + protocol + "/t" + std::to_string(args.trial));
+  if (!outcome.ok) {
+    std::fprintf(stderr, "%s\n", outcome.error.c_str());
+    return cli::kFailure;
+  }
+  if (const int code = write_scan(args, outcome.records); code != cli::kOk) {
+    return code;
+  }
   if (!write_observability(args, metrics, &trace)) return cli::kFailure;
   return cli::kOk;
 }
@@ -658,20 +535,6 @@ int cmd_scan(const Args& args) {
 // per-target outcomes, so comparing digests across --jobs values checks
 // parallel determinism at full scale.
 int cmd_sweep(const Args& args) {
-  // The sweep writes no trace and takes no fault plan: refuse the flags
-  // rather than accept and drop them.
-  const char* unsupported = !args.trace_out.empty() ? "--trace-out"
-                            : !args.faults.empty()  ? "--faults"
-                                                    : nullptr;
-  if (unsupported != nullptr) {
-    std::fprintf(stderr, "sweep does not support %s\n", unsupported);
-    return cli::kUsage;
-  }
-  const auto protocol = protocol_from(args.protocol);
-  if (!protocol) {
-    std::fprintf(stderr, "unknown protocol: %s\n", args.protocol.c_str());
-    return cli::kFailure;
-  }
   auto scenario = sim::ScenarioConfig::full_internet(args.universe_bits);
   scenario.seed = args.seed;
   std::printf("building procedural universe of %u addresses (2^%d)...\n",
@@ -692,14 +555,15 @@ int cmd_sweep(const Args& args) {
   sim::Internet internet(&world, context, &persistent);
 
   std::printf("sweeping %s from %s (trial %d, probes %d, jobs %d)...\n",
-              args.protocol.c_str(), args.origin.c_str(), args.trial,
-              args.probes, args.jobs);
+              lower_name(args.protocol).c_str(), args.origin.c_str(),
+              args.trial, args.probes, args.jobs);
   scan::SweepOptions options;
   options.probes = args.probes;
   options.jobs = args.jobs;
   obsv::MetricBlock metrics;
   if (!args.metrics_out.empty()) options.metrics = &metrics;
-  const auto result = scan::run_l4_sweep(internet, origin, *protocol, options);
+  const auto result =
+      scan::run_l4_sweep(internet, origin, args.protocol, options);
 
   std::printf(
       "targets probed:    %llu\n"
@@ -739,46 +603,16 @@ int cmd_analyze(const Args& args) {
   for (proto::Protocol protocol : proto::kAllProtocols) {
     const auto matrix = core::AccessMatrix::build(experiment, protocol);
     const auto coverage = core::compute_coverage(matrix);
-    report::Table table({"origin", "mean 2-probe", "mean 1-probe"});
-    for (std::size_t o = 0; o < matrix.origins(); ++o) {
-      table.add_row({matrix.origin_codes()[o],
-                     report::Table::percent(coverage.mean_two_probe(o)),
-                     report::Table::percent(coverage.mean_single_probe(o))});
-    }
     std::printf("\n%s (from saved results):\n%s",
                 std::string(proto::name_of(protocol)).c_str(),
-                table.to_string().c_str());
+                coverage_summary(matrix, coverage).c_str());
   }
   return cli::kOk;
 }
 
-std::string json_escape(const std::string& text) {
+std::string json_string(std::string_view text) {
   std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof buffer, "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
+  obsv::append_json_escaped(out, text);
   return out;
 }
 
@@ -794,8 +628,8 @@ int cmd_journal_inspect(const Args& args) {
   if (!journal.has_value()) {
     if (args.json) {
       std::printf("{\"dir\": \"%s\", \"error\": \"%s\"}\n",
-                  json_escape(args.resume_dir).c_str(),
-                  json_escape(error).c_str());
+                  json_string(args.resume_dir).c_str(),
+                  json_string(error).c_str());
     } else {
       std::fprintf(stderr, "cannot open journal %s: %s\n",
                    args.resume_dir.c_str(), error.c_str());
@@ -838,7 +672,7 @@ int cmd_journal_inspect(const Args& args) {
 
   if (args.json) {
     std::printf("{\n");
-    std::printf("  \"dir\": \"%s\",\n", json_escape(journal->dir()).c_str());
+    std::printf("  \"dir\": \"%s\",\n", json_string(journal->dir()).c_str());
     std::printf("  \"fingerprint\": \"%s\",\n",
                 journal->fingerprint().c_str());
     std::printf("  \"entries\": %zu,\n", journal->entries().size());
@@ -856,7 +690,7 @@ int cmd_journal_inspect(const Args& args) {
       std::printf("    {\"origin\": \"%s\", \"protocol\": \"%s\", "
                   "\"trial\": %d, \"status\": \"%s\", \"attempts\": %d, "
                   "\"records\": %zu, \"verdict\": \"%s\"",
-                  json_escape(entry.key.origin_code).c_str(),
+                  json_string(entry.key.origin_code).c_str(),
                   std::string(proto::name_of(entry.key.protocol)).c_str(),
                   entry.key.trial + 1,
                   entry.status == core::JournalEntry::Status::kLost ? "lost"
@@ -867,7 +701,7 @@ int cmd_journal_inspect(const Args& args) {
                       : (verdict.ok ? "ok" : "corrupt"));
       if (!verdict.detail.empty()) {
         std::printf(", \"detail\": \"%s\"",
-                    json_escape(verdict.detail).c_str());
+                    json_string(verdict.detail).c_str());
       }
       std::printf("}%s\n", i + 1 < verdicts.size() ? "," : "");
     }
@@ -979,14 +813,7 @@ int cmd_serve(const Args& args) {
     std::fprintf(stderr, "serve requires --socket PATH\n");
     return cli::kUsage;
   }
-  service::ServiceConfig config;
-  config.scenario.universe_size = 1u << args.scale;
-  config.scenario.seed = args.seed;
-  config.executor_threads = args.executor_threads;
-  config.scan_jobs = args.jobs;
-  config.max_inflight = static_cast<std::uint32_t>(args.max_inflight);
-  config.max_inflight_per_tenant =
-      static_cast<std::uint32_t>(args.max_inflight_per_tenant);
+  service::ServiceConfig config = service_config(args);
   config.log = [](std::string_view line) {
     std::printf("originscand: %.*s\n", static_cast<int>(line.size()),
                 line.data());
@@ -1041,11 +868,6 @@ int cmd_client(const Args& args) {
     std::fprintf(stderr, "client requires --socket PATH\n");
     return cli::kUsage;
   }
-  const auto protocol = protocol_from(args.protocol);
-  if (!protocol) {
-    std::fprintf(stderr, "unknown protocol: %s\n", args.protocol.c_str());
-    return cli::kUsage;
-  }
   std::string error;
   const int fd = service::connect_unix(args.socket_path, &error);
   if (fd < 0) {
@@ -1069,19 +891,14 @@ int cmd_client(const Args& args) {
     return cli::kOk;
   }
 
-  service::SessionSpec spec;
-  spec.origin_code = args.origin;
-  spec.protocol = *protocol;
-  spec.trial = args.trial;
-  spec.probes = args.probes;
-  spec.retries = args.retries;
   std::printf("submitting %s from %s (trial %d) to daemon at %s "
               "(universe seed %llu, %u addresses)...\n",
-              args.protocol.c_str(), args.origin.c_str(), args.trial,
-              args.socket_path.c_str(),
+              lower_name(args.protocol).c_str(), args.origin.c_str(),
+              args.trial, args.socket_path.c_str(),
               static_cast<unsigned long long>(client.universe_seed()),
               client.universe_size());
-  if (!client.submit(1, static_cast<std::uint32_t>(args.tenant), spec)) {
+  if (!client.submit(1, static_cast<std::uint32_t>(args.tenant),
+                     spec_of(args))) {
     std::fprintf(stderr, "submit failed: %s\n", client.error().c_str());
     return cli::kFailure;
   }
@@ -1097,36 +914,13 @@ int cmd_client(const Args& args) {
                  answer->text.c_str());
     return cli::kFailure;
   }
-  const auto results = core::parse_results(answer->records);
-  if (!results || results->size() != 1) {
-    std::fprintf(stderr, "RESULT payload failed to parse\n");
-    return cli::kFailure;
-  }
-  const scan::ScanResult& result = results->front();
-  const std::string path = args.out + "/scan_" + args.origin + "_" +
-                           args.protocol + "_t" + std::to_string(args.trial) +
-                           ".csv";
-  if (!report::write_file(path, report::scan_result_csv(result))) {
-    std::fprintf(stderr, "failed to write %s\n", path.c_str());
-    return cli::kFailure;
-  }
-  std::printf("responsive targets: %zu, completed handshakes: %zu\n",
-              result.records.size(), result.completed_count());
-  std::printf("wrote %s\n", path.c_str());
-  return cli::kOk;
+  return write_scan(args, answer->records);
 }
 
 // `originscan loadgen` — the concurrency proof: replay tenants against
 // an in-process daemon and byte-compare every RESULT with a direct run.
 int cmd_loadgen(const Args& args) {
-  service::ServiceConfig config;
-  config.scenario.universe_size = 1u << args.scale;
-  config.scenario.seed = args.seed;
-  config.executor_threads = args.executor_threads;
-  config.scan_jobs = args.jobs;
-  config.max_inflight = static_cast<std::uint32_t>(args.max_inflight);
-  config.max_inflight_per_tenant =
-      static_cast<std::uint32_t>(args.max_inflight_per_tenant);
+  service::ServiceConfig config = service_config(args);
 
   service::LoadgenOptions options;
   options.tenants = static_cast<std::uint32_t>(args.tenants);
@@ -1176,9 +970,9 @@ int cmd_loadgen(const Args& args) {
 }
 
 int cmd_topology(const Args& args) {
-  auto config = base_config(args);
-  const auto world = sim::build_world(
-      config.scenario, sim::paper_origins(config.scenario.universe_size));
+  const auto scenario = scenario_of(args);
+  const auto world =
+      sim::build_world(scenario, sim::paper_origins(scenario.universe_size));
   report::Table table({"AS", "country", "/24s", "addresses"});
   std::size_t shown = 0;
   for (const auto& as : world.topology.ases()) {
@@ -1198,8 +992,7 @@ int cmd_topology(const Args& args) {
 }
 
 int cmd_origins(const Args& args) {
-  auto config = base_config(args);
-  const auto origins = sim::paper_origins(config.scenario.universe_size);
+  const auto origins = sim::paper_origins(1u << args.scale);
   report::Table table({"code", "name", "country", "source IPs",
                        "reputation", "loss multiplier"});
   for (const auto& origin : origins) {
@@ -1221,19 +1014,20 @@ int main(int argc, char** argv) {
     usage();
     return cli::kUsage;
   }
-  if (args.command == "experiment") return cmd_experiment(args);
-  if (args.command == "worker") return cmd_worker(args);
-  if (args.command == "journal-inspect") return cmd_journal_inspect(args);
-  if (args.command == "journal-repair") return cmd_journal_repair(args);
-  if (args.command == "chaos") return cmd_chaos(args);
-  if (args.command == "analyze") return cmd_analyze(args);
-  if (args.command == "scan") return cmd_scan(args);
-  if (args.command == "sweep") return cmd_sweep(args);
-  if (args.command == "serve") return cmd_serve(args);
-  if (args.command == "client") return cmd_client(args);
-  if (args.command == "loadgen") return cmd_loadgen(args);
-  if (args.command == "topology") return cmd_topology(args);
-  if (args.command == "origins") return cmd_origins(args);
-  usage();
+  switch (args.command) {
+    case cli::kExperiment: return cmd_experiment(args);
+    case cli::kWorker: return cmd_worker(args);
+    case cli::kAnalyze: return cmd_analyze(args);
+    case cli::kScan: return cmd_scan(args);
+    case cli::kSweep: return cmd_sweep(args);
+    case cli::kChaos: return cmd_chaos(args);
+    case cli::kServe: return cmd_serve(args);
+    case cli::kClient: return cmd_client(args);
+    case cli::kLoadgen: return cmd_loadgen(args);
+    case cli::kJournalInspect: return cmd_journal_inspect(args);
+    case cli::kJournalRepair: return cmd_journal_repair(args);
+    case cli::kTopology: return cmd_topology(args);
+    case cli::kOrigins: return cmd_origins(args);
+  }
   return cli::kUsage;
 }
