@@ -1,6 +1,7 @@
 // Microbenchmarks for the scanner's hot paths (google-benchmark):
 // address permutation, blocklist lookups, the batched probe pipeline,
-// and the ZGrab L7 exchange.
+// the ZGrab L7 exchange, and the bytes a finished cell crosses on its
+// way to the journal (CRC32, SHA-256, the store codec).
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -8,9 +9,13 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/store.h"
+#include "netbase/crc32.h"
 #include "netbase/rng.h"
+#include "netbase/sha256.h"
 #include "obsv/metrics.h"
 #include "scanner/blocklist.h"
+#include "scanner/orchestrator.h"
 #include "scanner/permutation.h"
 #include "scanner/zgrab.h"
 #include "scanner/zmap.h"
@@ -307,5 +312,56 @@ static void BM_Grab(benchmark::State& state, proto::Protocol protocol) {
 BENCHMARK_CAPTURE(BM_Grab, http, proto::Protocol::kHttp);
 BENCHMARK_CAPTURE(BM_Grab, https, proto::Protocol::kHttps);
 BENCHMARK_CAPTURE(BM_Grab, ssh, proto::Protocol::kSsh);
+
+static std::vector<std::uint8_t> random_bytes(std::size_t n) {
+  net::Rng rng(0xB17E5);
+  std::vector<std::uint8_t> bytes(n);
+  for (auto& byte : bytes) byte = static_cast<std::uint8_t>(rng());
+  return bytes;
+}
+
+static void BM_Crc32(benchmark::State& state, std::size_t size) {
+  // Every frame, store block and journal sidecar footer.
+  const auto bytes = random_bytes(size);
+  for (auto _ : state) benchmark::DoNotOptimize(net::crc32(bytes));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(size));
+}
+BENCHMARK_CAPTURE(BM_Crc32, 1MiB, std::size_t{1} << 20);
+
+static void BM_Sha256(benchmark::State& state, std::size_t size) {
+  // A cell's record_sha256: on the worker, the master and at adoption.
+  const auto bytes = random_bytes(size);
+  for (auto _ : state) benchmark::DoNotOptimize(net::Sha256::of(bytes));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(size));
+}
+BENCHMARK_CAPTURE(BM_Sha256, 1MiB, std::size_t{1} << 20);
+
+static void BM_SerializeResults(benchmark::State& state) {
+  // One grid cell of a 2^16 paper world (origin 0, HTTP, trial 0) as the
+  // worker streams it and the journal writes it.
+  static const scan::ScanResult cell = [] {
+    sim::ScenarioConfig config;
+    config.universe_size = 1u << 16;
+    const sim::World world =
+        sim::build_world(config, sim::paper_origins(config.universe_size));
+    sim::PersistentState persistent;
+    sim::TrialContext context;
+    context.experiment_seed = world.seed;
+    sim::Internet internet(&world, context, &persistent);
+    return scan::run_scan(internet, 0, proto::Protocol::kHttp);
+  }();
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const auto segment = core::serialize_results(cell);
+    bytes = segment.size();
+    benchmark::DoNotOptimize(segment.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_SerializeResults);
 
 BENCHMARK_MAIN();

@@ -15,7 +15,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/goldens.h"
 #include "core/store.h"
 #include "netbase/byteio.h"
 #include "netbase/frame.h"
@@ -402,7 +401,8 @@ void run_worker(int fd, int worker_index, Experiment& experiment,
       segment.slot = slot;
 
       segment.kind = SegmentKind::kRecords;
-      segment.bytes = serialize_results({outcome.result});
+      segment.bytes = serialize_results(outcome.result);
+      done.sha256 = record_sha256(segment.bytes);
       const std::vector<std::uint8_t> records_frame = encode_message(segment);
       worker_checkpoint(faults, worker_index, fault::WorkerPhase::kSegment,
                         slot, grant, fd, &records_frame);
@@ -417,7 +417,6 @@ void run_worker(int fd, int worker_index, Experiment& experiment,
       segment.bytes = cell_block.serialize();
       if (!send(segment)) return;
 
-      done.sha256 = digest_of(outcome.result).record_sha256;
       worker_checkpoint(faults, worker_index, fault::WorkerPhase::kDone, slot,
                         grant, fd, nullptr);
       if (!send(done)) return;
@@ -700,9 +699,10 @@ void GridMaster::handle_done(Worker& worker, WireMessage message) {
       worker.failed = true;
       return;
     }
-    // End-to-end integrity: the digest of the records as the master
-    // parsed them must match what the worker computed before streaming.
-    if (digest_of(result).record_sha256 != message.sha256) {
+    // End-to-end integrity: the record region of the bytes as the master
+    // received them must hash to what the worker computed before
+    // streaming. Those verified bytes are what the journal writes.
+    if (record_sha256(*records) != message.sha256) {
       worker.failed = true;
       return;
     }
@@ -715,18 +715,19 @@ void GridMaster::handle_done(Worker& worker, WireMessage message) {
       }
       delta = std::move(*parsed_block);
     }
-    merger_.drop_slot(slot);  // parsed; free the buffered copies
     // A failed journal write, or storage already dead, loses the cell.
     // Storage does not come back (storage_dead latches), so
     // dispatch_ready stops granting; the chain still advances so the run
     // ends with an honestly labeled partial grid.
+    const CellSegment segment{*records, message.sha256};
     if (recorder_.done(slot, std::move(result), snapshot, attempts,
-                       std::move(delta))) {
+                       std::move(delta), &segment)) {
       bump(obsv::Counter::kDistCellsCompleted);
       chain.snapshot = std::move(snapshot);
     } else {
       bump(obsv::Counter::kDistCellsLost);
     }
+    merger_.drop_slot(slot);  // settled; free the buffered copies
   }
 
   chain.grant_failures = 0;

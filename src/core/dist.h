@@ -84,7 +84,7 @@ enum class MsgType : std::uint8_t {
 };
 
 // SEGMENT payload kinds:
-//   RECORDS  serialize_results({result}) — the cell's .osnr bytes
+//   RECORDS  serialize_results(result) — the cell's .osnr bytes
 //   IDS      serialize_cell_sidecar(...) — the cell's .ids bytes
 //   METRICS  MetricBlock::serialize() — the cell's .metrics bytes
 #define OSN_DIST_SEGMENT_KINDS(X)                                             \

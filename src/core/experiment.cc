@@ -453,7 +453,7 @@ bool GridRecorder::settled(std::size_t slot) const {
 
 bool GridRecorder::done(std::size_t slot, scan::ScanResult result,
                         const IdsSnapshot& post, int attempts,
-                        obsv::MetricBlock delta) {
+                        obsv::MetricBlock delta, const CellSegment* segment) {
   if (storage_dead()) {
     fail_fast(slot);
     return false;
@@ -463,7 +463,7 @@ bool GridRecorder::done(std::size_t slot, scan::ScanResult result,
   report_.retries += retries_of(attempts);
   if (journal_ != nullptr) {
     std::string error;
-    if (!journal_->record_done(key, result, post, attempts,
+    if (!journal_->record_done(key, result, segment, post, attempts,
                                metrics != nullptr ? &delta : nullptr,
                                &error)) {
       // Storage-exhaustion degradation: the scan completed but its

@@ -245,9 +245,13 @@ class GridRecorder {
   // delta), then merges the delta, prints its progress line and stores
   // the result. If storage is dead or the journal write fails the cell is
   // lost instead — an unpersisted result would silently vanish on resume
-  // — and done returns false.
+  // — and done returns false. `segment` (optional) is the cell's store
+  // segment and record digest when the caller already holds them (the
+  // dist master: the bytes as received, digest verified); the journal
+  // writes them as they are (ExperimentJournal::record_done).
   bool done(std::size_t slot, scan::ScanResult result,
-            const IdsSnapshot& post, int attempts, obsv::MetricBlock delta);
+            const IdsSnapshot& post, int attempts, obsv::MetricBlock delta,
+            const CellSegment* segment = nullptr);
   // A cell the run gave up on (retry budget, worker deaths): journaled
   // lost best-effort and excluded from the grid. A lost cell contributes
   // no metric delta: a resume adopts the loss without re-running it.

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <stdexcept>
 
+#include "core/store.h"
 #include "netbase/sha256.h"
 #include "sim/scenario.h"
 
@@ -138,27 +139,7 @@ ResultDigest digest_of(const scan::ScanResult& result) {
   digest.completed = result.completed_count();
   digest.synacks = result.l4_stats.synacks;
 
-  net::Sha256 record_hash;
-  for (const auto& record : result.records) {
-    const std::uint32_t addr = record.addr.value();
-    const std::uint32_t second = record.probe_second;
-    const std::uint8_t packed[12] = {
-        static_cast<std::uint8_t>(addr >> 24),
-        static_cast<std::uint8_t>(addr >> 16),
-        static_cast<std::uint8_t>(addr >> 8),
-        static_cast<std::uint8_t>(addr),
-        record.synack_mask,
-        record.rst_mask,
-        static_cast<std::uint8_t>(record.l7),
-        static_cast<std::uint8_t>(record.explicit_close ? 1 : 0),
-        static_cast<std::uint8_t>(second >> 24),
-        static_cast<std::uint8_t>(second >> 16),
-        static_cast<std::uint8_t>(second >> 8),
-        static_cast<std::uint8_t>(second),
-    };
-    record_hash.update(packed);
-  }
-  digest.record_sha256 = net::Sha256::hex(record_hash.finish());
+  digest.record_sha256 = record_sha256(serialize_results(result));
 
   if (!result.banners.empty()) {
     net::Sha256 banner_hash;

@@ -36,9 +36,9 @@ namespace originscan::core {
 
 // ---- Digests --------------------------------------------------------
 
-// Compact fingerprint of one ScanResult: identity, summary stats, and
-// SHA-256 over the packed record stream (store format, 12 bytes per
-// record) plus the banner list.
+// Compact fingerprint of one ScanResult: identity, summary stats, the
+// SHA-256 of its record region (core/store.h record_sha256: the packed
+// 12-byte records of its store block) plus the banner list.
 struct ResultDigest {
   std::string origin_code;
   int trial = 0;

@@ -9,7 +9,6 @@
 #include <filesystem>
 #include <set>
 
-#include "core/goldens.h"
 #include "core/store.h"
 #include "netbase/byteio.h"
 #include "netbase/crc32.h"
@@ -74,19 +73,6 @@ void flip_byte_in_file(const std::string& path, std::uint64_t offset) {
     }
   }
   std::fclose(file);
-}
-
-std::optional<std::vector<std::uint8_t>> read_file(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) return std::nullopt;
-  std::vector<std::uint8_t> data;
-  std::uint8_t buffer[65536];
-  std::size_t read = 0;
-  while ((read = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
-    data.insert(data.end(), buffer, buffer + read);
-  }
-  std::fclose(file);
-  return data;
 }
 
 std::string lower(std::string_view text) {
@@ -363,7 +349,7 @@ std::optional<ExperimentJournal> ExperimentJournal::open(
   journal.fingerprint_ = fingerprint;
 
   const std::string manifest_path = dir + "/MANIFEST";
-  const auto data = read_file(manifest_path);
+  const auto data = read_file_bytes(manifest_path);
   if (!data.has_value()) {
     if (fingerprint.empty()) {
       // Inspect mode (empty fingerprint = adopt whatever the manifest
@@ -446,7 +432,7 @@ void ExperimentJournal::push_entry(JournalEntry entry) {
 std::optional<RepairReport> ExperimentJournal::repair(const std::string& dir,
                                                       std::string* error) {
   const std::string manifest_path = dir + "/MANIFEST";
-  const auto data = read_file(manifest_path);
+  const auto data = read_file_bytes(manifest_path);
   if (!data.has_value()) {
     set_error(error, "no journal manifest in " + dir);
     return std::nullopt;
@@ -568,7 +554,7 @@ std::optional<scan::ScanResult> ExperimentJournal::load_cell(
     return std::nullopt;
   }
   const std::string segment_path = dir_ + "/" + entry.segment + ".osnr";
-  const auto segment_bytes = read_file(segment_path);
+  const auto segment_bytes = read_file_bytes(segment_path);
   if (!segment_bytes.has_value()) {
     set_error(error, "missing segment " + segment_path);
     return std::nullopt;
@@ -581,7 +567,7 @@ std::optional<scan::ScanResult> ExperimentJournal::load_cell(
   // The store CRCs catch bit-rot inside the segment; the manifest digest
   // additionally pins the segment to the manifest line, catching a
   // segment swapped in from another run.
-  const std::string digest = digest_of(results->front()).record_sha256;
+  const std::string digest = record_sha256(*segment_bytes);
   if (digest != entry.record_sha256) {
     set_error(error, "segment digest mismatch for " + segment_path +
                          ": manifest " + entry.record_sha256 + ", file " +
@@ -591,7 +577,7 @@ std::optional<scan::ScanResult> ExperimentJournal::load_cell(
   scan::ScanResult result = std::move(results->front());
 
   const std::string ids_path = dir_ + "/" + entry.segment + ".ids";
-  const auto ids_bytes = read_file(ids_path);
+  const auto ids_bytes = read_file_bytes(ids_path);
   if (!ids_bytes.has_value()) {
     set_error(error, "missing sidecar " + ids_path);
     return std::nullopt;
@@ -608,7 +594,7 @@ std::optional<scan::ScanResult> ExperimentJournal::load_cell(
 
   if (metrics != nullptr) {
     const std::string metrics_path = dir_ + "/" + entry.segment + ".metrics";
-    const auto metrics_bytes = read_file(metrics_path);
+    const auto metrics_bytes = read_file_bytes(metrics_path);
     if (!metrics_bytes.has_value()) {
       // Pre-metrics journal: the cell simply carries a zero delta.
       *metrics = obsv::MetricBlock{};
@@ -630,8 +616,8 @@ bool ExperimentJournal::record_done(const CellKey& key,
                                     const scan::ScanResult& result,
                                     const IdsSnapshot& snapshot, int attempts,
                                     std::string* error) {
-  return record_done(key, result, snapshot, attempts, /*metrics=*/nullptr,
-                     error);
+  return record_done(key, result, /*segment=*/nullptr, snapshot, attempts,
+                     /*metrics=*/nullptr, error);
 }
 
 // A durable file write as seen by the fault layer: enospc can refuse it
@@ -667,14 +653,22 @@ bool ExperimentJournal::durable_write(const std::string& path,
 
 bool ExperimentJournal::record_done(const CellKey& key,
                                     const scan::ScanResult& result,
+                                    const CellSegment* segment,
                                     const IdsSnapshot& snapshot, int attempts,
                                     obsv::MetricBlock* metrics,
                                     std::string* error) {
   const std::string stem = "cell_" + key.origin_code + "_" +
                            lower(proto::name_of(key.protocol)) + "_t" +
                            std::to_string(key.trial);
-  const auto segment_bytes = serialize_results({result});
-  if (!durable_write(dir_ + "/" + stem + ".osnr", segment_bytes, error)) {
+  std::vector<std::uint8_t> own_bytes;
+  std::string own_sha256;
+  if (segment == nullptr) {
+    own_bytes = serialize_results(result);
+    own_sha256 = record_sha256(own_bytes);
+  }
+  const CellSegment cell =
+      segment != nullptr ? *segment : CellSegment{own_bytes, own_sha256};
+  if (!durable_write(dir_ + "/" + stem + ".osnr", cell.bytes, error)) {
     return false;
   }
   const auto sidecar_bytes =
@@ -693,7 +687,7 @@ bool ExperimentJournal::record_done(const CellKey& key,
     metrics->add(obsv::Counter::kJournalCellsRecorded);
     metrics->add(obsv::Counter::kJournalSegmentsFsynced, 3);
     metrics->observe(obsv::Histogram::kJournalSegmentBytes,
-                     segment_bytes.size());
+                     cell.bytes.size());
     metrics->observe(obsv::Histogram::kJournalSegmentBytes,
                      sidecar_bytes.size());
     if (!durable_write(dir_ + "/" + stem + ".metrics",
@@ -706,7 +700,7 @@ bool ExperimentJournal::record_done(const CellKey& key,
   entry.status = JournalEntry::Status::kDone;
   entry.key = key;
   entry.attempts = attempts;
-  entry.record_sha256 = digest_of(result).record_sha256;
+  entry.record_sha256 = cell.record_sha256;
   entry.segment = stem;
   const std::string line =
       "done " + key.origin_code + " " +

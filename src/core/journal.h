@@ -42,6 +42,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "faultinject/faultinject.h"
@@ -110,12 +111,21 @@ struct CellKey {
   friend bool operator==(const CellKey&, const CellKey&) = default;
 };
 
+// A done cell's store segment as the journal writes it: the one-block
+// stream serialize_results(result) produces, and the lower-case hex
+// SHA-256 of its record region (store.h record_sha256). Views; the
+// caller keeps the bytes alive.
+struct CellSegment {
+  std::span<const std::uint8_t> bytes;
+  std::string_view record_sha256;
+};
+
 struct JournalEntry {
   enum class Status { kDone, kLost };
   Status status = Status::kDone;
   CellKey key;
   int attempts = 1;
-  std::string record_sha256;  // done only: digest of the packed records
+  std::string record_sha256;  // done only: digest of the record region
   std::string segment;        // done only: sidecar file stem
   std::string reason;         // lost only
 };
@@ -228,12 +238,20 @@ class ExperimentJournal {
   // — before the manifest append, so a recorded cell always carries its
   // delta and a resumed run reproduces an uninterrupted run's metrics
   // byte for byte.
+  //
+  // The segment is the cell's one-block store stream and the manifest's
+  // sha256= is the SHA-256 of its record region (store.h). `segment`
+  // (optional) carries both when the caller already holds them — the
+  // dist master passes the bytes a worker streamed, verified against the
+  // worker's digest — and they are written as received; null means
+  // serialize `result` and hash its record region here, once.
   bool record_done(const CellKey& key, const scan::ScanResult& result,
                    const IdsSnapshot& snapshot, int attempts,
                    std::string* error = nullptr);
   bool record_done(const CellKey& key, const scan::ScanResult& result,
-                   const IdsSnapshot& snapshot, int attempts,
-                   obsv::MetricBlock* metrics, std::string* error);
+                   const CellSegment* segment, const IdsSnapshot& snapshot,
+                   int attempts, obsv::MetricBlock* metrics,
+                   std::string* error);
 
   // Marks a cell lost (retry budget exhausted). Analysis treats the cell
   // as absent; resume does not re-run it (see Experiment::run_journaled).

@@ -1,45 +1,79 @@
 #include "core/store.h"
 
 #include <cstdio>
+#include <cstring>
 
 #include "netbase/byteio.h"
 #include "netbase/crc32.h"
+#include "netbase/sha256.h"
 
 namespace originscan::core {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x4F534E52;  // "OSNR"
+constexpr std::size_t kStreamHeaderBytes = 12;  // magic, version, count
+// u16 code length, u8 protocol, u32 trial, u64 record count, u32 CRC.
+constexpr std::size_t kBlockFixedBytes = 2 + 1 + 4 + 8 + 4;
+constexpr std::size_t kRecordBytes = 12;
+
+// The one record encoding: addr u32, synack u8, rst u8, l7 u8,
+// explicit_close u8, probe_second u32.
+std::uint8_t* store_record(std::uint8_t* p, const scan::ScanRecord& record) {
+  p = net::store_u32(p, record.addr.value());
+  p[0] = record.synack_mask;
+  p[1] = record.rst_mask;
+  p[2] = static_cast<std::uint8_t>(record.l7);
+  p[3] = record.explicit_close ? 1 : 0;
+  return net::store_u32(p + 4, record.probe_second);
+}
+
+scan::ScanRecord load_record(const std::uint8_t* p) {
+  scan::ScanRecord record;
+  record.addr = net::Ipv4Addr(net::load_u32(p));
+  record.synack_mask = p[4];
+  record.rst_mask = p[5];
+  record.l7 = static_cast<sim::L7Outcome>(p[6]);
+  record.explicit_close = p[7] != 0;
+  record.probe_second = net::load_u32(p + 8);
+  return record;
+}
+
+std::vector<std::uint8_t> serialize(std::span<const scan::ScanResult> results) {
+  std::size_t size = kStreamHeaderBytes;
+  for (const auto& result : results) {
+    size += kBlockFixedBytes + result.origin_code.size() +
+            kRecordBytes * result.records.size();
+  }
+  std::vector<std::uint8_t> out(size);
+  std::uint8_t* p = out.data();
+  p = net::store_u32(p, kMagic);
+  p = net::store_u32(p, kStoreVersion);
+  p = net::store_u32(p, static_cast<std::uint32_t>(results.size()));
+  for (const auto& result : results) {
+    std::uint8_t* const block = p;
+    p = net::store_u16(p,
+                       static_cast<std::uint16_t>(result.origin_code.size()));
+    std::memcpy(p, result.origin_code.data(), result.origin_code.size());
+    p += result.origin_code.size();
+    *p++ = static_cast<std::uint8_t>(result.protocol);
+    p = net::store_u32(p, static_cast<std::uint32_t>(result.trial));
+    p = net::store_u64(p, result.records.size());
+    for (const auto& record : result.records) p = store_record(p, record);
+    p = net::store_u32(p, net::crc32(std::span(
+                              block, static_cast<std::size_t>(p - block))));
+  }
+  return out;
+}
 
 }  // namespace
 
 std::vector<std::uint8_t> serialize_results(
     const std::vector<scan::ScanResult>& results) {
-  std::vector<std::uint8_t> out;
-  net::ByteWriter w(out);
-  w.u32(kMagic);
-  w.u32(kStoreVersion);
-  w.u32(static_cast<std::uint32_t>(results.size()));
-  for (const auto& result : results) {
-    const std::size_t block_start = out.size();
-    w.u16(static_cast<std::uint16_t>(result.origin_code.size()));
-    w.bytes(std::span(
-        reinterpret_cast<const std::uint8_t*>(result.origin_code.data()),
-        result.origin_code.size()));
-    w.u8(static_cast<std::uint8_t>(result.protocol));
-    w.u32(static_cast<std::uint32_t>(result.trial));
-    w.u64(result.records.size());
-    for (const auto& record : result.records) {
-      w.u32(record.addr.value());
-      w.u8(record.synack_mask);
-      w.u8(record.rst_mask);
-      w.u8(static_cast<std::uint8_t>(record.l7));
-      w.u8(record.explicit_close ? 1 : 0);
-      w.u32(record.probe_second);
-    }
-    w.u32(net::crc32(
-        std::span(out.data() + block_start, out.size() - block_start)));
-  }
-  return out;
+  return serialize(results);
+}
+
+std::vector<std::uint8_t> serialize_results(const scan::ScanResult& result) {
+  return serialize(std::span(&result, 1));
 }
 
 std::optional<std::vector<scan::ScanResult>> parse_results(
@@ -68,21 +102,14 @@ std::optional<std::vector<scan::ScanResult>> parse_results(
     result.trial = static_cast<int>(r.u32());
     const std::uint64_t record_count = r.u64();
     if (!r.ok()) return std::nullopt;
-    // Sanity bound: each record needs 12 bytes of remaining stream.
-    // (Divide rather than multiply — a hostile count must not overflow.)
-    if (record_count > r.remaining() / 12) return std::nullopt;
-    result.records.reserve(record_count);
-    for (std::uint64_t j = 0; j < record_count; ++j) {
-      scan::ScanRecord record;
-      record.addr = net::Ipv4Addr(r.u32());
-      record.synack_mask = r.u8();
-      record.rst_mask = r.u8();
-      record.l7 = static_cast<sim::L7Outcome>(r.u8());
-      record.explicit_close = r.u8() != 0;
-      record.probe_second = r.u32();
-      result.records.push_back(record);
+    // One bounds check for the whole record region (dividing, so a
+    // hostile count cannot overflow), then the records are read in place.
+    if (record_count > r.remaining() / kRecordBytes) return std::nullopt;
+    const auto region = r.bytes(record_count * kRecordBytes);
+    result.records.resize(record_count);
+    for (std::size_t j = 0; j < record_count; ++j) {
+      result.records[j] = load_record(region.data() + j * kRecordBytes);
     }
-    if (!r.ok()) return std::nullopt;
     const std::uint32_t want =
         net::crc32(data.subspan(block_start, r.position() - block_start));
     if (r.u32() != want || !r.ok()) return std::nullopt;
@@ -90,6 +117,36 @@ std::optional<std::vector<scan::ScanResult>> parse_results(
   }
   if (r.remaining() != 0) return std::nullopt;
   return results;
+}
+
+std::string record_sha256(std::span<const std::uint8_t> segment) {
+  net::ByteReader r(segment);
+  r.skip(8);  // magic, version
+  const bool one_block = r.u32() == 1;
+  r.skip(r.u16());  // origin code
+  r.skip(1 + 4);    // protocol, trial
+  const std::uint64_t record_count = r.u64();
+  std::span<const std::uint8_t> region;
+  if (one_block && r.ok() && record_count <= r.remaining() / kRecordBytes) {
+    region = r.bytes(record_count * kRecordBytes);
+  }
+  return net::Sha256::hex(net::Sha256::of(region));
+}
+
+std::optional<std::vector<std::uint8_t>> read_file_bytes(
+    const std::string& path) {
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  if (file == nullptr) return std::nullopt;
+  std::vector<std::uint8_t> data;
+  if (std::fseek(file, 0, SEEK_END) == 0) {
+    const long size = std::ftell(file);
+    if (size > 0 && std::fseek(file, 0, SEEK_SET) == 0) {
+      data.resize(static_cast<std::size_t>(size));
+      data.resize(std::fread(data.data(), 1, data.size(), file));
+    }
+  }
+  std::fclose(file);
+  return data;
 }
 
 bool save_results(const std::string& path,
@@ -105,16 +162,9 @@ bool save_results(const std::string& path,
 
 std::optional<std::vector<scan::ScanResult>> load_results(
     const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) return std::nullopt;
-  std::vector<std::uint8_t> data;
-  std::uint8_t buffer[65536];
-  std::size_t read = 0;
-  while ((read = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
-    data.insert(data.end(), buffer, buffer + read);
-  }
-  std::fclose(file);
-  return parse_results(data);
+  const auto data = read_file_bytes(path);
+  if (!data.has_value()) return std::nullopt;
+  return parse_results(*data);
 }
 
 }  // namespace originscan::core

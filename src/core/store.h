@@ -16,6 +16,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -29,6 +30,18 @@ inline constexpr std::uint32_t kStoreVersion = 2;
 // Serializes results to the on-disk format.
 std::vector<std::uint8_t> serialize_results(
     const std::vector<scan::ScanResult>& results);
+// One result as a one-block stream: a journal segment, a dist RECORDS
+// payload. (A braced `serialize_results({result})` resolves here too.)
+std::vector<std::uint8_t> serialize_results(const scan::ScanResult& result);
+
+// A cell's record_sha256 (golden digests, journal MANIFEST lines, the
+// dist DONE message): lower-case hex SHA-256 of the record region of a
+// one-block stream, its packed 12-byte records between the block header
+// and the CRC footer. The worker, the master and the journal hash a
+// segment where it lies instead of re-packing its records. `segment`
+// must be a stream serialize_results wrote or parse_results accepted
+// with exactly one result; anything else hashes an empty region.
+std::string record_sha256(std::span<const std::uint8_t> segment);
 
 // Parses results; nullopt on any structural error (bad magic, truncated
 // stream, unknown version).
@@ -36,6 +49,12 @@ std::optional<std::vector<scan::ScanResult>> parse_results(
     std::span<const std::uint8_t> data);
 
 // File convenience wrappers.
+//
+// read_file_bytes returns a file's bytes from one sized read (nullopt
+// if it cannot be opened; a short read yields the bytes read, which the
+// parsers then reject); load_results parses what it returns.
+std::optional<std::vector<std::uint8_t>> read_file_bytes(
+    const std::string& path);
 bool save_results(const std::string& path,
                   const std::vector<scan::ScanResult>& results);
 std::optional<std::vector<scan::ScanResult>> load_results(

@@ -20,6 +20,27 @@ inline std::span<const std::uint8_t> as_bytes(std::string_view text) {
   return {reinterpret_cast<const std::uint8_t*>(text.data()), text.size()};
 }
 
+// Network-byte-order stores into memory the caller has already sized
+// (codecs that lay a whole buffer out up front); each returns the next
+// write position. load_u32 is the matching read.
+inline std::uint8_t* store_u16(std::uint8_t* p, std::uint16_t v) {
+  p[0] = static_cast<std::uint8_t>(v >> 8);
+  p[1] = static_cast<std::uint8_t>(v);
+  return p + 2;
+}
+inline std::uint8_t* store_u32(std::uint8_t* p, std::uint32_t v) {
+  p = store_u16(p, static_cast<std::uint16_t>(v >> 16));
+  return store_u16(p, static_cast<std::uint16_t>(v));
+}
+inline std::uint8_t* store_u64(std::uint8_t* p, std::uint64_t v) {
+  p = store_u32(p, static_cast<std::uint32_t>(v >> 32));
+  return store_u32(p, static_cast<std::uint32_t>(v));
+}
+inline std::uint32_t load_u32(const std::uint8_t* p) {
+  return (std::uint32_t{p[0]} << 24) | (std::uint32_t{p[1]} << 16) |
+         (std::uint32_t{p[2]} << 8) | std::uint32_t{p[3]};
+}
+
 // Appends network-byte-order fields to a growable byte vector.
 class ByteWriter {
  public:

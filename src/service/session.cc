@@ -59,7 +59,7 @@ SessionOutcome run_session(const FrozenUniverse& universe,
   outcome.ok = true;
   outcome.record_count = result.records.size();
   outcome.completed_count = result.completed_count();
-  outcome.records = core::serialize_results({std::move(result)});
+  outcome.records = core::serialize_results(result);
   return outcome;
 }
 

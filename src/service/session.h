@@ -85,7 +85,7 @@ struct SessionOutcome {
   bool ok = false;
   bool aborted = false;      // cancelled mid-scan; records are invalid
   std::string error;         // unknown origin / invalid spec
-  // core::serialize_results({result}): the bytes `originscan scan` and
+  // core::serialize_results(result): the bytes `originscan scan` and
   // `originscan client` both turn into the scan CSV.
   std::vector<std::uint8_t> records;
   std::size_t record_count = 0;

@@ -136,7 +136,7 @@ struct ServiceWire {
   // STATUS (S→C)
   SessionState state = SessionState::kUnknown;
   std::uint32_t queue_position = 0;  // sessions ahead when kQueued
-  // RESULT: core::serialize_results({result}) bytes — the same
+  // RESULT: core::serialize_results(result) bytes — the same
   // store-format segment a direct `originscan scan` would persist, so
   // byte-comparing RESULT payloads against solo runs is exact.
   std::vector<std::uint8_t> records;

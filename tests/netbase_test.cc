@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <set>
+#include <string>
 
 #include "netbase/byteio.h"
+#include "netbase/crc32.h"
 #include "netbase/interval_set.h"
 #include "netbase/ipv4.h"
 #include "netbase/rng.h"
+#include "netbase/sha256.h"
 #include "netbase/vtime.h"
 
 namespace originscan::net {
@@ -163,6 +168,136 @@ TEST(ByteIO, ReaderLatchesErrorOnOverrun) {
   r.u32();
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.remaining(), 0u);
+}
+
+TEST(ByteIO, StoresIntoPresizedMemory) {
+  std::uint8_t buffer[8];
+  EXPECT_EQ(store_u64(buffer, 0x0102030405060708ull), buffer + 8);
+  EXPECT_EQ(load_u32(buffer), 0x01020304u);
+  EXPECT_EQ(load_u32(buffer + 4), 0x05060708u);
+}
+
+// ----------------------------------------------------------------- CRC32 --
+
+// The classic one-table bytewise CRC-32: the reference slice-by-8 must
+// reproduce for every input.
+std::uint32_t crc32_bytewise(std::span<const std::uint8_t> data,
+                             std::uint32_t seed = 0) {
+  std::uint32_t c = ~seed;
+  for (std::uint8_t byte : data) {
+    c ^= byte;
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return ~c;
+}
+
+TEST(Crc32, CheckValue) {
+  EXPECT_EQ(crc32(as_bytes("123456789")), 0xCBF43926u);
+  EXPECT_EQ(crc32_bytewise(as_bytes("123456789")), 0xCBF43926u);
+  EXPECT_EQ(crc32({}), 0u);
+}
+
+TEST(Crc32, SliceBy8MatchesBytewiseAtEveryLengthAndOffset) {
+  Rng rng(0xC3C);
+  std::vector<std::uint8_t> data(1024 + 8);
+  for (auto& byte : data) byte = static_cast<std::uint8_t>(rng());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 1024; ++length) {
+      const std::span<const std::uint8_t> view(data.data() + offset, length);
+      ASSERT_EQ(crc32(view), crc32_bytewise(view))
+          << "offset " << offset << " length " << length;
+      ASSERT_EQ(crc32(view, 0x5EED), crc32_bytewise(view, 0x5EED))
+          << "seeded, offset " << offset << " length " << length;
+    }
+  }
+}
+
+// ---------------------------------------------------------------- SHA-256 --
+
+std::string sha256_hex(std::string_view text) {
+  return Sha256::hex(Sha256::of(as_bytes(text)));
+}
+
+// FIPS 180-4 examples (NIST CSRC "SHA256.pdf" / SHAVS short messages).
+TEST(Sha256, NistVectors) {
+  EXPECT_EQ(sha256_hex(""),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  EXPECT_EQ(sha256_hex("abc"),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  // The 448-bit message: the length field spills into a second block.
+  EXPECT_EQ(sha256_hex("abcdbcdecdefdefgefghfghighijhijk"
+                       "ijkljklmklmnlmnomnopnopq"),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+}
+
+TEST(Sha256, MillionAsInUnevenChunks) {
+  const std::vector<std::uint8_t> a(1'000'000, 'a');
+  const std::string want =
+      "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0";
+  EXPECT_EQ(Sha256::hex(Sha256::of(a)), want);
+  // Chunk sizes that straddle the 64-byte block every way: partial
+  // buffers, exact blocks, multi-block runs.
+  const std::size_t chunks[] = {1, 63, 64, 65, 7, 128, 3, 1000, 55, 4096};
+  Sha256 hasher;
+  std::size_t offset = 0;
+  for (std::size_t i = 0; offset < a.size(); ++i) {
+    const std::size_t take =
+        std::min(chunks[i % std::size(chunks)], a.size() - offset);
+    hasher.update(std::span(a.data() + offset, take));
+    offset += take;
+  }
+  EXPECT_EQ(Sha256::hex(hasher.finish()), want);
+}
+
+// Every padding shape: lengths around the 55/56-byte boundary where the
+// length field spills into a second block.
+TEST(Sha256, PaddingBoundariesMatchPortableKernel) {
+  Rng rng(0x5A256);
+  std::vector<std::uint8_t> data(200);
+  for (auto& byte : data) byte = static_cast<std::uint8_t>(rng());
+  for (std::size_t length = 0; length <= data.size(); ++length) {
+    // The reference: pad by hand and run the portable compression only.
+    std::vector<std::uint8_t> padded(data.begin(), data.begin() + length);
+    padded.push_back(0x80);
+    while (padded.size() % 64 != 56) padded.push_back(0);
+    for (int i = 7; i >= 0; --i) {
+      padded.push_back(static_cast<std::uint8_t>((length * 8) >> (8 * i)));
+    }
+    detail::Sha256State state = {0x6A09E667u, 0xBB67AE85u, 0x3C6EF372u,
+                                 0xA54FF53Au, 0x510E527Fu, 0x9B05688Cu,
+                                 0x1F83D9ABu, 0x5BE0CD19u};
+    detail::sha256_compress_portable(state, padded.data(), padded.size() / 64);
+    Sha256::Digest want;
+    for (int i = 0; i < 8; ++i) {
+      for (int b = 0; b < 4; ++b) {
+        want[4 * i + b] = static_cast<std::uint8_t>(state[i] >> (24 - 8 * b));
+      }
+    }
+    ASSERT_EQ(Sha256::of(std::span(data.data(), length)), want)
+        << "length " << length;
+  }
+}
+
+TEST(Sha256, ShaNiMatchesPortableOnRandomBlocks) {
+  detail::Sha256State probe{};
+  if (!detail::sha256_compress_shani(probe, nullptr, 0)) {
+    GTEST_SKIP() << "this CPU or build has no SHA-NI";
+  }
+  Rng rng(0x5A);
+  std::vector<std::uint8_t> blocks(64 * 37);
+  for (int round = 0; round < 50; ++round) {
+    for (auto& byte : blocks) byte = static_cast<std::uint8_t>(rng());
+    detail::Sha256State portable;
+    for (auto& word : portable) word = static_cast<std::uint32_t>(rng());
+    detail::Sha256State shani = portable;
+    const std::size_t count = 1 + rng() % 37;
+    detail::sha256_compress_portable(portable, blocks.data(), count);
+    ASSERT_TRUE(detail::sha256_compress_shani(shani, blocks.data(), count));
+    ASSERT_EQ(shani, portable) << "round " << round << ", " << count
+                               << " blocks";
+  }
 }
 
 // ------------------------------------------------------------------- Rng --

@@ -408,19 +408,33 @@ TEST(Service, ShutdownDrainsAdmittedWorkThenExits) {
 // the drain. The daemon sees the frame and the EOF in the same poll wake
 // — the frame must still be decoded (regression: read_some used to drop
 // buffered frames on disconnect, leaving the daemon running forever).
+// To make that one wake certain, the daemon's loop is parked in its log
+// callback (after it delivered a RESULT) while the client sends
+// SHUTDOWN and hangs up; a loop left free could wake between the two.
 TEST(Service, ShutdownFromClientThatImmediatelyDisconnects) {
+  auto gate = std::make_shared<Gate>();
+  service::ServiceConfig config = tiny_config();
+  config.log = [gate](std::string_view line) {
+    if (line.find(" done, ") != std::string_view::npos) gate->wait();
+  };
   std::vector<int> server_ends;
   const int fd = client_end(server_ends);
-  service::Originscand daemon(tiny_config());
+  service::Originscand daemon(config);
   std::thread serving([&] { daemon.serve(-1, server_ends); });
 
   {
     service::ServiceClient client(fd);
     ASSERT_TRUE(client.hello()) << client.error();
+    ASSERT_TRUE(client.submit(1, 0, service::SessionSpec{}));
+    const auto result = client.wait_for(1);
+    ASSERT_TRUE(result.has_value()) << client.error();
+    ASSERT_EQ(result->type, service::ServiceMsg::kResult);
+    gate->await_arrivals(1);  // the loop is parked in its log line
     service::ServiceWire shutdown;
     shutdown.type = service::ServiceMsg::kShutdown;
     ASSERT_TRUE(client.send(shutdown));
   }  // destructor closes the fd right behind the SHUTDOWN bytes
+  gate->open();
 
   serving.join();  // must return without any request_stop nudge
   EXPECT_EQ(

@@ -2,8 +2,10 @@
 
 #include <cstdio>
 
+#include "core/goldens.h"
 #include "core/store.h"
 #include "netbase/rng.h"
+#include "netbase/sha256.h"
 
 namespace originscan::core {
 namespace {
@@ -73,7 +75,7 @@ TEST(Store, RejectsCorruptStreams) {
   bad = bytes;
   bad[7] = 1;
   EXPECT_FALSE(parse_results(bad).has_value());
-  auto v1_empty = serialize_results({});
+  auto v1_empty = serialize_results(std::vector<scan::ScanResult>{});
   v1_empty[7] = 1;
   EXPECT_FALSE(parse_results(v1_empty).has_value());
 
@@ -115,10 +117,34 @@ TEST(Store, V2CatchesEverySingleBitFlip) {
 }
 
 TEST(Store, EmptyResultListRoundTrips) {
-  const auto bytes = serialize_results({});
+  const auto bytes = serialize_results(std::vector<scan::ScanResult>{});
   const auto parsed = parse_results(bytes);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_TRUE(parsed->empty());
+}
+
+TEST(Store, SingleResultOverloadWritesTheOneBlockStream) {
+  const auto results = sample_results();
+  for (const auto& result : results) {
+    EXPECT_EQ(serialize_results(result),
+              serialize_results(std::vector<scan::ScanResult>{result}));
+  }
+}
+
+// A cell's record_sha256 is the SHA-256 of its store block's record
+// region: the packed records after the 27 + code-length bytes of stream
+// and block header, 12 bytes each, before the CRC footer.
+TEST(Store, DigestIsTheHashOfTheRecordRegion) {
+  for (const auto& result : sample_results()) {
+    const auto bytes = serialize_results(result);
+    const std::size_t start = 12 + 2 + result.origin_code.size() + 1 + 4 + 8;
+    const std::span<const std::uint8_t> region(
+        bytes.data() + start, 12 * result.records.size());
+    ASSERT_EQ(start + region.size() + 4, bytes.size());
+    const std::string want = net::Sha256::hex(net::Sha256::of(region));
+    EXPECT_EQ(record_sha256(bytes), want);
+    EXPECT_EQ(digest_of(result).record_sha256, want);
+  }
 }
 
 TEST(Store, FileRoundTrip) {

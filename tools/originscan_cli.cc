@@ -583,7 +583,7 @@ int cmd_sweep(const Args& args) {
 int cmd_analyze(const Args& args) {
   if (args.in.empty()) {
     std::fprintf(stderr, "analyze requires --in FILE\n");
-    return cli::kFailure;
+    return cli::kUsage;
   }
   auto results = core::load_results(args.in);
   if (!results) {
@@ -814,6 +814,10 @@ int cmd_serve(const Args& args) {
     return cli::kUsage;
   }
   service::ServiceConfig config = service_config(args);
+  // Each session's scan counters merge here; the service.* block joins
+  // them on exit.
+  obsv::MetricsRegistry registry;
+  if (!args.metrics_out.empty()) config.metrics = &registry;
   config.log = [](std::string_view line) {
     std::printf("originscand: %.*s\n", static_cast<int>(line.size()),
                 line.data());
@@ -853,7 +857,8 @@ int cmd_serve(const Args& args) {
       static_cast<unsigned long long>(
           m.counter(obsv::Counter::kServiceRequestsCancelled)));
   if (!args.metrics_out.empty()) {
-    if (!report::write_file(args.metrics_out, obsv::snapshot_json(m))) {
+    registry.merge_block(m);
+    if (!report::write_file(args.metrics_out, registry.snapshot_json())) {
       std::fprintf(stderr, "failed to write %s\n", args.metrics_out.c_str());
       return cli::kFailure;
     }
