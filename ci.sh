@@ -10,7 +10,8 @@
 #             regression gate, + the perfbench stage
 #   service   build + the originscand daemon battery (`ctest -L
 #             service`, incl. scan_matches_daemon: solo scan == daemon
-#             answer at --probes 1) and the docs consistency checks
+#             answer at --probes 1), the docs consistency checks, and
+#             the cancel/shutdown cases of service_test 50 times over
 #   docs      build + the doc/header consistency checks on their own
 #             (`ctest -L docs`: protocol_doc_check incl. its negative
 #             self-test, metrics_doc_check, cli_doc_check: docs/CLI.md
@@ -30,7 +31,8 @@
 #             reports "correct": true with 0 failed operations
 #   tsan      ORIGINSCAN_SANITIZE=thread build; runs the suites that
 #             exercise the parallel executor, the windowed lane executor
-#             (procedural_test: multi-window sweeps and scans at jobs > 1),
+#             (procedural_test: multi-window sweeps and scans at jobs > 1;
+#             permutation_test: the shard lanes recovered from probe order),
 #             the cell supervisor, the multi-process worker pool, and the
 #             fault-injected differential harness under thread sanitizer
 #   asan      ORIGINSCAN_SANITIZE=address build (ASan + UBSan, any
@@ -87,6 +89,10 @@ run_full() {
 run_service() {
   configure_and_build build
   (cd build && ctest -L 'service|docs' --output-on-failure)
+  # Cancellation and shutdown hinge on when the event loop handles a frame;
+  # one pass has missed such races, so repeat those cases.
+  build/tests/service_test --gtest_repeat=50 \
+    --gtest_filter='Service.Cancel*:Service.Shutdown*'
 }
 
 run_docs() {
@@ -165,7 +171,7 @@ sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' "$line"; then
 run_tsan() {
   configure_and_build build-tsan -DORIGINSCAN_SANITIZE=thread
   (cd build-tsan &&
-    ctest -R 'parallel_test|scanner_test|sim_test|core_test|journal_test|crash_resume_test|differential_test|dist_test|chaos_test|batch_test|service_test|procedural_test' \
+    ctest -R 'parallel_test|scanner_test|sim_test|core_test|journal_test|crash_resume_test|differential_test|dist_test|chaos_test|batch_test|service_test|procedural_test|permutation_test' \
       --output-on-failure)
 }
 

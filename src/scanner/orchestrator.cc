@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <exception>
 #include <numeric>
 #include <optional>
 #include <stdexcept>
 #include <utility>
 
-#include "core/parallel.h"
 #include "netbase/rng.h"
 
 namespace originscan::scan {
@@ -51,33 +49,14 @@ ZMapConfig make_zmap_config(const sim::Internet& internet,
   return config;
 }
 
-// Targets dealt out per window when lanes run concurrently. The lanes
-// buffer two windows (16 bytes a target): the one being probed and the
-// next, dealt meanwhile. So the sweep's per-target memory peaks at two
-// windows whatever the universe size; each window ends at a join, so
-// smaller windows trade join overhead for memory. A single lane has no
-// join to amortize, so its window is one probe batch.
-constexpr std::size_t kWindowTargets = std::size_t{1} << 18;
-
-// The one lane executor behind run_scan and run_l4_sweep. It walks the
-// permutation (TargetWalk: filter, then global first-packet slot) in
-// windows (see kWindowTargets) and deals each window's targets
-// round-robin to `jobs` lanes. When lanes run concurrently, rate-IDS
-// targets go instead to one extra deferred lane, which is submitted first
-// in each window; a single lane takes every target in permutation order,
-// so the deferral predicate runs only when lanes are concurrent.
-//
-// Concurrent lanes run on one pool of `jobs` threads that lives for the
-// whole sweep, and each lane's target vector is double-buffered: while
-// the pool probes window k, the caller walks and deals window k+1 into
-// the spare buffers, then joins the pool and swaps. Windows still run in
-// permutation order, one at a time, so the deferred lane sees its targets
-// in global order exactly as a single lane would. Every other probe
-// decision is a pure function of the target and its global slot, so any
-// dealing yields the same per-target results. A single lane runs inline
-// on the caller's thread, one window after the other. If lanes throw, the
-// lowest-indexed failure of the window (the deferred lane first) is
-// rethrown once the window's lanes and the overlapped walk are done.
+// The one lane executor behind run_scan and run_l4_sweep. A single lane
+// runs the sweep inline (ZMapScanner::run: every target in permutation
+// order). With jobs > 1, walk_shards runs `jobs` lanes, lane i probing
+// the targets of ZMap's shard i, and hands the rate-IDS targets to one
+// extra deferred lane in global permutation order, exactly as a single
+// lane sees them; every other probe decision is a pure function of the
+// target and its global slot, so the lanes' results merge into the single
+// lane's.
 //
 // `outputs` gets one entry per lane. `make_collector(output, metrics)`
 // builds each lane's result callback once, before the sweep, from the
@@ -97,18 +76,10 @@ ZMapScanner::Stats run_lanes(sim::Internet& internet, sim::OriginId origin,
     obsv::MetricBlock metrics;
     std::optional<ZMapScanner> scanner;
     std::function<void(const L4Result&)> collect;
-    std::vector<ScheduledTarget> targets;  // the window being probed
-    std::vector<ScheduledTarget> next;     // the window being dealt
     ZMapScanner::Stats stats;
-    std::exception_ptr error;  // this window's failure, when pooled
   };
-  const auto shards = static_cast<std::size_t>(std::max(1, jobs));
-  const bool concurrent = shards > 1;
-  const std::size_t window =
-      concurrent ? kWindowTargets : ZMapScanner::kRunBatch;
-  // lanes[0..shards) deal round-robin; when concurrent, lanes.back() is
-  // the deferred lane.
-  std::vector<Lane> lanes(concurrent ? shards + 1 : 1);
+  // When concurrent, lanes.back() is the deferred lane.
+  std::vector<Lane> lanes(jobs > 1 ? static_cast<std::size_t>(jobs) + 1 : 1);
   outputs.resize(lanes.size());
   for (std::size_t i = 0; i < lanes.size(); ++i) {
     ZMapConfig lane_config = config;
@@ -120,77 +91,22 @@ ZMapScanner::Stats run_lanes(sim::Internet& internet, sim::OriginId origin,
     metrics->gauge_max(obsv::Gauge::kScanUniverseSize, config.universe_size);
   }
 
-  const auto defer = rate_ids_defer(internet, config.protocol);
-  TargetWalk walk(config);
-  std::array<ScheduledTarget, ZMapScanner::kRunBatch> chunk;
-  std::size_t next_lane = 0;
-  // Walks and deals the next window into the lanes' spare buffers;
-  // false once the walk is done or the sweep is cancelled.
-  const auto deal = [&] {
-    if (walk.done()) return false;
-    if (config.cancel != nullptr && config.cancel->cancelled()) return false;
-    for (Lane& lane : lanes) lane.next.clear();
-    for (std::size_t in_window = 0; in_window < window && !walk.done();) {
-      const std::size_t count = walk.next(chunk);
-      for (std::size_t i = 0; i < count; ++i) {
-        if (concurrent && defer(chunk[i].addr)) {
-          lanes.back().next.push_back(chunk[i]);
-        } else {
-          lanes[next_lane].next.push_back(chunk[i]);
-          if (++next_lane == shards) next_lane = 0;
-        }
-      }
-      in_window += count;
-    }
-    return true;
-  };
-  const auto run = [](Lane& lane) {
-    lane.stats += lane.scanner->run_scheduled(lane.targets, lane.collect);
-  };
-  // Declared after everything its tasks touch, so an exception out of the
-  // walk joins the pool before the lanes go away.
-  std::optional<core::ThreadPool> pool;
-  if (concurrent) pool.emplace(jobs);
-  const auto launch = [&](Lane& lane) {
-    if (lane.targets.empty()) return;
-    if (!pool) {
-      run(lane);
-      return;
-    }
-    pool->submit([&lane, run] {
-      try {
-        run(lane);
-      } catch (...) {
-        lane.error = std::current_exception();
-      }
-    });
-  };
-  // Submission order. The deferred lane goes first: it cannot be split,
-  // so it must not queue behind the shard lanes.
-  const auto in_order = [&lanes](const auto& visit) {
-    visit(lanes.back());
-    for (std::size_t i = 0; i + 1 < lanes.size(); ++i) visit(lanes[i]);
-  };
-
-  for (bool dealt = deal(); dealt;) {
-    for (Lane& lane : lanes) lane.targets.swap(lane.next);
-    in_order(launch);
-    dealt = deal();
-    if (!pool) continue;
-    pool->wait();
-    in_order([](const Lane& lane) {
-      if (lane.error) std::rethrow_exception(lane.error);
-    });
+  if (lanes.size() == 1) {
+    lanes[0].stats = lanes[0].scanner->run(lanes[0].collect);
+  } else {
+    const std::uint64_t blocklisted = walk_shards(
+        config, lanes.size() - 1, rate_ids_defer(internet, config.protocol),
+        [&lanes](std::size_t i, std::span<const ScheduledTarget> targets) {
+          lanes[i].stats +=
+              lanes[i].scanner->run_scheduled(targets, lanes[i].collect);
+        });
+    lanes[0].stats.blocklisted_skipped += blocklisted;
+    lanes[0].metrics.add(obsv::Counter::kZmapBlocklistedSkipped, blocklisted);
   }
-
   ZMapScanner::Stats stats;
   for (const Lane& lane : lanes) {
     stats += lane.stats;
     if (metrics != nullptr) metrics->merge_from(lane.metrics);
-  }
-  stats.blocklisted_skipped = walk.blocklisted();
-  if (metrics != nullptr) {
-    metrics->add(obsv::Counter::kZmapBlocklistedSkipped, walk.blocklisted());
   }
   return stats;
 }
@@ -283,36 +199,38 @@ void finalize(ScanResult& result, bool keep_banners) {
 }
 
 // Emits the scan's virtual-clock phase spans. The shard-lane spans come
-// from a canonical 4-way partition (permutation position mod 4, rate-IDS
-// targets apart) computed here, NOT from the lanes that actually executed
-// — the partition is a pure function of the permutation, so the trace is
-// byte-identical for any --jobs value (the determinism contract in
-// DESIGN.md §9). Runs once per scan, after the sweep, and only when
-// tracing is enabled; its extra permutation walk never touches the
-// disabled path.
+// from a canonical 4-way partition (walk_shards' 4 lanes: permutation
+// position mod 4, rate-IDS targets apart) computed here, NOT from the
+// lanes that actually executed — the partition is a pure function of the
+// permutation, so the trace is byte-identical for any --jobs value (the
+// determinism contract in DESIGN.md §9). Runs once per scan, after the
+// sweep, and only when tracing is enabled; its extra permutation walk
+// never touches the disabled path.
 void emit_scan_trace(const ScanOptions& options, const ZMapConfig& zmap_config,
                      const sim::Internet& internet, const ScanResult& result) {
   constexpr std::size_t kTraceLanes = 4;
-  // A running count, first and last first-packet slot per lane; slots
-  // grow along the walk. lanes[kTraceLanes] is the deferred lane.
+  // A running count, first and last first-packet slot per lane; each lane
+  // sees its slots in increasing order. lanes[kTraceLanes] is the
+  // deferred lane.
   struct LaneSpan {
     std::uint64_t targets = 0;
     std::uint64_t first = 0;
     std::uint64_t last = 0;
   };
   std::array<LaneSpan, kTraceLanes + 1> lanes;
-  const auto defer = rate_ids_defer(internet, zmap_config.protocol);
-  TargetWalk walk(zmap_config);
-  ScheduledTarget target;
-  while (!walk.done()) {
-    // One entry per pull, so last_position() is this target's position.
-    if (walk.next(std::span<ScheduledTarget>(&target, 1)) == 0) continue;
-    LaneSpan& lane = defer(target.addr)
-                         ? lanes.back()
-                         : lanes[walk.last_position() % kTraceLanes];
-    if (lane.targets++ == 0) lane.first = target.first_packet;
-    lane.last = target.first_packet;
-  }
+  ZMapConfig walk_config = zmap_config;
+  walk_config.cancel = nullptr;  // the scan is done; its trace is whole
+  const std::uint64_t blocklisted = walk_shards(
+      walk_config, kTraceLanes,
+      rate_ids_defer(internet, zmap_config.protocol),
+      [&lanes](std::size_t i, std::span<const ScheduledTarget> targets) {
+        LaneSpan& lane = lanes[i];
+        if (lane.targets == 0) lane.first = targets.front().first_packet;
+        lane.targets += targets.size();
+        lane.last = targets.back().first_packet;
+      });
+  std::uint64_t targets = 0;
+  for (const LaneSpan& lane : lanes) targets += lane.targets;
 
   const double spp = 1.0 / zmap_config.effective_pps();
   const auto slot_time = [spp](std::uint64_t slot) {
@@ -323,8 +241,8 @@ void emit_scan_trace(const ScanOptions& options, const ZMapConfig& zmap_config,
   const std::string& track = options.trace_track;
 
   trace.instant(track, "permutation.build", net::VirtualTime{},
-                {{"targets", std::to_string(walk.targets())},
-                 {"blocklisted", std::to_string(walk.blocklisted())},
+                {{"targets", std::to_string(targets)},
+                 {"blocklisted", std::to_string(blocklisted)},
                  {"deferred", std::to_string(lanes.back().targets)}});
 
   const auto lane_span = [&](const LaneSpan& lane,
@@ -343,7 +261,7 @@ void emit_scan_trace(const ScanOptions& options, const ZMapConfig& zmap_config,
   // ZMap's cooldown: after the last packet leaves, the receive thread
   // keeps listening (8 s by default) for stragglers. Our virtual-clock
   // analog is a fixed window after the final schedule slot.
-  const std::uint64_t total_packets = walk.targets() * probes;
+  const std::uint64_t total_packets = targets * probes;
   if (total_packets > 0) {
     const net::VirtualTime sweep_end = slot_time(total_packets - 1);
     trace.span(track, "zmap.cooldown", sweep_end,

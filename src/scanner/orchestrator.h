@@ -83,10 +83,10 @@ struct ScanOptions {
   std::optional<net::Prefix> target_prefix;
   // Record L7 banners (page titles / TLS suites / SSH versions).
   bool keep_banners = false;
-  // Worker threads for this one scan. With jobs > 1 the sweep is dealt
-  // to lanes that run concurrently and merge into the canonical
-  // address-sorted result; the output is bit-identical to jobs == 1 (see
-  // "Parallel execution" in DESIGN.md).
+  // Worker threads for this one scan. With jobs > 1 each lane walks and
+  // probes its own ZMap shard of the permutation, concurrently, and the
+  // lanes merge into the canonical address-sorted result; the output is
+  // bit-identical to jobs == 1 (see "Parallel execution" in DESIGN.md).
   int jobs = 1;
   // Extend the L7 retry ladder to banner-level failures (read timeouts,
   // truncated banners, mid-handshake closes); see RetryPolicy.
@@ -123,10 +123,10 @@ ScanResult run_scan(sim::Internet& internet, sim::OriginId origin,
 // sweep. run_l4_sweep is the bounded-RSS alternative for procedural
 // universes: L4 only (no ZGrab wave), results folded into commutative
 // aggregates (counts and an order-independent digest) instead of being
-// stored. Both run through the same lane executor, which consumes the
-// permutation in fixed-size windows and deals the next window while the
-// lanes probe the current one, so the sweep's own peak memory is two
-// windows regardless of universe size.
+// stored. Both run through the same lane executor, whose lanes walk their
+// shards of the permutation in fixed-size windows, each walking the next
+// window while it probes the current one, so the sweep's own peak memory
+// is two windows of addresses regardless of universe size.
 //
 // Determinism: every probe decision is a pure function of its target
 // and global schedule slot, and both are identical for any `jobs`; only

@@ -1,5 +1,6 @@
 #include "scanner/permutation.h"
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 #include <vector>
@@ -119,7 +120,7 @@ CyclicGroup::Iterator CyclicGroup::shard(std::uint32_t index,
   const std::uint64_t total = prime_ - 1;
   const std::uint64_t emitted =
       index < total ? (total - 1 - index) / count + 1 : 0;
-  return Iterator(shard_start, step, prime_, size_, emitted, index, count);
+  return Iterator(shard_start, step, prime_, size_, emitted);
 }
 
 std::optional<std::uint64_t> CyclicGroup::Iterator::next() {
@@ -127,7 +128,6 @@ std::optional<std::uint64_t> CyclicGroup::Iterator::next() {
     const std::uint64_t value = current_;
     current_ = mulmod_u64(current_, step_, prime_);
     --remaining_;
-    ++consumed_;
     // Group elements are [1, p-1]; addresses are [0, size). Skip the
     // elements that fall outside the scan space.
     if (value <= size_) return value - 1;
@@ -140,7 +140,6 @@ std::size_t CyclicGroup::Iterator::next_batch(std::span<std::uint32_t> out) {
   // emitted sequence is identical to repeated next() calls.
   std::uint64_t current = current_;
   std::uint64_t remaining = remaining_;
-  std::uint64_t consumed = consumed_;
   const std::uint64_t step = step_;
   const std::uint64_t prime = prime_;
   const std::uint64_t size = size_;
@@ -150,7 +149,6 @@ std::size_t CyclicGroup::Iterator::next_batch(std::span<std::uint32_t> out) {
     const std::uint64_t value = current;
     current = mulmod_u64(current, step, prime);
     --remaining;
-    ++consumed;
     if (value <= size) {
       out[written++] = static_cast<std::uint32_t>(value - 1);
     }
@@ -158,8 +156,23 @@ std::size_t CyclicGroup::Iterator::next_batch(std::span<std::uint32_t> out) {
 
   current_ = current;
   remaining_ = remaining;
-  consumed_ = consumed;
   return written;
+}
+
+std::size_t CyclicGroup::Iterator::next_positions(
+    std::span<std::uint64_t> out) {
+  const std::size_t count =
+      static_cast<std::size_t>(std::min<std::uint64_t>(out.size(), remaining_));
+  std::uint64_t current = current_;
+  const std::uint64_t step = step_;
+  const std::uint64_t prime = prime_;
+  for (std::size_t i = 0; i < count; ++i) {
+    out[i] = current - 1;
+    current = mulmod_u64(current, step, prime);
+  }
+  current_ = current;
+  remaining_ -= count;
+  return count;
 }
 
 }  // namespace originscan::scan

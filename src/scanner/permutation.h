@@ -50,42 +50,33 @@ class CyclicGroup {
     // (short only at end of shard). Batching keeps the modmul recurrence
     // in registers across the batch instead of bouncing the iterator
     // state through memory once per address — the send loop consumes
-    // these by the few-hundred. Note: last_position() reflects the final
-    // address of the batch, so a caller that needs each address's
-    // position pulls one address per call.
+    // these by the few-hundred.
     std::size_t next_batch(std::span<std::uint32_t> out);
 
-    // Position in the *full* sequence (0-based over [0, p-2]) of the
-    // address most recently returned by next(). Shard i of k emits only
-    // positions congruent to i mod k, so interleaving shards by position
-    // reconstructs the serial scan order; the scan trace's canonical lane
-    // partition is this position mod 4. Undefined before the first
-    // successful next().
-    [[nodiscard]] std::uint64_t last_position() const {
-      return first_position_ + (consumed_ - 1) * position_stride_;
-    }
+    // Steps over the next out.size() positions of this shard (fewer only
+    // at end of shard) and writes each one's group element minus one:
+    // its address when below size(), a position the scan space skips
+    // otherwise. Returns how many positions were stepped. Shard i of k
+    // owns the positions congruent to i mod k of the full sequence
+    // (0-based over [0, p-2]), so its n-th entry is position i + n * k;
+    // interleaving shards by position reconstructs the serial order.
+    std::size_t next_positions(std::span<std::uint64_t> out);
 
    private:
     friend class CyclicGroup;
     Iterator(std::uint64_t start, std::uint64_t step, std::uint64_t prime,
-             std::uint64_t size, std::uint64_t count,
-             std::uint64_t first_position, std::uint64_t position_stride)
+             std::uint64_t size, std::uint64_t count)
         : current_(start),
           step_(step),
           prime_(prime),
           size_(size),
-          remaining_(count),
-          first_position_(first_position),
-          position_stride_(position_stride) {}
+          remaining_(count) {}
 
     std::uint64_t current_;
     std::uint64_t step_;
     std::uint64_t prime_;
     std::uint64_t size_;
     std::uint64_t remaining_;
-    std::uint64_t first_position_;
-    std::uint64_t position_stride_;
-    std::uint64_t consumed_ = 0;  // sequence slots stepped past, incl. skips
   };
 
   [[nodiscard]] Iterator shard(std::uint32_t index,

@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <array>
+#include <barrier>
+#include <bit>
 #include <cassert>
+#include <exception>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "netbase/rng.h"
 
@@ -254,15 +258,228 @@ std::size_t TargetWalk::next(std::span<ScheduledTarget> out) {
   std::size_t kept = 0;
   for (std::size_t i = 0; i < filled; ++i) {
     const net::Ipv4Addr dst(buffer_[i]);
-    if (config_.allowlist && !config_.allowlist->contains(dst)) continue;
-    if (config_.blocklist.is_blocked(dst)) {
-      ++blocklisted_;
-      continue;
-    }
+    if (config_.filters_out(dst, blocklisted_)) continue;
     out[kept++] = ScheduledTarget{dst, targets_ * probes};
     ++targets_;
   }
   return kept;
+}
+
+namespace {
+
+// Positions per window of walk_shards. Lane i of k walks the
+// kShardWindow / k of them congruent to i mod k and keeps 4 bytes per
+// target it visits itself, so with one window walked ahead the lanes
+// hold 2 MiB of addresses at any universe size.
+constexpr std::size_t kShardWindow = std::size_t{1} << 18;
+
+// One lane's walk of one window, by offset from the window's first
+// position: the addresses of the lane's own targets, and for the barrier
+// the offsets it filtered out (no send slot) and its deferred targets
+// (first_packet holding the offset), all in walk order.
+struct LaneWalk {
+  std::size_t walked = 0;
+  std::vector<net::Ipv4Addr> addrs;
+  std::vector<std::uint32_t> filtered;
+  std::vector<ScheduledTarget> deferred;
+};
+
+// A window as its barrier completes it: a bitmap of the filtered offsets
+// with the count before each word, so the target at offset o is number
+// first_target + o - (filtered offsets below o) of the sweep, the number
+// TargetWalk gives it; and its deferred targets, slotted, in order.
+struct Window {
+  bool live = false;  // false: the sweep ends before this window
+  std::uint64_t first_target = 0;
+  std::vector<std::uint64_t> filtered;
+  std::vector<std::uint32_t> filtered_before;
+  std::vector<ScheduledTarget> deferred;
+
+  [[nodiscard]] bool is_filtered(std::uint32_t offset) const {
+    return ((filtered[offset / 64] >> (offset % 64)) & 1) != 0;
+  }
+  [[nodiscard]] std::uint64_t target(std::uint32_t offset) const {
+    const std::uint64_t below =
+        filtered[offset / 64] & ((std::uint64_t{1} << (offset % 64)) - 1);
+    return first_target + offset - filtered_before[offset / 64] -
+           static_cast<std::uint64_t>(std::popcount(below));
+  }
+};
+
+}  // namespace
+
+std::uint64_t walk_shards(const ZMapConfig& config, std::size_t lanes,
+                          const std::function<bool(net::Ipv4Addr)>& defer,
+                          const ShardVisitor& visit) {
+  assert(lanes >= 1);
+  const std::size_t per_lane = std::max<std::size_t>(1, kShardWindow / lanes);
+  const std::size_t words = (per_lane * lanes + 63) / 64;
+  const auto probes = static_cast<std::uint64_t>(config.probes);
+  const CyclicGroup group =
+      CyclicGroup::for_size(config.universe_size, config.seed);
+  // Indexed by window parity: a lane walks window w + 1 while it visits
+  // window w. The deferred capacity is reserved (and untouched until
+  // used), so the completion step never allocates.
+  std::vector<std::array<LaneWalk, 2>> walks(lanes);
+  std::array<Window, 2> windows;
+  for (Window& window : windows) {
+    window.filtered.resize(words);
+    window.filtered_before.resize(words);
+    window.deferred.reserve(per_lane * lanes);
+  }
+  std::vector<std::uint64_t> blocklisted(lanes);
+  // errors[i] is published before each of lane i's barrier arrivals.
+  std::vector<std::exception_ptr> errors(lanes);
+
+  // The barrier's completion step for window w: whether the sweep goes
+  // on, and the slots of the window's deferred targets.
+  std::uint64_t targets = 0;  // in the windows completed so far
+  std::size_t completed = 0;
+  const auto complete = [&]() noexcept {
+    const std::size_t parity = completed++ % 2;
+    Window& window = windows[parity];
+    std::size_t walked = 0;
+    for (const auto& walk : walks) walked += walk[parity].walked;
+    window.live =
+        walked > 0 &&
+        std::none_of(errors.begin(), errors.end(),
+                     [](const std::exception_ptr& error) { return error; }) &&
+        (config.cancel == nullptr || !config.cancel->cancelled());
+    if (!window.live) return;
+    std::fill(window.filtered.begin(), window.filtered.end(), 0);
+    window.deferred.clear();
+    for (const auto& walk : walks) {
+      for (const std::uint32_t offset : walk[parity].filtered) {
+        window.filtered[offset / 64] |= std::uint64_t{1} << (offset % 64);
+      }
+      window.deferred.insert(window.deferred.end(),
+                             walk[parity].deferred.begin(),
+                             walk[parity].deferred.end());
+    }
+    std::uint32_t before = 0;
+    for (std::size_t word = 0; word < words; ++word) {
+      window.filtered_before[word] = before;
+      before +=
+          static_cast<std::uint32_t>(std::popcount(window.filtered[word]));
+    }
+    window.first_target = targets;
+    targets += walked - before;
+    std::sort(window.deferred.begin(), window.deferred.end(),
+              [](const ScheduledTarget& a, const ScheduledTarget& b) {
+                return a.first_packet < b.first_packet;
+              });
+    for (ScheduledTarget& target : window.deferred) {
+      target.first_packet =
+          window.target(static_cast<std::uint32_t>(target.first_packet)) *
+          probes;
+    }
+  };
+  std::barrier barrier(static_cast<std::ptrdiff_t>(lanes), complete);
+
+  const auto walk = [&](std::size_t lane, CyclicGroup::Iterator& shard,
+                        LaneWalk& out) {
+    out.walked = 0;
+    out.addrs.clear();
+    out.filtered.clear();
+    out.deferred.clear();
+    std::array<std::uint64_t, ZMapScanner::kRunBatch> elements;
+    while (out.walked < per_lane) {
+      const std::size_t want =
+          std::min(elements.size(), per_lane - out.walked);
+      const std::size_t got = shard.next_positions(
+          std::span<std::uint64_t>(elements.data(), want));
+      for (std::size_t i = 0; i < got; ++i, ++out.walked) {
+        const auto offset =
+            static_cast<std::uint32_t>(lane + out.walked * lanes);
+        const net::Ipv4Addr dst(static_cast<std::uint32_t>(elements[i]));
+        if (elements[i] >= config.universe_size ||
+            config.filters_out(dst, blocklisted[lane])) {
+          out.filtered.push_back(offset);
+        } else if (defer(dst)) {
+          out.deferred.push_back(ScheduledTarget{dst, offset});
+        } else {
+          out.addrs.push_back(dst);
+        }
+      }
+      if (got < want) break;
+    }
+  };
+
+  // Slots the lane's own targets into stack chunks for `visit`.
+  const auto visit_window = [&](std::size_t lane, const Window& window,
+                                const LaneWalk& walked) {
+    if (lane == 0 && !window.deferred.empty()) visit(lanes, window.deferred);
+    std::array<ScheduledTarget, ZMapScanner::kRunBatch> chunk;
+    std::size_t count = 0;
+    std::size_t deferred = 0;
+    for (std::size_t j = 0, next = 0; next < walked.addrs.size(); ++j) {
+      const auto offset = static_cast<std::uint32_t>(lane + j * lanes);
+      if (window.is_filtered(offset)) continue;
+      if (deferred < walked.deferred.size() &&
+          walked.deferred[deferred].first_packet == offset) {
+        ++deferred;
+        continue;
+      }
+      chunk[count++] = ScheduledTarget{walked.addrs[next++],
+                                       window.target(offset) * probes};
+      if (count == chunk.size() || next == walked.addrs.size()) {
+        visit(lane, std::span<const ScheduledTarget>(chunk.data(), count));
+        count = 0;
+      }
+    }
+  };
+
+  // A lane walks window w and arrives at the barrier, visits window w - 1,
+  // then waits, so the completion step for window w overlaps the visits.
+  // A failed lane stays at the barrier, and the next completion step ends
+  // the sweep for every lane at once.
+  const auto run_lane = [&](std::size_t lane) {
+    CyclicGroup::Iterator shard = group.shard(
+        static_cast<std::uint32_t>(lane), static_cast<std::uint32_t>(lanes));
+    std::exception_ptr error;
+    const auto guard = [&error](const auto& work) {
+      if (error) return;
+      try {
+        work();
+      } catch (...) {
+        error = std::current_exception();
+      }
+    };
+    for (std::size_t w = 0;; ++w) {
+      guard([&] { walk(lane, shard, walks[lane][w % 2]); });
+      errors[lane] = error;
+      auto token = barrier.arrive();
+      if (w > 0) {
+        guard([&] {
+          visit_window(lane, windows[(w - 1) % 2], walks[lane][(w - 1) % 2]);
+        });
+      }
+      barrier.wait(std::move(token));
+      if (!windows[w % 2].live) break;
+    }
+    errors[lane] = error;
+  };
+
+  std::vector<std::jthread> threads;
+  threads.reserve(lanes - 1);
+  for (std::size_t i = 1; i < lanes; ++i) {
+    try {
+      threads.emplace_back(run_lane, i);
+    } catch (...) {
+      // Arrive in place of a lane that did not start; its error ends the
+      // sweep at the first barrier.
+      errors[i] = std::current_exception();
+      barrier.arrive_and_drop();
+    }
+  }
+  run_lane(0);
+  threads.clear();  // joins
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
+  std::uint64_t total = 0;
+  for (const std::uint64_t count : blocklisted) total += count;
+  return total;
 }
 
 }  // namespace originscan::scan

@@ -5,10 +5,11 @@
 //
 // Probe timestamps come from a *virtual clock*: packet n of the global
 // send schedule goes out at t = n / pps, a pure function of the packet's
-// schedule slot. TargetWalk stamps every target with its global slot, so
-// a lane that probes any subset of the walk stamps its packets exactly as
-// the single-lane sweep would — which is what lets the orchestrator's
-// lanes merge into a bit-identical result (see orchestrator.h).
+// schedule slot. TargetWalk (and walk_shards, lane by lane) stamps every
+// target with its global slot, so a lane that probes any subset of the
+// walk stamps its packets exactly as the single-lane sweep would — which
+// is what lets the orchestrator's lanes merge into a bit-identical result
+// (see orchestrator.h).
 #pragma once
 
 #include <array>
@@ -63,6 +64,17 @@ struct ZMapConfig {
   // (the default) disables all observability at zero cost — the same
   // ownership pattern as `faults`/`cancel`.
   obsv::MetricBlock* metrics = nullptr;
+
+  // Whether the walk drops `dst` before it takes a send slot: outside
+  // the allowlist, or blocklisted (which bumps `blocklisted`). TargetWalk
+  // and walk_shards both filter through this test.
+  [[nodiscard]] bool filters_out(net::Ipv4Addr dst,
+                                 std::uint64_t& blocklisted) const {
+    if (allowlist && !allowlist->contains(dst)) return true;
+    if (!blocklist.is_blocked(dst)) return false;
+    ++blocklisted;
+    return true;
+  }
 
   [[nodiscard]] double effective_pps() const {
     const double total =
@@ -130,7 +142,7 @@ class ZMapScanner {
 
   // Probes exactly the given targets, stamping each probe from its
   // recorded global packet slot. Used by the orchestrator's lanes, which
-  // take their targets from a TargetWalk (filtering already happened
+  // take their targets from walk_shards (filtering already happened
   // there). Targets flow through the SoA probe pipeline in kRunBatch
   // chunks.
   Stats run_scheduled(std::span<const ScheduledTarget> targets,
@@ -164,9 +176,9 @@ class ZMapScanner {
 // The one "permutation -> filter -> slot" walk: yields a sweep's targets
 // in permutation order, after the allowlist and the blocklist, each
 // stamped with the global slot of its first probe (target n of the walk
-// sends its first probe in slot n * probes). ZMapScanner::run and the
-// orchestrator's lane executor both draw their targets from here. Cheap:
-// no simulation work. `config` must outlive the walk.
+// sends its first probe in slot n * probes). ZMapScanner::run draws its
+// targets from here, and walk_shards gives each target the same slot.
+// Cheap: no simulation work. `config` must outlive the walk.
 class TargetWalk {
  public:
   explicit TargetWalk(const ZMapConfig& config);
@@ -178,13 +190,6 @@ class TargetWalk {
 
   // True once the permutation is exhausted.
   [[nodiscard]] bool done() const { return done_; }
-  // Full-sequence position of the last entry pulled (see
-  // CyclicGroup::Iterator::last_position); with one-entry pulls, the
-  // position of the target just returned.
-  [[nodiscard]] std::uint64_t last_position() const {
-    return iterator_.last_position();
-  }
-  [[nodiscard]] std::uint64_t targets() const { return targets_; }
   [[nodiscard]] std::uint64_t blocklisted() const { return blocklisted_; }
 
  private:
@@ -195,5 +200,25 @@ class TargetWalk {
   bool done_ = false;
   std::array<std::uint32_t, ZMapScanner::kRunBatch> buffer_;
 };
+
+// Receives one lane's targets, slotted (see walk_shards).
+using ShardVisitor =
+    std::function<void(std::size_t lane, std::span<const ScheduledTarget>)>;
+
+// ZMap's sharded sweep on `lanes` threads, the caller among them: lane i
+// walks CyclicGroup::shard(i, lanes) of the permutation, filters its
+// positions as TargetWalk does, and passes its targets, stamped with the
+// slots TargetWalk would give them, to visit(i, ...) on its own thread.
+// Targets that `defer` selects go instead to visit(lanes, ...), on lane
+// 0's thread and in permutation order. The walk runs in windows of 2^18
+// positions, visited one window after the other (lane 0 visits a window's
+// deferred targets before its own), so visit(lanes, ...) sees every
+// deferred target in the serial order. Stops after a window once
+// config.cancel trips. If visits throw, the sweep stops at the next
+// window and the lowest lane's exception is rethrown once all lanes are
+// done. Returns how many blocklisted positions were skipped.
+std::uint64_t walk_shards(const ZMapConfig& config, std::size_t lanes,
+                          const std::function<bool(net::Ipv4Addr)>& defer,
+                          const ShardVisitor& visit);
 
 }  // namespace originscan::scan

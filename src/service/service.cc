@@ -81,6 +81,7 @@ struct Originscand::Connection {
   net::FrameDecoder decoder;
   bool hello_done = false;
   bool close_after_flush = false;  // flush outbound, then drop
+  bool peer_gone = false;          // disconnect() ran: no reader left
   std::vector<std::uint8_t> outbound;
   std::size_t outbound_off = 0;
   // client request_id -> loop-global request key
@@ -237,7 +238,7 @@ class Originscand::Loop {
 
   void read_some(Connection& conn) {
     if (conn.close_after_flush) return;
-    bool peer_gone = false;
+    bool hung_up = false;
     std::uint8_t buffer[16384];
     for (;;) {
       const ssize_t n = ::recv(conn.fd, buffer, sizeof buffer, 0);
@@ -250,11 +251,14 @@ class Originscand::Loop {
       // Frames that arrived before the close still count — a client may
       // legitimately send SHUTDOWN (or a fire-and-forget CANCEL) and hang
       // up in the same wire flight, so decode before disconnecting.
-      peer_gone = true;
+      hung_up = true;
       break;
     }
     while (auto payload = conn.decoder.next()) {
-      if (conn.close_after_flush) break;
+      // A connection the daemon closed drops its remaining frames; one
+      // whose peer hung up (even mid-loop, when a reply's flush failed)
+      // still has them handled.
+      if (conn.close_after_flush && !conn.peer_gone) break;
       handle_payload(conn, *payload);
     }
     if (!conn.close_after_flush &&
@@ -265,7 +269,7 @@ class Originscand::Loop {
       metrics_.add(obsv::Counter::kServiceFramesMalformed);
       conn.close_after_flush = true;
     }
-    if (peer_gone) disconnect(conn);
+    if (hung_up || conn.peer_gone) disconnect(conn);
   }
 
   void handle_payload(Connection& conn, std::span<const std::uint8_t> payload) {
@@ -446,8 +450,11 @@ class Originscand::Loop {
   // Peer vanished: every queued request it owns is dropped, every
   // running one is cooperatively cancelled (its completion is discarded
   // on arrival via `orphaned`). Nothing another tenant owns is touched.
+  // Idempotent: a second call only cancels requests admitted since the
+  // first (frames that were already buffered when the peer hung up).
   void disconnect(Connection& conn) {
-    metrics_.add(obsv::Counter::kServiceDisconnects);
+    if (!conn.peer_gone) metrics_.add(obsv::Counter::kServiceDisconnects);
+    conn.peer_gone = true;
     for (const auto& [client_id, key] : conn.open_requests) {
       const auto rit = requests_.find(key);
       if (rit == requests_.end()) continue;
@@ -594,6 +601,7 @@ class Originscand::Loop {
   // ---- outbound path --------------------------------------------------
 
   void send(Connection& conn, const ServiceWire& message) {
+    if (conn.peer_gone) return;
     const std::vector<std::uint8_t> frame = encode_service_message(message);
     conn.outbound.insert(conn.outbound.end(), frame.begin(), frame.end());
     flush_some(conn);

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "scanner/permutation.h"
+#include "scanner/zmap.h"
 
 namespace originscan::scan {
 namespace {
@@ -108,10 +111,11 @@ TEST_P(ShardUnion, UnionIsExactlyTheUniverse) {
 
 INSTANTIATE_TEST_SUITE_P(Counts, ShardUnion, ::testing::Values(2, 3, 8));
 
-// Property: Iterator::last_position reports each address's slot in the
-// full sequence — interleaving shard outputs by position reconstructs
-// the serial order exactly. The scan trace's canonical lane partition
-// (position mod 4) rests on this.
+// Property: the k-th entry of shard s's next_positions is position
+// s + k * shards of the full sequence — interleaving shard outputs by
+// position reconstructs the serial order exactly. walk_shards slots its
+// lanes' targets (and the scan trace its canonical lane partition) on
+// this.
 TEST(Permutation, PositionsInterleaveToSerialOrder) {
   constexpr std::uint64_t kSize = 3000;
   const auto group = CyclicGroup::for_size(kSize, /*seed=*/42);
@@ -122,21 +126,102 @@ TEST(Permutation, PositionsInterleaveToSerialOrder) {
 
   for (std::uint32_t shards : {2u, 3u, 8u}) {
     std::map<std::uint64_t, std::uint64_t> by_position;
+    std::uint64_t positions = 0;  // stepped over, across the shards
     for (std::uint32_t s = 0; s < shards; ++s) {
       auto it = group.shard(s, shards);
-      while (auto value = it.next()) {
-        const std::uint64_t position = it.last_position();
-        EXPECT_EQ(position % shards, s);
-        ASSERT_TRUE(by_position.emplace(position, *value).second)
-            << "position " << position << " claimed twice";
+      std::uint64_t position = s;
+      std::array<std::uint64_t, 7> entries;  // odd-sized pulls
+      while (const std::size_t got = it.next_positions(entries)) {
+        for (std::size_t i = 0; i < got; ++i, position += shards) {
+          if (entries[i] >= kSize) continue;  // outside the scan space
+          ASSERT_TRUE(by_position.emplace(position, entries[i]).second)
+              << "position " << position << " claimed twice";
+        }
       }
+      positions += (position - s) / shards;
     }
+    EXPECT_EQ(positions, group.prime() - 1) << "shard count " << shards;
     std::vector<std::uint64_t> interleaved;
     interleaved.reserve(by_position.size());
     for (const auto& [position, value] : by_position) {
       interleaved.push_back(value);
     }
     EXPECT_EQ(interleaved, serial) << "shard count " << shards;
+  }
+}
+
+// The permutation-recovery oracle (after Mazel and Strullu's recovery of
+// a ZMap scan's generator from the order of its probes): run walk_shards
+// lanes over a 2^16 universe (p = 65537, so every position is a target),
+// record the order in which each lane hands out its targets, and recover
+// the cycle from that alone. Consecutive targets of one lane must differ
+// by one common step g^k, the lanes' first targets by the generator g,
+// g^k must equal the step, g must generate the whole group, and the lanes
+// together must cover [1, p - 1] exactly once. So the lanes walk ZMap's
+// one cycle, not merely some partition of the addresses.
+TEST(Permutation, LanesWalkOneCycleRecoveredFromProbeOrder) {
+  constexpr std::uint32_t kSize = 1u << 16;
+  constexpr std::uint64_t kPrime = 65537;
+  const auto inverse = [](std::uint64_t x) {
+    return powmod_u64(x, kPrime - 2, kPrime);
+  };
+  ZMapConfig config;
+  config.seed = 0x0AC1E;
+  config.universe_size = kSize;
+  config.probes = 2;
+  const CyclicGroup group = CyclicGroup::for_size(kSize, config.seed);
+  ASSERT_EQ(group.prime(), kPrime);
+
+  for (std::size_t lanes : {2u, 3u, 4u, 5u}) {
+    std::vector<std::vector<ScheduledTarget>> seen(lanes + 1);
+    const std::uint64_t blocklisted = walk_shards(
+        config, lanes, [](net::Ipv4Addr) { return false; },
+        [&seen](std::size_t lane, std::span<const ScheduledTarget> targets) {
+          seen[lane].insert(seen[lane].end(), targets.begin(), targets.end());
+        });
+    EXPECT_EQ(blocklisted, 0u);
+    EXPECT_TRUE(seen[lanes].empty()) << "nothing was deferred";
+
+    // Group elements are addresses + 1. The step: the ratio of each
+    // lane's consecutive targets.
+    const auto element = [&seen](std::size_t lane, std::size_t n) {
+      return std::uint64_t{seen[lane][n].addr.value()} + 1;
+    };
+    const std::uint64_t step =
+        mulmod_u64(element(0, 1), inverse(element(0, 0)), kPrime);
+    std::vector<bool> covered(kPrime, false);
+    std::uint64_t total = 0;
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      ASSERT_GE(seen[lane].size(), 2u);
+      for (std::size_t n = 0; n < seen[lane].size(); ++n) {
+        if (n > 0) {
+          ASSERT_EQ(element(lane, n),
+                    mulmod_u64(element(lane, n - 1), step, kPrime))
+              << lanes << " lanes: lane " << lane << " leaves the cycle at "
+              << n;
+        }
+        // Every target's slot is its position (lane + n * lanes) times
+        // the probes per target, as the serial walk numbers it.
+        ASSERT_EQ(seen[lane][n].first_packet, (lane + n * lanes) * 2);
+        ASSERT_FALSE(covered[element(lane, n)]) << "element twice";
+        covered[element(lane, n)] = true;
+        ++total;
+      }
+    }
+    EXPECT_EQ(total, kPrime - 1) << "the lanes tile [1, p - 1]";
+
+    // The generator: the ratio of consecutive lanes' starts.
+    const std::uint64_t generator =
+        mulmod_u64(element(1, 0), inverse(element(0, 0)), kPrime);
+    for (std::size_t lane = 1; lane + 1 < lanes; ++lane) {
+      EXPECT_EQ(mulmod_u64(element(lane + 1, 0), inverse(element(lane, 0)),
+                           kPrime),
+                generator);
+    }
+    EXPECT_EQ(powmod_u64(generator, lanes, kPrime), step);
+    // p - 1 = 2^16, so g generates the group iff g^(2^15) != 1.
+    EXPECT_NE(powmod_u64(generator, (kPrime - 1) / 2, kPrime), 1u);
+    EXPECT_EQ(generator, group.generator());
   }
 }
 

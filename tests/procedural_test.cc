@@ -1,7 +1,7 @@
 // Procedural-world correctness: sweep identity across --jobs and against
 // a serial oracle, the universe.* counters, the hot path's zero-lock
 // invariant over the procedural branch, and cancellation of the
-// overlapped lane executor. The population itself (hosts on both sides
+// shard-lane executor. The population itself (hosts on both sides
 // of the boundary) is pinned in sim_test.
 #include <gtest/gtest.h>
 
@@ -22,6 +22,12 @@
 
 namespace originscan::sim {
 namespace {
+
+// Lane counts the sweep tests run at: serial, even, and odd ones whose
+// windows are not a multiple of the lane count.
+constexpr int kJobCounts[] = {1, 2, 3, 4, 5, 8};
+// SweepDigestInvariantAcrossJobs' 2^20 DE/https digest.
+constexpr std::uint64_t kPinnedDigest = 0x256eb68e5c210f46ull;
 
 TEST(ProceduralEquivalence, SweepDigestInvariantAcrossJobs) {
   ScenarioConfig config = ScenarioConfig::full_internet(20);
@@ -52,6 +58,13 @@ TEST(ProceduralEquivalence, SweepDigestInvariantAcrossJobs) {
   const scan::SweepResult parallel = sweep(4, &parallel_metrics);
   EXPECT_EQ(serial, parallel);
   EXPECT_GT(serial.responsive, 0u);
+  // The digest is pinned, so a change that moved every jobs value alike
+  // still shows. Odd lane counts leave windows of fewer than 2^18
+  // positions (2^18 is no multiple of 3 or 5).
+  EXPECT_EQ(serial.digest, kPinnedDigest);
+  for (int jobs : kJobCounts) {
+    EXPECT_EQ(sweep(jobs, nullptr), serial) << "jobs=" << jobs;
+  }
 
   // Metrics contract (docs/METRICS.md): the block-cache counters count
   // per-fetch consults, and a consecutive same-/24 run inside one
@@ -157,10 +170,10 @@ TEST(ProceduralEquivalence, BatchTargetsCountEveryProbedTarget) {
 
 // The lane executor against an independent serial oracle: ZMapScanner::run
 // streams the whole sweep on one lane, and folding its results here must
-// give exactly what run_l4_sweep reports at jobs 1 and 4 (2^20 targets
-// span four sweep windows). A blocklist keeps the walk's filter busy, and
-// Bochum's rate IDS, with its threshold lowered so it trips for the
-// single-IP US1 origin, keeps the deferred lane busy.
+// give exactly what run_l4_sweep reports at every kJobCounts value (2^20
+// targets span four or more sweep windows). A blocklist keeps the walk's
+// filter busy, and Bochum's rate IDS, with its threshold lowered so it
+// trips for the single-IP US1 origin, keeps the deferred lane busy.
 TEST(ProceduralEquivalence, SweepMatchesSerialRunOracle) {
   ScenarioConfig config = ScenarioConfig::full_internet(20);
   config.seed = 0x0AC1Eull;
@@ -215,7 +228,7 @@ TEST(ProceduralEquivalence, SweepMatchesSerialRunOracle) {
   EXPECT_GT(oracle.l4_stats.blocklisted_skipped, 0u);
   EXPECT_GT(oracle_metrics.counter(obsv::Counter::kSimDropsIds), 0u);
 
-  for (int jobs : {1, 4}) {
+  for (int jobs : kJobCounts) {
     PersistentState persistent;
     Internet internet(&world, context, &persistent);
     scan::SweepOptions options;
@@ -226,6 +239,52 @@ TEST(ProceduralEquivalence, SweepMatchesSerialRunOracle) {
         oracle)
         << "jobs=" << jobs;
   }
+}
+
+// run_scan restricted to a /14 of the 2^20 universe, so three positions
+// in four are filtered out and the slots of the rest hinge on every
+// filtered position before them. The prefix holds Bochum, whose rate IDS
+// (threshold lowered as above) keeps the deferred lane busy. Records,
+// stats and L7 attempts are identical at jobs 1 and 3.
+TEST(ProceduralEquivalence, PrefixScanMatchesAcrossJobs) {
+  ScenarioConfig config = ScenarioConfig::full_internet(20);
+  config.seed = 0x9EF1ull;
+  World world = build_world(config, paper_origins(config.universe_size));
+  const AsId bochum = world.topology.find_as("Ruhr-Universitaet Bochum");
+  ASSERT_NE(bochum, kNoAs);
+  ASSERT_TRUE(world.policies.edit(bochum).rate_ids.has_value());
+  world.policies.edit(bochum).rate_ids->probe_threshold = 60;
+  const auto& bochum_prefixes = world.topology.as_info(bochum).prefixes;
+  ASSERT_FALSE(bochum_prefixes.empty());
+  const net::Prefix prefix(bochum_prefixes.front().prefix.base(), 14);
+
+  TrialContext context;
+  context.experiment_seed = config.seed;
+  context.simultaneous_origins = static_cast<int>(world.origins.size());
+  const OriginId origin = world.origin_id("US1");
+  ASSERT_NE(origin, ~OriginId{0});
+
+  const auto scan = [&](int jobs, obsv::MetricBlock& metrics) {
+    PersistentState persistent;
+    Internet internet(&world, context, &persistent);
+    scan::ScanOptions options;
+    options.target_prefix = prefix;
+    options.jobs = jobs;
+    options.metrics = &metrics;
+    return scan::run_scan(internet, origin, proto::Protocol::kHttp, options);
+  };
+  obsv::MetricBlock serial_metrics;
+  obsv::MetricBlock parallel_metrics;
+  const scan::ScanResult serial = scan(1, serial_metrics);
+  const scan::ScanResult parallel = scan(3, parallel_metrics);
+  EXPECT_EQ(serial.l4_stats.targets_probed, prefix.size());
+  EXPECT_GT(serial.records.size(), 0u);
+  EXPECT_GT(serial_metrics.counter(obsv::Counter::kSimDropsIds), 0u);
+  EXPECT_EQ(serial.records, parallel.records);
+  EXPECT_EQ(serial.l4_stats, parallel.l4_stats);
+  EXPECT_EQ(serial.attempt_histogram, parallel.attempt_histogram);
+  EXPECT_EQ(serial_metrics.counter(obsv::Counter::kSimDropsIds),
+            parallel_metrics.counter(obsv::Counter::kSimDropsIds));
 }
 
 // Sweeps DE/https over a 2^bits procedural world at jobs 4 under `cancel`.
@@ -247,8 +306,8 @@ scan::SweepResult cancellable_sweep(int bits,
                             proto::Protocol::kHttps, options);
 }
 
-// A token tripped before the sweep stops it before the first window's
-// walk: nothing is probed and the result is marked aborted.
+// A token tripped before the sweep stops it before the first window is
+// probed: nothing is probed and the result is marked aborted.
 TEST(ProceduralCancellation, PreTrippedTokenProbesNothing) {
   scan::CancelToken cancel;
   cancel.cancel();
@@ -258,9 +317,9 @@ TEST(ProceduralCancellation, PreTrippedTokenProbesNothing) {
   EXPECT_EQ(result.responsive, 0u);
 }
 
-// A token tripped from another thread while the pool probes one window
-// and the caller walks the next (2^22 targets are 16 windows) winds the
-// sweep down early: it returns, aborted, short of the universe.
+// A token tripped from another thread while the lanes probe one window
+// and walk the next (2^22 targets are 16 windows) winds the sweep down
+// early: it returns, aborted, short of the universe.
 TEST(ProceduralCancellation, MidSweepCancelStopsEarly) {
   scan::CancelToken cancel;
   std::thread canceller([&cancel] {

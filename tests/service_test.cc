@@ -9,6 +9,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <condition_variable>
 #include <map>
 #include <mutex>
@@ -297,8 +298,18 @@ TEST(Service, CancelQueuedAndRunningRequests) {
 
   // Cancel the running request while it is held at the gate, then let it
   // proceed: the scan aborts cooperatively and answers ERROR CANCELLED.
+  // The STATUS round trip proves the loop handled the CANCEL (frames on
+  // one connection are handled in order) before the gate opens; without
+  // it the scan can finish first and answer RESULT.
   cancel.request_id = 1;
   ASSERT_TRUE(client.send(cancel));
+  service::ServiceWire status;
+  status.type = service::ServiceMsg::kStatus;
+  status.request_id = 1;
+  ASSERT_TRUE(client.send(status));
+  const auto status_reply = client.next_message();
+  ASSERT_TRUE(status_reply.has_value()) << client.error();
+  ASSERT_EQ(status_reply->type, service::ServiceMsg::kStatus);
   gate->open();
   const auto aborted = client.wait_for(1);
   ASSERT_TRUE(aborted.has_value());
@@ -437,6 +448,47 @@ TEST(Service, ShutdownFromClientThatImmediatelyDisconnects) {
   gate->open();
 
   serving.join();  // must return without any request_stop nudge
+  EXPECT_EQ(
+      daemon.service_metrics().counter(obsv::Counter::kServiceDisconnects),
+      1u);
+}
+
+// A client that sends HELLO and SHUTDOWN and hangs up before reading
+// anything: the HELLO_ACK's flush fails (EPIPE), and the SHUTDOWN already
+// buffered behind the HELLO must still be handled, so serve() returns on
+// its own. A watchdog turns a hang into a failure.
+TEST(Service, ShutdownBufferedBehindFailedAckFlush) {
+  std::vector<int> server_ends;
+  const int fd = client_end(server_ends);
+  {
+    service::ServiceClient client(fd);
+    service::ServiceWire hello;
+    hello.type = service::ServiceMsg::kHello;
+    ASSERT_TRUE(client.send(hello));
+    service::ServiceWire shutdown;
+    shutdown.type = service::ServiceMsg::kShutdown;
+    ASSERT_TRUE(client.send(shutdown));
+  }  // hangs up before the daemon reads a byte
+
+  service::Originscand daemon(tiny_config());
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool served = false;
+  std::thread serving([&] {
+    daemon.serve(-1, server_ends);
+    std::scoped_lock lock(mutex);
+    served = true;
+    cv.notify_all();
+  });
+  bool returned = false;
+  {
+    std::unique_lock lock(mutex);
+    returned = cv.wait_for(lock, std::chrono::seconds(20),
+                           [&served] { return served; });
+  }
+  if (!returned) daemon.request_stop();  // unblock the join, then fail
+  serving.join();
+  EXPECT_TRUE(returned) << "serve() ignored the buffered SHUTDOWN";
   EXPECT_EQ(
       daemon.service_metrics().counter(obsv::Counter::kServiceDisconnects),
       1u);
