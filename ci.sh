@@ -3,7 +3,8 @@
 #
 #   unit      fast pre-commit lane: build + `ctest -L 'unit|metrics'`
 #             (incl. cli_flag_matrix: every flag x subcommand pair run
-#             against the built CLI)
+#             against the built CLI), then build the perfbench driver
+#             (incrementally, into .bench_build/)
 #   full      build + the whole suite (unit, metrics, property,
 #             differential, crash, dist, chaos, service, docs, slow),
 #             the bounded-RSS full-universe scale lane, the bench
@@ -65,6 +66,12 @@ run_unit() {
   # The metrics label covers the observability determinism suite and the
   # registry-vs-docs consistency check — cheap enough for the fast lane.
   (cd build && ctest -L 'unit|metrics' --output-on-failure)
+  # perfbench's ledger calls src/ APIs that nothing in src/ calls
+  # (ZMapScanner::run, Iterator::next_batch), so a src/ edit can break it
+  # while the main build stays green. Build its driver the way run.py
+  # does; -B keeps Python from writing bytecode under perfbench/.
+  python3 -B -c 'import sys; sys.path.insert(0, "perfbench"); import run
+run.build(["perfbench"])'
 }
 
 run_full() {

@@ -49,14 +49,12 @@ ZMapConfig make_zmap_config(const sim::Internet& internet,
   return config;
 }
 
-// The one lane executor behind run_scan and run_l4_sweep. A single lane
-// runs the sweep inline (ZMapScanner::run: every target in permutation
-// order). With jobs > 1, walk_shards runs `jobs` lanes, lane i probing
-// the targets of ZMap's shard i, and hands the rate-IDS targets to one
-// extra deferred lane in global permutation order, exactly as a single
-// lane sees them; every other probe decision is a pure function of the
-// target and its global slot, so the lanes' results merge into the single
-// lane's.
+// The one lane executor behind run_scan and run_l4_sweep: walk_shards
+// runs `jobs` lanes, lane i probing the targets of ZMap's shard i. With
+// jobs > 1 it hands the rate-IDS targets to one extra deferred lane in
+// global permutation order, exactly as a single lane sees them; every
+// other probe decision is a pure function of the target and its global
+// slot, so the lanes' results merge into the single lane's.
 //
 // `outputs` gets one entry per lane. `make_collector(output, metrics)`
 // builds each lane's result callback once, before the sweep, from the
@@ -91,18 +89,15 @@ ZMapScanner::Stats run_lanes(sim::Internet& internet, sim::OriginId origin,
     metrics->gauge_max(obsv::Gauge::kScanUniverseSize, config.universe_size);
   }
 
-  if (lanes.size() == 1) {
-    lanes[0].stats = lanes[0].scanner->run(lanes[0].collect);
-  } else {
-    const std::uint64_t blocklisted = walk_shards(
-        config, lanes.size() - 1, rate_ids_defer(internet, config.protocol),
-        [&lanes](std::size_t i, std::span<const ScheduledTarget> targets) {
-          lanes[i].stats +=
-              lanes[i].scanner->run_scheduled(targets, lanes[i].collect);
-        });
-    lanes[0].stats.blocklisted_skipped += blocklisted;
-    lanes[0].metrics.add(obsv::Counter::kZmapBlocklistedSkipped, blocklisted);
-  }
+  const std::uint64_t blocklisted = walk_shards(
+      config, static_cast<std::size_t>(std::max(jobs, 1)),
+      rate_ids_defer(internet, config.protocol),
+      [&lanes](std::size_t i, std::span<const ScheduledTarget> targets) {
+        lanes[i].stats +=
+            lanes[i].scanner->run_scheduled(targets, lanes[i].collect);
+      });
+  lanes[0].stats.blocklisted_skipped += blocklisted;
+  lanes[0].metrics.add(obsv::Counter::kZmapBlocklistedSkipped, blocklisted);
   ZMapScanner::Stats stats;
   for (const Lane& lane : lanes) {
     stats += lane.stats;

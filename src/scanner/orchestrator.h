@@ -83,10 +83,11 @@ struct ScanOptions {
   std::optional<net::Prefix> target_prefix;
   // Record L7 banners (page titles / TLS suites / SSH versions).
   bool keep_banners = false;
-  // Worker threads for this one scan. With jobs > 1 each lane walks and
-  // probes its own ZMap shard of the permutation, concurrently, and the
-  // lanes merge into the canonical address-sorted result; the output is
-  // bit-identical to jobs == 1 (see "Parallel execution" in DESIGN.md).
+  // Lanes for this one scan: lane i walks and probes ZMap shard i of
+  // `jobs` (jobs == 1 is shard 0 of 1, on the caller's thread). With
+  // jobs > 1 the lanes run concurrently and merge into the canonical
+  // address-sorted result; the output is bit-identical to jobs == 1 (see
+  // "Parallel execution" in DESIGN.md).
   int jobs = 1;
   // Extend the L7 retry ladder to banner-level failures (read timeouts,
   // truncated banners, mid-handshake closes); see RetryPolicy.

@@ -14,8 +14,9 @@
 
 namespace originscan::scan {
 
-// run() feeds permutation refills straight into the SoA pipeline; the
-// two batch sizes must agree so a refill is exactly one probe batch.
+// walk_shards hands out kRunBatch-target chunks, and run_scheduled probes
+// in chunks of the same size; the two batch sizes must agree so a full
+// chunk is exactly one probe batch.
 static_assert(ZMapScanner::kRunBatch == sim::ProbeBatch::kCapacity);
 
 ZMapScanner::ZMapScanner(const ZMapConfig& config, sim::Internet* internet,
@@ -24,7 +25,7 @@ ZMapScanner::ZMapScanner(const ZMapConfig& config, sim::Internet* internet,
       internet_(internet),
       origin_(origin),
       // Resolving the lock-free context here (prewarming the caches if
-      // needed) keeps every per-packet step of run()/run_scheduled()
+      // needed) keeps every per-packet step of run_scheduled()
       // synchronization-free.
       context_(internet->probe_context(origin, config.protocol)) {
   assert(!config_.source_ips.empty());
@@ -199,27 +200,13 @@ void ZMapScanner::probe_batch(
 ZMapScanner::Stats ZMapScanner::run(
     const std::function<void(const L4Result&)>& on_result) {
   Stats stats;
-  const double seconds_per_packet = 1.0 / config_.effective_pps();
-
-  // The walk is consumed one kRunBatch refill at a time, and each refill's
-  // surviving targets ride the SoA pipeline as one batch. Cancellation is
-  // polled once per refill — cheap enough to stay out of the per-packet
-  // path, frequent enough that a tripped token stops the sweep long
-  // before its next checkpoint.
-  TargetWalk walk(config_);
-  std::array<ScheduledTarget, kRunBatch> chunk;
-  while (!walk.done()) {
-    if (config_.cancel != nullptr && config_.cancel->cancelled()) break;
-    const std::size_t count = walk.next(chunk);
-    if (count != 0) {
-      probe_batch(std::span<const ScheduledTarget>(chunk.data(), count),
-                  seconds_per_packet, stats, on_result);
-    }
-  }
-  stats.blocklisted_skipped = walk.blocklisted();
+  stats.blocklisted_skipped = walk_shards(
+      config_, 1, {}, [&](std::size_t, std::span<const ScheduledTarget> chunk) {
+        stats += run_scheduled(chunk, on_result);
+      });
   if (config_.metrics != nullptr) {
     config_.metrics->add(obsv::Counter::kZmapBlocklistedSkipped,
-                         walk.blocklisted());
+                         stats.blocklisted_skipped);
   }
   return stats;
 }
@@ -240,29 +227,6 @@ ZMapScanner::Stats ZMapScanner::run_scheduled(
     offset += chunk;
   }
   return stats;
-}
-
-TargetWalk::TargetWalk(const ZMapConfig& config)
-    : config_(config),
-      iterator_(CyclicGroup::for_size(config.universe_size, config.seed)
-                    .all()) {}
-
-std::size_t TargetWalk::next(std::span<ScheduledTarget> out) {
-  assert(out.size() <= buffer_.size());
-  // One next_batch call keeps the modmul recurrence in registers across
-  // the refill, in exactly the scalar next() order.
-  const std::size_t filled = iterator_.next_batch(
-      std::span<std::uint32_t>(buffer_.data(), out.size()));
-  if (filled < out.size()) done_ = true;
-  const auto probes = static_cast<std::uint64_t>(config_.probes);
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < filled; ++i) {
-    const net::Ipv4Addr dst(buffer_[i]);
-    if (config_.filters_out(dst, blocklisted_)) continue;
-    out[kept++] = ScheduledTarget{dst, targets_ * probes};
-    ++targets_;
-  }
-  return kept;
 }
 
 namespace {
@@ -286,8 +250,8 @@ struct LaneWalk {
 
 // A window as its barrier completes it: a bitmap of the filtered offsets
 // with the count before each word, so the target at offset o is number
-// first_target + o - (filtered offsets below o) of the sweep, the number
-// TargetWalk gives it; and its deferred targets, slotted, in order.
+// first_target + o - (filtered offsets below o) of the sweep; and its
+// deferred targets, slotted, in order.
 struct Window {
   bool live = false;  // false: the sweep ends before this window
   std::uint64_t first_target = 0;
@@ -298,11 +262,13 @@ struct Window {
   [[nodiscard]] bool is_filtered(std::uint32_t offset) const {
     return ((filtered[offset / 64] >> (offset % 64)) & 1) != 0;
   }
+  // Most words hold no filtered offset, and without -mpopcnt
+  // std::popcount compiles to a libgcc call, so a zero word skips it.
   [[nodiscard]] std::uint64_t target(std::uint32_t offset) const {
     const std::uint64_t below =
         filtered[offset / 64] & ((std::uint64_t{1} << (offset % 64)) - 1);
     return first_target + offset - filtered_before[offset / 64] -
-           static_cast<std::uint64_t>(std::popcount(below));
+           (below == 0 ? 0 : static_cast<std::uint64_t>(std::popcount(below)));
   }
 };
 
@@ -319,13 +285,14 @@ std::uint64_t walk_shards(const ZMapConfig& config, std::size_t lanes,
       CyclicGroup::for_size(config.universe_size, config.seed);
   // Indexed by window parity: a lane walks window w + 1 while it visits
   // window w. The deferred capacity is reserved (and untouched until
-  // used), so the completion step never allocates.
+  // used; one lane defers nothing), so the completion step never
+  // allocates.
   std::vector<std::array<LaneWalk, 2>> walks(lanes);
   std::array<Window, 2> windows;
   for (Window& window : windows) {
     window.filtered.resize(words);
     window.filtered_before.resize(words);
-    window.deferred.reserve(per_lane * lanes);
+    if (lanes > 1) window.deferred.reserve(per_lane * lanes);
   }
   std::vector<std::uint64_t> blocklisted(lanes);
   // errors[i] is published before each of lane i's barrier arrivals.
@@ -395,7 +362,7 @@ std::uint64_t walk_shards(const ZMapConfig& config, std::size_t lanes,
         if (elements[i] >= config.universe_size ||
             config.filters_out(dst, blocklisted[lane])) {
           out.filtered.push_back(offset);
-        } else if (defer(dst)) {
+        } else if (lanes > 1 && defer(dst)) {
           out.deferred.push_back(ScheduledTarget{dst, offset});
         } else {
           out.addrs.push_back(dst);

@@ -5,14 +5,13 @@
 //
 // Probe timestamps come from a *virtual clock*: packet n of the global
 // send schedule goes out at t = n / pps, a pure function of the packet's
-// schedule slot. TargetWalk (and walk_shards, lane by lane) stamps every
-// target with its global slot, so a lane that probes any subset of the
-// walk stamps its packets exactly as the single-lane sweep would — which
-// is what lets the orchestrator's lanes merge into a bit-identical result
-// (see orchestrator.h).
+// schedule slot. walk_shards, the one permutation walk, stamps every
+// target with its global slot at any lane count, so a lane that probes
+// any subset of the sweep stamps its packets exactly as one lane would —
+// which is what lets the orchestrator's lanes merge into a bit-identical
+// result (see orchestrator.h).
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -65,9 +64,8 @@ struct ZMapConfig {
   // ownership pattern as `faults`/`cancel`.
   obsv::MetricBlock* metrics = nullptr;
 
-  // Whether the walk drops `dst` before it takes a send slot: outside
-  // the allowlist, or blocklisted (which bumps `blocklisted`). TargetWalk
-  // and walk_shards both filter through this test.
+  // Whether walk_shards drops `dst` before it takes a send slot: outside
+  // the allowlist, or blocklisted (which bumps `blocklisted`).
   [[nodiscard]] bool filters_out(net::Ipv4Addr dst,
                                  std::uint64_t& blocklisted) const {
     if (allowlist && !allowlist->contains(dst)) return true;
@@ -111,10 +109,11 @@ class ZMapScanner {
   // in place up to this many times before the probe is abandoned.
   static constexpr int kSendRetries = 3;
 
-  // Addresses pulled from the permutation per Iterator::next_batch call
-  // in run(); also the cancellation polling granularity. 1 KiB of
-  // stack-resident buffer — small enough to stay cache-hot, large
-  // enough to amortize the per-call iterator state save/restore.
+  // Targets per probe batch: run_scheduled probes in chunks of this many,
+  // and walk_shards hands a shard lane's targets to its visitor in stack
+  // chunks of at most this size; also the cancellation polling
+  // granularity. Small enough to stay cache-hot, large enough to amortize
+  // the per-batch setup.
   static constexpr std::size_t kRunBatch = 256;
 
   // Throws std::invalid_argument when config.probes is outside
@@ -134,17 +133,16 @@ class ZMapScanner {
     friend bool operator==(const Stats&, const Stats&) = default;
   };
 
-  // Runs the whole sweep on this one lane, streaming the TargetWalk
-  // through the probe pipeline; invokes `on_result` for every target that
-  // produced at least one (validated) response. Results arrive in probe
-  // order.
+  // Runs the whole sweep on this one lane, a one-lane walk_shards feeding
+  // run_scheduled; invokes `on_result` for every target that produced at
+  // least one (validated) response. Results arrive in probe order.
   Stats run(const std::function<void(const L4Result&)>& on_result);
 
   // Probes exactly the given targets, stamping each probe from its
-  // recorded global packet slot. Used by the orchestrator's lanes, which
-  // take their targets from walk_shards (filtering already happened
-  // there). Targets flow through the SoA probe pipeline in kRunBatch
-  // chunks.
+  // recorded global packet slot. Used by run() and the orchestrator's
+  // lanes, which take their targets from walk_shards (filtering already
+  // happened there). Targets flow through the SoA probe pipeline in
+  // kRunBatch chunks.
   Stats run_scheduled(std::span<const ScheduledTarget> targets,
                       const std::function<void(const L4Result&)>& on_result);
 
@@ -173,44 +171,20 @@ class ZMapScanner {
   sim::ProbeBatch batch_;
 };
 
-// The one "permutation -> filter -> slot" walk: yields a sweep's targets
-// in permutation order, after the allowlist and the blocklist, each
-// stamped with the global slot of its first probe (target n of the walk
-// sends its first probe in slot n * probes). ZMapScanner::run draws its
-// targets from here, and walk_shards gives each target the same slot.
-// Cheap: no simulation work. `config` must outlive the walk.
-class TargetWalk {
- public:
-  explicit TargetWalk(const ZMapConfig& config);
-
-  // Pulls the next out.size() (at most ZMapScanner::kRunBatch)
-  // permutation entries — fewer only at the end — and writes the ones
-  // that survive filtering to `out`, in order. Returns how many survived.
-  std::size_t next(std::span<ScheduledTarget> out);
-
-  // True once the permutation is exhausted.
-  [[nodiscard]] bool done() const { return done_; }
-  [[nodiscard]] std::uint64_t blocklisted() const { return blocklisted_; }
-
- private:
-  const ZMapConfig& config_;
-  CyclicGroup::Iterator iterator_;
-  std::uint64_t targets_ = 0;
-  std::uint64_t blocklisted_ = 0;
-  bool done_ = false;
-  std::array<std::uint32_t, ZMapScanner::kRunBatch> buffer_;
-};
-
 // Receives one lane's targets, slotted (see walk_shards).
 using ShardVisitor =
     std::function<void(std::size_t lane, std::span<const ScheduledTarget>)>;
 
-// ZMap's sharded sweep on `lanes` threads, the caller among them: lane i
-// walks CyclicGroup::shard(i, lanes) of the permutation, filters its
-// positions as TargetWalk does, and passes its targets, stamped with the
-// slots TargetWalk would give them, to visit(i, ...) on its own thread.
-// Targets that `defer` selects go instead to visit(lanes, ...), on lane
-// 0's thread and in permutation order. The walk runs in windows of 2^18
+// The one "permutation -> filter -> slot" walk: ZMap's sharded sweep on
+// `lanes` threads, the caller among them. Lane i walks
+// CyclicGroup::shard(i, lanes) of the permutation, drops the positions
+// ZMapConfig::filters_out rejects, and passes its targets to visit(i, ...)
+// on its own thread, each stamped with the global slot of its first probe
+// (target n of the filtered permutation sends its first probe in slot
+// n * probes, at any lane count). With lanes > 1, targets that `defer`
+// selects go instead to visit(lanes, ...), on lane 0's thread and in
+// permutation order; one lane already probes in that order, so it never
+// calls `defer` (which may then be empty). The walk runs in windows of 2^18
 // positions, visited one window after the other (lane 0 visits a window's
 // deferred targets before its own), so visit(lanes, ...) sees every
 // deferred target in the serial order. Stops after a window once

@@ -300,8 +300,8 @@ void ProbeContext::resolve_batch(ProbeBatch& batch) const {
   std::uint64_t derivations = 0;
   // The /24 grouping invariant: a consecutive run of same-/24 addresses
   // shares one facts fetch (a block-cache consult for procedural blocks,
-  // a table read for materialized ones). Permutation batches are
-  // sequential inside each next_batch window, so runs span up to 256
+  // a table read for materialized ones). A batch holds up to 256
+  // consecutive targets of one lane's walk, so runs span up to 256
   // addresses.
   std::uint32_t run_block = ~std::uint32_t{0};
   bool run_procedural = false;

@@ -39,6 +39,9 @@
 namespace originscan::sim {
 namespace {
 
+using originscan::testing::PermutationWalk;
+using originscan::testing::walk_permutation;
+
 // ---- mix_u64_x4 -----------------------------------------------------
 
 TEST(BatchKernel, MixX4MatchesFourScalarCalls) {
@@ -348,36 +351,6 @@ fault::FaultInjector make_faults(std::string_view spec) {
   return fault::FaultInjector(plan.value_or(fault::FaultPlan{}), 0x0FA017ull);
 }
 
-// The test's own permutation walk: the targets a sweep probes, in
-// permutation order, each stamped with the global slot of its first
-// probe, and how many the blocklist skipped. Only targets `keep` accepts
-// are returned; the slots still count every target.
-struct PermutationWalk {
-  std::vector<scan::ScheduledTarget> targets;
-  std::uint64_t blocklisted = 0;
-};
-
-PermutationWalk walk_permutation(
-    const scan::ZMapConfig& zconfig,
-    const std::function<bool(net::Ipv4Addr)>& keep = {}) {
-  PermutationWalk walk;
-  auto iterator =
-      scan::CyclicGroup::for_size(zconfig.universe_size, zconfig.seed).all();
-  std::uint64_t emitted = 0;
-  while (const auto value = iterator.next()) {
-    const net::Ipv4Addr dst(static_cast<std::uint32_t>(*value));
-    if (zconfig.allowlist && !zconfig.allowlist->contains(dst)) continue;
-    if (zconfig.blocklist.is_blocked(dst)) {
-      ++walk.blocklisted;
-      continue;
-    }
-    const scan::ScheduledTarget target{
-        dst, emitted++ * static_cast<std::uint64_t>(zconfig.probes)};
-    if (!keep || keep(dst)) walk.targets.push_back(target);
-  }
-  return walk;
-}
-
 // Runs `targets` through run_scheduled and through the model, each on a
 // fresh Internet over `world` carrying the scanner's fault injector.
 void run_both(const World& world, const TrialContext& context,
@@ -405,7 +378,7 @@ void run_both(const World& world, const TrialContext& context,
 // ---- Pipeline vs the reference model --------------------------------
 
 // The full sweep through run() against the model over the same
-// permutation (the test's own walk_permutation), on fresh Internet
+// permutation (the tests' own walk_permutation), on fresh Internet
 // instances over the same world. The world straddles the procedural
 // override boundary (2^19 inside a 2^20 universe), and the fault plan
 // keeps every rung of the batch classifier busy.

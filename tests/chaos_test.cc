@@ -21,9 +21,12 @@
 #include "faultinject/chaos.h"
 #include "faultinject/faultinject.h"
 #include "obsv/metrics.h"
+#include "tests/test_world.h"
 
 namespace originscan::core {
 namespace {
+
+using originscan::testing::scratch_dir;
 
 namespace fs = std::filesystem;
 
@@ -68,8 +71,7 @@ TEST(ChaosSoak, RandomizedEpisodesUpholdTheRecoveryInvariant) {
   ChaosOptions options;
   options.rounds = soak_rounds(/*fallback=*/25);
   options.seed = 0x05CA9;
-  options.work_dir =
-      (fs::path(::testing::TempDir()) / "chaos_soak_test").string();
+  options.work_dir = scratch_dir("chaos_soak_test");
   obsv::MetricsRegistry registry;
   options.metrics = &registry;
   const ChaosReport report = run_chaos_soak(options);
@@ -96,9 +98,7 @@ TEST(JournalRepair, FlippedSegmentByteThenRepairThenResumeMatchesClean) {
   config.protocols = {proto::Protocol::kHttp};
   config.probes = 2;
 
-  const std::string dir =
-      (fs::path(::testing::TempDir()) / "chaos_repair_test").string();
-  fs::remove_all(dir);
+  const std::string dir = scratch_dir("chaos_repair_test");
 
   // Clean journaled run: the golden digests.
   std::vector<ResultDigest> golden;
@@ -165,9 +165,7 @@ TEST(JournalRepair, ResumeQuarantinesCorruptCellsWithoutRepair) {
   config.protocols = {proto::Protocol::kHttp};
   config.probes = 2;
 
-  const std::string dir =
-      (fs::path(::testing::TempDir()) / "chaos_quarantine_test").string();
-  fs::remove_all(dir);
+  const std::string dir = scratch_dir("chaos_quarantine_test");
 
   std::vector<ResultDigest> golden;
   std::string damaged_segment;

@@ -24,6 +24,7 @@ namespace originscan::core {
 namespace {
 
 using originscan::testing::make_mini_world;
+using originscan::testing::scratch_dir;
 
 namespace fs = std::filesystem;
 
@@ -67,12 +68,6 @@ std::string golden_sha() {
     return sha256_of_results(experiment.all_results());
   }();
   return sha;
-}
-
-std::string scratch_dir(const std::string& name) {
-  const fs::path dir = fs::path(::testing::TempDir()) / name;
-  fs::remove_all(dir);
-  return dir.string();
 }
 
 TEST(CrashResume, MatrixKillAfterEveryCellResumesByteIdentical) {

@@ -10,20 +10,16 @@
 
 #include "core/journal.h"
 #include "netbase/rng.h"
+#include "tests/test_world.h"
 
 namespace originscan::core {
 namespace {
 
+using originscan::testing::scratch_dir;
+
 namespace fs = std::filesystem;
 
 constexpr char kFingerprint[] = "deadbeefcafef00d";
-
-// A fresh scratch directory per test.
-std::string scratch_dir(const char* name) {
-  const fs::path dir = fs::path(::testing::TempDir()) / name;
-  fs::remove_all(dir);
-  return dir.string();
-}
 
 scan::ScanResult sample_result() {
   scan::ScanResult result;

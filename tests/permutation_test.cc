@@ -158,7 +158,8 @@ TEST(Permutation, PositionsInterleaveToSerialOrder) {
 // by one common step g^k, the lanes' first targets by the generator g,
 // g^k must equal the step, g must generate the whole group, and the lanes
 // together must cover [1, p - 1] exactly once. So the lanes walk ZMap's
-// one cycle, not merely some partition of the addresses.
+// one cycle, not merely some partition of the addresses. One lane (the
+// --jobs 1 sweep) is the case k = 1: its step is g itself.
 TEST(Permutation, LanesWalkOneCycleRecoveredFromProbeOrder) {
   constexpr std::uint32_t kSize = 1u << 16;
   constexpr std::uint64_t kPrime = 65537;
@@ -172,7 +173,7 @@ TEST(Permutation, LanesWalkOneCycleRecoveredFromProbeOrder) {
   const CyclicGroup group = CyclicGroup::for_size(kSize, config.seed);
   ASSERT_EQ(group.prime(), kPrime);
 
-  for (std::size_t lanes : {2u, 3u, 4u, 5u}) {
+  for (std::size_t lanes : {1u, 2u, 3u, 4u, 5u}) {
     std::vector<std::vector<ScheduledTarget>> seen(lanes + 1);
     const std::uint64_t blocklisted = walk_shards(
         config, lanes, [](net::Ipv4Addr) { return false; },
@@ -210,9 +211,11 @@ TEST(Permutation, LanesWalkOneCycleRecoveredFromProbeOrder) {
     }
     EXPECT_EQ(total, kPrime - 1) << "the lanes tile [1, p - 1]";
 
-    // The generator: the ratio of consecutive lanes' starts.
+    // The generator: the ratio of consecutive lanes' starts, or with one
+    // lane the step.
     const std::uint64_t generator =
-        mulmod_u64(element(1, 0), inverse(element(0, 0)), kPrime);
+        lanes == 1 ? step
+                   : mulmod_u64(element(1, 0), inverse(element(0, 0)), kPrime);
     for (std::size_t lane = 1; lane + 1 < lanes; ++lane) {
       EXPECT_EQ(mulmod_u64(element(lane + 1, 0), inverse(element(lane, 0)),
                            kPrime),

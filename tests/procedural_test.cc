@@ -19,6 +19,7 @@
 #include "sim/internet.h"
 #include "sim/procedural.h"
 #include "sim/scenario.h"
+#include "tests/test_world.h"
 
 namespace originscan::sim {
 namespace {
@@ -70,7 +71,7 @@ TEST(ProceduralEquivalence, SweepDigestInvariantAcrossJobs) {
   // per-fetch consults, and a consecutive same-/24 run inside one
   // resolve batch shares a single consult — so the hit+miss sum depends
   // on how targets land on lanes/batches (an adjacent same-block pair
-  // shares a fetch serially but splits across round-robin lanes). The
+  // shares a fetch serially but splits across shard lanes). The
   // divergence is bounded by the number of such adjacencies, a fraction
   // of a percent of the targets in a random permutation; derivations
   // stay exactly invariant.
@@ -168,12 +169,14 @@ TEST(ProceduralEquivalence, BatchTargetsCountEveryProbedTarget) {
   }
 }
 
-// The lane executor against an independent serial oracle: ZMapScanner::run
-// streams the whole sweep on one lane, and folding its results here must
-// give exactly what run_l4_sweep reports at every kJobCounts value (2^20
-// targets span four or more sweep windows). A blocklist keeps the walk's
-// filter busy, and Bochum's rate IDS, with its threshold lowered so it
-// trips for the single-IP US1 origin, keeps the deferred lane busy.
+// The lane executor against an independent serial oracle: the tests' own
+// permutation walk (walk_permutation, which shares no code with
+// scan::walk_shards) feeds one scanner's run_scheduled the whole sweep,
+// and folding its results here must give exactly what run_l4_sweep
+// reports at every kJobCounts value (2^20 targets span four or more sweep
+// windows). A blocklist keeps the walk's filter busy, and Bochum's rate
+// IDS, with its threshold lowered so it trips for the single-IP US1
+// origin, keeps the deferred lane busy.
 TEST(ProceduralEquivalence, SweepMatchesSerialRunOracle) {
   ScenarioConfig config = ScenarioConfig::full_internet(20);
   config.seed = 0x0AC1Eull;
@@ -196,7 +199,7 @@ TEST(ProceduralEquivalence, SweepMatchesSerialRunOracle) {
   blocklist.block(net::Prefix(net::Ipv4Addr(3u << 18), 18));
 
   // The oracle: one scanner, configured as run_l4_sweep configures it,
-  // folded by hand.
+  // probing the serial walk's targets, folded by hand.
   scan::SweepResult oracle;
   obsv::MetricBlock oracle_metrics;
   {
@@ -210,19 +213,22 @@ TEST(ProceduralEquivalence, SweepMatchesSerialRunOracle) {
     zconfig.source_ips = world.origins[origin].source_ips;
     zconfig.blocklist = blocklist;
     zconfig.metrics = &oracle_metrics;
+    const testing::PermutationWalk walk = testing::walk_permutation(zconfig);
     scan::ZMapScanner scanner(zconfig, &internet, origin);
-    oracle.l4_stats = scanner.run([&oracle](const scan::L4Result& l4) {
-      oracle.digest += net::mix_u64(
-          l4.addr.value(),
-          (static_cast<std::uint64_t>(l4.synack_mask) << 8) | l4.rst_mask,
-          static_cast<std::uint32_t>(l4.probe_time.seconds()));
-      ++oracle.responsive;
-      if (l4.synack_mask != 0) {
-        ++oracle.synack_targets;
-      } else {
-        ++oracle.rst_only_targets;
-      }
-    });
+    oracle.l4_stats = scanner.run_scheduled(
+        walk.targets, [&oracle](const scan::L4Result& l4) {
+          oracle.digest += net::mix_u64(
+              l4.addr.value(),
+              (static_cast<std::uint64_t>(l4.synack_mask) << 8) | l4.rst_mask,
+              static_cast<std::uint32_t>(l4.probe_time.seconds()));
+          ++oracle.responsive;
+          if (l4.synack_mask != 0) {
+            ++oracle.synack_targets;
+          } else {
+            ++oracle.rst_only_targets;
+          }
+        });
+    oracle.l4_stats.blocklisted_skipped = walk.blocklisted;
   }
   EXPECT_GT(oracle.responsive, 0u);
   EXPECT_GT(oracle.l4_stats.blocklisted_skipped, 0u);
@@ -287,8 +293,8 @@ TEST(ProceduralEquivalence, PrefixScanMatchesAcrossJobs) {
             parallel_metrics.counter(obsv::Counter::kSimDropsIds));
 }
 
-// Sweeps DE/https over a 2^bits procedural world at jobs 4 under `cancel`.
-scan::SweepResult cancellable_sweep(int bits,
+// Sweeps DE/https over a 2^bits procedural world at `jobs` under `cancel`.
+scan::SweepResult cancellable_sweep(int bits, int jobs,
                                     const scan::CancelToken& cancel) {
   ScenarioConfig config = ScenarioConfig::full_internet(bits);
   config.seed = 0xCA9CE1ull;
@@ -300,36 +306,46 @@ scan::SweepResult cancellable_sweep(int bits,
   PersistentState persistent;
   Internet internet(&world, context, &persistent);
   scan::SweepOptions options;
-  options.jobs = 4;
+  options.jobs = jobs;
   options.cancel = &cancel;
   return scan::run_l4_sweep(internet, world.origin_id("DE"),
                             proto::Protocol::kHttps, options);
 }
+
+// The cancellation cases run at one lane and at four: a tripped token is
+// seen at a window's completion step, and by run_scheduled's poll before
+// each probe batch.
+constexpr int kCancelJobs[] = {1, 4};
 
 // A token tripped before the sweep stops it before the first window is
 // probed: nothing is probed and the result is marked aborted.
 TEST(ProceduralCancellation, PreTrippedTokenProbesNothing) {
   scan::CancelToken cancel;
   cancel.cancel();
-  const scan::SweepResult result = cancellable_sweep(20, cancel);
-  EXPECT_TRUE(result.aborted);
-  EXPECT_EQ(result.l4_stats.targets_probed, 0u);
-  EXPECT_EQ(result.responsive, 0u);
+  for (int jobs : kCancelJobs) {
+    const scan::SweepResult result = cancellable_sweep(20, jobs, cancel);
+    EXPECT_TRUE(result.aborted) << "jobs=" << jobs;
+    EXPECT_EQ(result.l4_stats.targets_probed, 0u) << "jobs=" << jobs;
+    EXPECT_EQ(result.responsive, 0u) << "jobs=" << jobs;
+  }
 }
 
 // A token tripped from another thread while the lanes probe one window
 // and walk the next (2^22 targets are 16 windows) winds the sweep down
 // early: it returns, aborted, short of the universe.
 TEST(ProceduralCancellation, MidSweepCancelStopsEarly) {
-  scan::CancelToken cancel;
-  std::thread canceller([&cancel] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    cancel.cancel();
-  });
-  const scan::SweepResult result = cancellable_sweep(22, cancel);
-  canceller.join();
-  EXPECT_TRUE(result.aborted);
-  EXPECT_LT(result.l4_stats.targets_probed, std::uint64_t{1} << 22);
+  for (int jobs : kCancelJobs) {
+    scan::CancelToken cancel;
+    std::thread canceller([&cancel] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      cancel.cancel();
+    });
+    const scan::SweepResult result = cancellable_sweep(22, jobs, cancel);
+    canceller.join();
+    EXPECT_TRUE(result.aborted) << "jobs=" << jobs;
+    EXPECT_LT(result.l4_stats.targets_probed, std::uint64_t{1} << 22)
+        << "jobs=" << jobs;
+  }
 }
 
 }  // namespace

@@ -1,14 +1,27 @@
 // A tiny, fully controlled world for unit tests: deterministic hosts, no
 // path loss, no outages, no policies unless a test adds them. Hosts come
 // from the one derivation every world uses (generate_host), with per-AS
-// parameters that switch off middleboxes, churn and flakiness.
+// parameters that switch off middleboxes, churn and flakiness. Also the
+// helpers several suites share: one probe through the pipeline
+// (probe_one), per-process scratch directories (scratch_dir), and a
+// serial permutation walk independent of the scanner's (walk_permutation).
 #pragma once
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <cstdint>
+#include <filesystem>
+#include <functional>
 #include <memory>
 #include <optional>
+#include <string>
+#include <system_error>
 #include <vector>
 
 #include "proto/ssh.h"
+#include "scanner/permutation.h"
+#include "scanner/zmap.h"
 #include "sim/hostgen.h"
 #include "sim/internet.h"
 #include "sim/world.h"
@@ -116,6 +129,59 @@ inline sim::ProbeContext::Reply probe_one(
   }
   return context.respond(*batch, 0, probe_index,
                          internet.world().origins[origin].source_ips[0]);
+}
+
+// A path `name` under this process's own scratch root in
+// ::testing::TempDir(), removed if it exists (callers create it). The root
+// carries the process id, so two suite runs at once never share a
+// directory, and it is removed when the process that made it exits.
+inline std::string scratch_dir(const std::string& name) {
+  struct Root {
+    pid_t owner = ::getpid();
+    std::filesystem::path path =
+        std::filesystem::path(::testing::TempDir()) /
+        ("originscan_" + std::to_string(owner));
+    ~Root() {
+      // Forked children exit through here too; only the owner cleans up.
+      std::error_code ignored;
+      if (::getpid() == owner) std::filesystem::remove_all(path, ignored);
+    }
+  };
+  static const Root root;
+  const std::filesystem::path dir = root.path / name;
+  std::filesystem::remove_all(dir);
+  return dir.string();
+}
+
+// The tests' own permutation walk, independent of scan::walk_shards: the
+// targets a sweep probes, in permutation order (Iterator::next), after the
+// allowlist and the blocklist, each stamped with the global slot of its
+// first probe, and how many the blocklist skipped. Only targets `keep`
+// accepts are returned; the slots still count every target.
+struct PermutationWalk {
+  std::vector<scan::ScheduledTarget> targets;
+  std::uint64_t blocklisted = 0;
+};
+
+inline PermutationWalk walk_permutation(
+    const scan::ZMapConfig& zconfig,
+    const std::function<bool(net::Ipv4Addr)>& keep = {}) {
+  PermutationWalk walk;
+  auto iterator =
+      scan::CyclicGroup::for_size(zconfig.universe_size, zconfig.seed).all();
+  std::uint64_t emitted = 0;
+  while (const auto value = iterator.next()) {
+    const net::Ipv4Addr dst(static_cast<std::uint32_t>(*value));
+    if (zconfig.allowlist && !zconfig.allowlist->contains(dst)) continue;
+    if (zconfig.blocklist.is_blocked(dst)) {
+      ++walk.blocklisted;
+      continue;
+    }
+    const scan::ScheduledTarget target{
+        dst, emitted++ * static_cast<std::uint64_t>(zconfig.probes)};
+    if (!keep || keep(dst)) walk.targets.push_back(target);
+  }
+  return walk;
 }
 
 }  // namespace originscan::testing
