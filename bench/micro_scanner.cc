@@ -7,6 +7,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/store.h"
@@ -200,9 +201,11 @@ static void BM_MixBatch4(benchmark::State& state) {
 BENCHMARK(BM_MixBatch4);
 
 static void BM_ResolveBatch(benchmark::State& state) {
-  // SoA target resolution over one 256-address batch of sequential
-  // procedural addresses: the /24 facts are fetched once per block run
-  // instead of consulted per address.
+  // SoA target resolution of 256-target batches in the sweep's order:
+  // the first 2^16 targets of a permutation of the 2^22 universe, cut
+  // by next_batch as the lanes cut theirs (walked before timing), so
+  // consecutive targets almost never share a /24 and each fetches its
+  // own block facts.
   static const sim::World world = [] {
     auto config = sim::ScenarioConfig::full_internet(22);
     return sim::build_world(config, sim::paper_origins(config.universe_size));
@@ -213,19 +216,25 @@ static void BM_ResolveBatch(benchmark::State& state) {
   sim::Internet internet(&world, context, &persistent);
   auto probe_context = internet.probe_context(0, proto::Protocol::kHttp);
 
-  const std::uint32_t first = world.procedural.first_addr();
-  std::uint32_t base = first;
+  constexpr std::size_t kCapacity = sim::ProbeBatch::kCapacity;
+  std::vector<std::uint32_t> targets(std::size_t{1} << 16);
+  auto it = scan::CyclicGroup::for_size(world.universe_size, /*seed=*/0xBEEF)
+                .all();
+  for (std::size_t at = 0; at < targets.size(); at += kCapacity) {
+    it.next_batch(std::span(targets).subspan(at, kCapacity));
+  }
+  std::size_t at = 0;
   sim::ProbeBatch batch;
   batch.size = sim::ProbeBatch::kCapacity;
   batch.probes = 2;
   for (auto _ : state) {
-    for (int i = 0; i < batch.size; ++i) {
-      batch.addr[i] = net::Ipv4Addr(base + static_cast<std::uint32_t>(i));
+    for (std::size_t i = 0; i < kCapacity; ++i) {
+      batch.addr[i] = net::Ipv4Addr(targets[at + i]);
     }
     probe_context.resolve_batch(batch);
-    benchmark::DoNotOptimize(batch.live_mask);
-    base += static_cast<std::uint32_t>(batch.size);
-    if (base + 256 >= world.universe_size) base = first;
+    benchmark::DoNotOptimize(batch.has_host);
+    benchmark::ClobberMemory();
+    at = (at + kCapacity) % targets.size();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 256);
 }

@@ -107,10 +107,6 @@ namespace originscan::obsv {
     "src/core/experiment.cc:run_journaled")                                   \
   X(kExperimentCellsLost, "experiment.cells_lost", "cells",                   \
     "src/core/experiment.cc:GridRecorder::finish")                            \
-  X(kUniverseBlockCacheHit, "universe.block_cache_hit", "fetches",           \
-    "src/sim/internet.cc:ProbeContext::resolve_batch")                        \
-  X(kUniverseBlockCacheMiss, "universe.block_cache_miss", "fetches",         \
-    "src/sim/internet.cc:ProbeContext::resolve_batch")                        \
   X(kUniverseProceduralDerivations, "universe.procedural_derivations",        \
     "hosts", "src/sim/internet.cc:ProbeContext::resolve_batch")               \
   X(kUniverseBatchBatches, "universe.batch.batches", "batches",               \

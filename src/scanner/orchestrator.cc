@@ -67,9 +67,9 @@ ZMapScanner::Stats run_lanes(sim::Internet& internet, sim::OriginId origin,
                                obsv::MetricBlock* metrics,
                                std::vector<Output>& outputs,
                                const MakeCollector& make_collector) {
-  // A scanner is built once per lane, so its probe context, block cache
-  // and metric shard live for the whole sweep; building the first one
-  // prewarms the Internet's caches before any lane runs.
+  // A scanner is built once per lane, so its probe context and metric
+  // shard live for the whole sweep; building the first one prewarms the
+  // Internet's caches before any lane runs.
   struct Lane {
     obsv::MetricBlock metrics;
     std::optional<ZMapScanner> scanner;

@@ -1,6 +1,6 @@
 // The host-generation kernel: one address's Host record as a pure
 // function of (world seed, addr, AS, generation parameters). It is the
-// only source of hosts: World::host_at and ProbeContext::resolve_batch
+// only source of hosts: World::host_at and Internet::resolve_target
 // both call it with the AS's World::host_params entry, in the scenario's
 // override region, in the procedural space above it, and in hand-built
 // worlds alike. Nothing caches its output, so the population behind an

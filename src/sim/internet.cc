@@ -256,9 +256,12 @@ net::VirtualTime Internet::rtt(OriginId origin, AsId as) const {
 ResolvedTarget Internet::resolve_target(net::Ipv4Addr dst,
                                         OriginId origin) const {
   ResolvedTarget target;
-  target.as = world_->as_of(dst);
-  if (!target.as) return target;
-  const std::optional<Host> host = world_->host_at(dst);
+  // World::host_at's step, on the one facts fetch.
+  const BlockFacts facts = world_->block_facts(dst.value() >> 8);
+  if (facts.as == kNoAs) return target;  // unrouted block
+  target.as = facts.as;
+  const std::optional<Host> host = generate_host(
+      world_->seed, dst.value(), facts.as, world_->host_params[facts.as]);
   if (!host || !listening(*host, origin)) return target;
   target.host = *host;
   target.has_host = true;
@@ -286,71 +289,28 @@ ProbeContext Internet::probe_context(OriginId origin,
     context.outage_possible_by_as_[as] =
         context.outage_->ever_in_outage(as) ? 1 : 0;
   }
-  if (world_->procedural.enabled()) {
-    context.block_cache_.assign(ProbeContext::kBlockCacheSlots, {});
-  }
   return context;
 }
 
 void ProbeContext::resolve_batch(ProbeBatch& batch) const {
-  const World& world = *internet_->world_;
-  const ProceduralWorld& procedural = world.procedural;
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
+  const ProceduralWorld& procedural = internet_->world_->procedural;
   std::uint64_t derivations = 0;
-  // The /24 grouping invariant: a consecutive run of same-/24 addresses
-  // shares one facts fetch (a block-cache consult for procedural blocks,
-  // a table read for materialized ones). A batch holds up to 256
-  // consecutive targets of one lane's walk, so runs span up to 256
-  // addresses.
-  std::uint32_t run_block = ~std::uint32_t{0};
-  bool run_procedural = false;
-  BlockFacts run_facts;
   for (int i = 0; i < batch.size; ++i) {
     const net::Ipv4Addr dst = batch.addr[i];
-    batch.as[i] = kNoAs;
-    batch.has_host[i] = 0;
-    const std::uint32_t block = dst.value() >> 8;
-    if (block != run_block) {
-      run_block = block;
-      run_procedural = procedural.covers(dst);
-      if (run_procedural) {
-        BlockCacheSlot& slot = block_cache_[block & (kBlockCacheSlots - 1)];
-        if (slot.block == block) {
-          ++hits;
-        } else {
-          slot.block = block;
-          slot.facts = procedural.block_facts(block);
-          ++misses;
-        }
-        run_facts = slot.facts;
-      } else {
-        run_facts = world.topology.block_facts(block);
-      }
-    }
-    if (run_facts.as == kNoAs) continue;  // unrouted block
-    batch.as[i] = run_facts.as;
-    // World::host_at's step, on the run's facts.
-    const std::optional<Host> host =
-        generate_host(world.seed, dst.value(), run_facts.as,
-                      world.host_params[run_facts.as]);
-    if (run_procedural) ++derivations;
-    if (!host || !internet_->listening(*host, origin_)) continue;
-    batch.host[i] = *host;
-    batch.has_host[i] = 1;
+    const ResolvedTarget target = internet_->resolve_target(dst, origin_);
+    batch.as[i] = target.as.value_or(kNoAs);
+    batch.has_host[i] = target.has_host ? 1 : 0;
+    if (target.has_host) batch.host[i] = target.host;
+    if (target.as && procedural.covers(dst)) ++derivations;
   }
   if (metrics_ != nullptr) {
-    if (hits != 0) metrics_->add(obsv::Counter::kUniverseBlockCacheHit, hits);
-    if (misses != 0) {
-      metrics_->add(obsv::Counter::kUniverseBlockCacheMiss, misses);
-    }
     if (derivations != 0) {
       metrics_->add(obsv::Counter::kUniverseProceduralDerivations, derivations);
     }
-    // Batch bookkeeping lives under the universe.* exception (lane- and
-    // partition-dependent, docs/METRICS.md) and, like the cache
-    // counters, stays zero outside procedural worlds — materialized
-    // worlds keep the full snapshot byte-identical across --jobs.
+    // Batch bookkeeping stays zero outside procedural worlds, like the
+    // derivation count: universe.batch.batches depends on how the lanes
+    // cut their batches (docs/METRICS.md), and materialized worlds keep
+    // the full snapshot byte-identical across --jobs.
     if (procedural.enabled()) {
       metrics_->add(obsv::Counter::kUniverseBatchBatches);
       metrics_->add(obsv::Counter::kUniverseBatchTargets,

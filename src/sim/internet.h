@@ -171,16 +171,11 @@ class ProbeContext {
   }
 
   // Batched per-target resolution of batch.addr[0..size): fills
-  // as/has_host/host with the facts Internet::resolve_target derives
-  // (AS, host, liveness, flaky-miss), once per target rather than once
-  // per probe. A consecutive run of addresses in the same /24 fetches
-  // its block facts once — from the lane-private block cache above the
-  // procedural boundary, from the topology table below it (permutation
-  // batches are internally sequential, so runs are long) — and then
-  // derives each routed target's host as World::host_at does. Block-cache
-  // hit/miss counters count procedural per-fetch consults, not
-  // per-address lookups; universe.procedural_derivations counts host
-  // derivations above the boundary only (docs/METRICS.md).
+  // as/has_host/host by taking Internet::resolve_target's step (one
+  // block-facts fetch, the host, liveness, flaky-miss) for each target,
+  // once per target rather than once per probe.
+  // universe.procedural_derivations counts host derivations above the
+  // procedural boundary only (docs/METRICS.md).
   void resolve_batch(ProbeBatch& batch) const;
 
   // What the network sends back for one probe.
@@ -204,18 +199,6 @@ class ProbeContext {
  private:
   friend class Internet;
 
-  // One slot of the per-lane /24 facts cache (procedural worlds only).
-  // Direct-mapped and lane-private scratch: resolve_batch() is const to
-  // callers but may refill slots, which is safe because derivation is
-  // pure — any refill writes the same facts. No other lane ever sees
-  // this memory, so the zero-lock hot-path invariant (and the
-  // cache_lock_count oracle) is untouched.
-  struct BlockCacheSlot {
-    std::uint32_t block = ~std::uint32_t{0};
-    BlockFacts facts;
-  };
-  static constexpr std::uint32_t kBlockCacheSlots = 4096;  // power of two
-
   Internet* internet_ = nullptr;
   OriginId origin_ = 0;
   proto::Protocol protocol_ = proto::Protocol::kHttp;
@@ -236,9 +219,6 @@ class ProbeContext {
   // no outage windows at all, so the batch ladder can skip the
   // out-of-line in_outage call for them.
   std::vector<std::uint8_t> outage_possible_by_as_;
-  // Allocated (kBlockCacheSlots entries) only when the world derives
-  // state procedurally; empty otherwise.
-  mutable std::vector<BlockCacheSlot> block_cache_;
 };
 
 class Internet {
@@ -261,8 +241,9 @@ class Internet {
   void handle_probe_batch(ProbeContext& context, ProbeBatch& batch);
 
   // Per-target resolution: the routed AS and the host that answers this
-  // (origin, trial), if any — resolve_batch's step for one address. Used
-  // by connects.
+  // (origin, trial), if any, from one block-facts fetch. The one
+  // per-address resolve step: connects call it, and resolve_batch calls
+  // it for each target.
   [[nodiscard]] ResolvedTarget resolve_target(net::Ipv4Addr dst,
                                               OriginId origin) const;
 

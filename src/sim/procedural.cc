@@ -1,7 +1,9 @@
 #include "sim/procedural.h"
 
-#include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
 
 #include "netbase/rng.h"
 
@@ -19,13 +21,28 @@ void ProceduralWorld::configure(std::uint64_t seed, std::uint32_t first_addr,
 }
 
 void ProceduralWorld::freeze() {
-  assert(!entries_.empty());
-  cumulative_.clear();
-  cumulative_.reserve(entries_.size());
+  using Index = decltype(entry_of_draw_)::value_type;
+  constexpr std::size_t kMaxEntries =
+      std::size_t{std::numeric_limits<Index>::max()} + 1;
+  if (entries_.size() > kMaxEntries) {
+    std::fprintf(stderr,
+                 "ProceduralWorld::freeze: %zu catalog entries, the draw "
+                 "table indexes at most %zu\n",
+                 entries_.size(), kMaxEntries);
+    std::abort();
+  }
   std::uint64_t total = 0;
-  for (const ProceduralEntry& entry : entries_) {
-    total += entry.weight;
-    cumulative_.push_back(total);
+  for (const ProceduralEntry& entry : entries_) total += entry.weight;
+  if (total == 0) {
+    std::fprintf(stderr, "ProceduralWorld::freeze: the catalog weighs "
+                         "nothing\n");
+    std::abort();
+  }
+  entry_of_draw_.clear();
+  entry_of_draw_.reserve(total);
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    entry_of_draw_.insert(entry_of_draw_.end(), entries_[i].weight,
+                          static_cast<Index>(i));
   }
   total_weight_ = total;
   frozen_ = true;
@@ -41,9 +58,7 @@ BlockFacts ProceduralWorld::block_facts(std::uint32_t block) const {
   }
   const std::uint64_t draw =
       net::mix_u64(seed_, block, 0xCA7Au) % total_weight_;
-  const auto it =
-      std::upper_bound(cumulative_.begin(), cumulative_.end(), draw);
-  const ProceduralEntry& entry = entries_[it - cumulative_.begin()];
+  const ProceduralEntry& entry = entries_[entry_of_draw_[draw]];
   facts.as = entry.as;
   facts.country = entry.country;
   return facts;

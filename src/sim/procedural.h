@@ -12,9 +12,9 @@
 //
 // Determinism contract (DESIGN.md §10): every derivation is a pure
 // function of (world seed, block). Two lookups of the same block — from
-// any thread, any lane, any --jobs value, cached or not — return
-// identical facts, so procedural state commutes with parallel execution
-// exactly like the topology's table does.
+// any thread, any lane, any --jobs value — return identical facts, so
+// procedural state commutes with parallel execution exactly like the
+// topology's table does.
 #pragma once
 
 #include <cstdint>
@@ -46,12 +46,16 @@ class ProceduralWorld {
 
   void add_entry(ProceduralEntry entry) { entries_.push_back(entry); }
 
-  // Builds the cumulative-weight index; call once after the last
-  // add_entry. Aborts if no entries were registered.
+  // Builds the draw -> entry table; call once after the last add_entry.
+  // Aborts if the catalog weighs nothing (no entries, or all of weight
+  // 0) or has more entries than the table's index type can name.
   void freeze();
 
   [[nodiscard]] bool enabled() const { return enabled_; }
   [[nodiscard]] std::uint32_t first_addr() const { return first_addr_; }
+  [[nodiscard]] const std::vector<ProceduralEntry>& entries() const {
+    return entries_;
+  }
 
   [[nodiscard]] bool covers(net::Ipv4Addr addr) const {
     return enabled_ && addr.value() >= first_addr_ &&
@@ -59,8 +63,8 @@ class ProceduralWorld {
   }
 
   // Derives the facts of /24 block `block` (= addr >> 8). Pure in
-  // (seed, block); O(log entries). One derivation serves 256 consecutive
-  // addresses (the block cache in ProbeContext).
+  // (seed, block); O(1): one mix for the unrouted coin, one for the
+  // weighted draw, and a table read.
   [[nodiscard]] BlockFacts block_facts(std::uint32_t block) const;
 
  private:
@@ -73,7 +77,10 @@ class ProceduralWorld {
   // space every full-IPv4 sweep wastes probes on).
   std::uint32_t unrouted_percent_ = 24;
   std::vector<ProceduralEntry> entries_;
-  std::vector<std::uint64_t> cumulative_;  // inclusive prefix sums of weight
+  // entry_of_draw_[d] is the index of the entry that weighted draw d in
+  // [0, total_weight_) selects: one run of `weight` copies per entry, in
+  // catalog order.
+  std::vector<std::uint8_t> entry_of_draw_;
   std::uint64_t total_weight_ = 0;
 };
 

@@ -68,9 +68,9 @@ struct World {
 
   // The one facts lookup: the facts of /24 block `block` (= addr >> 8),
   // derived above the procedural boundary and read from the topology's
-  // per-/24 table below it. The per-probe hot loop
-  // (ProbeContext::resolve_batch) caches procedural derivations per lane;
-  // connects, collectors and analysis use the helpers below.
+  // per-/24 table below it. Internet::resolve_target (the step the probe
+  // hot loop takes per target) calls it once per address; collectors and
+  // analysis use the helpers below.
   [[nodiscard]] BlockFacts block_facts(std::uint32_t block) const {
     if (procedural.covers(net::Ipv4Addr(block << 8))) {
       return procedural.block_facts(block);
@@ -89,8 +89,8 @@ struct World {
   }
 
   // The host behind `addr`, derived from its block's AS: nullopt for
-  // unrouted space and empty addresses. resolve_batch takes the same
-  // step per target, reusing one facts fetch per /24 run.
+  // unrouted space and empty addresses. Internet::resolve_target takes
+  // the same step on its one facts fetch.
   [[nodiscard]] std::optional<Host> host_at(net::Ipv4Addr addr) const {
     const BlockFacts facts = block_facts(addr.value() >> 8);
     if (facts.as == kNoAs) return std::nullopt;
