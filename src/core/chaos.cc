@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <iterator>
 #include <optional>
 #include <stdexcept>
 
@@ -50,24 +51,12 @@ ExperimentConfig soak_config(const ChaosOptions& options,
 // and corruption only interrupt persistence or transport and must leave
 // the scan bytes of every surviving cell untouched.
 fault::FaultPlan without_kill_class(const fault::FaultPlan& plan) {
-  std::string spec;
-  for (const fault::FaultClause& clause : plan.clauses()) {
-    switch (clause.point) {
-      case fault::Point::kCellCrash:
-      case fault::Point::kWorkerKill:
-      case fault::Point::kWorkerStall:
-      case fault::Point::kEnospc:
-      case fault::Point::kSegmentCorrupt:
-      case fault::Point::kFrameGarble:
-        break;
-      default:
-        if (!spec.empty()) spec += ';';
-        spec += clause.to_string();
-        break;
-    }
-  }
-  if (spec.empty()) return {};
-  return *fault::FaultPlan::parse(spec);
+  std::vector<fault::FaultClause> kept;
+  std::copy_if(plan.clauses().begin(), plan.clauses().end(),
+               std::back_inserter(kept), [](const fault::FaultClause& c) {
+                 return !fault::kill_class(c.point);
+               });
+  return fault::FaultPlan(std::move(kept));
 }
 
 struct GridView {

@@ -81,9 +81,9 @@ ChaosEpisode make_chaos_episode(std::uint64_t seed, std::uint64_t round,
                                       slots / 8, 0.05 + 0.35 * rng.unit(12)));
   }
   if (rng.unit(13) < 0.3) {
-    std::string clause = window_clause(
-        "outage", "sec", rng.below(14, scan_seconds - scan_seconds / 16),
-        scan_seconds / 16, 1.0);
+    const std::uint64_t lo = rng.below(14, scan_seconds - scan_seconds / 16);
+    std::string clause = "outage:sec=" + std::to_string(lo) + ".." +
+                         std::to_string(lo + scan_seconds / 16);
     if (rng.unit(15) < 0.5) {
       clause += ",origin=" + std::to_string(rng.below(16, 4));
     }

@@ -14,29 +14,13 @@
 // of parallel execution as an oracle — a run that recovers from every
 // injected fault must reproduce the fault-free golden run byte for byte.
 //
-// Injection points (the registry; tests/faultpoint_registry_test.cc
-// asserts every one of these is exercised):
-//
-//   point          layer               spec clause
-//   -------------  ------------------  -----------------------------------
-//   probe_drop     ZMapScanner / sim   drop:slot=A..B,p=P   (slot window)
-//                                      drop:sec=A..B,p=P    (time window)
-//   outage         sim::Internet       outage:sec=A..B[,origin=K]
-//   send_fail      ZMapScanner         send_fail:slot=A..B,p=P
-//   mac_corrupt    ZMapScanner         mac_corrupt:slot=A..B,p=P
-//   connect_rst    ZGrabEngine         rst:host%M==K[,attempts=N][,p=P]
-//   banner_trunc   ZGrabEngine         banner_trunc:host%M==K[,...]
-//   banner_stall   ZGrabEngine         banner_stall:host%M==K[,...]
-//   cell_crash     core::CellSupervisor  cell_crash:cell=K
-//   cell_hang      core::CellSupervisor  cell_hang:cell=K,sec=S[,attempts=N]
-//   worker_kill    core::run_worker    worker_kill:worker=W        (pre-HELLO)
-//                                      worker_kill:cell=K,phase=claim|segment
-//                                      |done[,attempts=N]
-//   worker_stall   core::run_worker    worker_stall:worker=W       (pre-HELLO)
-//                                      worker_stall:cell=K,phase=...[,attempts=N]
-//   enospc         core::ExperimentJournal  enospc:bytes=N
-//   segment_corrupt core::ExperimentJournal segment_corrupt:file=N[,count=C]
-//   frame_garble   core::run_worker    frame_garble:worker=W,frame=N[,count=C]
+// The injection points are the rows of OSN_FAULT_POINTS below, the one
+// place a point is declared: its names, the clause arguments it takes,
+// its recoverability class, its hash salt and what must be present for
+// a run to consult it. Adding a point means one row there, plus its
+// query on FaultInjector and its tap at the consuming layer (and, when
+// it has one, its fault.<name> counter in obsv/metrics.h).
+// tests/faultpoint_registry_test.cc asserts every point is exercised.
 //
 // Recoverable faults (send_fail and the three ZGrab faults) are absorbed
 // by pipeline machinery — the send retry loop and the RetryPolicy
@@ -88,6 +72,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "netbase/ipv4.h"
@@ -95,27 +80,97 @@
 
 namespace originscan::fault {
 
-// The injection-point registry. Every enumerator must appear in
-// point_name() and be exercised by at least one test
-// (tests/faultpoint_registry_test.cc enforces the latter).
-enum class Point : int {
-  kProbeDrop = 0,
-  kOutage,
-  kSendFail,
-  kMacCorrupt,
-  kConnectRst,
-  kBannerTruncate,
-  kBannerStall,
-  kCellCrash,
-  kCellHang,
-  kWorkerKill,
-  kWorkerStall,
-  kEnospc,
-  kSegmentCorrupt,
-  kFrameGarble,
+// Clause argument keys, one bit each. Each key has one validator in
+// FaultPlan::parse; a key given twice in one clause is refused.
+namespace key {
+enum : std::uint32_t {
+  kSlot = 1u << 0,       // slot=A..B   inclusive packet-slot window
+  kSec = 1u << 1,        // sec=A..B    inclusive virtual-second window
+  kHost = 1u << 2,       // host%M==K   hosts with addr % M == K
+  kCell = 1u << 3,       // cell=K      global grid cell index
+  kHangSec = 1u << 4,    // sec=S       stall of S > 0 virtual seconds
+  kWorker = 1u << 5,     // worker=W    worker index 0..255
+  kPhase = 1u << 6,      // phase=hello|claim|segment|done
+  kFile = 1u << 7,       // file=N      Nth durable journal file
+  kFrame = 1u << 8,      // frame=N     Nth frame a worker sends
+  kBytes = 1u << 9,      // bytes=N     journal byte budget
+  kAttempts = 1u << 10,  // attempts=N  first N attempts/grants, 1..16
+  kCount = 1u << 11,     // count=C     C consecutive files/frames, 1..64
+  kP = 1u << 12,         // p=P         per-event probability in [0, 1]
+  kOrigin = 1u << 13,    // origin=K    origin id 0..255
+};
+}  // namespace key
+
+// What an experiment run needs before anything in it consults a point.
+enum class Consumer : int {
+  kAnyRun = 0,  // every run
+  kWorkers,     // worker processes (originscan --workers)
+  kJournal,     // the experiment journal (originscan --resume-dir)
 };
 
-inline constexpr int kPointCount = 14;
+// The injection-point registry: one row per point.
+//
+// X(symbol, name, keyword, keys, required, recoverable, salt, consumer,
+//   kill_class)
+//   name         point_name(), and the fault.<name> counter where the
+//                point has one
+//   keyword      the clause keyword in spec strings
+//   keys         the argument keys the clause accepts
+//   required     the keys it must give. Two pairs are alternatives,
+//                checked in parse: drop takes one of slot= / sec=, the
+//                worker faults one of worker= / cell=,phase=.
+//   recoverable  absorbed by pipeline machinery inside the faulted run
+//   salt         the fault-decision hash salt. 0xFA017007 belonged to a
+//                retired point and stays unused, so no schedule moves.
+//   consumer     see Consumer
+//   kill_class   only interrupts persistence or transport (kills, worker
+//                deaths, storage exhaustion, corruption): the scan bytes
+//                of every surviving cell stay as a run without it
+#define OSN_FAULT_POINTS(X)                                                   \
+  X(kProbeDrop, "probe_drop", "drop", key::kSlot | key::kSec | key::kP, 0,   \
+    false, 0xFA017000, kAnyRun, false)                                        \
+  X(kOutage, "outage", "outage", key::kSec | key::kOrigin, key::kSec, false, \
+    0xFA017001, kAnyRun, false)                                               \
+  X(kSendFail, "send_fail", "send_fail", key::kSlot | key::kP, key::kSlot,   \
+    true, 0xFA017002, kAnyRun, false)                                         \
+  X(kMacCorrupt, "mac_corrupt", "mac_corrupt", key::kSlot | key::kP,         \
+    key::kSlot, false, 0xFA017003, kAnyRun, false)                            \
+  X(kConnectRst, "connect_rst", "rst", key::kHost | key::kAttempts | key::kP, \
+    key::kHost, true, 0xFA017004, kAnyRun, false)                             \
+  X(kBannerTruncate, "banner_trunc", "banner_trunc",                         \
+    key::kHost | key::kAttempts | key::kP, key::kHost, true, 0xFA017005,     \
+    kAnyRun, false)                                                           \
+  X(kBannerStall, "banner_stall", "banner_stall",                            \
+    key::kHost | key::kAttempts | key::kP, key::kHost, true, 0xFA017006,     \
+    kAnyRun, false)                                                           \
+  X(kCellCrash, "cell_crash", "cell_crash", key::kCell, key::kCell, false,   \
+    0xFA017008, kAnyRun, true)                                                \
+  X(kCellHang, "cell_hang", "cell_hang",                                     \
+    key::kCell | key::kHangSec | key::kAttempts, key::kCell | key::kHangSec, \
+    false, 0xFA017009, kAnyRun, false)                                        \
+  X(kWorkerKill, "worker_kill", "worker_kill",                               \
+    key::kWorker | key::kCell | key::kPhase | key::kAttempts, 0, false,      \
+    0xFA01700A, kWorkers, true)                                               \
+  X(kWorkerStall, "worker_stall", "worker_stall",                            \
+    key::kWorker | key::kCell | key::kPhase | key::kAttempts, 0, false,      \
+    0xFA01700B, kWorkers, true)                                               \
+  X(kEnospc, "enospc", "enospc", key::kBytes, key::kBytes, false,            \
+    0xFA01700C, kJournal, true)                                               \
+  X(kSegmentCorrupt, "segment_corrupt", "segment_corrupt",                   \
+    key::kFile | key::kCount, key::kFile, false, 0xFA01700D, kJournal, true) \
+  X(kFrameGarble, "frame_garble", "frame_garble",                            \
+    key::kWorker | key::kFrame | key::kCount, key::kWorker | key::kFrame,    \
+    false, 0xFA01700E, kWorkers, true)
+
+enum class Point : int {
+#define OSN_X(symbol, ...) symbol,
+  OSN_FAULT_POINTS(OSN_X)
+#undef OSN_X
+};
+
+#define OSN_X(...) +1
+inline constexpr int kPointCount = 0 OSN_FAULT_POINTS(OSN_X);
+#undef OSN_X
 
 // Protocol phases at which the worker faults can fire (the checkpoints
 // core::run_worker queries). kHello is the `worker=W` form — the worker
@@ -131,6 +186,8 @@ enum class WorkerPhase : int {
 
 [[nodiscard]] std::string_view point_name(Point point);
 [[nodiscard]] std::span<const Point> all_points();
+[[nodiscard]] Consumer consumer(Point point);
+[[nodiscard]] bool kill_class(Point point);
 
 // One parsed clause of a fault spec.
 struct FaultClause {
@@ -138,7 +195,7 @@ struct FaultClause {
 
   // Windowed faults (probe_drop, outage, send_fail, mac_corrupt):
   // inclusive [lo, hi] range of global packet slots or whole seconds of
-  // virtual time, with per-event probability p.
+  // virtual time, with per-event probability p (an outage always fires).
   enum class Unit { kSlot, kSeconds } unit = Unit::kSlot;
   std::uint64_t lo = 0;
   std::uint64_t hi = 0;
@@ -181,15 +238,20 @@ struct FaultClause {
 
   [[nodiscard]] bool recoverable() const;
   [[nodiscard]] std::string to_string() const;
+
+  bool operator==(const FaultClause&) const = default;
 };
 
 // A parsed fault plan: an ordered list of clauses.
 class FaultPlan {
  public:
   FaultPlan() = default;
+  explicit FaultPlan(std::vector<FaultClause> clauses)
+      : clauses_(std::move(clauses)) {}
 
   // Parses a spec string (clauses separated by ';'). Returns nullopt on
-  // any syntax error — unknown clause, malformed or reversed range,
+  // any syntax error — unknown clause, a key the clause does not take or
+  // gives twice, a missing required key, malformed or reversed range,
   // numeric overflow, probability outside [0, 1], zero modulus, or an
   // empty spec — and, when `error` is non-null, stores a human-readable
   // reason.
@@ -310,11 +372,17 @@ class FaultInjector {
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
 
  private:
-  [[nodiscard]] bool window_hit(const FaultClause& clause,
-                                FaultClause::Unit unit, std::uint64_t value,
-                                std::uint64_t stream) const;
+  // Whether some `point` clause whose `unit` window holds `value` fires
+  // (each p-coin is drawn from `stream`); records the hit.
+  [[nodiscard]] bool window_fires(Point point, FaultClause::Unit unit,
+                                  std::uint64_t value,
+                                  std::uint64_t stream) const;
   [[nodiscard]] bool worker_fault(Point point, int worker, WorkerPhase phase,
                                   std::uint64_t cell, int grant) const;
+  // The first `point` clause that `match` accepts, recording the hit;
+  // nullptr when none does.
+  template <typename Match>
+  const FaultClause* first_hit(Point point, Match match) const;
   void record(Point point) const {
     hits_[static_cast<int>(point)].fetch_add(1, std::memory_order_relaxed);
   }

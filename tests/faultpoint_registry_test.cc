@@ -41,6 +41,44 @@ TEST(FaultpointRegistry, AllPointsNamedAndDistinct) {
   }
 }
 
+TEST(FaultpointRegistry, EveryTappedPointHasItsCounter) {
+  // The two registries stay in step: each point but the worker faults
+  // (which fire in a forked worker, where no counter could reach the
+  // master) has a fault.<point_name> counter, and every fault.* counter
+  // names a point.
+  std::set<std::string> fault_counters;
+  for (int i = 0; i < obsv::kCounterCount; ++i) {
+    const std::string_view name =
+        obsv::counter_name(static_cast<obsv::Counter>(i));
+    if (name.starts_with("fault.")) fault_counters.emplace(name);
+  }
+  std::set<std::string> expected;
+  for (Point point : all_points()) {
+    if (point == Point::kWorkerKill || point == Point::kWorkerStall) continue;
+    expected.insert("fault." + std::string(point_name(point)));
+  }
+  EXPECT_EQ(fault_counters, expected);
+}
+
+TEST(FaultpointRegistry, ConsumerAndKillClassColumns) {
+  std::set<std::string_view> workers;
+  std::set<std::string_view> journal;
+  std::set<std::string_view> kill;
+  for (Point point : all_points()) {
+    const std::string_view name = point_name(point);
+    if (consumer(point) == Consumer::kWorkers) workers.insert(name);
+    if (consumer(point) == Consumer::kJournal) journal.insert(name);
+    if (kill_class(point)) kill.insert(name);
+  }
+  EXPECT_EQ(workers, (std::set<std::string_view>{"worker_kill", "worker_stall",
+                                                 "frame_garble"}));
+  EXPECT_EQ(journal,
+            (std::set<std::string_view>{"enospc", "segment_corrupt"}));
+  EXPECT_EQ(kill, (std::set<std::string_view>{
+                      "cell_crash", "worker_kill", "worker_stall", "enospc",
+                      "segment_corrupt", "frame_garble"}));
+}
+
 TEST(FaultpointRegistry, EveryPointIsExercised) {
   // One clause per registered point. Host selectors are disjoint mod-3
   // classes so the single-winner l7_fault lookup cannot shadow a clause.
@@ -216,8 +254,28 @@ TEST(FaultPlanSemantics, RoundTripsThroughToString) {
     const FaultPlan plan = must_parse(spec);
     const FaultPlan reparsed = must_parse(plan.to_string());
     EXPECT_EQ(plan.to_string(), reparsed.to_string()) << spec;
-    EXPECT_EQ(plan.clauses().size(), reparsed.clauses().size()) << spec;
+    EXPECT_EQ(plan.clauses(), reparsed.clauses()) << spec;
   }
+}
+
+TEST(FaultPlanSemantics, ProbabilityRoundTripsExactly) {
+  // More significant digits than printf's %g keeps: the rendering must
+  // still parse back to the same double, hence the same fault schedule.
+  for (const char* spec :
+       {"drop:slot=0..9,p=0.1234567", "drop:slot=0..9,p=1.23456789e-07"}) {
+    const FaultPlan plan = must_parse(spec);
+    const FaultPlan reparsed = must_parse(plan.to_string());
+    EXPECT_EQ(plan.clauses(), reparsed.clauses())
+        << spec << " -> " << plan.to_string();
+  }
+  // Up to 6 significant digits, p renders as it did under %g.
+  EXPECT_EQ(must_parse("drop:slot=0..9,p=0.123456").to_string(),
+            "drop:slot=0..9,p=0.123456");
+  EXPECT_EQ(must_parse("drop:slot=0..9,p=0.0001").to_string(),
+            "drop:slot=0..9,p=0.0001");
+  EXPECT_EQ(must_parse("drop:slot=0..9,p=1e-05").to_string(),
+            "drop:slot=0..9,p=1e-05");
+  EXPECT_EQ(must_parse("drop:slot=0..9").to_string(), "drop:slot=0..9,p=1");
 }
 
 TEST(FaultPlanSemantics, RejectsMalformedSpecs) {
@@ -266,6 +324,10 @@ TEST(FaultPlanSemantics, RejectsMalformedSpecs) {
       "frame_garble:worker=0",        // missing frame index
       "frame_garble:worker=256,frame=0",  // worker index out of range
       "frame_garble:worker=0,frame=1,count=65",  // count above cap
+      "outage:sec=0..1,p=0.5",        // outage takes no probability
+      "drop:slot=0..9,sec=1..2",      // slot= and sec= together
+      "cell_crash:cell=1,cell=5",     // a key given twice
+      "rst:host%2==0,host%3==1",      // a host selector given twice
   };
   for (const char* spec : bad) {
     std::string error;

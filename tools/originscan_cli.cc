@@ -250,17 +250,13 @@ bool write_observability(const Args& args, const obsv::MetricBlock& metrics,
 }
 
 // The flag without which nothing in an experiment run consults `clause`,
-// or nullptr when the run as configured does: the worker faults fire
-// only in worker processes, the storage faults only in the journal.
+// or nullptr when the run as configured does.
 const char* missing_consumer(const fault::FaultClause& clause,
                              const Args& args) {
-  switch (clause.point) {
-    case fault::Point::kWorkerKill:
-    case fault::Point::kWorkerStall:
-    case fault::Point::kFrameGarble:
+  switch (fault::consumer(clause.point)) {
+    case fault::Consumer::kWorkers:
       return args.workers == 0 ? "--workers" : nullptr;
-    case fault::Point::kEnospc:
-    case fault::Point::kSegmentCorrupt:
+    case fault::Consumer::kJournal:
       return args.resume_dir.empty() ? "--resume-dir" : nullptr;
     default:
       return nullptr;
