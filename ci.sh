@@ -8,7 +8,10 @@
 #   full      build + the whole suite (unit, metrics, property,
 #             differential, crash, dist, chaos, service, docs, slow),
 #             the bounded-RSS full-universe scale lane, the bench
-#             regression gate, + the perfbench stage
+#             regression gate, + the perfbench stage. The crash label
+#             includes journal_salvage: four damaged copies of a journal
+#             (flipped segment byte, garbled, deleted and unknown-origin
+#             MANIFEST lines) each resume to the clean run's results
 #   service   build + the originscand daemon battery (`ctest -L
 #             service`, incl. scan_matches_daemon: solo scan == daemon
 #             answer at --probes 1), the docs consistency checks, and

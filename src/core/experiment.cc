@@ -343,105 +343,95 @@ std::vector<std::optional<IdsSnapshot>> GridRecorder::adopt_journal() {
   const std::size_t total = experiment_.cell_count();
   std::vector<std::optional<IdsSnapshot>> latest(origin_count);
 
-  // Every journal entry must map into this grid (the fingerprint check
-  // at open makes a mismatch here a corrupt journal, not a config
-  // change).
+  const auto count = [&](obsv::Counter counter) {
+    if (config.metrics != nullptr) config.metrics->add(counter);
+  };
+  const auto trace_quarantine = [&](const CellKey& key,
+                                    const std::string& error) {
+    if (config.trace != nullptr) {
+      config.trace->instant("journal", "journal.quarantine",
+                            net::VirtualTime{},
+                            {{"cell", track_of(key)}, {"error", error}});
+    }
+  };
+
+  // An entry naming a cell outside this grid belongs to no chain (the
+  // fingerprint check at open makes it a garbled line, not a config
+  // change): it is quarantined like a corrupt cell. The cell its line
+  // once named, if any, is missing now and breaks its chain below.
+  std::vector<CellKey> outside;
   for (const JournalEntry& entry : journal_->entries()) {
-    if (experiment_.origin_id(entry.key.origin_code) == ~sim::OriginId{0}) {
-      throw std::runtime_error("journal names unknown origin \"" +
-                               entry.key.origin_code + "\"");
-    }
-    const bool known_protocol =
+    const CellKey& key = entry.key;
+    const bool in_grid =
+        experiment_.origin_id(key.origin_code) != ~sim::OriginId{0} &&
         std::find(config.protocols.begin(), config.protocols.end(),
-                  entry.key.protocol) != config.protocols.end();
-    if (!known_protocol || entry.key.trial < 0 ||
-        entry.key.trial >= config.trials) {
-      throw std::runtime_error(
-          "journal entry outside the experiment grid: " +
-          entry.key.origin_code + " " +
-          std::string(proto::name_of(entry.key.protocol)) + " trial " +
-          std::to_string(entry.key.trial));
-    }
+                  key.protocol) != config.protocols.end() &&
+        key.trial >= 0 && key.trial < config.trials;
+    if (!in_grid) outside.push_back(key);
+  }
+  for (const CellKey& key : outside) {
+    journal_->quarantine(key);
+    count(obsv::Counter::kJournalQuarantinedCells);
+    trace_quarantine(key, "outside the experiment grid");
   }
 
-  // Adopt per origin, in chain order. Entries must form a prefix of
-  // the origin's chain: the journal appends in execution order, so a
-  // gap means lost manifest lines — the IDS snapshots after the gap
-  // would no longer describe the state their cells actually saw.
+  // Adopt per origin, walking its chain in grid order under the salvage
+  // rule (ExperimentJournal::salvage). The walk breaks at the first cell
+  // that is missing or fails verification: the IDS snapshots after it no
+  // longer describe the state their cells saw, so every later entry of
+  // the chain is quarantined (demoted to absent in memory) and re-runs
+  // from the last adopted snapshot. Each re-run appends a fresh manifest
+  // line that supersedes the old one (last-wins replay).
   for (std::size_t origin = 0; origin < origin_count; ++origin) {
-    bool gap = false;
-    // Set when a cell of this origin's chain fails segment/sidecar
-    // verification: the cell is quarantined (demoted to absent, re-run on
-    // this resume) and every later entry in the chain is demoted with it
-    // — their IDS provenance includes the cell that went bad.
-    bool quarantined = false;
+    bool chain_broken = false;
     for (std::size_t slot = origin; slot < total; slot += origin_count) {
       const CellKey key = experiment_.cell_key_at(slot);
       const JournalEntry* entry = journal_->find(key);
       if (entry == nullptr) {
-        gap = true;
+        chain_broken = true;
         continue;
       }
-      if (quarantined) {
-        journal_->quarantine(key);
-        if (config.metrics != nullptr) {
-          config.metrics->add(obsv::Counter::kJournalQuarantinedFollowers);
-        }
-        continue;
-      }
-      if (gap) {
-        throw std::runtime_error(
-            "journal for origin " + key.origin_code +
-            " is not a chain prefix: cell " +
-            std::string(proto::name_of(key.protocol)) + " trial " +
-            std::to_string(key.trial) + " follows a missing cell");
-      }
-      if (entry->status == JournalEntry::Status::kLost) {
-        // A lost cell stays lost on resume: its chain already moved
-        // past it, so re-running it now would see later IDS state.
-        experiment_.lost_[slot] = true;
-        continue;
-      }
-      std::string load_error;
+      std::optional<scan::ScanResult> result;
       IdsSnapshot snapshot;
+      std::string load_error;
       obsv::MetricBlock delta;
-      auto result =
-          journal_->load_cell(*entry, &snapshot, &load_error,
-                              config.metrics != nullptr ? &delta : nullptr);
-      if (!result.has_value()) {
-        // Salvage, not abort: the segment or a sidecar failed CRC /
-        // digest / parse checks. Demote the cell to absent — it re-runs
-        // from the origin's last good snapshot and its fresh manifest
-        // line supersedes the bad one (last-wins replay).
-        journal_->quarantine(key);
-        if (config.metrics != nullptr) {
-          config.metrics->add(obsv::Counter::kJournalQuarantinedCells);
-        }
-        if (config.trace != nullptr) {
-          config.trace->instant("journal", "journal.quarantine",
-                                net::VirtualTime{},
-                                {{"cell", track_of(key)}, {"error", load_error}});
-        }
-        quarantined = true;
-        continue;
+      switch (journal_->salvage(*entry, chain_broken, result, &snapshot,
+                                &load_error,
+                                config.metrics != nullptr ? &delta : nullptr)) {
+        case Verdict::kLost:
+          // A lost cell stays lost on resume: its chain already moved
+          // past it, so re-running it now would see later IDS state.
+          experiment_.lost_[slot] = true;
+          break;
+        case Verdict::kCorrupt:
+          journal_->quarantine(key);
+          count(obsv::Counter::kJournalQuarantinedCells);
+          trace_quarantine(key, load_error);
+          break;
+        case Verdict::kFollower:
+          journal_->quarantine(key);
+          count(obsv::Counter::kJournalQuarantinedFollowers);
+          break;
+        case Verdict::kOk:
+          // Replaying the cell's persisted delta (instead of its scan) is
+          // what makes resumed and uninterrupted runs' snapshots
+          // byte-identical.
+          if (config.metrics != nullptr) config.metrics->merge_block(delta);
+          if (config.trace != nullptr) {
+            config.trace->instant(
+                "journal", "journal.replay", net::VirtualTime{},
+                {{"cell", track_of(key)},
+                 {"records", std::to_string(result->records.size())}});
+          }
+          experiment_.results_[slot] = std::move(*result);
+          adopted_[slot] = true;
+          ++report_.cells_adopted;
+          // The latest done cell's snapshot is cumulative for the origin
+          // (serial chain, disjoint source IPs): restoring it puts the IDS
+          // exactly where the chain's next un-run cell expects it.
+          latest[origin] = std::move(snapshot);
+          break;
       }
-      // Replaying the cell's persisted delta (instead of its scan) is
-      // what makes resumed and uninterrupted runs' snapshots
-      // byte-identical.
-      if (config.metrics != nullptr) config.metrics->merge_block(delta);
-      if (config.trace != nullptr) {
-        config.trace->instant(
-            "journal", "journal.replay", net::VirtualTime{},
-            {{"cell", track_of(key)},
-             {"records", std::to_string(result->records.size())}});
-      }
-      experiment_.results_[slot] = std::move(*result);
-      adopted_[slot] = true;
-      ++report_.cells_adopted;
-      // The latest done cell's snapshot is cumulative for the origin
-      // (serial chain, disjoint source IPs): restoring it puts the IDS
-      // exactly where the chain's next un-run cell expects it.
-      latest[origin] = std::move(snapshot);
     }
   }
   return latest;

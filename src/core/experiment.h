@@ -114,16 +114,13 @@ class Experiment {
   // contract extends across the kill: a run killed after any cell and
   // resumed — at any jobs value — produces results byte-identical to an
   // uninterrupted run. `journal` may be null (plain supervised run, no
-  // persistence). A journaled cell whose segment or sidecar fails
-  // verification is quarantined — demoted to absent along with every
-  // later cell of its origin's chain (counted in journal.quarantined_*)
-  // and re-executed — rather than aborting the resume. A journal write
+  // persistence). No journal content aborts a resume: each origin's
+  // chain adopts its verified prefix, and from the first cell that is
+  // missing or fails verification on, the chain is quarantined (counted
+  // in journal.quarantined_*) and re-executed. A journal write
   // failure (ENOSPC, I/O error) fails the cell, not the run: the cell
   // is recorded lost and, once the journal reports storage_dead,
   // remaining cells fail fast instead of scanning into a dead disk.
-  // Throws std::runtime_error only on structural mismatch: unknown
-  // origins, entries outside the grid, or a journal that is not a
-  // per-origin chain prefix of this grid.
   RunReport run_journaled(
       ExperimentJournal* journal, const SupervisorPolicy& policy = {},
       const std::function<void(std::string_view)>& progress = {});
@@ -233,8 +230,7 @@ class GridRecorder {
   // (enospc, segment_corrupt) into the recorder's fault block, and adopts
   // the journal. Returns each origin's latest journaled IDS snapshot
   // (nullopt = the chain starts fresh) WITHOUT restoring it: only a
-  // process that scans needs live IDS state. Throws std::runtime_error
-  // on a journal that does not fit the grid.
+  // process that scans needs live IDS state.
   std::vector<std::optional<IdsSnapshot>> start();
 
   // Adopted from the journal, or lost (in the journal or earlier in this
@@ -275,11 +271,11 @@ class GridRecorder {
   RunReport killed(std::string reason);
 
  private:
-  // Validates every journal entry against the grid and adopts the
-  // per-origin chain prefixes into results_/lost_ (merging persisted
-  // metric deltas, emitting journal.replay trace instants). Cells whose
-  // segment or sidecar fails verification are quarantined with the rest
-  // of their chain and re-run.
+  // The one place that decides salvage (DESIGN.md "Salvage"): adopts
+  // each origin's verified chain prefix into results_/lost_ (merging
+  // persisted metric deltas, emitting journal.replay trace instants) and
+  // quarantines the rest of the chain from the first missing or corrupt
+  // cell on, plus any entry outside the grid, so it re-runs.
   std::vector<std::optional<IdsSnapshot>> adopt_journal();
   void mark_lost(std::size_t slot, const std::string& reason);
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -101,9 +102,31 @@ std::set<std::uint32_t> ip_set(std::span<const net::Ipv4Addr> source_ips) {
   return out;
 }
 
+// A whole decimal int, nothing else.
+bool parse_int(std::string_view text, int& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
+
+// The manifest line of an entry: the one formatter, which
+// parse_manifest_line inverts.
+std::string manifest_line(const JournalEntry& entry) {
+  const bool done = entry.status == JournalEntry::Status::kDone;
+  std::string line = (done ? "done " : "lost ") + entry.key.origin_code +
+                     " " + std::string(proto::name_of(entry.key.protocol)) +
+                     " " + std::to_string(entry.key.trial) +
+                     " attempts=" + std::to_string(entry.attempts);
+  if (done) {
+    line += " sha256=" + entry.record_sha256 + " segment=" + entry.segment;
+  } else {
+    line += " reason=" + entry.reason;
+  }
+  return line;
+}
+
 // Parses one manifest body line ("done ..." / "lost ...") into an
-// entry. Returns nullopt on any malformation — open() treats that as a
-// hard error, repair() as a droppable line.
+// entry. Returns nullopt on any malformation; open() drops such a line.
 std::optional<JournalEntry> parse_manifest_line(std::string_view line) {
   const std::vector<std::string_view> tokens = split_ws(line);
   if (tokens.size() < 5 || (tokens[0] != "done" && tokens[0] != "lost")) {
@@ -116,11 +139,11 @@ std::optional<JournalEntry> parse_manifest_line(std::string_view line) {
   const auto protocol = proto::protocol_from_name(tokens[2]);
   if (!protocol.has_value()) return std::nullopt;
   entry.key.protocol = *protocol;
-  entry.key.trial = std::atoi(std::string(tokens[3]).c_str());
+  if (!parse_int(tokens[3], entry.key.trial)) return std::nullopt;
   for (std::size_t t = 4; t < tokens.size(); ++t) {
     const std::string_view token = tokens[t];
     if (token.rfind("attempts=", 0) == 0) {
-      entry.attempts = std::atoi(std::string(token.substr(9)).c_str());
+      if (!parse_int(token.substr(9), entry.attempts)) return std::nullopt;
     } else if (token.rfind("sha256=", 0) == 0) {
       entry.record_sha256 = std::string(token.substr(7));
     } else if (token.rfind("segment=", 0) == 0) {
@@ -368,14 +391,15 @@ std::optional<ExperimentJournal> ExperimentJournal::open(
   // Replay an existing manifest. A crash mid-append leaves a torn final
   // line with no newline; it references sidecars that were fully synced
   // before the append started, so dropping the line merely re-runs an
-  // already-complete cell — safe, if wasteful.
+  // already-complete cell — safe, if wasteful. A garbled line is dropped
+  // the same way.
   const std::string text(data->begin(), data->end());
   std::vector<std::string_view> lines;
   std::size_t start = 0;
   while (start < text.size()) {
     const std::size_t nl = text.find('\n', start);
     if (nl == std::string::npos) {
-      journal.dropped_torn_line_ = true;  // torn trailing line: dropped
+      ++journal.dropped_lines_;  // torn trailing line
       break;
     }
     lines.push_back(std::string_view(text).substr(start, nl - start));
@@ -407,11 +431,21 @@ std::optional<ExperimentJournal> ExperimentJournal::open(
   }
   for (std::size_t i = 1; i < lines.size(); ++i) {
     auto entry = parse_manifest_line(lines[i]);
-    if (!entry.has_value()) {
-      set_error(error, "malformed journal line: " + std::string(lines[i]));
+    if (entry.has_value()) {
+      journal.push_entry(std::move(*entry));
+    } else {
+      ++journal.dropped_lines_;
+    }
+  }
+  // A recording handle cuts a torn tail off, so its first append starts
+  // a line of its own instead of completing the torn one.
+  if (start < text.size() && !fingerprint.empty()) {
+    std::filesystem::resize_file(manifest_path, start, ec);
+    if (ec) {
+      set_error(error, "cannot truncate the torn line of " + manifest_path +
+                           ": " + ec.message());
       return std::nullopt;
     }
-    journal.push_entry(std::move(*entry));
   }
   return journal;
 }
@@ -427,108 +461,6 @@ void ExperimentJournal::push_entry(JournalEntry entry) {
                                 }),
                  entries_.end());
   entries_.push_back(std::move(entry));
-}
-
-std::optional<RepairReport> ExperimentJournal::repair(const std::string& dir,
-                                                      std::string* error) {
-  const std::string manifest_path = dir + "/MANIFEST";
-  const auto data = read_file_bytes(manifest_path);
-  if (!data.has_value()) {
-    set_error(error, "no journal manifest in " + dir);
-    return std::nullopt;
-  }
-  RepairReport report;
-
-  const std::string text(data->begin(), data->end());
-  std::vector<std::string_view> lines;
-  std::size_t start = 0;
-  while (start < text.size()) {
-    const std::size_t nl = text.find('\n', start);
-    if (nl == std::string::npos) {
-      ++report.lines_dropped_malformed;  // torn trailing line
-      break;
-    }
-    lines.push_back(std::string_view(text).substr(start, nl - start));
-    start = nl + 1;
-  }
-  constexpr std::string_view kHeaderPrefix = "osnr-journal v1 fingerprint=";
-  if (lines.empty() || !lines.front().starts_with(kHeaderPrefix)) {
-    // Without the header there is no fingerprint to bind a resume to —
-    // nothing below it can be trusted to belong to any experiment.
-    set_error(error, "journal header unreadable; nothing salvageable in " +
-                         manifest_path);
-    return std::nullopt;
-  }
-  report.fingerprint = std::string(lines.front().substr(kHeaderPrefix.size()));
-
-  // Replay tolerantly: malformed lines are dropped (counted), later
-  // lines for a key supersede earlier ones exactly as open() does.
-  ExperimentJournal scanner;
-  scanner.dir_ = dir;
-  scanner.fingerprint_ = report.fingerprint;
-  for (std::size_t i = 1; i < lines.size(); ++i) {
-    auto entry = parse_manifest_line(lines[i]);
-    if (!entry.has_value()) {
-      ++report.lines_dropped_malformed;
-      continue;
-    }
-    scanner.push_entry(std::move(*entry));
-  }
-
-  // Verify every done entry's artifacts and enforce the chain-prefix
-  // invariant per origin: once one of an origin's cells is dropped, every
-  // later entry of that origin rode on state that will now be re-derived,
-  // so it is demoted too (resume re-runs the whole suffix).
-  std::set<std::string> broken_origins;
-  std::vector<const JournalEntry*> kept;
-  for (const JournalEntry& entry : scanner.entries_) {
-    if (broken_origins.count(entry.key.origin_code) != 0) {
-      ++report.entries_dropped_followers;
-      continue;
-    }
-    if (entry.status == JournalEntry::Status::kDone) {
-      std::string load_error;
-      if (!scanner.load_cell(entry, nullptr, &load_error).has_value()) {
-        ++report.entries_dropped_corrupt;
-        broken_origins.insert(entry.key.origin_code);
-        continue;
-      }
-    }
-    kept.push_back(&entry);
-  }
-  report.entries_kept = kept.size();
-
-  // Rebuild the MANIFEST durably: tmp write + atomic rename, so a crash
-  // mid-repair leaves either the old manifest or the repaired one.
-  std::string rebuilt = std::string(kHeaderPrefix) + report.fingerprint + "\n";
-  for (const JournalEntry* entry : kept) {
-    const std::string prefix =
-        entry->key.origin_code + " " +
-        std::string(proto::name_of(entry->key.protocol)) + " " +
-        std::to_string(entry->key.trial) +
-        " attempts=" + std::to_string(entry->attempts);
-    if (entry->status == JournalEntry::Status::kDone) {
-      rebuilt += "done " + prefix + " sha256=" + entry->record_sha256 +
-                 " segment=" + entry->segment + "\n";
-    } else {
-      rebuilt += "lost " + prefix + " reason=" + entry->reason + "\n";
-    }
-  }
-  const std::string tmp_path = manifest_path + ".repair";
-  if (!write_file_durable(
-          tmp_path,
-          std::span(reinterpret_cast<const std::uint8_t*>(rebuilt.data()),
-                    rebuilt.size()),
-          error)) {
-    return std::nullopt;
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp_path, manifest_path, ec);
-  if (ec) {
-    set_error(error, "cannot replace " + manifest_path + ": " + ec.message());
-    return std::nullopt;
-  }
-  return report;
 }
 
 const JournalEntry* ExperimentJournal::find(const CellKey& key) const {
@@ -575,6 +507,13 @@ std::optional<scan::ScanResult> ExperimentJournal::load_cell(
     return std::nullopt;
   }
   scan::ScanResult result = std::move(results->front());
+  // A manifest line garbled into another valid key still points at a
+  // verifiable segment; the segment's own header says which cell it is.
+  const CellKey held{result.origin_code, result.protocol, result.trial};
+  if (!(held == entry.key)) {
+    set_error(error, "segment " + segment_path + " holds a different cell");
+    return std::nullopt;
+  }
 
   const std::string ids_path = dir_ + "/" + entry.segment + ".ids";
   const auto ids_bytes = read_file_bytes(ids_path);
@@ -610,6 +549,19 @@ std::optional<scan::ScanResult> ExperimentJournal::load_cell(
     }
   }
   return result;
+}
+
+Verdict ExperimentJournal::salvage(const JournalEntry& entry,
+                                   bool& chain_broken,
+                                   std::optional<scan::ScanResult>& result,
+                                   IdsSnapshot* snapshot, std::string* error,
+                                   obsv::MetricBlock* metrics) const {
+  if (chain_broken) return Verdict::kFollower;
+  if (entry.status == JournalEntry::Status::kLost) return Verdict::kLost;
+  result = load_cell(entry, snapshot, error, metrics);
+  if (result.has_value()) return Verdict::kOk;
+  chain_broken = true;
+  return Verdict::kCorrupt;
 }
 
 bool ExperimentJournal::record_done(const CellKey& key,
@@ -702,12 +654,7 @@ bool ExperimentJournal::record_done(const CellKey& key,
   entry.attempts = attempts;
   entry.record_sha256 = cell.record_sha256;
   entry.segment = stem;
-  const std::string line =
-      "done " + key.origin_code + " " +
-      std::string(proto::name_of(key.protocol)) + " " +
-      std::to_string(key.trial) + " attempts=" + std::to_string(attempts) +
-      " sha256=" + entry.record_sha256 + " segment=" + stem;
-  if (!append_manifest_line(line, error)) return false;
+  if (!append_manifest_line(manifest_line(entry), error)) return false;
   push_entry(std::move(entry));
   return true;
 }
@@ -720,12 +667,7 @@ bool ExperimentJournal::record_lost(const CellKey& key, int attempts,
   entry.key = key;
   entry.attempts = attempts;
   entry.reason = reason.empty() ? "unspecified" : reason;
-  const std::string line =
-      "lost " + key.origin_code + " " +
-      std::string(proto::name_of(key.protocol)) + " " +
-      std::to_string(key.trial) + " attempts=" + std::to_string(attempts) +
-      " reason=" + entry.reason;
-  if (!append_manifest_line(line, error)) return false;
+  if (!append_manifest_line(manifest_line(entry), error)) return false;
   push_entry(std::move(entry));
   return true;
 }

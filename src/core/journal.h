@@ -130,19 +130,11 @@ struct JournalEntry {
   std::string reason;         // lost only
 };
 
-// Outcome of ExperimentJournal::repair — how much of a damaged run
-// directory survived.
-struct RepairReport {
-  std::size_t entries_kept = 0;
-  // Manifest lines that did not parse (plus a torn trailing line).
-  std::size_t lines_dropped_malformed = 0;
-  // Done entries whose segment/sidecar failed CRC or digest checks.
-  std::size_t entries_dropped_corrupt = 0;
-  // Entries demoted because an earlier cell of their origin's chain was
-  // dropped: adopting them would violate the chain-prefix invariant.
-  std::size_t entries_dropped_followers = 0;
-  std::string fingerprint;
-};
+// The salvage verdict on one journal entry (DESIGN.md "Salvage"):
+// adopted as is, an honest loss that stays lost, a done cell that failed
+// verification, or an entry after the point where its origin's chain
+// broke. Corrupt cells and followers re-run on resume.
+enum class Verdict { kOk, kLost, kCorrupt, kFollower };
 
 // Append-only journal over one experiment run. Open once per process;
 // record_* calls are not internally synchronized (Experiment serializes
@@ -152,25 +144,17 @@ class ExperimentJournal {
   // Opens (creating if needed) the journal directory. `fingerprint`
   // identifies the experiment configuration (Experiment::
   // config_fingerprint); opening an existing journal with a different
-  // fingerprint fails — resuming under a changed config would silently
-  // produce a franken-run. An empty fingerprint is inspect mode: the
-  // journal must already exist and its own fingerprint is adopted
-  // (read-only use; never record cells through such a handle).
+  // fingerprint, or a manifest without a readable header, fails —
+  // resuming under a changed config would silently produce a
+  // franken-run. Past the header, a manifest line that does not parse
+  // (garbled, or torn by a crash mid-append) is dropped and counted in
+  // dropped_lines(): the cell it named is simply absent, and resume
+  // re-runs it with the rest of its chain. An empty fingerprint is
+  // inspect mode: the journal must already exist and its own fingerprint
+  // is adopted (read-only use; never record cells through such a handle).
   static std::optional<ExperimentJournal> open(const std::string& dir,
                                                const std::string& fingerprint,
                                                std::string* error = nullptr);
-
-  // Rewrites a damaged run directory in place so that everything
-  // survivable becomes resumable: malformed and torn manifest lines are
-  // dropped, done entries whose segment/sidecar fails verification are
-  // dropped, and — because an origin's cells form a serial chain —
-  // every entry after a dropped one in the same origin's chain is
-  // demoted too (adopting it would violate the chain-prefix invariant).
-  // The MANIFEST is rebuilt via a durable tmp-write + rename; orphaned
-  // segment files are left on disk (resume overwrites them). Requires a
-  // readable header line; everything after it is salvage.
-  static std::optional<RepairReport> repair(const std::string& dir,
-                                            std::string* error = nullptr);
 
   ExperimentJournal(ExperimentJournal&&) = default;
   ExperimentJournal& operator=(ExperimentJournal&&) = default;
@@ -185,9 +169,9 @@ class ExperimentJournal {
   [[nodiscard]] const std::vector<JournalEntry>& entries() const {
     return entries_;
   }
-  // Whether open() dropped a torn trailing manifest line (crash
-  // mid-append). Diagnostic only; the referenced cell simply re-runs.
-  [[nodiscard]] bool dropped_torn_line() const { return dropped_torn_line_; }
+  // Manifest lines open() dropped because they did not parse, a torn
+  // trailing line included.
+  [[nodiscard]] std::size_t dropped_lines() const { return dropped_lines_; }
 
   // Optional deterministic fault injection for the chaos harness: when
   // set, durable writes consult the injector's enospc/segment_corrupt
@@ -207,10 +191,10 @@ class ExperimentJournal {
   [[nodiscard]] std::uint64_t bytes_written() const { return bytes_written_; }
   [[nodiscard]] const JournalEntry* find(const CellKey& key) const;
   // Demotes a cell to absent (adopt_journal's quarantine path: the
-  // entry's segment or sidecar failed verification, or it follows a
-  // quarantined cell in its origin's chain). Only the in-memory view
-  // changes — the manifest line stays on disk, superseded by the fresh
-  // line the re-execution appends (last-wins replay at the next open).
+  // entry is corrupt, a follower, or outside the grid). Only the
+  // in-memory view changes — the manifest line stays on disk,
+  // superseded by the fresh line the re-execution appends (last-wins
+  // replay at the next open).
   void quarantine(const CellKey& key);
   // Claim check for the distributed master: a settled cell (done or
   // lost) must never be granted again — its outcome is already durable.
@@ -218,8 +202,9 @@ class ExperimentJournal {
     return find(key) != nullptr;
   }
 
-  // Loads a done cell's segment, verifying the store CRCs and the
-  // manifest's record digest. `snapshot` (optional out) receives the
+  // Loads a done cell's segment, verifying the store CRCs, the
+  // manifest's record digest, and that the segment holds the cell the
+  // manifest line names. `snapshot` (optional out) receives the
   // cell's IDS sidecar. `metrics` (optional out) receives the cell's
   // persisted metric delta; a journal written before metrics existed has
   // no `.metrics` sidecar and yields an all-zero block (documented in
@@ -229,6 +214,20 @@ class ExperimentJournal {
   std::optional<scan::ScanResult> load_cell(
       const JournalEntry& entry, IdsSnapshot* snapshot = nullptr,
       std::string* error = nullptr, obsv::MetricBlock* metrics = nullptr) const;
+
+  // The salvage rule, applied to the next entry of one origin's chain
+  // walked in chain order. `chain_broken` carries the walk: once set —
+  // here, at a corrupt cell, or by the caller at a missing one — every
+  // later entry is a follower. Otherwise a lost entry stays lost and a
+  // done entry is kOk when load_cell verifies it (`result` and the
+  // optional outs filled as load_cell fills them), else kCorrupt, and
+  // the chain breaks. GridRecorder::adopt_journal and `journal inspect`
+  // both judge entries here.
+  Verdict salvage(const JournalEntry& entry, bool& chain_broken,
+                  std::optional<scan::ScanResult>& result,
+                  IdsSnapshot* snapshot = nullptr,
+                  std::string* error = nullptr,
+                  obsv::MetricBlock* metrics = nullptr) const;
 
   // Persists a completed cell: writes segment + IDS sidecar, fsyncs
   // them, then appends (and fsyncs) the manifest line. When `metrics` is
@@ -269,7 +268,7 @@ class ExperimentJournal {
   std::string dir_;
   std::string fingerprint_;
   std::vector<JournalEntry> entries_;
-  bool dropped_torn_line_ = false;
+  std::size_t dropped_lines_ = 0;
   const fault::FaultInjector* faults_ = nullptr;
   obsv::MetricBlock* fault_metrics_ = nullptr;
   bool storage_dead_ = false;

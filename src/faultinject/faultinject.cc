@@ -4,7 +4,6 @@
 #include <bit>
 #include <cctype>
 #include <charconv>
-#include <cstdio>
 #include <iterator>
 
 #include "netbase/rng.h"
@@ -58,15 +57,15 @@ constexpr KeyInfo kKeys[] = {
     {key::kHost, "host", "M==K with K < M"},
     {key::kCell, "cell", "N"},
     {key::kHangSec, "sec", "S > 0"},
-    {key::kWorker, "worker", "0..255"},
+    {key::kWorker, "worker", "N in 0..255"},
     {key::kPhase, "phase", "hello|claim|segment|done"},
     {key::kFile, "file", "N"},
     {key::kFrame, "frame", "N"},
     {key::kBytes, "bytes", "N"},
-    {key::kAttempts, "attempts", "1..16"},
-    {key::kCount, "count", "1..64"},
-    {key::kP, "p", "0..1"},
-    {key::kOrigin, "origin", "0..255"},
+    {key::kAttempts, "attempts", "N in 1..16"},
+    {key::kCount, "count", "C in 1..64"},
+    {key::kP, "p", "P in [0, 1]"},
+    {key::kOrigin, "origin", "K in 0..255"},
 };
 
 // host%M==K is the one key written without '='.
@@ -138,14 +137,14 @@ bool parse_int(std::string_view text, std::uint64_t lo, std::uint64_t hi,
   return true;
 }
 
+// A probability in [0, 1], in std::from_chars' grammar: no leading
+// space or sign, no hex, the same as every integer key.
 bool parse_double01(std::string_view text, double& out) {
-  if (text.empty() || text.size() > 24) return false;
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.*s",
-                static_cast<int>(text.size()), text.data());
-  char* end = nullptr;
-  const double value = std::strtod(buffer, &end);
-  if (end != buffer + text.size()) return false;
+  if (text.size() > 24) return false;
+  const char* end = text.data() + text.size();
+  double value = 0;
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return false;
   if (!(value >= 0.0 && value <= 1.0)) return false;
   out = value;
   return true;
@@ -357,9 +356,14 @@ bool parse_clause(std::string_view text, FaultClause& clause,
       if ((seen & key) != 0) {
         return set_error(error, keyword + " repeats " + std::string(arg));
       }
-      if (!parse_value(key, arg.substr(cut + 1), clause)) {
-        return set_error(error, "bad " + std::string(arg) + " (want " +
-                                    key_forms(key) + ")");
+      const std::string_view value = arg.substr(cut + 1);
+      if (!parse_value(key, value, clause)) {
+        // Only the window keys take a range.
+        const bool range = (key & (key::kSlot | key::kSec)) == 0 &&
+                           value.find("..") != std::string_view::npos;
+        return set_error(error, "bad " + std::string(arg) +
+                                    (range ? ", one value wanted" : "") +
+                                    " (want " + key_forms(key) + ")");
       }
       seen |= key;
     }
@@ -381,6 +385,10 @@ bool parse_clause(std::string_view text, FaultClause& clause,
     const bool hello = clause.phase == static_cast<int>(WorkerPhase::kHello);
     if (clause.worker >= 0 && !hello) {
       return set_error(error, "worker= clauses fire pre-HELLO only");
+    }
+    if (clause.worker >= 0 && (seen & key::kAttempts) != 0) {
+      return set_error(error, "worker= clauses fire once; attempts= counts "
+                              "the grants of a cell= clause");
     }
     if (clause.worker < 0 && ((seen & key::kPhase) == 0 || hello)) {
       return set_error(error, "cell= clauses need phase=claim|segment|done");

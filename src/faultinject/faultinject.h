@@ -49,7 +49,7 @@
 // in the Nth frame a worker sends to the master, exercising the framed
 // protocol's poison-on-error decoder as a live runtime fault. All
 // three classify as non-recoverable: their recovery crosses runs
-// (journal repair / quarantine) or processes (grant rollback).
+// (quarantine at resume) or processes (grant rollback).
 //
 // The two worker-level faults model real process failures in the
 // distributed runtime (core/dist.h): worker_kill makes a worker process

@@ -2,10 +2,15 @@
 // any cell, resumed at any jobs value, is byte-identical to a run that
 // was never interrupted; a hung cell is retried and recovers invisibly;
 // a cell that exhausts its retry budget degrades to a labeled partial
-// grid that every analysis entry point still accepts.
+// grid that every analysis entry point still accepts; and a damaged
+// journal resumes to the committed golden digests under the one salvage
+// rule.
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <functional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -13,6 +18,7 @@
 #include "core/analysis/coverage.h"
 #include "core/classify.h"
 #include "core/experiment.h"
+#include "core/goldens.h"
 #include "core/journal.h"
 #include "core/store.h"
 #include "faultinject/faultinject.h"
@@ -365,6 +371,170 @@ TEST(CrashResume, MismatchedConfigCannotResume) {
                    .has_value());
   EXPECT_NE(error.find("fingerprint mismatch"), std::string::npos);
   fs::remove_all(dir);
+}
+
+// ---- Salvage: a damaged journal resumes to the golden digests -------
+//
+// paper_small (tests/goldens/paper_small.json) is a 28-cell grid: 7
+// origins, each a 4-cell chain (2 trials x HTTP, SSH). Written at jobs 1
+// its MANIFEST lists the cells in slot order after the header, so slot s
+// is line s + 1. Slot 0 is AU's chain head; slot 7 is AU's second cell.
+
+std::string read_text(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+void write_text(const std::string& path, const std::string& text) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+}
+
+// Applies `edit` to the MANIFEST's lines (header included).
+void edit_manifest(const std::string& dir,
+                   const std::function<void(std::vector<std::string>&)>& edit) {
+  std::vector<std::string> lines;
+  std::istringstream in(read_text(dir + "/MANIFEST"));
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  edit(lines);
+  std::string text;
+  for (const std::string& line : lines) text += line + "\n";
+  write_text(dir + "/MANIFEST", text);
+}
+
+void flip_byte(const std::string& path, std::size_t offset) {
+  std::string bytes = read_text(path);
+  ASSERT_LT(offset, bytes.size());
+  bytes[offset] = static_cast<char>(bytes[offset] ^ 0x40);
+  write_text(path, bytes);
+}
+
+struct Damage {
+  const char* name;
+  std::function<void(const std::string& dir)> apply;
+  std::uint64_t quarantined_cells;
+  std::uint64_t quarantined_followers;
+  std::size_t cells_run;
+};
+
+std::vector<ResultDigest> golden_paper_small() {
+  const auto golden = GoldenFile::from_json(read_text(
+      std::string(OSN_SOURCE_DIR) + "/tests/goldens/paper_small.json"));
+  EXPECT_TRUE(golden.has_value());
+  return golden.has_value() ? golden->digests : std::vector<ResultDigest>{};
+}
+
+RunReport resume_paper_small(const std::string& dir,
+                             obsv::MetricsRegistry& registry) {
+  ExperimentConfig config = paper_small_config();
+  config.metrics = &registry;
+  Experiment experiment(config);
+  std::string error;
+  auto journal =
+      ExperimentJournal::open(dir, experiment.config_fingerprint(), &error);
+  EXPECT_TRUE(journal.has_value()) << error;
+  if (!journal.has_value()) return RunReport{};
+  const RunReport report = experiment.run_journaled(&*journal);
+  EXPECT_TRUE(report.complete());
+  if (report.complete()) {
+    const auto mismatch = compare_digests(
+        golden_paper_small(), digest_all(experiment.all_results()));
+    EXPECT_FALSE(mismatch.has_value()) << *mismatch;
+  }
+  return report;
+}
+
+TEST(Salvage, EachDamageResumesToTheGoldenDigests) {
+  const std::string clean = scratch_dir("salvage_clean");
+  {
+    obsv::MetricsRegistry registry;
+    const RunReport report = resume_paper_small(clean, registry);
+    ASSERT_EQ(report.cells_run, report.cells_total);
+  }
+  const auto garble_slot_7 = [](std::vector<std::string>& lines) {
+    const std::size_t at = lines[8].find("attempts=");
+    ASSERT_NE(at, std::string::npos);
+    lines[8][at + 3] = 'X';
+  };
+  const Damage damages[] = {
+      // A flipped byte in AU's chain head: it and its 3 followers re-run.
+      {"flipped_segment_byte",
+       [](const std::string& dir) {
+         flip_byte(dir + "/cell_AU_http_t0.osnr", 64);
+       },
+       1, 3, 4},
+      // A corrupt sidecar is corrupt all the same.
+      {"flipped_sidecar_byte",
+       [](const std::string& dir) {
+         flip_byte(dir + "/cell_AU_ssh_t0.ids", 20);
+       },
+       1, 2, 3},
+      // A garbled line is dropped at open; its cell is missing, so the
+      // walk stops there and the 2 later cells follow it.
+      {"garbled_line",
+       [&](const std::string& dir) { edit_manifest(dir, garble_slot_7); },
+       0, 2, 3},
+      {"deleted_line",
+       [](const std::string& dir) {
+         edit_manifest(dir, [](std::vector<std::string>& lines) {
+           lines.erase(lines.begin() + 8);
+         });
+       },
+       0, 2, 3},
+      // The line now names no cell of the grid: quarantined, and the cell
+      // it named is missing.
+      {"unknown_origin_line",
+       [](const std::string& dir) {
+         edit_manifest(dir, [](std::vector<std::string>& lines) {
+           ASSERT_EQ(lines[8].rfind("done AU ", 0), 0u);
+           lines[8].replace(5, 2, "ZZ");
+         });
+       },
+       1, 2, 3},
+      // AU's last cell (slot 21) garbled into the key of slot 7, whose
+      // line it supersedes: its segment verifies but holds a different
+      // cell, so slot 7 is corrupt and slot 21 missing.
+      {"line_names_another_cell",
+       [](const std::string& dir) {
+         edit_manifest(dir, [](std::vector<std::string>& lines) {
+           const std::size_t at = lines[22].find("AU SSH 1 ");
+           ASSERT_NE(at, std::string::npos);
+           lines[22][at + 7] = '0';
+         });
+       },
+       1, 1, 3},
+      // A torn tail is cut off before the resume appends, so the second
+      // resume below adopts the re-recorded cells.
+      {"flipped_byte_and_torn_tail",
+       [](const std::string& dir) {
+         flip_byte(dir + "/cell_AU_http_t0.osnr", 64);
+         std::ofstream(dir + "/MANIFEST", std::ios::app) << "done AU HT";
+       },
+       1, 3, 4},
+  };
+  for (const Damage& damage : damages) {
+    SCOPED_TRACE(damage.name);
+    const std::string dir = scratch_dir(std::string("salvage_") + damage.name);
+    fs::copy(clean, dir, fs::copy_options::recursive);
+    damage.apply(dir);
+
+    obsv::MetricsRegistry registry;
+    const RunReport report = resume_paper_small(dir, registry);
+    const auto snapshot = registry.snapshot();
+    EXPECT_EQ(snapshot.counter(obsv::Counter::kJournalQuarantinedCells),
+              damage.quarantined_cells);
+    EXPECT_EQ(snapshot.counter(obsv::Counter::kJournalQuarantinedFollowers),
+              damage.quarantined_followers);
+    EXPECT_EQ(report.cells_run, damage.cells_run);
+
+    // The re-runs superseded what was damaged: a second resume adopts
+    // every cell (an entry outside the grid stays quarantined).
+    obsv::MetricsRegistry again;
+    EXPECT_EQ(resume_paper_small(dir, again).cells_run, 0u);
+    fs::remove_all(dir);
+  }
+  fs::remove_all(clean);
 }
 
 }  // namespace

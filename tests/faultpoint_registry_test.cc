@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "core/supervisor.h"
 #include "faultinject/faultinject.h"
@@ -278,6 +279,60 @@ TEST(FaultPlanSemantics, ProbabilityRoundTripsExactly) {
   EXPECT_EQ(must_parse("drop:slot=0..9").to_string(), "drop:slot=0..9,p=1");
 }
 
+// Every clause the parser accepts renders to a spec that parses back to
+// an equal clause: no key is accepted and then dropped. The corpus is
+// every keyword with every combination of up to three arguments from a
+// pool that holds each key's forms, good and bad.
+TEST(FaultPlanSemantics, EveryAcceptedClauseEqualsItsReparse) {
+  const char* keywords[] = {
+      "drop",         "outage",     "send_fail",   "mac_corrupt",
+      "rst",          "banner_trunc", "banner_stall", "cell_crash",
+      "cell_hang",    "worker_kill", "worker_stall", "enospc",
+      "segment_corrupt", "frame_garble"};
+  const std::vector<std::string> pool = {
+      "slot=0..9",   "sec=1..2",   "host%4==1", "cell=3",      "sec=5",
+      "worker=0",    "worker=0..255", "phase=hello", "phase=claim",
+      "file=2",      "frame=1",    "bytes=64",  "attempts=3",  "count=2",
+      "p=0.5",       "p=0.1234567", "p=1e-05",  "p= 0.5",      "p=+0.5",
+      "p=0x1p-3",    "origin=1"};
+  std::size_t accepted = 0;
+  for (const char* keyword : keywords) {
+    const std::string head = std::string(keyword) + ":";
+    std::vector<std::string> specs = {keyword};
+    for (std::size_t a = 0; a < pool.size(); ++a) {
+      specs.push_back(head + pool[a]);
+      for (std::size_t b = a + 1; b < pool.size(); ++b) {
+        specs.push_back(head + pool[a] + "," + pool[b]);
+        for (std::size_t c = b + 1; c < pool.size(); ++c) {
+          specs.push_back(head + pool[a] + "," + pool[b] + "," + pool[c]);
+        }
+      }
+    }
+    for (const std::string& spec : specs) {
+      const auto plan = FaultPlan::parse(spec);
+      if (!plan.has_value()) continue;
+      ++accepted;
+      EXPECT_EQ(spec.find("p= "), std::string::npos) << spec;
+      EXPECT_EQ(spec.find("p=+"), std::string::npos) << spec;
+      EXPECT_EQ(spec.find("0x"), std::string::npos) << spec;
+      EXPECT_EQ(spec.find("0..255"), std::string::npos) << spec;
+      const auto reparsed = FaultPlan::parse(plan->to_string());
+      ASSERT_TRUE(reparsed.has_value()) << spec << " -> " << plan->to_string();
+      EXPECT_EQ(plan->clauses(), reparsed->clauses())
+          << spec << " -> " << plan->to_string();
+    }
+  }
+  EXPECT_GT(accepted, 50u);
+}
+
+TEST(FaultPlanSemantics, ARangeForASingleValueKeySaysSo) {
+  std::string error;
+  EXPECT_FALSE(FaultPlan::parse("worker_kill:worker=0..255", &error)
+                   .has_value());
+  EXPECT_EQ(error,
+            "bad worker=0..255, one value wanted (want worker=N in 0..255)");
+}
+
 TEST(FaultPlanSemantics, RejectsMalformedSpecs) {
   const char* bad[] = {
       "",                            // empty spec
@@ -328,6 +383,13 @@ TEST(FaultPlanSemantics, RejectsMalformedSpecs) {
       "drop:slot=0..9,sec=1..2",      // slot= and sec= together
       "cell_crash:cell=1,cell=5",     // a key given twice
       "rst:host%2==0,host%3==1",      // a host selector given twice
+      "drop:slot=0..10,p= 0.5",       // p takes no leading space,
+      "drop:slot=0..10,p=+0.5",       // no sign,
+      "drop:slot=0..10,p=0x1p-3",     // no hex float,
+      "drop:slot=0..10,p=nan",        // and no nan or infinity
+      "drop:slot=0..10,p=inf",
+      "worker_kill:worker=0,attempts=3",   // worker= fires once
+      "worker_stall:worker=1,attempts=1",
   };
   for (const char* spec : bad) {
     std::string error;

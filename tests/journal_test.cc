@@ -1,6 +1,7 @@
 // Unit tests for the crash-safe experiment journal: manifest replay,
-// fingerprint binding, torn-line handling, segment integrity, the IDS
-// snapshot round trip, and lost-cell records.
+// fingerprint binding, torn- and malformed-line handling, segment
+// integrity, the salvage verdicts, the IDS snapshot round trip, and
+// lost-cell records.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -175,21 +176,64 @@ TEST(ExperimentJournal, DropsTornTrailingLine) {
     manifest << "done TWO HTTP 0 attempts=1 sha256=ab segment=trunc";
   }
   std::string error;
+  {
+    auto journal = ExperimentJournal::open(dir, kFingerprint, &error);
+    ASSERT_TRUE(journal.has_value()) << error;
+    EXPECT_EQ(journal->entries().size(), 1u);  // torn line dropped
+    EXPECT_EQ(journal->dropped_lines(), 1u);
+    // The handle cut the torn tail off: this append is a line of its own.
+    const CellKey two{"TWO", proto::Protocol::kHttp, 1};
+    scan::ScanResult result = sample_result();
+    result.origin_code = two.origin_code;
+    ASSERT_TRUE(
+        journal->record_done(two, result, sample_snapshot(), 1, &error))
+        << error;
+  }
   auto journal = ExperimentJournal::open(dir, kFingerprint, &error);
   ASSERT_TRUE(journal.has_value()) << error;
-  EXPECT_EQ(journal->entries().size(), 1u);  // torn line dropped
+  EXPECT_EQ(journal->entries().size(), 2u);
+  EXPECT_EQ(journal->dropped_lines(), 0u);
 }
 
-TEST(ExperimentJournal, RejectsMalformedManifestLines) {
+TEST(ExperimentJournal, DropsMalformedManifestLines) {
   const std::string dir = scratch_dir("journal_malformed");
-  { ASSERT_TRUE(ExperimentJournal::open(dir, kFingerprint).has_value()); }
+  {
+    std::string error;
+    auto journal = ExperimentJournal::open(dir, kFingerprint, &error);
+    ASSERT_TRUE(journal.has_value()) << error;
+    ASSERT_TRUE(journal->record_done(sample_key(), sample_result(),
+                                     sample_snapshot(), 1, &error))
+        << error;
+  }
   {
     std::ofstream manifest(dir + "/MANIFEST", std::ios::app);
-    manifest << "frobnicate ONE HTTP 0 attempts=1\n";
+    manifest << "frobnicate ONE HTTP 0 attempts=1\n"
+             << "done ONE HTTP x attempts=1 sha256=ab segment=s\n"
+             << "lost ONE HTTP 2 attempts=1x reason=gone\n";
   }
+  // The header still binds the journal; past it, a line that does not
+  // parse is dropped like a torn one, and its cell is simply absent.
   std::string error;
-  EXPECT_FALSE(ExperimentJournal::open(dir, kFingerprint, &error).has_value());
-  EXPECT_NE(error.find("malformed"), std::string::npos) << error;
+  auto journal = ExperimentJournal::open(dir, kFingerprint, &error);
+  ASSERT_TRUE(journal.has_value()) << error;
+  EXPECT_EQ(journal->dropped_lines(), 3u);
+  ASSERT_EQ(journal->entries().size(), 1u);
+  EXPECT_EQ(journal->entries().front().key, sample_key());
+}
+
+TEST(ExperimentJournal, HeaderChecksStayStrict) {
+  const std::string dir = scratch_dir("journal_bad_header");
+  fs::create_directories(dir);
+  for (const char* manifest :
+       {"osnr-journal v9 fingerprint=deadbeefcafef00d\n",
+        "osnr-journal v1 fingerprint=deadbeefcafef00d"}) {  // torn header
+    std::ofstream(dir + "/MANIFEST", std::ios::trunc) << manifest;
+    std::string error;
+    EXPECT_FALSE(
+        ExperimentJournal::open(dir, kFingerprint, &error).has_value());
+    EXPECT_FALSE(ExperimentJournal::open(dir, "", &error).has_value())
+        << manifest;
+  }
 }
 
 TEST(ExperimentJournal, LoadCellDetectsSegmentCorruption) {
@@ -324,6 +368,64 @@ TEST(ExperimentJournal, LoadCellRejectsUnframedSidecar) {
   EXPECT_NE(error.find("corrupt sidecar"), std::string::npos) << error;
 }
 
+TEST(ExperimentJournal, LoadCellRejectsASegmentOfAnotherCell) {
+  const std::string dir = scratch_dir("journal_other_cell");
+  std::string error;
+  auto journal = ExperimentJournal::open(dir, kFingerprint, &error);
+  ASSERT_TRUE(journal.has_value()) << error;
+  ASSERT_TRUE(journal->record_done(sample_key(), sample_result(),
+                                   sample_snapshot(), 1, &error))
+      << error;
+  // A manifest line garbled into another key: segment and digest intact.
+  JournalEntry garbled = journal->entries().front();
+  garbled.key.trial = 2;
+  EXPECT_FALSE(journal->load_cell(garbled, nullptr, &error).has_value());
+  EXPECT_NE(error.find("holds a different cell"), std::string::npos)
+      << error;
+}
+
+TEST(ExperimentJournal, SalvageBreaksAChainAtItsFirstCorruptCell) {
+  const std::string dir = scratch_dir("journal_salvage");
+  std::string error;
+  auto journal = ExperimentJournal::open(dir, kFingerprint, &error);
+  ASSERT_TRUE(journal.has_value()) << error;
+  const auto record = [&](int trial) {
+    scan::ScanResult result = sample_result();
+    result.trial = trial;
+    return journal->record_done(CellKey{"ONE", proto::Protocol::kHttp, trial},
+                                result, sample_snapshot(), 1, &error);
+  };
+  ASSERT_TRUE(record(0)) << error;
+  ASSERT_TRUE(journal->record_lost(
+      CellKey{"ONE", proto::Protocol::kHttp, 1}, 3, "deadline", &error));
+  ASSERT_TRUE(record(2)) << error;
+  ASSERT_TRUE(record(3)) << error;
+  ASSERT_TRUE(journal->record_lost(
+      CellKey{"ONE", proto::Protocol::kHttp, 4}, 3, "deadline", &error));
+  {
+    std::fstream file(dir + "/" + journal->entries()[2].segment + ".osnr",
+                      std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(file.good());
+    file.seekp(40);
+    file.write("\x7f", 1);
+  }
+
+  // ok, lost, corrupt (the chain breaks), then followers, lost or done.
+  const Verdict want[] = {Verdict::kOk, Verdict::kLost, Verdict::kCorrupt,
+                          Verdict::kFollower, Verdict::kFollower};
+  bool chain_broken = false;
+  for (std::size_t i = 0; i < std::size(want); ++i) {
+    std::optional<scan::ScanResult> result;
+    IdsSnapshot snapshot;
+    EXPECT_EQ(journal->salvage(journal->entries()[i], chain_broken, result,
+                               &snapshot, &error),
+              want[i])
+        << "entry " << i;
+    EXPECT_EQ(result.has_value(), want[i] == Verdict::kOk) << "entry " << i;
+  }
+  EXPECT_TRUE(chain_broken);
+}
+
 TEST(ExperimentJournal, QuarantineDemotesAndReRecordSupersedes) {
   const std::string dir = scratch_dir("journal_quarantine");
   std::string error;
@@ -381,7 +483,7 @@ TEST(ExperimentJournal, InjectedSegmentCorruptionIsCaughtAtLoad) {
   ASSERT_TRUE(journal.has_value()) << error;
 
   // File index 0 is the cell's .osnr segment: the write lands, then one
-  // seed-chosen byte flips — exactly the decay journal repair exists for.
+  // seed-chosen byte flips — the decay a resume quarantines.
   const auto plan = fault::FaultPlan::parse("segment_corrupt:file=0");
   ASSERT_TRUE(plan.has_value());
   const fault::FaultInjector injector(*plan, 0xFA57u);
@@ -396,86 +498,6 @@ TEST(ExperimentJournal, InjectedSegmentCorruptionIsCaughtAtLoad) {
   EXPECT_FALSE(
       journal->load_cell(journal->entries().front(), nullptr, &error)
           .has_value());
-}
-
-TEST(ExperimentJournal, RepairDropsCorruptEntriesAndTheirFollowers) {
-  const std::string dir = scratch_dir("journal_repair");
-  std::string error;
-  const CellKey one_t1{"ONE", proto::Protocol::kHttp, 1};
-  const CellKey one_t2{"ONE", proto::Protocol::kHttp, 2};
-  const CellKey two_t1{"TWO", proto::Protocol::kHttp, 1};
-  std::string corrupt_segment;
-  {
-    auto journal = ExperimentJournal::open(dir, kFingerprint, &error);
-    ASSERT_TRUE(journal.has_value()) << error;
-    for (const CellKey& key : {one_t1, one_t2, two_t1}) {
-      scan::ScanResult result = sample_result();
-      result.origin_code = key.origin_code;
-      result.trial = key.trial;
-      ASSERT_TRUE(journal->record_done(key, result, sample_snapshot(), 1,
-                                       &error))
-          << error;
-    }
-    corrupt_segment = journal->entries().front().segment;
-  }
-  // Flip one byte in ONE/t1's segment and tear the manifest's tail.
-  {
-    std::fstream file(dir + "/" + corrupt_segment + ".osnr",
-                      std::ios::in | std::ios::out | std::ios::binary);
-    ASSERT_TRUE(file.good());
-    file.seekp(40);
-    file.write("\x7f", 1);
-  }
-  {
-    std::ofstream manifest(dir + "/MANIFEST", std::ios::app);
-    manifest << "done ZZZ HTTP 0 attempts=1 sha256=ab segment=torn";
-  }
-
-  const auto report = ExperimentJournal::repair(dir, &error);
-  ASSERT_TRUE(report.has_value()) << error;
-  EXPECT_EQ(report->fingerprint, kFingerprint);
-  EXPECT_EQ(report->lines_dropped_malformed, 1u);  // the torn line
-  EXPECT_EQ(report->entries_dropped_corrupt, 1u);  // ONE/t1
-  // ONE/t2 ran from IDS state the dropped cell produced; adopting it
-  // would violate the chain-prefix invariant, so repair demotes it too.
-  EXPECT_EQ(report->entries_dropped_followers, 1u);
-  EXPECT_EQ(report->entries_kept, 1u);  // TWO/t1 survives
-
-  // The repaired directory opens cleanly and resumes: the surviving cell
-  // loads, the dropped ones are simply absent (they will re-run).
-  auto journal = ExperimentJournal::open(dir, kFingerprint, &error);
-  ASSERT_TRUE(journal.has_value()) << error;
-  ASSERT_EQ(journal->entries().size(), 1u);
-  EXPECT_EQ(journal->entries().front().key, two_t1);
-  EXPECT_TRUE(
-      journal->load_cell(journal->entries().front(), nullptr, &error)
-          .has_value())
-      << error;
-}
-
-TEST(ExperimentJournal, RepairRescuesAMalformedManifest) {
-  const std::string dir = scratch_dir("journal_repair_malformed");
-  std::string error;
-  {
-    auto journal = ExperimentJournal::open(dir, kFingerprint, &error);
-    ASSERT_TRUE(journal.has_value()) << error;
-    ASSERT_TRUE(journal->record_done(sample_key(), sample_result(),
-                                     sample_snapshot(), 1, &error))
-        << error;
-  }
-  {
-    std::ofstream manifest(dir + "/MANIFEST", std::ios::app);
-    manifest << "frobnicate ONE HTTP 0 attempts=1\n";
-  }
-  // A malformed line makes a normal open refuse the directory...
-  EXPECT_FALSE(ExperimentJournal::open(dir, kFingerprint, &error).has_value());
-  // ...and repair is the documented way back.
-  const auto report = ExperimentJournal::repair(dir, &error);
-  ASSERT_TRUE(report.has_value()) << error;
-  EXPECT_EQ(report->lines_dropped_malformed, 1u);
-  EXPECT_EQ(report->entries_kept, 1u);
-  EXPECT_TRUE(ExperimentJournal::open(dir, kFingerprint, &error).has_value())
-      << error;
 }
 
 TEST(ExperimentJournal, RecordsAndReplaysLostCells) {

@@ -30,9 +30,8 @@ enum Command : std::uint32_t {
   kClient = 1u << 7,
   kLoadgen = 1u << 8,
   kJournalInspect = 1u << 9,
-  kJournalRepair = 1u << 10,
-  kTopology = 1u << 11,
-  kOrigins = 1u << 12,
+  kTopology = 1u << 10,
+  kOrigins = 1u << 11,
 };
 
 struct CommandName {
@@ -40,7 +39,7 @@ struct CommandName {
   Command command;
 };
 
-inline constexpr std::array<CommandName, 13> kCommands = {{
+inline constexpr std::array<CommandName, 12> kCommands = {{
     {"experiment", kExperiment},
     {"worker", kWorker},
     {"analyze", kAnalyze},
@@ -51,7 +50,6 @@ inline constexpr std::array<CommandName, 13> kCommands = {{
     {"client", kClient},
     {"loadgen", kLoadgen},
     {"journal inspect", kJournalInspect},
-    {"journal repair", kJournalRepair},
     {"topology", kTopology},
     {"origins", kOrigins},
 }};
@@ -127,7 +125,7 @@ inline constexpr std::array<Flag, 33> kFlags = {{
     {"save", &Args::save, kExperiment, "FILE",
      "also save raw results (store v2)"},
     {"resume-dir", &Args::resume_dir,
-     kExperiment | kChaos | kJournalInspect | kJournalRepair, "DIR",
+     kExperiment | kChaos | kJournalInspect, "DIR",
      "journal directory (chaos: scratch root)"},
     {"faults", &Args::faults, kExperiment | kWorker, "SPEC",
      "fault plan (src/faultinject/)"},

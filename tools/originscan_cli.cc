@@ -11,6 +11,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <type_traits>
 #include <vector>
 
@@ -633,131 +634,104 @@ int cmd_journal_inspect(const Args& args) {
     return cli::kFailure;
   }
 
-  // Per-cell verdicts: every done entry's segment + sidecars are fully
-  // verified (CRC frames, store checksums, manifest digest).
-  struct Verdict {
-    const core::JournalEntry* entry;
-    bool ok = false;
+  // Judge every entry by the salvage rule resume applies
+  // (ExperimentJournal::salvage), each origin's entries walked in chain
+  // order: trial, then protocol, the grid order of the CLI's protocol
+  // list. Only resume knows the grid, so a missing cell is not seen here.
+  const std::vector<core::JournalEntry>& entries = journal->entries();
+  std::vector<std::size_t> chain_order(entries.size());
+  for (std::size_t i = 0; i < entries.size(); ++i) chain_order[i] = i;
+  std::stable_sort(chain_order.begin(), chain_order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     const core::CellKey& x = entries[a].key;
+                     const core::CellKey& y = entries[b].key;
+                     return std::tie(x.origin_code, x.trial, x.protocol) <
+                            std::tie(y.origin_code, y.trial, y.protocol);
+                   });
+  struct Judged {
+    core::Verdict verdict = core::Verdict::kOk;
     std::size_t records = 0;
     std::string detail;  // load error (corrupt) or loss reason (lost)
   };
-  std::vector<Verdict> verdicts;
-  std::size_t done = 0;
-  std::size_t lost = 0;
+  std::vector<Judged> judged(entries.size());
   std::size_t corrupt = 0;
-  for (const auto& entry : journal->entries()) {
-    Verdict verdict{&entry};
-    if (entry.status == core::JournalEntry::Status::kLost) {
-      ++lost;
-      verdict.ok = true;  // an honest loss is not an integrity failure
-      verdict.detail = entry.reason;
-    } else {
-      ++done;
-      std::string load_error;
-      const auto result = journal->load_cell(entry, nullptr, &load_error);
-      if (result.has_value()) {
-        verdict.ok = true;
-        verdict.records = result->records.size();
-      } else {
-        ++corrupt;
-        verdict.detail = load_error;
-      }
+  std::size_t followers = 0;
+  bool chain_broken = false;
+  for (std::size_t i = 0; i < chain_order.size(); ++i) {
+    const core::JournalEntry& entry = entries[chain_order[i]];
+    if (i > 0 &&
+        entry.key.origin_code != entries[chain_order[i - 1]].key.origin_code) {
+      chain_broken = false;
     }
-    verdicts.push_back(std::move(verdict));
+    Judged& cell = judged[chain_order[i]];
+    std::optional<scan::ScanResult> result;
+    cell.verdict = journal->salvage(entry, chain_broken, result,
+                                    /*snapshot=*/nullptr, &cell.detail);
+    if (result.has_value()) cell.records = result->records.size();
+    if (cell.verdict == core::Verdict::kLost) cell.detail = entry.reason;
+    corrupt += cell.verdict == core::Verdict::kCorrupt ? 1 : 0;
+    followers += cell.verdict == core::Verdict::kFollower ? 1 : 0;
   }
+  const auto verdict_name = [](core::Verdict verdict) {
+    constexpr const char* kNames[] = {"ok", "lost", "corrupt", "follower"};
+    return kNames[static_cast<int>(verdict)];
+  };
+  const int exit_code = corrupt == 0 ? cli::kOk : cli::kFailure;
 
   if (args.json) {
     std::printf("{\n");
     std::printf("  \"dir\": \"%s\",\n", json_string(journal->dir()).c_str());
     std::printf("  \"fingerprint\": \"%s\",\n",
                 journal->fingerprint().c_str());
-    std::printf("  \"entries\": %zu,\n", journal->entries().size());
-    std::printf("  \"done\": %zu,\n", done);
-    std::printf("  \"lost\": %zu,\n", lost);
-    // Corrupt entries are what a resume (or `journal repair`) will
-    // quarantine; the torn flag records a crash mid-manifest-append.
-    std::printf("  \"quarantine_candidates\": %zu,\n", corrupt);
-    std::printf("  \"torn_line_dropped\": %s,\n",
-                journal->dropped_torn_line() ? "true" : "false");
+    std::printf("  \"entries\": %zu,\n", entries.size());
+    // Corrupt cells and their followers are what a resume quarantines
+    // (journal.quarantined_cells / journal.quarantined_followers).
+    std::printf("  \"corrupt\": %zu,\n", corrupt);
+    std::printf("  \"followers\": %zu,\n", followers);
+    std::printf("  \"lines_dropped\": %zu,\n", journal->dropped_lines());
     std::printf("  \"cells\": [\n");
-    for (std::size_t i = 0; i < verdicts.size(); ++i) {
-      const Verdict& verdict = verdicts[i];
-      const core::JournalEntry& entry = *verdict.entry;
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      const core::JournalEntry& entry = entries[i];
+      const Judged& cell = judged[i];
       std::printf("    {\"origin\": \"%s\", \"protocol\": \"%s\", "
-                  "\"trial\": %d, \"status\": \"%s\", \"attempts\": %d, "
-                  "\"records\": %zu, \"verdict\": \"%s\"",
+                  "\"trial\": %d, \"attempts\": %d, \"records\": %zu, "
+                  "\"verdict\": \"%s\"",
                   json_string(entry.key.origin_code).c_str(),
                   std::string(proto::name_of(entry.key.protocol)).c_str(),
-                  entry.key.trial + 1,
-                  entry.status == core::JournalEntry::Status::kLost ? "lost"
-                                                                    : "done",
-                  entry.attempts, verdict.records,
-                  entry.status == core::JournalEntry::Status::kLost
-                      ? "lost"
-                      : (verdict.ok ? "ok" : "corrupt"));
-      if (!verdict.detail.empty()) {
-        std::printf(", \"detail\": \"%s\"",
-                    json_string(verdict.detail).c_str());
+                  entry.key.trial + 1, entry.attempts, cell.records,
+                  verdict_name(cell.verdict));
+      if (!cell.detail.empty()) {
+        std::printf(", \"detail\": \"%s\"", json_string(cell.detail).c_str());
       }
-      std::printf("}%s\n", i + 1 < verdicts.size() ? "," : "");
+      std::printf("}%s\n", i + 1 < entries.size() ? "," : "");
     }
     std::printf("  ]\n}\n");
-    return corrupt == 0 ? 0 : 1;
+    return exit_code;
   }
 
   std::printf("journal %s\nfingerprint %s\n", journal->dir().c_str(),
               journal->fingerprint().c_str());
-  report::Table table({"cell", "status", "attempts", "records", "integrity"});
-  for (const Verdict& verdict : verdicts) {
-    const core::JournalEntry& entry = *verdict.entry;
-    if (entry.status == core::JournalEntry::Status::kLost) {
-      table.add_row({cell_to_string(entry.key), "lost",
-                     std::to_string(entry.attempts), "-",
-                     "(" + verdict.detail + ")"});
-    } else if (verdict.ok) {
-      table.add_row({cell_to_string(entry.key), "done",
-                     std::to_string(entry.attempts),
-                     std::to_string(verdict.records), "ok"});
-    } else {
-      table.add_row({cell_to_string(entry.key), "done",
-                     std::to_string(entry.attempts), "-",
-                     "CORRUPT: " + verdict.detail});
-    }
+  report::Table table({"cell", "attempts", "records", "verdict"});
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const Judged& cell = judged[i];
+    std::string verdict = verdict_name(cell.verdict);
+    if (!cell.detail.empty()) verdict += " (" + cell.detail + ")";
+    table.add_row({cell_to_string(entries[i].key),
+                   std::to_string(entries[i].attempts),
+                   cell.verdict == core::Verdict::kOk
+                       ? std::to_string(cell.records)
+                       : "-",
+                   verdict});
   }
-  std::printf("%s%zu entries, %zu corrupt\n", table.to_string().c_str(),
-              journal->entries().size(), corrupt);
-  if (corrupt > 0) {
-    std::printf("run `originscan journal repair --resume-dir %s` to drop "
-                "the corrupt entries and make the directory resumable\n",
-                args.resume_dir.c_str());
+  std::printf("%s%zu entries, %zu corrupt, %zu followers, %zu manifest "
+              "lines dropped\n",
+              table.to_string().c_str(), entries.size(), corrupt, followers,
+              journal->dropped_lines());
+  if (exit_code != cli::kOk) {
+    std::printf("resume with the original flags and the same --resume-dir "
+                "to re-run the corrupt cells and their followers\n");
   }
-  return corrupt == 0 ? 0 : 1;
-}
-
-int cmd_journal_repair(const Args& args) {
-  if (args.resume_dir.empty()) {
-    std::fprintf(stderr, "journal repair requires --resume-dir DIR\n");
-    return cli::kUsage;
-  }
-  std::string error;
-  const auto report = core::ExperimentJournal::repair(args.resume_dir, &error);
-  if (!report.has_value()) {
-    std::fprintf(stderr, "cannot repair journal %s: %s\n",
-                 args.resume_dir.c_str(), error.c_str());
-    return cli::kFailure;
-  }
-  std::printf("repaired journal %s (fingerprint %s)\n"
-              "  entries kept:               %zu\n"
-              "  manifest lines dropped:     %zu (malformed or torn)\n"
-              "  corrupt entries dropped:    %zu\n"
-              "  chain followers dropped:    %zu\n",
-              args.resume_dir.c_str(), report->fingerprint.c_str(),
-              report->entries_kept, report->lines_dropped_malformed,
-              report->entries_dropped_corrupt,
-              report->entries_dropped_followers);
-  std::printf("resume with the original flags and the same --resume-dir to "
-              "re-run the dropped cells\n");
-  return cli::kOk;
+  return exit_code;
 }
 
 int cmd_chaos(const Args& args) {
@@ -1026,7 +1000,6 @@ int main(int argc, char** argv) {
     case cli::kClient: return cmd_client(args);
     case cli::kLoadgen: return cmd_loadgen(args);
     case cli::kJournalInspect: return cmd_journal_inspect(args);
-    case cli::kJournalRepair: return cmd_journal_repair(args);
     case cli::kTopology: return cmd_topology(args);
     case cli::kOrigins: return cmd_origins(args);
   }
