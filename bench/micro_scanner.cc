@@ -157,9 +157,9 @@ static void BM_ProceduralLookup(benchmark::State& state) {
 BENCHMARK(BM_ProceduralLookup);
 
 static void BM_LossModelLookup(benchmark::State& state) {
-  // Steady-state loss decision through the flat ProbeContext table: one
-  // indexed load to the model plus the per-packet drop draw. This is the
-  // path that replaced a shared_mutex + unordered_map lookup per packet.
+  // Steady-state reverse-loss decision as ProbeContext::respond takes it
+  // on a cursor miss: one indexed load to the model, its loss window at
+  // t, and the per-packet drop draw against the window's probability.
   static const sim::World world = [] {
     sim::ScenarioConfig config;
     config.universe_size = 1u << 15;
@@ -177,7 +177,11 @@ static void BM_LossModelLookup(benchmark::State& state) {
     const sim::AsId as = static_cast<sim::AsId>(key % as_count);
     const auto t = net::VirtualTime::from_seconds(
         static_cast<double>(key % 75600));
-    benchmark::DoNotOptimize(probe_context.loss(as).drop(t, key));
+    const sim::PathLossModel& model = probe_context.loss(as);
+    const double p = model.loss_window(t).p;
+    const std::uint64_t h = net::mix_u64(model.stream_seed(), key, 0xD60Bu);
+    benchmark::DoNotOptimize(
+        p > 0.0 && static_cast<double>(h >> 11) * 0x1.0p-53 < p);
     ++key;
   }
 }

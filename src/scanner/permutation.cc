@@ -123,10 +123,25 @@ CyclicGroup::Iterator CyclicGroup::shard(std::uint32_t index,
   return Iterator(shard_start, step, prime_, size_, emitted);
 }
 
+CyclicGroup::Iterator::Iterator(std::uint64_t start, std::uint64_t step,
+                                std::uint64_t prime, std::uint64_t size,
+                                std::uint64_t count)
+    : current_(start),
+      step_(step),
+      step_quotient_(static_cast<std::uint64_t>(
+          (static_cast<unsigned __int128>(step) << 64) / prime)),
+      prime_(prime),
+      size_(size),
+      remaining_(count) {
+  assert(prime < (std::uint64_t{1} << 63));
+  assert(step >= 1 && step < prime);
+  assert(count == 0 || (start >= 1 && start < prime));
+}
+
 std::optional<std::uint64_t> CyclicGroup::Iterator::next() {
   while (remaining_ > 0) {
     const std::uint64_t value = current_;
-    current_ = mulmod_u64(current_, step_, prime_);
+    current_ = step_mod(current_, step_, step_quotient_, prime_);
     --remaining_;
     // Group elements are [1, p-1]; addresses are [0, size). Skip the
     // elements that fall outside the scan space.
@@ -141,13 +156,14 @@ std::size_t CyclicGroup::Iterator::next_batch(std::span<std::uint32_t> out) {
   std::uint64_t current = current_;
   std::uint64_t remaining = remaining_;
   const std::uint64_t step = step_;
+  const std::uint64_t step_quotient = step_quotient_;
   const std::uint64_t prime = prime_;
   const std::uint64_t size = size_;
 
   std::size_t written = 0;
   while (written < out.size() && remaining > 0) {
     const std::uint64_t value = current;
-    current = mulmod_u64(current, step, prime);
+    current = step_mod(current, step, step_quotient, prime);
     --remaining;
     if (value <= size) {
       out[written++] = static_cast<std::uint32_t>(value - 1);
@@ -165,10 +181,11 @@ std::size_t CyclicGroup::Iterator::next_positions(
       static_cast<std::size_t>(std::min<std::uint64_t>(out.size(), remaining_));
   std::uint64_t current = current_;
   const std::uint64_t step = step_;
+  const std::uint64_t step_quotient = step_quotient_;
   const std::uint64_t prime = prime_;
   for (std::size_t i = 0; i < count; ++i) {
     out[i] = current - 1;
-    current = mulmod_u64(current, step, prime);
+    current = step_mod(current, step, step_quotient, prime);
   }
   current_ = current;
   remaining_ -= count;

@@ -62,18 +62,31 @@ class CyclicGroup {
     // interleaving shards by position reconstructs the serial order.
     std::size_t next_positions(std::span<std::uint64_t> out);
 
-   private:
-    friend class CyclicGroup;
+    // The walk x, x * step, x * step^2, ... (mod prime) of `count`
+    // elements from `start`, emitting those at most `size` as addresses.
+    // shard() builds one; any start in [1, prime-1] and step in
+    // [1, prime-1] is a valid walk, for a prime below 2^63.
     Iterator(std::uint64_t start, std::uint64_t step, std::uint64_t prime,
-             std::uint64_t size, std::uint64_t count)
-        : current_(start),
-          step_(step),
-          prime_(prime),
-          size_(size),
-          remaining_(count) {}
+             std::uint64_t size, std::uint64_t count);
+
+   private:
+    // x * step mod prime for x < prime, without a division: Shoup's
+    // precomputed quotient step_quotient = floor(step * 2^64 / prime)
+    // gives q = floor(x * step_quotient / 2^64), off from the true
+    // quotient by at most one, so x * step - q * prime (mod 2^64) lies in
+    // [0, 2 * prime) and one conditional subtract finishes it.
+    static std::uint64_t step_mod(std::uint64_t x, std::uint64_t step,
+                                  std::uint64_t step_quotient,
+                                  std::uint64_t prime) {
+      const auto q = static_cast<std::uint64_t>(
+          (static_cast<unsigned __int128>(x) * step_quotient) >> 64);
+      const std::uint64_t r = x * step - q * prime;
+      return r >= prime ? r - prime : r;
+    }
 
     std::uint64_t current_;
     std::uint64_t step_;
+    std::uint64_t step_quotient_;
     std::uint64_t prime_;
     std::uint64_t size_;
     std::uint64_t remaining_;

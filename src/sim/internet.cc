@@ -325,25 +325,35 @@ void Internet::handle_probe_batch(ProbeContext& context, ProbeBatch& batch) {
   assert(probes <= ProbeBatch::kMaxProbes);
   const auto as_count = static_cast<AsId>(context.loss_by_as_.size());
 
-  // Pass 1 (pure): the forward-loss uniform for every (target, probe),
-  // four target lanes at a time, all probes of a lane group together so
-  // the addr/seed gather is paid once. The two chained mixes match
-  // PathLossModel::drop byte-for-byte: key = mix(dst, probe, origin,
-  // 0xF0D0), draw = hash01(mix(stream_seed, key, 0xD60B)). Unresolved or
-  // unrouted lanes mix a zero seed — their draw is never read.
-  if (!detail::fwd_draws_vectorized(batch.addr, batch.as,
+  // Pass 1 (pure): the forward-loss uniform for every probe of a sent,
+  // host-bearing target, over the batch's compacted host list in target
+  // order; pass 2 settles a probe to an empty address as no_host before
+  // any draw could matter. Four lanes at a time, all probes of a lane
+  // group together so the addr/seed gather is paid once. The two chained
+  // mixes are the path loss draw: key = mix(dst, probe, origin, 0xF0D0),
+  // draw = hash01(mix(stream_seed, key, 0xD60B)). A garbage AS mixes a
+  // zero seed; its draw is never read.
+  net::Ipv4Addr hosted_addr[ProbeBatch::kCapacity];
+  AsId hosted_as[ProbeBatch::kCapacity] = {};
+  int m = 0;
+  for (int i = 0; i < n; ++i) {
+    hosted_addr[m] = batch.addr[i];
+    hosted_as[m] = batch.as[i];
+    m += (batch.sent_mask[i] != 0) & (batch.has_host[i] != 0);
+  }
+  if (!detail::fwd_draws_vectorized(hosted_addr, hosted_as,
                                     context.loss_seed_by_as_.data(), as_count,
-                                    context.origin_, n, probes,
+                                    context.origin_, m, probes,
                                     batch.fwd_draw)) {
-    int i = 0;
-    for (; i + 4 <= n; i += 4) {
+    int j = 0;
+    for (; j + 4 <= m; j += 4) {
       std::uint64_t addr4[4];
       std::uint64_t key4[4];
       std::uint64_t seed4[4];
       std::uint64_t hash4[4];
       for (int lane = 0; lane < 4; ++lane) {
-        addr4[lane] = batch.addr[i + lane].value();
-        const AsId as = batch.as[i + lane];
+        addr4[lane] = hosted_addr[j + lane].value();
+        const AsId as = hosted_as[j + lane];
         seed4[lane] = as < as_count ? context.loss_seed_by_as_[as] : 0;
       }
       for (int p = 0; p < probes; ++p) {
@@ -352,26 +362,26 @@ void Internet::handle_probe_batch(ProbeContext& context, ProbeBatch& batch) {
         net::mix_u64_x4(seed4, key4, 0xD60Bu, 0, hash4);
         double* draw = batch.fwd_draw + p * ProbeBatch::kCapacity;
         for (int lane = 0; lane < 4; ++lane) {
-          draw[i + lane] = hash01(hash4[lane]);
+          draw[j + lane] = hash01(hash4[lane]);
         }
       }
     }
-    for (; i < n; ++i) {
-      const AsId as = batch.as[i];
+    for (; j < m; ++j) {
+      const AsId as = hosted_as[j];
       const std::uint64_t seed =
           as < as_count ? context.loss_seed_by_as_[as] : 0;
       for (int p = 0; p < probes; ++p) {
         const std::uint64_t key =
-            net::mix_u64(batch.addr[i].value(), static_cast<std::uint64_t>(p),
+            net::mix_u64(hosted_addr[j].value(), static_cast<std::uint64_t>(p),
                          context.origin_, 0xF0D0u);
-        batch.fwd_draw[p * ProbeBatch::kCapacity + i] =
+        batch.fwd_draw[p * ProbeBatch::kCapacity + j] =
             hash01(net::mix_u64(seed, key, 0xD60Bu));
       }
     }
   }
 
-  // Pass 2: the decision ladder per sent probe (fault, outage, forward
-  // loss, liveness), accumulating drop counts batch-locally. Probes that
+  // Pass 2: the decision ladder per sent probe (fault, liveness, outage,
+  // forward loss), accumulating drop counts batch-locally. Probes that
   // clear it are marked live; the caller steps each one through
   // ProbeContext::respond for policy admission and the reply.
   std::uint64_t n_unrouted = 0;
@@ -381,21 +391,28 @@ void Internet::handle_probe_batch(ProbeContext& context, ProbeBatch& batch) {
   std::uint64_t n_loss = 0;
   std::uint64_t n_nohost = 0;
   std::uint64_t n_routed = 0;
+  const auto sent_bits = static_cast<unsigned>((1u << probes) - 1);
+  int j = 0;  // the next entry of the compacted host list
   for (int i = 0; i < n; ++i) {
     batch.live_mask[i] = 0;
-    const std::uint8_t sent = batch.sent_mask[i];
-    if (sent == 0) continue;
+    if (batch.sent_mask[i] == 0) continue;
+    const unsigned sent = batch.sent_mask[i] & sent_bits;
+    const bool host = batch.has_host[i] != 0;
+    const int draw_at = host ? j++ : -1;
     const AsId as = batch.as[i];
     if (as >= as_count) {  // kNoAs or garbage: unrouted space
-      for (int p = 0; p < probes; ++p) {
-        if ((sent >> p) & 1) ++n_unrouted;
-      }
+      n_unrouted += static_cast<unsigned>(__builtin_popcount(sent));
+      continue;
+    }
+    const auto sent_count = static_cast<unsigned>(__builtin_popcount(sent));
+    n_routed += sent_count;
+    if (!host && faults_ == nullptr) {  // nothing listens: no draw matters
+      n_nohost += sent_count;
       continue;
     }
     std::uint8_t live = 0;
     for (int p = 0; p < probes; ++p) {
       if (!((sent >> p) & 1)) continue;
-      ++n_routed;
       const auto t = net::VirtualTime::from_micros(
           batch.time_us[p * ProbeBatch::kCapacity + i]);
       if (faults_ != nullptr) {
@@ -410,6 +427,10 @@ void Internet::handle_probe_batch(ProbeContext& context, ProbeBatch& batch) {
           continue;
         }
       }
+      if (!host) {
+        ++n_nohost;
+        continue;
+      }
       if (context.outage_possible_by_as_[as] &&
           context.outage_->in_outage(as, t)) {
         ++n_outage;
@@ -418,12 +439,8 @@ void Internet::handle_probe_batch(ProbeContext& context, ProbeBatch& batch) {
       PathLossModel::LossWindow& window = context.loss_cursor_[as];
       if (!window.contains(t)) window = context.loss_by_as_[as]->loss_window(t);
       if (window.p > 0.0 &&
-          batch.fwd_draw[p * ProbeBatch::kCapacity + i] < window.p) {
+          batch.fwd_draw[p * ProbeBatch::kCapacity + draw_at] < window.p) {
         ++n_loss;
-        continue;
-      }
-      if (batch.has_host[i] == 0) {
-        ++n_nohost;
         continue;
       }
       live |= static_cast<std::uint8_t>(1u << p);
@@ -471,9 +488,14 @@ ProbeContext::Reply ProbeContext::respond(const ProbeBatch& batch, int i,
     if (metrics_ != nullptr) metrics_->add(obsv::Counter::kSimDropsIds);
     return Reply::kNone;
   }
-  // Reverse direction.
-  if (loss_by_as_[as]->drop(t, net::mix_u64(dst.value(), p, origin_,
-                                            0x0BACu))) {
+  // Reverse direction: the same draw as the forward one, keyed 0x0BAC,
+  // against the lane's loss window for the AS.
+  PathLossModel::LossWindow& window = loss_cursor_[as];
+  if (!window.contains(t)) window = loss_by_as_[as]->loss_window(t);
+  if (window.p > 0.0 &&
+      hash01(net::mix_u64(loss_seed_by_as_[as],
+                          net::mix_u64(dst.value(), p, origin_, 0x0BACu),
+                          0xD60Bu)) < window.p) {
     if (metrics_ != nullptr) metrics_->add(obsv::Counter::kSimDropsLossModel);
     return Reply::kNone;
   }

@@ -104,7 +104,8 @@ struct ResolvedTarget {
 // over one column — addresses, then AS ids, then draws — instead of
 // pointer-chasing per-target objects. Probe-indexed arrays (time_us,
 // fwd_draw) are probe-major: element [p * kCapacity + i] belongs to
-// probe p of target i, so a fixed-p pass is a contiguous sweep.
+// probe p of target i (of the i-th sent host-bearing target, for
+// fwd_draw), so a fixed-p pass is a contiguous sweep.
 //
 // The scanner fills addr/time_us/sent_mask/size/probes, resolve_batch
 // fills as/has_host/host, handle_probe_batch fills live_mask (and uses
@@ -132,7 +133,9 @@ struct ProbeBatch {
   Host host[kCapacity];
 
   // handle_probe_batch scratch/outputs.
-  double fwd_draw[kMaxProbes * kCapacity];  // forward-loss uniforms
+  // Forward-loss uniforms of the sent targets with has_host set, in
+  // target order: a probe to an empty address needs no draw.
+  double fwd_draw[kMaxProbes * kCapacity];
   std::uint8_t live_mask[kCapacity];
 };
 
@@ -210,10 +213,11 @@ class ProbeContext {
   // forward-loss kernel can gather four seeds and mix four draws without
   // touching the models themselves.
   std::vector<std::uint64_t> loss_seed_by_as_;
-  // Per-AS memo of the loss window containing the last queried time —
-  // probes arrive in near-sorted time order, so one window lookup
-  // amortizes over many probes. Pure-refill scratch: a stale entry is
-  // simply refilled, never observed.
+  // Per-AS memo of the loss window containing the last queried time,
+  // read by the forward rung of handle_probe_batch and by respond's
+  // reverse rung — probes arrive in near-sorted time order, so one
+  // window lookup amortizes over many probes. Pure-refill scratch: a
+  // stale entry is simply refilled, never observed.
   std::vector<PathLossModel::LossWindow> loss_cursor_;
   // Per-AS precomputed OutageSchedule::ever_in_outage — most ASes have
   // no outage windows at all, so the batch ladder can skip the
@@ -233,11 +237,14 @@ class Internet {
   ProbeContext probe_context(OriginId origin, proto::Protocol protocol);
 
   // Classifies every sent probe of a resolved batch: computes the
-  // forward-loss draws in a branch-minimized four-wide pass, then walks
-  // the decision ladder (faults, outage, forward loss, liveness) per
-  // probe, accumulating drop-reason counts batch-locally and flushing one
-  // metric add per reason. Sets batch.live_mask; the caller hands each
-  // live probe to ProbeContext::respond.
+  // forward-loss draws of the host-bearing targets in a branch-minimized
+  // four-wide pass, then walks the decision ladder (faults, liveness,
+  // outage, forward loss) per probe, accumulating drop-reason counts
+  // batch-locally and flushing one metric add per reason. A probe to an
+  // empty address is settled as no_host right after the fault rung and
+  // consults no outage schedule, loss window or draw. Sets
+  // batch.live_mask; the caller hands each live probe to
+  // ProbeContext::respond.
   void handle_probe_batch(ProbeContext& context, ProbeBatch& batch);
 
   // Per-target resolution: the routed AS and the host that answers this

@@ -44,13 +44,6 @@ bool PathLossModel::in_bad_state(net::VirtualTime t) const {
   return us >= it->start_us && us < it->end_us;
 }
 
-bool PathLossModel::drop(net::VirtualTime t, std::uint64_t packet_key) const {
-  const double p = loss_probability(t);
-  if (p <= 0.0) return false;
-  const std::uint64_t h = net::mix_u64(seed_, packet_key, 0xD60Bu);
-  return static_cast<double>(h >> 11) * 0x1.0p-53 < p;
-}
-
 double PathLossModel::loss_probability(net::VirtualTime t) const {
   return in_bad_state(t) ? profile_.bad_loss : profile_.good_loss;
 }

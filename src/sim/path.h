@@ -40,10 +40,6 @@ class PathLossModel {
 
   [[nodiscard]] bool in_bad_state(net::VirtualTime t) const;
 
-  // Deterministic per-packet drop decision; `packet_key` must be unique
-  // per packet (mix of addr, probe index, direction).
-  [[nodiscard]] bool drop(net::VirtualTime t, std::uint64_t packet_key) const;
-
   [[nodiscard]] double loss_probability(net::VirtualTime t) const;
   [[nodiscard]] const PathProfile& profile() const { return profile_; }
 
@@ -61,9 +57,10 @@ class PathLossModel {
   };
   [[nodiscard]] LossWindow loss_window(net::VirtualTime t) const;
 
-  // The raw stream seed, exposed so the batched drop kernel can compute
-  // mix(seed, key, 0xD60B) for four packets at once. Must stay
-  // bit-identical to what drop() uses.
+  // The raw stream seed of the per-packet drop draw: a packet keyed
+  // `packet_key` (unique per packet: a mix of addr, probe index and
+  // direction) is lost at time t when
+  // hash01(mix(seed, packet_key, 0xD60B)) < loss_probability(t).
   [[nodiscard]] std::uint64_t stream_seed() const { return seed_; }
 
   // Total Bad time over the horizon (for tests / calibration).

@@ -40,6 +40,7 @@ namespace originscan::sim {
 namespace {
 
 using originscan::testing::PermutationWalk;
+using originscan::testing::reference_drop;
 using originscan::testing::walk_permutation;
 
 // ---- mix_u64_x4 -----------------------------------------------------
@@ -247,17 +248,18 @@ class ReferenceModel {
             continue;
           }
         }
+        if (!host) {
+          m.add(Counter::kSimDropsNoHost);
+          continue;
+        }
         if (models_.outage().in_outage(*as, t)) {
           m.add(Counter::kSimDropsOutage);
           continue;
         }
         const PathLossModel& loss = models_.loss(*as);
-        if (loss.drop(t, net::mix_u64(dst.value(), p, origin_, 0xF0D0u))) {
+        if (reference_drop(loss, t,
+                           net::mix_u64(dst.value(), p, origin_, 0xF0D0u))) {
           m.add(Counter::kSimDropsLossModel);
-          continue;
-        }
-        if (!host) {
-          m.add(Counter::kSimDropsNoHost);
           continue;
         }
         if (internet_.policy_engine().on_probe(origin_, src_ip, *as, dst,
@@ -266,7 +268,8 @@ class ReferenceModel {
           m.add(Counter::kSimDropsIds);
           continue;
         }
-        if (loss.drop(t, net::mix_u64(dst.value(), p, origin_, 0x0BACu))) {
+        if (reference_drop(loss, t,
+                           net::mix_u64(dst.value(), p, origin_, 0x0BACu))) {
           m.add(Counter::kSimDropsLossModel);
           continue;
         }
@@ -451,6 +454,63 @@ TEST(BatchModelEquivalence, FullSweepMatchesReferenceModel) {
     EXPECT_EQ(pipeline.results, model.results) << seed;
     expect_non_universe_counters_equal(pipeline.metrics, model.metrics);
   }
+}
+
+// Metrics change no decision: the same sweep and fault plan with no
+// metric block attached reports the same results and Stats, and asks
+// the fault injector the same questions (equal hit counts per point).
+TEST(BatchModelEquivalence, MetricsOffMatchesMetricsOn) {
+  ScenarioConfig config = ScenarioConfig::full_internet(20);
+  config.seed = 0x5CA7171ull;
+  const World world = build_world(config, paper_origins(config.universe_size));
+
+  TrialContext context;
+  context.experiment_seed = config.seed;
+  context.simultaneous_origins = static_cast<int>(world.origins.size());
+  const OriginId origin = world.origin_id("US1");
+  ASSERT_NE(origin, ~OriginId{0});
+
+  constexpr std::string_view kFaults =
+      "drop:slot=500..40000,p=0.2;send_fail:slot=0..30000,p=0.4;"
+      "mac_corrupt:slot=10000..90000,p=0.1;outage:sec=5..25;"
+      "drop:sec=30..40,p=0.3";
+  RunOutput runs[2];
+  std::uint64_t hits[2][fault::kPointCount] = {};
+  for (int metrics_on = 0; metrics_on < 2; ++metrics_on) {
+    const auto faults = make_faults(kFaults);
+    scan::ZMapConfig zconfig;
+    zconfig.seed = config.seed;
+    zconfig.universe_size = config.universe_size;
+    zconfig.protocol = proto::Protocol::kHttp;
+    zconfig.probes = 2;
+    zconfig.scan_duration = net::VirtualTime::from_micros(
+        std::int64_t{50} * config.universe_size * zconfig.probes);
+    zconfig.source_ips = world.origins[origin].source_ips;
+    zconfig.faults = &faults;
+    zconfig.metrics = metrics_on != 0 ? &runs[metrics_on].metrics : nullptr;
+
+    PersistentState persistent;
+    Internet internet(&world, context, &persistent);
+    internet.set_fault_injector(&faults);
+    scan::ZMapScanner scanner(zconfig, &internet, origin);
+    RunOutput& out = runs[metrics_on];
+    out.stats = scanner.run([&](const scan::L4Result& r) {
+      collect(internet, origin, zconfig.protocol, r, out);
+    });
+    for (int point = 0; point < fault::kPointCount; ++point) {
+      hits[metrics_on][point] =
+          faults.hits(static_cast<fault::Point>(point));
+    }
+  }
+  EXPECT_GT(runs[1].metrics.counter(obsv::Counter::kSimDropsNoHost), 0u);
+  EXPECT_GT(runs[1].metrics.counter(obsv::Counter::kFaultOutage), 0u);
+  EXPECT_GT(runs[0].results.size(), 0u);
+  EXPECT_EQ(runs[0].results, runs[1].results);
+  EXPECT_EQ(runs[0].stats, runs[1].stats);
+  for (int point = 0; point < fault::kPointCount; ++point) {
+    EXPECT_EQ(hits[0][point], hits[1][point]) << point;
+  }
+  EXPECT_GT(hits[1][static_cast<int>(fault::Point::kProbeDrop)], 0u);
 }
 
 // Partial tail batches (1..255 targets) and the resolution boundary:

@@ -228,6 +228,86 @@ TEST(Permutation, LanesWalkOneCycleRecoveredFromProbeOrder) {
   }
 }
 
+// The step without a division: next(), next_batch and next_positions
+// must emit the recurrence x -> x * step mod p exactly as a 128-bit
+// remainder computes it, for 2^16 steps of each shard of 1-8 lanes from
+// its start, and from elements within 64 of p - 1 (the largest
+// products), and for a walk modulo a prime near 2^62.
+void expect_walk_matches_remainder(const CyclicGroup::Iterator& walk,
+                                   std::uint64_t step, std::uint64_t prime,
+                                   std::uint64_t size) {
+  auto positions = walk;
+  std::vector<std::uint64_t> stepped(std::size_t{1} << 16);
+  // A shard of a small group has fewer positions; it is walked whole.
+  stepped.resize(positions.next_positions(stepped));
+  ASSERT_GT(stepped.size(), 1000u);
+  std::vector<std::uint64_t> expected;  // addresses, in emission order
+  std::uint64_t x = stepped[0] + 1;
+  for (std::size_t n = 0; n < stepped.size(); ++n) {
+    ASSERT_EQ(stepped[n], x - 1) << "position " << n << " of p " << prime;
+    if (x <= size) expected.push_back(x - 1);
+    x = static_cast<std::uint64_t>(static_cast<unsigned __int128>(x) * step %
+                                   prime);
+  }
+  auto one_by_one = walk;
+  for (std::size_t n = 0; n < expected.size(); ++n) {
+    ASSERT_EQ(one_by_one.next(), expected[n]) << "address " << n;
+  }
+  auto batched = walk;
+  std::array<std::uint32_t, 301> chunk;  // odd-sized pulls
+  std::size_t at = 0;
+  while (at < expected.size()) {
+    const std::size_t want = std::min(chunk.size(), expected.size() - at);
+    ASSERT_EQ(batched.next_batch(std::span(chunk).first(want)), want);
+    for (std::size_t n = 0; n < want; ++n, ++at) {
+      ASSERT_EQ(chunk[n], expected[at]) << "address " << at;
+    }
+  }
+}
+
+TEST(Permutation, StepMatchesTheRemainderRecurrence) {
+  for (const std::uint64_t size :
+       {std::uint64_t{1} << 16, std::uint64_t{1} << 20, std::uint64_t{1} << 25,
+        std::uint64_t{0xFFFF0000}}) {
+    const auto group = CyclicGroup::for_size(size, /*seed=*/0x5A0F);
+    const std::uint64_t prime = group.prime();
+    for (std::uint32_t lanes = 1; lanes <= 8; ++lanes) {
+      const std::uint64_t step = powmod_u64(group.generator(), lanes, prime);
+      for (std::uint32_t lane = 0; lane < lanes; ++lane) {
+        SCOPED_TRACE(::testing::Message() << "size " << size << " shard "
+                                        << lane << " of " << lanes);
+        expect_walk_matches_remainder(group.shard(lane, lanes), step, prime,
+                                      size);
+      }
+      for (const std::uint64_t below_top :
+           {std::uint64_t{0}, std::uint64_t{8} * lanes - 1}) {
+        SCOPED_TRACE(::testing::Message() << "size " << size << " step g^"
+                                        << lanes << " from p-1-" << below_top);
+        expect_walk_matches_remainder(
+            CyclicGroup::Iterator(prime - 1 - below_top, step, prime, size,
+                                  std::uint64_t{1} << 16),
+            step, prime, size);
+      }
+    }
+  }
+  // Below 2^32 the precomputed quotient is already exact (its error is
+  // under p^2 / 2^64 < 1), so the conditional subtract first matters
+  // for larger primes; near 2^62 it fires on a good share of steps.
+  const std::uint64_t prime = next_prime_above(std::uint64_t{1} << 62);
+  for (const std::uint64_t step :
+       {std::uint64_t{3}, 0x9E3779B97F4A7C15 % prime, prime - 2}) {
+    for (const std::uint64_t start : {std::uint64_t{1}, prime - 1,
+                                      prime - 64}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "p " << prime << " step " << step << " from " << start);
+      expect_walk_matches_remainder(
+          CyclicGroup::Iterator(start, step, prime, std::uint64_t{1} << 32,
+                                std::uint64_t{1} << 16),
+          step, prime, std::uint64_t{1} << 32);
+    }
+  }
+}
+
 TEST(Permutation, SameSeedSameOrder) {
   const auto a = CyclicGroup::for_size(5000, 7);
   const auto b = CyclicGroup::for_size(5000, 7);

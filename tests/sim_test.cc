@@ -16,6 +16,7 @@ namespace {
 using originscan::testing::MiniWorldOptions;
 using originscan::testing::make_mini_world;
 using originscan::testing::probe_one;
+using originscan::testing::reference_drop;
 
 // --------------------------------------------------------------- country --
 
@@ -160,7 +161,7 @@ TEST_P(PathLossStationary, RealizedLossMatchesStationary) {
     for (int i = 0; i < kProbes; ++i) {
       const auto t = net::VirtualTime::from_seconds(
           horizon.seconds() * (i + 0.5) / kProbes);
-      if (model.drop(t, net::mix_u64(timeline, i))) drops += 1;
+      if (reference_drop(model, t, net::mix_u64(timeline, i))) drops += 1;
     }
   }
   const double realized = drops / (kTimelines * kProbes);
@@ -187,8 +188,10 @@ TEST(PathLoss, BackToBackProbesShareFate) {
     for (int i = 0; i < 20000; ++i) {
       const auto t = net::VirtualTime::from_seconds(
           horizon.seconds() * (i + 0.5) / 20000);
-      const bool drop0 = model.drop(t, net::mix_u64(i, 0, timeline));
-      const bool drop1 = model.drop(t, net::mix_u64(i, 1, timeline));
+      const bool drop0 =
+          reference_drop(model, t, net::mix_u64(i, 0, timeline));
+      const bool drop1 =
+          reference_drop(model, t, net::mix_u64(i, 1, timeline));
       if (drop0 || drop1) {
         ++one_lost;
         if (drop0 && drop1) ++both_lost;

@@ -2,9 +2,10 @@
 // path loss, no outages, no policies unless a test adds them. Hosts come
 // from the one derivation every world uses (generate_host), with per-AS
 // parameters that switch off middleboxes, churn and flakiness. Also the
-// helpers several suites share: one probe through the pipeline
-// (probe_one), per-process scratch directories (scratch_dir), and a
-// serial permutation walk independent of the scanner's (walk_permutation).
+// helpers several suites share: the reference per-packet loss decision
+// (reference_drop), one probe through the pipeline (probe_one),
+// per-process scratch directories (scratch_dir), and a serial
+// permutation walk independent of the scanner's (walk_permutation).
 #pragma once
 
 #include <gtest/gtest.h>
@@ -105,6 +106,17 @@ inline sim::World make_mini_world(const MiniWorldOptions& options = {}) {
   world.outages.pair_rate = 0;
   world.outages.wide_event_probability = 0;
   return world;
+}
+
+// The path loss model's per-packet drop decision, written out as the
+// reference the pipeline's draws must match: a packet keyed `packet_key`
+// (a mix of addr, probe index and direction) is lost at time t when
+// hash01(mix(stream_seed, packet_key, 0xD60B)) < loss_probability(t).
+inline bool reference_drop(const sim::PathLossModel& model, net::VirtualTime t,
+                           std::uint64_t packet_key) {
+  const double p = model.loss_probability(t);
+  const std::uint64_t h = net::mix_u64(model.stream_seed(), packet_key, 0xD60Bu);
+  return p > 0.0 && static_cast<double>(h >> 11) * 0x1.0p-53 < p;
 }
 
 // Sends probe `probe_index` of one target from `origin`'s first source IP
