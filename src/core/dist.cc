@@ -23,47 +23,6 @@
 namespace originscan::core {
 namespace {
 
-// ---- Transport helpers -----------------------------------------------
-
-// MSG_NOSIGNAL everywhere: a peer death must surface as EPIPE, never as
-// a process-wide SIGPIPE.
-bool write_all(int fd, std::span<const std::uint8_t> data) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t n =
-        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-bool send_message(int fd, const WireMessage& message) {
-  return write_all(fd, encode_message(message));
-}
-
-// Blocking read of the next protocol message (worker side — the worker
-// has exactly one peer and nothing else to do). nullopt = EOF, transport
-// error, or an undecodable frame; the worker treats all three as "the
-// master is gone" and exits.
-std::optional<WireMessage> read_message(int fd, net::FrameDecoder& decoder) {
-  for (;;) {
-    if (auto payload = decoder.next()) return decode_message(*payload);
-    if (decoder.error() != net::FrameError::kNone) return std::nullopt;
-    std::uint8_t buffer[65536];
-    const ssize_t n = ::recv(fd, buffer, sizeof buffer, 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return std::nullopt;
-    }
-    if (n == 0) return std::nullopt;
-    decoder.feed(std::span(buffer, static_cast<std::size_t>(n)));
-  }
-}
-
 void put_string(net::ByteWriter& writer, std::string_view s) {
   writer.u32(static_cast<std::uint32_t>(s.size()));
   writer.bytes(std::span(reinterpret_cast<const std::uint8_t*>(s.data()),
@@ -100,18 +59,18 @@ std::string_view segment_kind_name(SegmentKind kind) {
 }
 
 namespace {
-#define OSN_X(symbol, value, name) DistProtocolSymbol{name, value},
-constexpr DistProtocolSymbol kDistMessageSymbols[] = {
+#define OSN_X(symbol, value, name) net::ProtocolSymbol{name, value},
+constexpr net::ProtocolSymbol kDistMessageSymbols[] = {
     OSN_DIST_MESSAGES(OSN_X)};
-constexpr DistProtocolSymbol kDistSegmentSymbols[] = {
+constexpr net::ProtocolSymbol kDistSegmentSymbols[] = {
     OSN_DIST_SEGMENT_KINDS(OSN_X)};
 #undef OSN_X
 }  // namespace
 
-std::span<const DistProtocolSymbol> dist_message_symbols() {
+std::span<const net::ProtocolSymbol> dist_message_symbols() {
   return kDistMessageSymbols;
 }
-std::span<const DistProtocolSymbol> dist_segment_symbols() {
+std::span<const net::ProtocolSymbol> dist_segment_symbols() {
   return kDistSegmentSymbols;
 }
 
@@ -263,12 +222,12 @@ namespace {
 // which its decoder must classify, not choke on.
 void worker_checkpoint(const fault::FaultInjector* faults, int worker,
                        fault::WorkerPhase phase, std::uint64_t cell,
-                       int grant, int fd,
+                       int grant, net::FrameStream& stream,
                        const std::vector<std::uint8_t>* torn) {
   if (faults == nullptr) return;
   if (faults->worker_kill(worker, phase, cell, grant)) {
     if (torn != nullptr && torn->size() >= 2) {
-      (void)write_all(fd, std::span(torn->data(), torn->size() / 2));
+      (void)stream.send_all(std::span(torn->data(), torn->size() / 2));
     }
     fault_kill();
   }
@@ -282,8 +241,9 @@ void worker_checkpoint(const fault::FaultInjector* faults, int worker,
 void run_worker(int fd, int worker_index, Experiment& experiment,
                 const SupervisorPolicy& policy) {
   const fault::FaultInjector* faults = experiment.config().faults;
+  net::FrameStream stream(fd);
   worker_checkpoint(faults, worker_index, fault::WorkerPhase::kHello, 0, 0,
-                    fd, nullptr);
+                    stream, nullptr);
 
   // All worker->master traffic funnels through here so the frame_garble
   // fault point sees one monotone frame index per process. A garbled
@@ -302,7 +262,7 @@ void run_worker(int fd, int worker_index, Experiment& experiment,
         experiment.config().metrics->add(obsv::Counter::kFaultFrameGarble);
       }
     }
-    return write_all(fd, frame);
+    return stream.send_all(frame);
   };
   const auto send = [&](const WireMessage& message) {
     return send_frame(encode_message(message));
@@ -321,16 +281,18 @@ void run_worker(int fd, int worker_index, Experiment& experiment,
   // per-trial Internets.
   std::optional<CellEngine> engine;
   std::optional<CellSupervisor> supervisor;
-  net::FrameDecoder decoder;
 
   for (;;) {
     WireMessage claim;
     claim.type = MsgType::kClaim;
     if (!send(claim)) return;
 
-    const auto grant_msg = read_message(fd, decoder);
+    // The worker has one peer and nothing else to do, so it blocks.
+    const auto payload = stream.read();
+    if (!payload.has_value()) return;  // EOF, transport or framing error
+    const auto grant_msg = decode_message(*payload);
     if (!grant_msg.has_value() || grant_msg->type != MsgType::kGrant) {
-      return;  // ABORT, EOF, or protocol breakage: shut down
+      return;  // ABORT or protocol breakage: shut down
     }
     if (grant_msg->origin >= origin_count ||
         grant_msg->chain_pos >= chain_len) {
@@ -364,7 +326,7 @@ void run_worker(int fd, int worker_index, Experiment& experiment,
       const int grant =
           pos == grant_msg->chain_pos ? static_cast<int>(grant_msg->grant) : 0;
       worker_checkpoint(faults, worker_index, fault::WorkerPhase::kClaim,
-                        slot, grant, fd, nullptr);
+                        slot, grant, stream, nullptr);
 
       obsv::MetricBlock cell_block;
       CellOutcome outcome = engine->run_cell(slot, *supervisor, &cell_block);
@@ -388,7 +350,7 @@ void run_worker(int fd, int worker_index, Experiment& experiment,
         done.lost = true;
         done.text = outcome.reason;
         worker_checkpoint(faults, worker_index, fault::WorkerPhase::kDone,
-                          slot, grant, fd, nullptr);
+                          slot, grant, stream, nullptr);
         if (!send(done)) return;
         continue;
       }
@@ -405,7 +367,7 @@ void run_worker(int fd, int worker_index, Experiment& experiment,
       done.sha256 = record_sha256(segment.bytes);
       const std::vector<std::uint8_t> records_frame = encode_message(segment);
       worker_checkpoint(faults, worker_index, fault::WorkerPhase::kSegment,
-                        slot, grant, fd, &records_frame);
+                        slot, grant, stream, &records_frame);
       if (!send_frame(records_frame)) return;
 
       segment.kind = SegmentKind::kIds;
@@ -418,7 +380,7 @@ void run_worker(int fd, int worker_index, Experiment& experiment,
       if (!send(segment)) return;
 
       worker_checkpoint(faults, worker_index, fault::WorkerPhase::kDone, slot,
-                        grant, fd, nullptr);
+                        grant, stream, nullptr);
       if (!send(done)) return;
     }
   }
@@ -462,9 +424,8 @@ class GridMaster {
 
   struct Worker {
     pid_t pid = -1;
-    int fd = -1;
     int index = -1;
-    net::FrameDecoder decoder;
+    net::FrameStream stream;  // nonblocking master end of the socketpair
     bool helloed = false;
     bool claim_pending = false;  // parked: waiting for a chain
     bool failed = false;         // scheduled for fail_worker this sweep
@@ -537,7 +498,7 @@ void GridMaster::spawn_worker() {
     // the master's EOF detection only depends on actual worker deaths.
     ::close(sv[0]);
     for (const auto& other : workers_) {
-      if (other->fd >= 0) ::close(other->fd);
+      if (other->stream.fd() >= 0) ::close(other->stream.fd());
     }
     if (!options_.worker_argv.empty()) {
       std::vector<std::string> argv_strings = options_.worker_argv;
@@ -552,21 +513,18 @@ void GridMaster::spawn_worker() {
       ::execv(argv[0], argv.data());
       std::_Exit(127);
     }
-    if (options_.worker_main) {
-      options_.worker_main(sv[1], index);
-    } else {
-      // Fork transport: the child runs against its copy-on-write view of
-      // the master's (never-run) experiment — same world, same faults,
-      // private IDS state. The master is single-threaded here, so the
-      // fork is safe even under TSan.
-      run_worker(sv[1], index, experiment_, policy_);
-    }
+    // Fork transport: the child runs against its copy-on-write view of
+    // the master's (never-run) experiment — same world, same faults,
+    // private IDS state. The master is single-threaded here, so the fork
+    // is safe even under TSan.
+    run_worker(sv[1], index, experiment_, policy_);
     std::_Exit(0);
   }
   ::close(sv[1]);
   auto worker = std::make_unique<Worker>();
   worker->pid = pid;
-  worker->fd = sv[0];
+  net::set_nonblocking(sv[0]);
+  worker->stream = net::FrameStream(sv[0]);
   worker->index = index;
   worker->deadline = Clock::now() + options_.hello_timeout;
   workers_.push_back(std::move(worker));
@@ -633,7 +591,7 @@ void GridMaster::dispatch_ready() {
     grant.grant = static_cast<std::uint32_t>(chain.grant_failures);
     grant.have_snapshot = chain.snapshot.has_value();
     if (chain.snapshot.has_value()) grant.snapshot = chain.snapshot->serialize();
-    if (!send_message(parked->fd, grant)) {
+    if (!parked->stream.send_all(encode_message(grant))) {
       // The worker died between its CLAIM and our grant; the poll loop
       // will reap it. The chain stays queued for the next candidate.
       parked->failed = true;
@@ -792,10 +750,7 @@ void GridMaster::reap(Worker& worker) {
   int status = 0;
   while (::waitpid(worker.pid, &status, 0) < 0 && errno == EINTR) {
   }
-  if (worker.fd >= 0) {
-    ::close(worker.fd);
-    worker.fd = -1;
-  }
+  worker.stream.close();
 }
 
 void GridMaster::fail_worker(Worker& worker) {
@@ -830,7 +785,7 @@ void GridMaster::shutdown_all(bool graceful) {
     if (graceful) {
       WireMessage abort_msg;
       abort_msg.type = MsgType::kAbort;
-      (void)send_message(worker->fd, abort_msg);
+      (void)worker->stream.send_all(encode_message(abort_msg));
     }
     reap(*worker);
   }
@@ -879,7 +834,7 @@ RunReport GridMaster::run() {
       std::vector<pollfd> fds;
       fds.reserve(workers_.size());
       for (const auto& worker : workers_) {
-        fds.push_back(pollfd{worker->fd, POLLIN, 0});
+        fds.push_back(pollfd{worker->stream.fd(), POLLIN, 0});
       }
       const int rc = ::poll(fds.data(), fds.size(), timeout_ms);
       const Clock::time_point now = Clock::now();
@@ -889,24 +844,11 @@ RunReport GridMaster::run() {
           Worker& worker = *workers_[i];
           if (worker.failed || worker.dead) continue;
           if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-          std::uint8_t buffer[65536];
-          ssize_t n;
-          do {
-            n = ::recv(worker.fd, buffer, sizeof buffer, 0);
-          } while (n < 0 && errno == EINTR);
-          if (n <= 0) {
-            // EOF: the worker died. Bytes stuck in the decoder are a
-            // torn mid-frame write — classified, never parsed.
-            if (worker.decoder.buffered() > 0) {
-              bump(obsv::Counter::kDistFrameErrors);
-            }
-            worker.failed = true;
-            continue;
-          }
-          worker.decoder.feed(
-              std::span(buffer, static_cast<std::size_t>(n)));
+          // Every frame that arrived before a hang-up is handled first:
+          // a worker may stream its last DONE and exit in one flight.
+          const bool open = worker.stream.fill();
           while (!worker.failed && !killed_) {
-            auto payload = worker.decoder.next();
+            auto payload = worker.stream.next();
             if (!payload.has_value()) break;
             auto message = decode_message(*payload);
             if (!message.has_value()) {
@@ -916,10 +858,17 @@ RunReport GridMaster::run() {
             }
             handle_message(worker, std::move(*message), now);
           }
-          if (worker.decoder.error() != net::FrameError::kNone) {
+          // A worker that ABORTed ends the run; its hang-up is no failure.
+          if (worker.failed || killed_) continue;
+          // A poisoned decoder, or bytes stuck in it at EOF (a torn
+          // mid-frame write), is a frame error: classified, never parsed.
+          // EOF alone means the worker died.
+          const bool poisoned =
+              worker.stream.error() != net::FrameError::kNone;
+          if (poisoned || (!open && worker.stream.buffered() > 0)) {
             bump(obsv::Counter::kDistFrameErrors);
-            worker.failed = true;
           }
+          if (poisoned || !open) worker.failed = true;
         }
       }
 

@@ -1,8 +1,8 @@
 // Multi-process experiment grids: a master process forks N workers,
 // connects each over a socketpair speaking a CRC32-framed message
-// protocol (netbase/frame.h), and distributes the grid's origin chains
-// to them. See DESIGN.md §11 for the protocol state machine and the
-// claim/rollback invariants.
+// protocol through net::FrameStream (netbase/frame.h), and distributes
+// the grid's origin chains to them. See DESIGN.md §11 for the protocol
+// state machine and the claim/rollback invariants.
 //
 // Wire protocol (every message is one frame; payload starts with a
 // message-type byte):
@@ -58,6 +58,7 @@
 #include "core/experiment.h"
 #include "core/journal.h"
 #include "core/supervisor.h"
+#include "netbase/frame.h"
 #include "obsv/metrics.h"
 
 namespace originscan::core {
@@ -100,14 +101,9 @@ enum class SegmentKind : std::uint8_t {
 
 [[nodiscard]] std::string_view segment_kind_name(SegmentKind kind);
 
-// Introspection rows (doc-name, wire-value) in definition order, for
-// tools/protocol_doc_check. Mirrors service::ProtocolSymbol.
-struct DistProtocolSymbol {
-  std::string_view name;
-  unsigned value;
-};
-[[nodiscard]] std::span<const DistProtocolSymbol> dist_message_symbols();
-[[nodiscard]] std::span<const DistProtocolSymbol> dist_segment_symbols();
+// Introspection rows for tools/protocol_doc_check.
+[[nodiscard]] std::span<const net::ProtocolSymbol> dist_message_symbols();
+[[nodiscard]] std::span<const net::ProtocolSymbol> dist_segment_symbols();
 
 // One decoded protocol message. Fields are populated per type; unused
 // fields keep their defaults on the wire (encode writes only the typed
@@ -183,15 +179,14 @@ struct DistOptions {
   int respawn_budget = 32;
   // Exec transport: argv for worker processes (argv[0] = executable);
   // the master appends "--fd N --worker-index I". Empty = fork mode: the
-  // child calls `worker_main(fd, index)` — or, when that is also empty,
-  // builds `Experiment(master.config())` and calls run_worker with the
-  // master's policy. Tests with custom worlds supply worker_main.
+  // child calls run_worker on its copy of the master's experiment (so a
+  // custom world needs nothing more) with the master's policy.
   std::vector<std::string> worker_argv;
-  std::function<void(int fd, int worker_index)> worker_main;
 };
 
 // Worker-process entry point: HELLO, then CLAIM/execute/stream until the
-// master ABORTs or closes the transport. `experiment` must be freshly
+// master ABORTs or closes the transport. Owns `fd` and closes it on
+// return. `experiment` must be freshly
 // constructed (never run) from the master's exact config; its
 // config().faults injector drives the worker_kill / worker_stall
 // checkpoints. Returns on clean shutdown; does not return if a kill or

@@ -109,7 +109,7 @@ class ByteReader {
     return (hi << 32) | u32();
   }
   std::span<const std::uint8_t> bytes(std::size_t n) {
-    if (pos_ + n > data_.size()) {
+    if (n > data_.size() - pos_) {  // not pos_ + n: that wraps near SIZE_MAX
       fail();
       return {};
     }
@@ -118,6 +118,9 @@ class ByteReader {
     return out;
   }
   void skip(std::size_t n) { (void)bytes(n); }
+  // Latches the error flag: a decoder rejecting a field it has read
+  // (a length above its cap) fails the whole read the same way.
+  void invalidate() { fail(); }
 
   [[nodiscard]] bool ok() const { return ok_; }
   [[nodiscard]] std::size_t remaining() const {

@@ -1,5 +1,13 @@
 #include "netbase/frame.h"
 
+#include <fcntl.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <utility>
+
 #include "netbase/byteio.h"
 #include "netbase/crc32.h"
 
@@ -98,6 +106,114 @@ std::optional<std::vector<std::uint8_t>> FrameDecoder::next() {
   buffer_.erase(buffer_.begin(),
                 buffer_.begin() + static_cast<std::ptrdiff_t>(view.consumed));
   return payload;
+}
+
+bool set_nonblocking(int fd) {
+  const int flags = ::fcntl(fd, F_GETFL, 0);
+  return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
+}
+
+FrameStream::FrameStream(FrameStream&& other) noexcept
+    : fd_(std::exchange(other.fd_, -1)),
+      decoder_(std::move(other.decoder_)),
+      outbound_(std::move(other.outbound_)),
+      outbound_off_(std::exchange(other.outbound_off_, 0)) {}
+
+FrameStream& FrameStream::operator=(FrameStream&& other) noexcept {
+  if (this != &other) {
+    close();
+    fd_ = std::exchange(other.fd_, -1);
+    decoder_ = std::move(other.decoder_);
+    outbound_ = std::move(other.outbound_);
+    outbound_off_ = std::exchange(other.outbound_off_, 0);
+  }
+  return *this;
+}
+
+int FrameStream::release() { return std::exchange(fd_, -1); }
+
+void FrameStream::close() {
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = -1;
+}
+
+void FrameStream::queue(std::span<const std::uint8_t> bytes) {
+  outbound_.insert(outbound_.end(), bytes.begin(), bytes.end());
+}
+
+void FrameStream::discard_outbound() {
+  outbound_.clear();
+  outbound_off_ = 0;
+}
+
+FrameStream::Io FrameStream::flush() {
+  while (flush_pending()) {
+    const ssize_t n =
+        ::send(fd_, outbound_.data() + outbound_off_,
+               outbound_.size() - outbound_off_, MSG_NOSIGNAL);
+    if (n > 0) {
+      outbound_off_ += static_cast<std::size_t>(n);
+    } else if (n < 0 && errno == EINTR) {
+      continue;
+    } else if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      return Io::kPending;
+    } else {
+      discard_outbound();
+      return Io::kClosed;
+    }
+  }
+  discard_outbound();
+  return Io::kDone;
+}
+
+bool FrameStream::send_all(std::span<const std::uint8_t> bytes,
+                           int stall_ms) {
+  queue(bytes);
+  for (;;) {
+    switch (flush()) {
+      case Io::kDone:
+        return true;
+      case Io::kClosed:
+        return false;
+      case Io::kPending:
+        break;
+    }
+    pollfd pfd{fd_, POLLOUT, 0};
+    const int rc = ::poll(&pfd, 1, stall_ms);
+    if (rc == 0 || (rc < 0 && errno != EINTR)) return false;
+  }
+}
+
+ssize_t FrameStream::recv_some() {
+  std::uint8_t buffer[65536];
+  ssize_t n;
+  do {
+    n = ::recv(fd_, buffer, sizeof buffer, 0);
+  } while (n < 0 && errno == EINTR);
+  if (n > 0) decoder_.feed(std::span(buffer, static_cast<std::size_t>(n)));
+  return n;
+}
+
+bool FrameStream::fill() {
+  for (;;) {
+    const ssize_t n = recv_some();
+    if (n > 0) continue;
+    return n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+  }
+}
+
+std::optional<std::vector<std::uint8_t>> FrameStream::read() {
+  for (;;) {
+    if (auto payload = decoder_.next()) return payload;
+    if (decoder_.error() != FrameError::kNone) return std::nullopt;
+    const ssize_t n = recv_some();
+    if (n > 0) continue;
+    if (n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK)) {
+      return std::nullopt;
+    }
+    pollfd pfd{fd_, POLLIN, 0};
+    if (::poll(&pfd, 1, -1) < 0 && errno != EINTR) return std::nullopt;
+  }
 }
 
 }  // namespace originscan::net

@@ -1,6 +1,9 @@
 // Length-prefixed, CRC32-framed byte containers — the one framing
-// implementation shared by the journal's sidecar segments (core/journal)
-// and the master/worker wire protocol (core/dist).
+// implementation shared by the journal's sidecar segments (core/journal),
+// the dist master/worker protocol (core/dist) and the daemon protocol
+// (service/wire), plus FrameStream, the one socket transport that every
+// peer of the two wire protocols (dist master and worker, the daemon,
+// its client, the loadgen) sends and receives through.
 //
 // Wire form of one frame:
 //
@@ -14,9 +17,9 @@
 //     buffer. A declared length that exceeds the remaining bytes is
 //     rejected as kTruncated — the reader never trusts the prefix and
 //     over-reads past the end of the file.
-//   * Streams (worker sockets): FrameDecoder accumulates bytes and
-//     yields complete frames. A short buffer just means "feed more", but
-//     a declared length above the decoder's payload cap is a fatal
+//   * Streams (sockets): FrameDecoder accumulates bytes and yields
+//     complete frames. A short buffer just means "feed more", but a
+//     declared length above the decoder's payload cap is a fatal
 //     kOversized — a hostile or corrupt peer must not make the decoder
 //     buffer gigabytes before the CRC can catch it.
 //
@@ -25,6 +28,8 @@
 // length, and duplicated frames through both modes.
 #pragma once
 
+#include <sys/types.h>
+
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -32,6 +37,15 @@
 #include <vector>
 
 namespace originscan::net {
+
+// One {doc-name, wire-value} row of a framed protocol's symbol table,
+// in definition order. core/dist and service/wire expose their message,
+// segment, error and state tables as these rows, and
+// tools/protocol_doc_check checks docs/PROTOCOL.md against them.
+struct ProtocolSymbol {
+  std::string_view name;
+  unsigned value;
+};
 
 enum class FrameError {
   kNone = 0,
@@ -103,6 +117,77 @@ class FrameDecoder {
   std::size_t max_payload_;
   std::vector<std::uint8_t> buffer_;
   FrameError error_ = FrameError::kNone;
+};
+
+// Sets O_NONBLOCK on `fd`; false when fcntl fails.
+bool set_nonblocking(int fd);
+
+// A connected stream socket carrying frames: the fd (owned, closed on
+// destruction), a FrameDecoder for what arrives and a queue for what is
+// still to be sent. Sends use MSG_NOSIGNAL, so a dead peer surfaces as
+// kClosed or false, never as a process-wide SIGPIPE. Both the
+// nonblocking calls (an event loop's queue/flush and fill/next) and the
+// blocking ones (send_all, read) work on one stream.
+class FrameStream {
+ public:
+  enum class Io {
+    kDone,     // flush: every queued byte is on the wire
+    kPending,  // flush: the socket is full; poll for POLLOUT and retry
+    kClosed,   // flush: the peer is gone and the queue was dropped
+  };
+
+  FrameStream() = default;
+  explicit FrameStream(int fd) : fd_(fd) {}
+  ~FrameStream() { close(); }
+  FrameStream(FrameStream&& other) noexcept;
+  FrameStream& operator=(FrameStream&& other) noexcept;
+  FrameStream(const FrameStream&) = delete;
+  FrameStream& operator=(const FrameStream&) = delete;
+
+  [[nodiscard]] int fd() const { return fd_; }
+  // Gives up the fd without closing it; the stream is empty after.
+  int release();
+  void close();
+
+  // ---- outbound
+  // Appends bytes (whole frames) to the send queue; nothing is sent.
+  void queue(std::span<const std::uint8_t> bytes);
+  // Sends queued bytes until the queue is empty or the socket would block.
+  Io flush();
+  // Queues `bytes` and sends the whole queue, parking in poll() whenever
+  // the socket is full, so it works on a blocking or nonblocking fd.
+  // false once the peer is gone, or when `stall_ms` (>= 0) passes with
+  // no byte accepted.
+  bool send_all(std::span<const std::uint8_t> bytes, int stall_ms = -1);
+  [[nodiscard]] bool flush_pending() const {
+    return outbound_off_ < outbound_.size();
+  }
+  // Drops every unsent byte (the peer will never read them).
+  void discard_outbound();
+
+  // ---- inbound
+  // Receives until the socket would block (needs a nonblocking fd) and
+  // feeds the decoder. false once the peer has hung up or the read
+  // failed; the frames that arrived before still wait in next().
+  bool fill();
+  // Blocks for the next frame payload, parking in poll() when a
+  // nonblocking socket has nothing yet. nullopt on EOF, a read error or
+  // a poisoned decoder (then error() != kNone).
+  std::optional<std::vector<std::uint8_t>> read();
+  [[nodiscard]] std::optional<std::vector<std::uint8_t>> next() {
+    return decoder_.next();
+  }
+  [[nodiscard]] FrameError error() const { return decoder_.error(); }
+  [[nodiscard]] std::size_t buffered() const { return decoder_.buffered(); }
+
+ private:
+  // One recv into the decoder: >0 bytes read, 0 EOF, <0 errno set.
+  ssize_t recv_some();
+
+  int fd_ = -1;
+  FrameDecoder decoder_;
+  std::vector<std::uint8_t> outbound_;
+  std::size_t outbound_off_ = 0;
 };
 
 }  // namespace originscan::net

@@ -1,69 +1,20 @@
 #include "service/client.h"
 
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <cerrno>
 #include <cstring>
 
 namespace originscan::service {
-namespace {
 
-// The client side tolerates a nonblocking fd (the tests hand it one
-// end of a socketpair they also poll) by parking in poll() on EAGAIN.
-bool send_all(int fd, std::span<const std::uint8_t> data,
-              std::string* error) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t n =
-        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
-    if (n > 0) {
-      off += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      pollfd pfd{fd, POLLOUT, 0};
-      if (::poll(&pfd, 1, -1) < 0 && errno != EINTR) {
-        *error = std::string("poll: ") + std::strerror(errno);
-        return false;
-      }
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    *error = std::string("send: ") + std::strerror(errno);
-    return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-ServiceClient::~ServiceClient() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
-ServiceClient::ServiceClient(ServiceClient&& other) noexcept
-    : fd_(other.fd_),
-      decoder_(std::move(other.decoder_)),
-      universe_seed_(other.universe_seed_),
-      universe_size_(other.universe_size_),
-      error_(std::move(other.error_)) {
-  other.fd_ = -1;
-}
-
-int ServiceClient::release() {
-  const int fd = fd_;
-  fd_ = -1;
-  return fd;
-}
-
-bool ServiceClient::send(const ServiceWire& message) {
-  if (fd_ < 0) {
+bool ServiceClient::send_frame(std::span<const std::uint8_t> frame) {
+  if (stream_.fd() < 0) {
     error_ = "client closed";
     return false;
   }
-  return send_all(fd_, encode_service_message(message), &error_);
+  if (!stream_.send_all(frame)) {
+    error_ = std::string("send: ") + std::strerror(errno);
+    return false;
+  }
+  return true;
 }
 
 bool ServiceClient::hello() {
@@ -103,43 +54,21 @@ bool ServiceClient::submit(std::uint64_t request_id, std::uint32_t tenant,
 }
 
 std::optional<ServiceWire> ServiceClient::next_message() {
-  if (fd_ < 0) {
+  if (stream_.fd() < 0) {
     error_ = "client closed";
     return std::nullopt;
   }
-  for (;;) {
-    if (auto payload = decoder_.next()) {
-      auto message = decode_service_message(*payload);
-      if (!message) error_ = "protocol violation: undecodable message";
-      return message;
-    }
-    if (decoder_.error() != net::FrameError::kNone) {
-      error_ = "framing error: " +
-               std::string(net::frame_error_name(decoder_.error()));
-      return std::nullopt;
-    }
-    std::uint8_t buffer[16384];
-    const ssize_t n = ::recv(fd_, buffer, sizeof buffer, 0);
-    if (n > 0) {
-      decoder_.feed(std::span(buffer, static_cast<std::size_t>(n)));
-      continue;
-    }
-    if (n == 0) {
-      error_ = "connection closed by server";
-      return std::nullopt;
-    }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      pollfd pfd{fd_, POLLIN, 0};
-      if (::poll(&pfd, 1, -1) < 0 && errno != EINTR) {
-        error_ = std::string("poll: ") + std::strerror(errno);
-        return std::nullopt;
-      }
-      continue;
-    }
-    error_ = std::string("recv: ") + std::strerror(errno);
+  const auto payload = stream_.read();
+  if (!payload) {
+    error_ = stream_.error() != net::FrameError::kNone
+                 ? "framing error: " +
+                       std::string(net::frame_error_name(stream_.error()))
+                 : "connection closed by server";
     return std::nullopt;
   }
+  auto message = decode_service_message(*payload);
+  if (!message) error_ = "protocol violation: undecodable message";
+  return message;
 }
 
 std::optional<ServiceWire> ServiceClient::wait_for(std::uint64_t request_id) {

@@ -1,14 +1,16 @@
 // Blocking client for the `originscand` wire protocol — the transport
 // half of `originscan client` and the building block the service tests
 // and the in-process loadgen drive directly over socketpairs. One
-// ServiceClient owns one connected fd; it performs the HELLO handshake,
-// frames outgoing messages, and decodes incoming ones strictly (any
+// ServiceClient owns one connected fd, through a blocking
+// net::FrameStream; it performs the HELLO handshake, frames outgoing
+// messages, and decodes incoming ones strictly (any
 // framing or grammar violation poisons the client, mirroring the
 // server's no-resynchronization rule).
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "netbase/frame.h"
@@ -20,10 +22,9 @@ namespace originscan::service {
 class ServiceClient {
  public:
   // Takes ownership of a connected (blocking or nonblocking) fd.
-  explicit ServiceClient(int fd) : fd_(fd) {}
-  ~ServiceClient();
+  explicit ServiceClient(int fd) : stream_(fd) {}
 
-  ServiceClient(ServiceClient&& other) noexcept;
+  ServiceClient(ServiceClient&& other) noexcept = default;
   ServiceClient& operator=(ServiceClient&&) = delete;
   ServiceClient(const ServiceClient&) = delete;
   ServiceClient& operator=(const ServiceClient&) = delete;
@@ -36,7 +37,9 @@ class ServiceClient {
   [[nodiscard]] std::uint32_t universe_size() const { return universe_size_; }
 
   // Sends one message (SUBMIT, STATUS poll, CANCEL, SHUTDOWN).
-  bool send(const ServiceWire& message);
+  bool send(const ServiceWire& message) {
+    return send_frame(encode_service_message(message));
+  }
 
   // Convenience: a SUBMIT from a spec.
   bool submit(std::uint64_t request_id, std::uint32_t tenant,
@@ -53,15 +56,16 @@ class ServiceClient {
   std::optional<ServiceWire> wait_for(std::uint64_t request_id);
 
   [[nodiscard]] const std::string& error() const { return error_; }
-  [[nodiscard]] int fd() const { return fd_; }
+  [[nodiscard]] int fd() const { return stream_.fd(); }
 
   // Release the fd without closing it (the loadgen hands fds to its own
   // poll loop).
-  int release();
+  int release() { return stream_.release(); }
 
  private:
-  int fd_;
-  net::FrameDecoder decoder_;
+  bool send_frame(std::span<const std::uint8_t> frame);
+
+  net::FrameStream stream_;
   std::uint64_t universe_seed_ = 0;
   std::uint32_t universe_size_ = 0;
   std::string error_;

@@ -1,6 +1,5 @@
 #include "service/loadgen.h"
 
-#include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -51,11 +50,6 @@ std::string spec_key(const SessionSpec& spec) {
          "/r" + std::to_string(spec.retries);
 }
 
-bool set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
 struct PendingRequest {
   std::uint32_t tenant = 0;
   std::uint32_t index = 0;
@@ -64,15 +58,8 @@ struct PendingRequest {
 
 // One multiplexed client connection in the replay poll loop.
 struct LoadConn {
-  int fd = -1;
-  net::FrameDecoder decoder;
-  std::vector<std::uint8_t> outbound;
-  std::size_t outbound_off = 0;
+  net::FrameStream stream;
   std::unordered_map<std::uint64_t, PendingRequest> pending;
-
-  [[nodiscard]] bool flush_pending() const {
-    return outbound_off < outbound.size();
-  }
 };
 
 }  // namespace
@@ -98,12 +85,9 @@ LoadgenReport run_loadgen(const ServiceConfig& service,
     if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
       report.error = "socketpair failed";
       for (int fd : server_fds) ::close(fd);
-      for (auto& conn : conns) {
-        if (conn.fd >= 0) ::close(conn.fd);
-      }
       return report;
     }
-    conns[i].fd = sv[0];
+    conns[i].stream = net::FrameStream(sv[0]);
     server_fds.push_back(sv[1]);
   }
 
@@ -115,14 +99,14 @@ LoadgenReport run_loadgen(const ServiceConfig& service,
   // Handshake each connection (blocking fds, daemon already serving),
   // then hand the fd to the nonblocking replay loop.
   for (auto& conn : conns) {
-    ServiceClient client(conn.fd);
-    if (!client.hello()) {
+    ServiceClient client(conn.stream.release());
+    const bool ok = client.hello();
+    conn.stream = net::FrameStream(client.release());
+    if (!ok) {
       report.error = "handshake failed: " + client.error();
-      conn.fd = client.release();
       break;
     }
-    conn.fd = client.release();
-    set_nonblocking(conn.fd);
+    net::set_nonblocking(conn.stream.fd());
   }
 
   std::vector<std::int64_t> latencies;
@@ -148,8 +132,7 @@ LoadgenReport run_loadgen(const ServiceConfig& service,
         submit.trial = static_cast<std::uint8_t>(spec.trial);
         submit.probes = static_cast<std::uint8_t>(spec.probes);
         submit.retries = static_cast<std::uint8_t>(spec.retries);
-        const auto frame = encode_service_message(submit);
-        conn.outbound.insert(conn.outbound.end(), frame.begin(), frame.end());
+        conn.stream.queue(encode_service_message(submit));
         conn.pending.emplace(request_id, PendingRequest{t, i, Clock::now()});
         specs_by_key.try_emplace(spec_key(spec), spec);
       }
@@ -162,8 +145,8 @@ LoadgenReport run_loadgen(const ServiceConfig& service,
       std::vector<pollfd> fds;
       for (auto& conn : conns) {
         short events = POLLIN;
-        if (conn.flush_pending()) events |= POLLOUT;
-        fds.push_back({conn.fd, events, 0});
+        if (conn.stream.flush_pending()) events |= POLLOUT;
+        fds.push_back({conn.stream.fd(), events, 0});
       }
       if (::poll(fds.data(), static_cast<nfds_t>(fds.size()), 1000) < 0) {
         if (errno == EINTR) continue;
@@ -172,38 +155,15 @@ LoadgenReport run_loadgen(const ServiceConfig& service,
       }
       for (std::size_t c = 0; c < conns.size(); ++c) {
         LoadConn& conn = conns[c];
-        if (fds[c].revents & POLLOUT) {
-          while (conn.flush_pending()) {
-            const ssize_t n = ::send(conn.fd,
-                                     conn.outbound.data() + conn.outbound_off,
-                                     conn.outbound.size() - conn.outbound_off,
-                                     MSG_NOSIGNAL);
-            if (n > 0) {
-              conn.outbound_off += static_cast<std::size_t>(n);
-              continue;
-            }
-            if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-            report.error = "send failed mid-replay";
-            break;
-          }
-          if (!conn.flush_pending()) {
-            conn.outbound.clear();
-            conn.outbound_off = 0;
-          }
+        if ((fds[c].revents & POLLOUT) &&
+            conn.stream.flush() == net::FrameStream::Io::kClosed) {
+          report.error = "send failed mid-replay";
         }
         if ((fds[c].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-        std::uint8_t buffer[16384];
-        for (;;) {
-          const ssize_t n = ::recv(conn.fd, buffer, sizeof buffer, 0);
-          if (n > 0) {
-            conn.decoder.feed(std::span(buffer, static_cast<std::size_t>(n)));
-            continue;
-          }
-          if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+        if (!conn.stream.fill()) {
           report.error = "server connection dropped mid-replay";
-          break;
         }
-        while (auto payload = conn.decoder.next()) {
+        while (auto payload = conn.stream.next()) {
           const auto message = decode_service_message(*payload);
           if (!message) {
             report.error = "undecodable server message";
@@ -237,7 +197,7 @@ LoadgenReport run_loadgen(const ServiceConfig& service,
             }
           }
         }
-        if (conn.decoder.error() != net::FrameError::kNone) {
+        if (conn.stream.error() != net::FrameError::kNone) {
           report.error = "framing error from server";
         }
       }
@@ -248,16 +208,14 @@ LoadgenReport run_loadgen(const ServiceConfig& service,
   {
     ServiceWire shutdown;
     shutdown.type = ServiceMsg::kShutdown;
-    const auto frame = encode_service_message(shutdown);
-    if (!conns.empty() && conns[0].fd >= 0) {
-      (void)!::send(conns[0].fd, frame.data(), frame.size(), MSG_NOSIGNAL);
+    if (!conns.empty() && conns[0].stream.fd() >= 0) {
+      conns[0].stream.queue(encode_service_message(shutdown));
+      (void)conns[0].stream.flush();
     }
   }
   daemon.request_stop();
   serve_thread.join();
-  for (auto& conn : conns) {
-    if (conn.fd >= 0) ::close(conn.fd);
-  }
+  conns.clear();
 
   report.wall_us = micros_between(t0, Clock::now());
   if (!latencies.empty()) {

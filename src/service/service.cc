@@ -1,6 +1,5 @@
 #include "service/service.h"
 
-#include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -18,14 +17,6 @@
 #include "core/parallel.h"
 
 namespace originscan::service {
-namespace {
-
-bool set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
-}  // namespace
 
 int make_unix_listener(const std::string& path, std::string* error) {
   sockaddr_un addr{};
@@ -71,25 +62,18 @@ int connect_unix(const std::string& path, std::string* error) {
   return fd;
 }
 
-// One client connection owned by the event loop: its decoder, its
-// outbound buffer, and the requests it has open. `seq` disambiguates a
-// reused fd number — completions carry the seq of the connection that
-// submitted them and are discarded on mismatch.
+// One client connection owned by the event loop: its nonblocking frame
+// stream and the requests it has open. `seq` disambiguates a reused fd
+// number — completions carry the seq of the connection that submitted
+// them and are discarded on mismatch.
 struct Originscand::Connection {
-  int fd = -1;
+  net::FrameStream stream;
   std::uint64_t seq = 0;
-  net::FrameDecoder decoder;
   bool hello_done = false;
   bool close_after_flush = false;  // flush outbound, then drop
   bool peer_gone = false;          // disconnect() ran: no reader left
-  std::vector<std::uint8_t> outbound;
-  std::size_t outbound_off = 0;
   // client request_id -> loop-global request key
   std::unordered_map<std::uint64_t, std::uint64_t> open_requests;
-
-  [[nodiscard]] bool flush_pending() const {
-    return outbound_off < outbound.size();
-  }
 };
 
 // One admitted session, from SUBMIT to delivery. Stays in the table
@@ -134,7 +118,7 @@ class Originscand::Loop {
 
   void run(std::vector<int> preconnected) {
     if (wake_read_fd_ < 0 || wake_write_fd_ < 0) return;
-    if (listen_fd_ >= 0) set_nonblocking(listen_fd_);
+    if (listen_fd_ >= 0) net::set_nonblocking(listen_fd_);
 
     for (int fd : preconnected) adopt_connection(fd);
 
@@ -151,10 +135,10 @@ class Originscand::Loop {
     // every executor thread has joined its queue before teardown.
     pool_.wait();
     drain_completions();
-    for (auto& [fd, conn] : connections_) {
-      flush_blocking(*conn);
-      ::close(fd);
-    }
+    // The fds may still be nonblocking: park on a full socket rather than
+    // drop a RESULT the drain promised, but give up on a peer that reads
+    // nothing for 100 ms.
+    for (auto& [fd, conn] : connections_) (void)conn->stream.send_all({}, 100);
     connections_.clear();
   }
 
@@ -166,7 +150,9 @@ class Originscand::Loop {
     if (!draining_) return false;
     if (!requests_.empty()) return false;
     for (const auto& [fd, conn] : connections_) {
-      if (conn->flush_pending() && !conn->close_after_flush) return false;
+      if (conn->stream.flush_pending() && !conn->close_after_flush) {
+        return false;
+      }
     }
     return true;
   }
@@ -190,7 +176,7 @@ class Originscand::Loop {
     std::vector<int> conn_fds;
     for (auto& [fd, conn] : connections_) {
       short events = conn->close_after_flush ? 0 : POLLIN;
-      if (conn->flush_pending()) events |= POLLOUT;
+      if (conn->stream.flush_pending()) events |= POLLOUT;
       fds.push_back({fd, events, 0});
       conn_fds.push_back(fd);
     }
@@ -228,9 +214,9 @@ class Originscand::Loop {
   }
 
   void adopt_connection(int fd) {
-    set_nonblocking(fd);
+    net::set_nonblocking(fd);
     auto conn = std::make_unique<Connection>();
-    conn->fd = fd;
+    conn->stream = net::FrameStream(fd);
     conn->seq = ++conn_seq_;
     connections_.emplace(fd, std::move(conn));
     metrics_.add(obsv::Counter::kServiceConnections);
@@ -238,23 +224,11 @@ class Originscand::Loop {
 
   void read_some(Connection& conn) {
     if (conn.close_after_flush) return;
-    bool hung_up = false;
-    std::uint8_t buffer[16384];
-    for (;;) {
-      const ssize_t n = ::recv(conn.fd, buffer, sizeof buffer, 0);
-      if (n > 0) {
-        conn.decoder.feed(std::span(buffer, static_cast<std::size_t>(n)));
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      // 0 = orderly shutdown, <0 = error: either way the peer is gone.
-      // Frames that arrived before the close still count — a client may
-      // legitimately send SHUTDOWN (or a fire-and-forget CANCEL) and hang
-      // up in the same wire flight, so decode before disconnecting.
-      hung_up = true;
-      break;
-    }
-    while (auto payload = conn.decoder.next()) {
+    // Frames that arrived before a hang-up still count — a client may
+    // legitimately send SHUTDOWN (or a fire-and-forget CANCEL) and hang
+    // up in the same wire flight, so decode before disconnecting.
+    const bool hung_up = !conn.stream.fill();
+    while (auto payload = conn.stream.next()) {
       // A connection the daemon closed drops its remaining frames; one
       // whose peer hung up (even mid-loop, when a reply's flush failed)
       // still has them handled.
@@ -262,10 +236,10 @@ class Originscand::Loop {
       handle_payload(conn, *payload);
     }
     if (!conn.close_after_flush &&
-        conn.decoder.error() != net::FrameError::kNone) {
+        conn.stream.error() != net::FrameError::kNone) {
       refuse(conn, 0, ServiceError::kMalformed,
              std::string("frame error: ") +
-                 std::string(net::frame_error_name(conn.decoder.error())));
+                 std::string(net::frame_error_name(conn.stream.error())));
       metrics_.add(obsv::Counter::kServiceFramesMalformed);
       conn.close_after_flush = true;
     }
@@ -366,7 +340,7 @@ class Originscand::Loop {
     auto request = std::make_unique<Request>();
     request->key = ++request_seq_;
     request->conn_seq = conn.seq;
-    request->conn_fd = conn.fd;
+    request->conn_fd = conn.stream.fd();
     request->client_request_id = message.request_id;
     request->tenant = message.tenant;
     request->spec = std::move(spec);
@@ -471,8 +445,7 @@ class Originscand::Loop {
     }
     conn.open_requests.clear();
     conn.close_after_flush = true;
-    conn.outbound.clear();  // no reader left; drop undelivered bytes
-    conn.outbound_off = 0;
+    conn.stream.discard_outbound();  // no reader left
   }
 
   // Round-robin across tenants with queued work: each pass hands at most
@@ -602,8 +575,7 @@ class Originscand::Loop {
 
   void send(Connection& conn, const ServiceWire& message) {
     if (conn.peer_gone) return;
-    const std::vector<std::uint8_t> frame = encode_service_message(message);
-    conn.outbound.insert(conn.outbound.end(), frame.begin(), frame.end());
+    conn.stream.queue(encode_service_message(message));
     flush_some(conn);
   }
 
@@ -624,34 +596,7 @@ class Originscand::Loop {
   }
 
   void flush_some(Connection& conn) {
-    while (conn.flush_pending()) {
-      const ssize_t n =
-          ::send(conn.fd, conn.outbound.data() + conn.outbound_off,
-                 conn.outbound.size() - conn.outbound_off, MSG_NOSIGNAL);
-      if (n > 0) {
-        conn.outbound_off += static_cast<std::size_t>(n);
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-      disconnect(conn);
-      return;
-    }
-    if (conn.outbound_off == conn.outbound.size()) {
-      conn.outbound.clear();
-      conn.outbound_off = 0;
-    }
-  }
-
-  // Final flush at teardown: the fds may still be nonblocking, so spin
-  // briefly on EAGAIN instead of dropping a RESULT a drain promised.
-  void flush_blocking(Connection& conn) {
-    for (int spins = 0; conn.flush_pending() && spins < 1000; ++spins) {
-      pollfd pfd{conn.fd, POLLOUT, 0};
-      if (::poll(&pfd, 1, 100) <= 0) break;
-      const std::size_t before = conn.outbound_off;
-      flush_some(conn);
-      if (conn.fd < 0 || conn.outbound_off == before) break;
-    }
+    if (conn.stream.flush() == net::FrameStream::Io::kClosed) disconnect(conn);
   }
 
   // Connections marked dead are reaped after the event pass so iterator
@@ -659,9 +604,8 @@ class Originscand::Loop {
   void reap_closed() {
     for (auto it = connections_.begin(); it != connections_.end();) {
       Connection& conn = *it->second;
-      if (conn.close_after_flush && !conn.flush_pending()) {
-        ::close(conn.fd);
-        it = connections_.erase(it);
+      if (conn.close_after_flush && !conn.stream.flush_pending()) {
+        it = connections_.erase(it);  // the stream closes the fd
       } else {
         ++it;
       }
@@ -703,8 +647,8 @@ Originscand::Originscand(const ServiceConfig& config)
   if (::pipe(pipe_fds) == 0) {
     wake_read_fd_ = pipe_fds[0];
     wake_write_fd_ = pipe_fds[1];
-    set_nonblocking(wake_read_fd_);
-    set_nonblocking(wake_write_fd_);
+    net::set_nonblocking(wake_read_fd_);
+    net::set_nonblocking(wake_write_fd_);
   }
 }
 

@@ -1,6 +1,5 @@
 #include "service/wire.h"
 
-
 #include "netbase/byteio.h"
 
 namespace originscan::service {
@@ -15,7 +14,7 @@ void put_string(net::ByteWriter& writer, std::string_view s) {
 std::string get_string(net::ByteReader& reader, std::size_t cap) {
   const std::uint16_t n = reader.u16();
   if (n > cap) {
-    reader.skip(~std::size_t{0});  // force the error latch
+    reader.invalidate();
     return {};
   }
   const auto bytes = reader.bytes(n);
@@ -30,10 +29,10 @@ bool valid_protocol(std::uint8_t raw) {
   return false;
 }
 
-#define OSN_X(symbol, value, name) ProtocolSymbol{name, value},
-constexpr ProtocolSymbol kMessageSymbols[] = {OSN_SERVICE_MESSAGES(OSN_X)};
-constexpr ProtocolSymbol kErrorSymbols[] = {OSN_SERVICE_ERRORS(OSN_X)};
-constexpr ProtocolSymbol kStateSymbols[] = {OSN_SERVICE_STATES(OSN_X)};
+#define OSN_X(symbol, value, name) net::ProtocolSymbol{name, value},
+constexpr net::ProtocolSymbol kMessageSymbols[] = {OSN_SERVICE_MESSAGES(OSN_X)};
+constexpr net::ProtocolSymbol kErrorSymbols[] = {OSN_SERVICE_ERRORS(OSN_X)};
+constexpr net::ProtocolSymbol kStateSymbols[] = {OSN_SERVICE_STATES(OSN_X)};
 #undef OSN_X
 
 }  // namespace
@@ -71,13 +70,13 @@ std::string_view session_state_name(SessionState state) {
   return "?";
 }
 
-std::span<const ProtocolSymbol> service_message_symbols() {
+std::span<const net::ProtocolSymbol> service_message_symbols() {
   return kMessageSymbols;
 }
-std::span<const ProtocolSymbol> service_error_symbols() {
+std::span<const net::ProtocolSymbol> service_error_symbols() {
   return kErrorSymbols;
 }
-std::span<const ProtocolSymbol> service_state_symbols() {
+std::span<const net::ProtocolSymbol> service_state_symbols() {
   return kStateSymbols;
 }
 

@@ -102,16 +102,10 @@ enum class SessionState : std::uint8_t {
 [[nodiscard]] std::string_view service_error_name(ServiceError error);
 [[nodiscard]] std::string_view session_state_name(SessionState state);
 
-// Introspection rows for the protocol/doc consistency check
-// (tools/protocol_doc_check): one {doc-name, wire-value} pair per
-// symbol, in definition order.
-struct ProtocolSymbol {
-  std::string_view name;
-  unsigned value;
-};
-[[nodiscard]] std::span<const ProtocolSymbol> service_message_symbols();
-[[nodiscard]] std::span<const ProtocolSymbol> service_error_symbols();
-[[nodiscard]] std::span<const ProtocolSymbol> service_state_symbols();
+// Introspection rows for tools/protocol_doc_check.
+[[nodiscard]] std::span<const net::ProtocolSymbol> service_message_symbols();
+[[nodiscard]] std::span<const net::ProtocolSymbol> service_error_symbols();
+[[nodiscard]] std::span<const net::ProtocolSymbol> service_state_symbols();
 
 // One decoded service message. Fields are populated per type; encode
 // writes only the typed fields and decode rejects payloads with missing

@@ -705,6 +705,46 @@ TEST(Fuzz, ServiceMessageCodecRoundTripsAndSurvivesMutations) {
   }
 }
 
+// A string length above its cap must fail the whole decode. The SUBMIT
+// below once decoded as valid: the rejected origin-code length stepped
+// the reader back one byte, so the length's low byte (0x01) read as the
+// protocol and the three spec bytes filled the message exactly.
+TEST(Fuzz, ServiceStringAboveItsCapRejectsTheMessage) {
+  const auto decode = [](std::initializer_list<std::uint8_t> head,
+                         std::size_t tail_bytes) {
+    std::vector<std::uint8_t> payload(head);
+    payload.resize(payload.size() + tail_bytes, 1);
+    return service::decode_service_message(payload);
+  };
+  // type, request id, tenant, origin-code length 0x0101 (cap 16), then
+  // only trial, probes and retries.
+  EXPECT_FALSE(decode({static_cast<std::uint8_t>(service::ServiceMsg::kSubmit),
+                       0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 3, 0x01, 0x01},
+                      3)
+                   .has_value());
+  // type, request id, error code, text length 0x1001 (cap 4096), then
+  // that many text bytes.
+  EXPECT_FALSE(decode({static_cast<std::uint8_t>(service::ServiceMsg::kError),
+                       0, 0, 0, 0, 0, 0, 0, 7,
+                       static_cast<std::uint8_t>(
+                           service::ServiceError::kMalformed),
+                       0x10, 0x01},
+                      0x1001)
+                   .has_value());
+  // At the cap both still decode.
+  EXPECT_TRUE(decode({static_cast<std::uint8_t>(service::ServiceMsg::kSubmit),
+                      0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 3, 0x00, 0x10},
+                     16 + 4)
+                  .has_value());
+  EXPECT_TRUE(decode({static_cast<std::uint8_t>(service::ServiceMsg::kError),
+                      0, 0, 0, 0, 0, 0, 0, 7,
+                      static_cast<std::uint8_t>(
+                          service::ServiceError::kMalformed),
+                      0x10, 0x00},
+                     0x1000)
+                  .has_value());
+}
+
 TEST(Fuzz, CyclicGroupHandlesArbitrarySizes) {
   net::Rng rng(111);
   // The permutation builder must produce a full, duplicate-free cycle

@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <sys/socket.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <iterator>
 #include <set>
 #include <string>
+#include <thread>
+#include <utility>
 
 #include "netbase/byteio.h"
 #include "netbase/crc32.h"
+#include "netbase/frame.h"
 #include "netbase/interval_set.h"
 #include "netbase/ipv4.h"
 #include "netbase/rng.h"
@@ -170,6 +176,15 @@ TEST(ByteIO, ReaderLatchesErrorOnOverrun) {
   EXPECT_EQ(r.remaining(), 0u);
 }
 
+TEST(ByteIO, SkipOfSizeMaxLatchesInsteadOfWrapping) {
+  const std::vector<std::uint8_t> data = {1, 2, 3};
+  ByteReader r(data);
+  r.u8();
+  r.skip(SIZE_MAX);  // pos + n wraps; the bound check must not
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.remaining(), 0u);
+}
+
 TEST(ByteIO, StoresIntoPresizedMemory) {
   std::uint8_t buffer[8];
   EXPECT_EQ(store_u64(buffer, 0x0102030405060708ull), buffer + 8);
@@ -298,6 +313,106 @@ TEST(Sha256, ShaNiMatchesPortableOnRandomBlocks) {
     ASSERT_EQ(shani, portable) << "round " << round << ", " << count
                                << " blocks";
   }
+}
+
+// ----------------------------------------------------------- FrameStream --
+
+// A connected socketpair whose kernel buffers are shrunk to a few KiB, so
+// a large frame crosses in many partial sends and receives.
+std::pair<FrameStream, FrameStream> small_buffer_pair(bool nonblocking) {
+  int sv[2] = {-1, -1};
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  for (int fd : sv) {
+    const int size = 4096;
+    EXPECT_EQ(::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &size, sizeof size), 0);
+    EXPECT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &size, sizeof size), 0);
+    if (nonblocking) {
+      EXPECT_TRUE(set_nonblocking(fd));
+    }
+  }
+  return {FrameStream(sv[0]), FrameStream(sv[1])};
+}
+
+std::vector<std::uint8_t> random_payload(std::size_t size, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::uint8_t> payload(size);
+  for (auto& byte : payload) byte = static_cast<std::uint8_t>(rng());
+  return payload;
+}
+
+TEST(FrameStream, MultiMiBFrameCrossesNonblockingQueueFlushAndFill) {
+  auto [writer, reader] = small_buffer_pair(/*nonblocking=*/true);
+  const auto payload = random_payload(3u << 20, 1);
+  writer.queue(encode_frame(payload));
+  std::optional<std::vector<std::uint8_t>> got;
+  int partial_flushes = 0;
+  while (!got) {
+    if (writer.flush_pending()) {
+      const FrameStream::Io io = writer.flush();
+      ASSERT_NE(io, FrameStream::Io::kClosed);
+      if (io == FrameStream::Io::kPending) ++partial_flushes;
+    }
+    pollfd pfd{reader.fd(), POLLIN, 0};
+    ASSERT_GE(::poll(&pfd, 1, 1000), 0);
+    ASSERT_TRUE(reader.fill());
+    got = reader.next();
+    ASSERT_EQ(reader.error(), FrameError::kNone);
+  }
+  EXPECT_GT(partial_flushes, 0);  // the small buffers forced EAGAIN
+  EXPECT_FALSE(writer.flush_pending());
+  EXPECT_EQ(*got, payload);
+  EXPECT_EQ(reader.buffered(), 0u);
+}
+
+TEST(FrameStream, BlockingReadParksOnANonblockingFd) {
+  auto [writer, reader] = small_buffer_pair(/*nonblocking=*/true);
+  const auto payload = random_payload(1u << 20, 2);
+  // Both calls park in poll(): send_all on a full socket, read on an
+  // empty one. Neither may treat EAGAIN as a failure.
+  bool sent = false;
+  std::thread sender([&writer = writer, &payload, &sent] {
+    sent = writer.send_all(encode_frame(payload));
+  });
+  const auto got = reader.read();
+  reader.close();  // a read that gave up early must not strand the sender
+  sender.join();
+  EXPECT_TRUE(sent);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, payload);
+}
+
+TEST(FrameStream, PeerClosingMidFrameReportsClosedWithBytesBuffered) {
+  auto [writer, reader] = small_buffer_pair(/*nonblocking=*/true);
+  const auto frame = encode_frame(random_payload(1000, 3));
+  ASSERT_TRUE(writer.send_all(std::span(frame.data(), frame.size() / 2)));
+  writer.close();
+  EXPECT_FALSE(reader.fill());
+  EXPECT_GT(reader.buffered(), 0u);
+  EXPECT_FALSE(reader.next().has_value());
+  EXPECT_EQ(reader.error(), FrameError::kNone);  // torn, not corrupt
+  EXPECT_FALSE(reader.read().has_value());       // EOF, not a hang
+
+  // The other direction: a send to the closed peer reports kClosed (no
+  // SIGPIPE) and drops the queue.
+  reader.queue(frame);
+  EXPECT_EQ(reader.flush(), FrameStream::Io::kClosed);
+  EXPECT_FALSE(reader.flush_pending());
+}
+
+TEST(FrameStream, BitFlippedFramePoisonsTheStream) {
+  auto [writer, reader] = small_buffer_pair(/*nonblocking=*/true);
+  auto frame = encode_frame(random_payload(1000, 4));
+  frame[500] ^= 0x40;  // inside the payload: the CRC no longer matches
+  ASSERT_TRUE(writer.send_all(frame));
+  ASSERT_TRUE(writer.send_all(encode_frame(random_payload(10, 5))));
+  pollfd pfd{reader.fd(), POLLIN, 0};
+  ASSERT_EQ(::poll(&pfd, 1, 1000), 1);
+  EXPECT_TRUE(reader.fill());
+  EXPECT_FALSE(reader.next().has_value());
+  EXPECT_EQ(reader.error(), FrameError::kBadCrc);
+  // No resynchronization: the valid frame behind it never surfaces.
+  EXPECT_FALSE(reader.next().has_value());
+  EXPECT_FALSE(reader.read().has_value());
 }
 
 // ------------------------------------------------------------------- Rng --

@@ -791,7 +791,6 @@ int cmd_serve(const Args& args) {
   config.log = [](std::string_view line) {
     std::printf("originscand: %.*s\n", static_cast<int>(line.size()),
                 line.data());
-    std::fflush(stdout);
   };
 
   std::string error;
@@ -805,7 +804,6 @@ int cmd_serve(const Args& args) {
               "thread(s), listening on %s\n",
               args.scale, static_cast<unsigned long long>(args.seed),
               args.executor_threads, args.socket_path.c_str());
-  std::fflush(stdout);
 
   service::Originscand daemon(config);
   daemon.serve(listen_fd);
@@ -909,7 +907,6 @@ int cmd_loadgen(const Args& args) {
               args.tenants, args.requests, args.connections, args.scale,
               args.executor_threads,
               options.verify ? ", verifying byte-identity" : "");
-  std::fflush(stdout);
 
   const service::LoadgenReport report = service::run_loadgen(config, options);
   std::printf(
@@ -984,6 +981,9 @@ int cmd_origins(const Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Progress lines (sweep, experiment cells, serve, loadgen) must reach a
+  // pipe or log file as they are printed, not when the process exits.
+  std::setvbuf(stdout, nullptr, _IOLBF, BUFSIZ);
   Args args;
   if (!parse_args(argc, argv, args)) {
     usage();
